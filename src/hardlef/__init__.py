@@ -12,10 +12,10 @@ from .errors import (DegreeError, HardLefError, InternalConsistencyError,
                      PreconditionError, RankDefectError, ValidationError)
 from .exterior import (Form, Vector, contract, top_coefficient, wedge,
                        wedge_power)
-from .model import StructureModel, extend_differential, lie_derivative
+from .model import StructureModel
 from .cohomology import (CohomologySpace, Subcomplex, basic_complex,
-                         betti_numbers, cohomology, full_complex,
-                         splitting_check, splitting_map)
+                         betti_numbers, full_complex, splitting_check,
+                         splitting_map)
 from .structures import (ContactStructure, LcsStructure, product_with_circle,
                          quotient_contact, vaisman_candidate_report,
                          validate_contact, validate_lcs)

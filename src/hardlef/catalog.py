@@ -270,15 +270,10 @@ def run_entry(entry: CatalogEntry) -> dict:
         if {"lefschetz_de_rham", "lefschetz_basic", "lefschetz_contact",
                 "equivalence_agree"} & set(expected):
             equivalence = _lef.lefschetz_equivalence_report(struct)
-        if "lefschetz_de_rham" in expected:
-            actual["lefschetz_de_rham"] = [v.de_rham
-                                           for v in equivalence.per_degree]
-        if "lefschetz_basic" in expected:
-            actual["lefschetz_basic"] = [v.basic
-                                         for v in equivalence.per_degree]
-        if "lefschetz_contact" in expected:
-            actual["lefschetz_contact"] = [v.contact
-                                           for v in equivalence.per_degree]
+        for picture in ("de_rham", "basic", "contact"):
+            if f"lefschetz_{picture}" in expected:
+                actual[f"lefschetz_{picture}"] = [
+                    getattr(v, picture) for v in equivalence.per_degree]
         if "equivalence_agree" in expected:
             actual["equivalence_agree"] = equivalence.agree
         if {"parity_ok", "b_equals_c_sum"} & set(expected):

@@ -4,18 +4,14 @@ Subcommands: validate, cohomology, lefschetz, suite, export.  Exit codes:
 0 success, 1 usage/parse/degree errors, 2 validation failures, 3 internal
 consistency errors (including suite regressions).  Reports print as text
 on stdout; --json writes the same document as canonical JSON, which is
-byte-identical across runs on identical input.
-
-HARDLEF_THREADS (default 1) bounds the worker threads the suite may use;
-results are collected in submission order either way.
+byte-identical across runs on identical input.  The suite runs its
+entries serially, in catalog order.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import catalog as _catalog
 from . import lefschetz as _lef
@@ -44,12 +40,8 @@ def _emit(doc: dict, json_path: str | None) -> None:
             fh.write(report.to_json(doc))
 
 
-def _load(path: str) -> modelfile.ModelDocument:
-    return modelfile.load_path(path)
-
-
 def cmd_validate(args) -> int:
-    doc = _load(args.file)
+    doc = modelfile.load_path(args.file)
     results: dict = {"declared": doc.kind}
     if doc.kind == "lcs":
         struct = validate_lcs(doc.model, doc.omega, doc.eta)
@@ -104,7 +96,7 @@ def _resolve_fields(doc: modelfile.ModelDocument, spec: str) -> list[Vector]:
 
 
 def cmd_cohomology(args) -> int:
-    doc = _load(args.file)
+    doc = modelfile.load_path(args.file)
     model = doc.model
     betti = list(betti_numbers(_lef._full(model)))
     results: dict = {"betti": betti}
@@ -131,8 +123,14 @@ def _degree_list(arg: str, n: int) -> list[int]:
     return [k]
 
 
+def _verdicts(check: str, relation, struct, degrees) -> dict:
+    return {"check": check,
+            "verdicts": [_lef.is_graph_of_isomorphism(
+                relation(struct, k)).to_dict() for k in degrees]}
+
+
 def cmd_lefschetz(args) -> int:
-    doc = _load(args.file)
+    doc = modelfile.load_path(args.file)
     results: dict = {}
     if doc.kind == "lcs":
         struct = validate_lcs(doc.model, doc.omega, doc.eta)
@@ -140,28 +138,19 @@ def cmd_lefschetz(args) -> int:
         degrees = _degree_list(args.k, n)
         mode = args.mode
         if mode in ("deRham", "all"):
-            results["de_rham"] = {
-                "check": "hard Lefschetz (de Rham)",
-                "verdicts": [
-                    _lef.is_graph_of_isomorphism(
-                        _lef.de_rham_lefschetz_relation(struct, k)).to_dict()
-                    for k in degrees]}
+            results["de_rham"] = _verdicts(
+                "hard Lefschetz (de Rham)", _lef.de_rham_lefschetz_relation,
+                struct, degrees)
         if mode in ("basic", "all"):
-            results["basic"] = {
-                "check": "hard Lefschetz (Lee-basic)",
-                "verdicts": [
-                    _lef.is_graph_of_isomorphism(
-                        _lef.basic_lefschetz_relation(struct, k)).to_dict()
-                    for k in degrees]}
+            results["basic"] = _verdicts(
+                "hard Lefschetz (Lee-basic)", _lef.basic_lefschetz_relation,
+                struct, degrees)
         if mode in ("contact", "all"):
             try:
                 contact = _lef.quotient_contact(struct)
-                results["contact"] = {
-                    "check": "contact hard Lefschetz (Lee quotient)",
-                    "verdicts": [
-                        _lef.is_graph_of_isomorphism(
-                            _lef.contact_lefschetz_relation(contact, k)
-                        ).to_dict() for k in degrees]}
+                results["contact"] = _verdicts(
+                    "contact hard Lefschetz (Lee quotient)",
+                    _lef.contact_lefschetz_relation, contact, degrees)
             except ValidationError as exc:
                 results["contact"] = {"check": "contact hard Lefschetz",
                                       "unavailable": str(exc)}
@@ -188,12 +177,9 @@ def cmd_lefschetz(args) -> int:
     elif doc.kind == "contact":
         contact = validate_contact(doc.model, doc.eta)
         degrees = _degree_list(args.k, contact.n)
-        results["contact"] = {
-            "check": "contact hard Lefschetz",
-            "verdicts": [
-                _lef.is_graph_of_isomorphism(
-                    _lef.contact_lefschetz_relation(contact, k)).to_dict()
-                for k in degrees]}
+        results["contact"] = _verdicts(
+            "contact hard Lefschetz", _lef.contact_lefschetz_relation,
+            contact, degrees)
     else:
         raise ValidationError("the file declares neither omega/eta nor eta; "
                               "nothing to check")
@@ -211,16 +197,7 @@ def cmd_suite(args) -> int:
         if missing:
             raise PreconditionError(f"unknown catalog entries: "
                                     f"{sorted(missing)}")
-    threads = max(1, int(os.environ.get("HARDLEF_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_catalog.run_suite, (entry,))
-                       for entry in entries]
-            partials = [f.result() for f in futures]
-        suite = {"ok": all(p["ok"] for p in partials),
-                 "entries": [e for p in partials for e in p["entries"]]}
-    else:
-        suite = _catalog.run_suite(entries)
+    suite = _catalog.run_suite(entries)
     doc = report.document("suite", suite,
                           caveats=[report.CAVEAT_INVARIANT_MODEL])
     for item in suite["entries"]:
@@ -288,8 +265,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_lefschetz)
 
     p = sub.add_parser("suite", help="run the built-in regression catalog")
-    p.add_argument("--catalog", action="store_true", default=True,
-                   help="run the built-in catalog (default)")
     p.add_argument("--entry", action="append", metavar="NAME",
                    help="restrict to the named entries")
     p.add_argument("--json", metavar="PATH")

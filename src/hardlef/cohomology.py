@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from . import linalg
 from .errors import (DegreeError, InternalConsistencyError, ModelMismatchError,
                      NotClosedError, PreconditionError)
-from .exterior import (Form, Vector, contract, degree_masks, form_coords,
-                       form_from_coords)
+from .exterior import Form, Vector, contract, degree_masks, form_coords
 from .model import StructureModel
 
 
@@ -91,9 +91,6 @@ class Subcomplex:
                   for m in degree_masks(self.model.n_gen, k)]
         return linalg.express_in_rows(self._rows[k], target, len(target))
 
-    def contains(self, form: Form) -> bool:
-        return self.coords(form) is not None
-
     def dims(self) -> tuple[int, ...]:
         return tuple(self.dim(k) for k in range(self.model.n_gen + 1))
 
@@ -113,15 +110,12 @@ class Subcomplex:
         kernel = linalg.left_kernel(self.diff_matrix(k), self.dim(k + 1))
         image = (linalg.row_space(self._diff[k - 1], m_k)
                  if k >= 1 else [])
-        reps = []
-        span = linalg.copy_matrix(image)
-        span_rank = len(span)
-        for row in kernel:
-            trial = linalg.row_space(span + [row], m_k)
-            if len(trial) > span_rank:
-                span = trial
-                span_rank += 1
-                reps.append(row)
+        # a kernel row is a representative exactly when it is independent of
+        # the image and the kernel rows before it: a pivot column of the
+        # transpose of [image; kernel]
+        cols = image + kernel
+        _, pivots = linalg.rref(linalg.transpose(cols, m_k), len(cols))
+        reps = [cols[p] for p in pivots if p >= len(image)]
         if len(reps) != len(kernel) - len(image):
             raise InternalConsistencyError(
                 f"image is not contained in the kernel in degree {k}")
@@ -145,8 +139,6 @@ class CohomologySpace:
         self.complex = cplx
         self.degree = degree
         self.dimension = len(rep_coords)
-        self._rep_coords = rep_coords
-        self._image_rows = image_rows
         self._solve_rows = [list(r) for r in rep_coords] + \
                            [list(r) for r in image_rows]
         basis = cplx.basis(degree)
@@ -194,6 +186,22 @@ def _combine(basis: Sequence[Form], coords: Sequence[Fraction],
     return acc
 
 
+def _joint_kernel(basis: Sequence[Form], operators, n_gen: int,
+                  degree: int) -> list[Form]:
+    """Canonical basis of the forms in span(basis) that every operator
+    sends to zero."""
+    if not basis:
+        return []
+    rows = []
+    for f in basis:
+        row: list[Fraction] = []
+        for op in operators:
+            row.extend(form_coords(op(f)))
+        rows.append(row)
+    kernel = linalg.left_kernel(rows, len(rows[0]))
+    return [_combine(basis, coords, n_gen, degree) for coords in kernel]
+
+
 def full_complex(model: StructureModel) -> Subcomplex:
     """The whole invariant complex, with the monomial basis per degree."""
     n = model.n_gen
@@ -215,20 +223,12 @@ def basic_complex(model: StructureModel,
     if not fields:
         return full_complex(model)
     n = model.n_gen
-    bases: list[list[Form]] = []
-    for k in range(n + 1):
-        masks = degree_masks(n, k)
-        monos = [Form(n, k, {m: Fraction(1)}) for m in masks]
-        cond_rows = []
-        for f in monos:
-            row: list[Fraction] = []
-            for v in fields:
-                row.extend(form_coords(contract(v, f)))
-                row.extend(form_coords(model.lie_derivative(v, f)))
-            cond_rows.append(row)
-        ncols = len(cond_rows[0]) if cond_rows else 0
-        kernel = linalg.left_kernel(cond_rows, ncols)
-        bases.append([_combine(monos, row, n, k) for row in kernel])
+    ops = []
+    for v in fields:
+        ops += [partial(contract, v), partial(model.lie_derivative, v)]
+    bases = [_joint_kernel([Form(n, k, {m: Fraction(1)})
+                            for m in degree_masks(n, k)], ops, n, k)
+             for k in range(n + 1)]
     return Subcomplex(model, fields, bases)
 
 
@@ -274,8 +274,11 @@ class SplittingDegree:
 
 @dataclass(frozen=True)
 class SplittingReport:
+    """Per-degree verdicts, with the splitting maps they were read from."""
+
     degrees: tuple[SplittingDegree, ...]
     ok: bool
+    maps: tuple[SplittingMap, ...]
 
     def to_dict(self):
         return {
@@ -333,12 +336,14 @@ def splitting_check(model: StructureModel, w_form: Form, inner: Subcomplex,
                     outer: Subcomplex) -> SplittingReport:
     """Verify the splitting map is square and invertible in every degree."""
     entries = []
-    for k in range(model.n_gen + 1):
-        sm = splitting_map(model, w_form, inner, outer, k)
+    maps = tuple(splitting_map(model, w_form, inner, outer, k)
+                 for k in range(model.n_gen + 1))
+    for k, sm in enumerate(maps):
         nrows = len(sm.matrix)
         square = nrows == sm.inner_dim
         invertible = square and linalg.rank(
             [list(r) for r in sm.matrix], sm.inner_dim) == sm.inner_dim
         entries.append(SplittingDegree(k, sm.inner_dim, sm.outer_dims[0],
                                        sm.outer_dims[1], square, invertible))
-    return SplittingReport(tuple(entries), all(e.invertible for e in entries))
+    return SplittingReport(tuple(entries), all(e.invertible for e in entries),
+                           maps)

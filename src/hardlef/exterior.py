@@ -385,10 +385,3 @@ def form_coords(a: Form) -> list[Fraction]:
     """Coordinates in the ascending-mask monomial basis of a's degree."""
     return [a.terms.get(m, _ZERO) for m in degree_masks(a.n_gen, a.degree)]
 
-
-def form_from_coords(n_gen: int, degree: int,
-                     coords: Sequence[Rational]) -> Form:
-    masks = degree_masks(n_gen, degree)
-    if len(coords) != len(masks):
-        raise ValueError(f"expected {len(masks)} coordinates, got {len(coords)}")
-    return Form(n_gen, degree, dict(zip(masks, coords)))

@@ -17,28 +17,47 @@ the top degree are the zero map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import linalg
-from .cohomology import (CohomologySpace, Subcomplex, basic_complex,
-                         betti_numbers, full_complex, splitting_check)
+from .cohomology import (CohomologySpace, Subcomplex, _combine, _joint_kernel,
+                         basic_complex, betti_numbers, full_complex,
+                         splitting_check)
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
                      NotProjectableError, PreconditionError)
 from .exterior import Form, contract, form_coords, top_coefficient, wedge_power
 from .structures import ContactStructure, LcsStructure, quotient_contact
 
 
+@dataclass
+class _ModelMemo:
+    """What one model has computed: complexes keyed by field tuple, and
+    Lefschetz relations keyed by (picture, structure, degree)."""
+
+    complexes: dict = field(default_factory=dict)
+    relations: dict = field(default_factory=dict)
+
+
 @lru_cache(maxsize=128)
+def _memo(model) -> _ModelMemo:
+    # keyed by model equality: quotient_contact builds a fresh but equal
+    # model on every call
+    return _ModelMemo()
+
+
 def _full(model) -> Subcomplex:
-    return full_complex(model)
+    return _basic(model, ())
 
 
-@lru_cache(maxsize=128)
 def _basic(model, fields) -> Subcomplex:
-    return basic_complex(model, fields)
+    complexes = _memo(model).complexes
+    if fields not in complexes:
+        complexes[fields] = (basic_complex(model, fields) if fields
+                             else full_complex(model))
+    return complexes[fields]
 
 
 def _check_k(k: int, n: int) -> None:
@@ -89,27 +108,34 @@ class LefschetzVerdict:
                 "graph_of_isomorphism": self.is_graph_of_isomorphism}
 
 
-def is_graph_of_isomorphism(relation: CohomologyRelation) -> LefschetzVerdict:
-    """Decide totality, functionality and invertibility by exact ranks."""
+def _graph(relation: CohomologyRelation):
+    """(total, functional, matrix): whether the relation is defined on every
+    source class and single valued, and when both hold the matrix of the
+    map it is the graph of."""
     da = relation.source.dimension
-    db = relation.target.dimension
-    rows = [list(r) for r in relation.span]
-    x_rows = [r[:da] for r in rows]
+    x_rows = [r[:da] for r in relation.span]
     x_rank = linalg.rank(x_rows, da)
     total = x_rank == da
-    functional = x_rank == len(rows)
+    functional = x_rank == len(x_rows)
+    if not (total and functional):
+        return total, functional, None
+    x_inv = linalg.inverse(x_rows)
+    if x_inv is None:
+        raise InternalConsistencyError("total functional relation with "
+                                       "singular first projection")
+    return total, functional, linalg.matmul(
+        x_inv, [r[da:] for r in relation.span], relation.target.dimension)
+
+
+def is_graph_of_isomorphism(relation: CohomologyRelation) -> LefschetzVerdict:
+    """Decide totality, functionality and invertibility by exact ranks."""
+    total, functional, m = _graph(relation)
     injective = surjective = False
     matrix = None
-    if total and functional:
-        y_rows = [r[da:] for r in rows]
-        x_inv = linalg.inverse(x_rows)
-        if x_inv is None:
-            raise InternalConsistencyError("total functional relation with "
-                                           "singular first projection")
-        m = linalg.matmul(x_inv, y_rows, db)
-        r = linalg.rank(m, db)
-        injective = r == da
-        surjective = r == db
+    if m is not None:
+        r = linalg.rank(m, relation.target.dimension)
+        injective = r == relation.source.dimension
+        surjective = r == relation.target.dimension
         matrix = tuple(tuple(row) for row in m)
     return LefschetzVerdict(relation.source.degree, total, functional,
                             injective, surjective, matrix)
@@ -118,25 +144,33 @@ def is_graph_of_isomorphism(relation: CohomologyRelation) -> LefschetzVerdict:
 def _admissible_forms(cplx: Subcomplex, degree: int,
                       operators: Sequence[Callable[[Form], Form]]) -> list[Form]:
     """Canonical basis of the joint kernel of the operators on a slice."""
-    basis = cplx.basis(degree)
-    if not basis:
-        return []
-    rows = []
-    for f in basis:
-        row: list[Fraction] = []
-        for op in operators:
-            row.extend(form_coords(op(f)))
-        rows.append(row)
-    kernel = linalg.left_kernel(rows, len(rows[0]))
-    n = cplx.model.n_gen
-    out = []
-    for coords in kernel:
-        acc = Form.zero(n, degree)
-        for f, c in zip(basis, coords):
-            if c:
-                acc = acc + c * f
-        out.append(acc)
-    return out
+    return _joint_kernel(cplx.basis(degree), operators, cplx.model.n_gen,
+                         degree)
+
+
+def _relation(key, cplx: Subcomplex, target_degree: int,
+              operators: Sequence[Callable[[Form], Form]],
+              target: Callable[[Form], Form],
+              label: str) -> CohomologyRelation:
+    """The relation of key = (picture, structure, k), built once per model:
+    the class pairs ([x], [target(x)]) over the admissible k-forms x, the
+    joint kernel of the operators on the slice."""
+    relations = _memo(cplx.model).relations
+    if key in relations:
+        return relations[key]
+    k = key[2]
+    d = cplx.model.d
+    src = cplx.space(k)
+    dst = cplx.space(target_degree)
+    pairs = []
+    for x in _admissible_forms(cplx, k, operators):
+        y = target(x)
+        if not d(y).is_zero():
+            raise InternalConsistencyError(
+                f"{label} in degree {k} is not closed")
+        pairs.append((src.class_of(x), dst.class_of(y)))
+    relations[key] = CohomologyRelation.from_pairs(src, dst, pairs)
+    return relations[key]
 
 
 def de_rham_lefschetz_relation(struct: LcsStructure,
@@ -145,10 +179,7 @@ def de_rham_lefschetz_relation(struct: LcsStructure,
     n = struct.n
     _check_k(k, n)
     model = struct.model
-    cplx = _full(model)
     deta = model.d(struct.eta)
-    src = cplx.space(k)
-    dst = cplx.space(2 * n + 2 - k)
     l_high = wedge_power(deta, n - k + 2)
     l_mid = wedge_power(deta, n - k + 1)
     l_low = wedge_power(deta, n - k)
@@ -157,18 +188,16 @@ def de_rham_lefschetz_relation(struct: LcsStructure,
            lambda f: contract(struct.V, f),
            lambda f: l_high.wedge(f),
            lambda f: l_mid.wedge(struct.omega.wedge(f)))
-    pairs = []
-    for gamma in _admissible_forms(cplx, k, ops):
+
+    def target(gamma):
         if gamma.degree > 0:
             liu = deta.wedge(contract(struct.U, gamma))
         else:
             liu = Form.zero(model.n_gen, 1)
-        target = struct.eta.wedge(l_low.wedge(liu - struct.omega.wedge(gamma)))
-        if not model.d(target).is_zero():
-            raise InternalConsistencyError(
-                f"relation target in degree {k} is not closed")
-        pairs.append((src.class_of(gamma), dst.class_of(target)))
-    return CohomologyRelation.from_pairs(src, dst, pairs)
+        return struct.eta.wedge(l_low.wedge(liu - struct.omega.wedge(gamma)))
+
+    return _relation(("de_rham", struct, k), _full(model), 2 * n + 2 - k,
+                     ops, target, "relation target")
 
 
 def basic_lefschetz_relation(struct: LcsStructure,
@@ -177,23 +206,16 @@ def basic_lefschetz_relation(struct: LcsStructure,
     n = struct.n
     _check_k(k, n)
     model = struct.model
-    cplx = _basic(model, (struct.U,))
     deta = model.d(struct.eta)
-    src = cplx.space(k)
-    dst = cplx.space(2 * n + 1 - k)
     l_mid = wedge_power(deta, n - k + 1)
     l_low = wedge_power(deta, n - k)
     ops = (model.d,
            lambda f: contract(struct.V, f),
            lambda f: l_mid.wedge(f))
-    pairs = []
-    for beta in _admissible_forms(cplx, k, ops):
-        target = struct.eta.wedge(l_low.wedge(beta))
-        if not model.d(target).is_zero():
-            raise InternalConsistencyError(
-                f"basic relation target in degree {k} is not closed")
-        pairs.append((src.class_of(beta), dst.class_of(target)))
-    return CohomologyRelation.from_pairs(src, dst, pairs)
+    return _relation(("basic", struct, k), _basic(model, (struct.U,)),
+                     2 * n + 1 - k, ops,
+                     lambda beta: struct.eta.wedge(l_low.wedge(beta)),
+                     "basic relation target")
 
 
 def contact_lefschetz_relation(contact: ContactStructure,
@@ -202,39 +224,32 @@ def contact_lefschetz_relation(contact: ContactStructure,
     n = contact.n
     _check_k(k, n)
     model = contact.model
-    cplx = _full(model)
     deta = model.d(contact.eta)
-    src = cplx.space(k)
-    dst = cplx.space(2 * n + 1 - k)
     l_mid = wedge_power(deta, n - k + 1)
     l_low = wedge_power(deta, n - k)
     ops = (model.d,
            lambda f: contract(contact.xi, f),
            lambda f: l_mid.wedge(f))
-    pairs = []
-    for beta in _admissible_forms(cplx, k, ops):
-        target = contact.eta.wedge(l_low.wedge(beta))
-        if not model.d(target).is_zero():
-            raise InternalConsistencyError(
-                f"contact relation target in degree {k} is not closed")
-        pairs.append((src.class_of(beta), dst.class_of(target)))
-    return CohomologyRelation.from_pairs(src, dst, pairs)
+    return _relation(("contact", contact, k), _full(model), 2 * n + 1 - k,
+                     ops, lambda beta: contact.eta.wedge(l_low.wedge(beta)),
+                     "contact relation target")
+
+
+def _isomorphism(relation: CohomologyRelation, k: int):
+    verdict = is_graph_of_isomorphism(relation)
+    if not verdict.is_graph_of_isomorphism:
+        raise NotLefschetzError(k, verdict)
+    return verdict.matrix
 
 
 def lefschetz_map_de_rham(struct: LcsStructure, k: int):
     """Matrix of the degree-k Lefschetz isomorphism H^k -> H^(2n+2-k)."""
-    verdict = is_graph_of_isomorphism(de_rham_lefschetz_relation(struct, k))
-    if not verdict.is_graph_of_isomorphism:
-        raise NotLefschetzError(k, verdict)
-    return verdict.matrix
+    return _isomorphism(de_rham_lefschetz_relation(struct, k), k)
 
 
 def lefschetz_map_basic(struct: LcsStructure, k: int):
     """Matrix of the degree-k Lee-basic Lefschetz isomorphism."""
-    verdict = is_graph_of_isomorphism(basic_lefschetz_relation(struct, k))
-    if not verdict.is_graph_of_isomorphism:
-        raise NotLefschetzError(k, verdict)
-    return verdict.matrix
+    return _isomorphism(basic_lefschetz_relation(struct, k), k)
 
 
 # ----- transversal machinery -----------------------------------------------
@@ -299,35 +314,24 @@ def _induced_relation(src_space: CohomologySpace, dst_space: CohomologySpace,
         rows.append(row)
     kernel = linalg.left_kernel(rows, len(rows[0]))
     pairs = []
-    n = model.n_gen
     for coords in kernel:
-        acc = Form.zero(n, a)
-        for f, c in zip(basis, coords):
-            if c:
-                acc = acc + c * f
-        pairs.append((src_space.class_of(acc), dst_space.class_of(op(acc))))
+        x = _combine(basis, coords, model.n_gen, a)
+        pairs.append((src_space.class_of(x), dst_space.class_of(op(x))))
     return CohomologyRelation.from_pairs(src_space, dst_space, pairs)
 
 
 def _induced_map(src_space: CohomologySpace, dst_space: CohomologySpace,
                  op: Callable[[Form], Form], label: str) -> linalg.Matrix:
     """Matrix of the class map induced by op, or an error if ill defined."""
-    rel = _induced_relation(src_space, dst_space, op)
-    da = src_space.dimension
-    db = dst_space.dimension
-    rows = [list(r) for r in rel.span]
-    x_rows = [r[:da] for r in rows]
-    x_rank = linalg.rank(x_rows, da)
-    if x_rank < da:
+    total, functional, matrix = _graph(
+        _induced_relation(src_space, dst_space, op))
+    if not total:
         raise InternalConsistencyError(
             f"{label} is not defined on every class in the invariant model")
-    if x_rank < len(rows):
+    if not functional:
         raise InternalConsistencyError(
             f"{label} is not single valued on classes in the invariant model")
-    if da == 0:
-        return []
-    x_inv = linalg.inverse(x_rows)
-    return linalg.matmul(x_inv, [r[da:] for r in rows], db)
+    return matrix
 
 
 def t_map(struct: LcsStructure, k: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -421,8 +425,9 @@ class GysinReport:
 
 
 def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
-                b_name: str, a_name: str,
-                eps_op, inc_op, iv_op, top_k: int) -> FlowChainReport:
+                b_name: str, a_name: str, induced, ops,
+                top_k: int) -> FlowChainReport:
+    eps_op, inc_op, iv_op = ops
     spaces = [b_cplx.space(-2)]
     node_labels = [f"{b_name}(-2)"]
     maps: list[linalg.Matrix | None] = []
@@ -431,7 +436,7 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
     def append(space, name, op, desc):
         src = spaces[-1]
         try:
-            maps.append(_induced_map(src, space, op, desc))
+            maps.append(induced(src, space, op, desc))
         except InternalConsistencyError as exc:
             maps.append(None)
             failures.append(str(exc))
@@ -471,82 +476,47 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
                            exact and comps_ok)
 
 
-def _splitting_rows(w_form: Form, inner: Subcomplex, outer: Subcomplex,
-                    k: int) -> linalg.Matrix:
-    src1 = outer.space(k)
-    src0 = outer.space(k - 1)
-    dst = inner.space(k)
-    rows = [list(dst.class_of(rep)) for rep in src1.representatives]
-    rows += [list(dst.class_of(w_form.wedge(rep)))
-             for rep in src0.representatives]
-    return rows
+def _splitting_matrix(report, outer: Subcomplex, k: int) -> linalg.Matrix:
+    """Degree-k splitting matrix from splitting_check's report.  Outside
+    degrees 0..n_gen the inner space is zero, so each of the
+    dim H^k(outer) + dim H^(k-1)(outer) rows is empty."""
+    if 0 <= k < len(report.maps):
+        return report.maps[k].matrix
+    return [()] * (outer.space(k).dimension + outer.space(k - 1).dimension)
 
 
-def _squares_commute(struct: LcsStructure, v_cplx: Subcomplex,
-                     full_c: Subcomplex, uv: Subcomplex,
-                     u_cplx: Subcomplex) -> bool:
-    model = struct.model
-    deta = model.d(struct.eta)
-    omega = struct.omega
-
-    def eps_op(f):
-        return deta.wedge(f)
-
-    def iv_op(f):
-        return contract(struct.V, f)
-
-    def ident(f):
-        return f
-
-    n_gen = model.n_gen
-    for k in range(0, n_gen + 1):
-        sv_k = _splitting_rows(omega, v_cplx, uv, k)
-        sv_k2 = _splitting_rows(omega, v_cplx, uv, k + 2)
-        sv_km1 = _splitting_rows(omega, v_cplx, uv, k - 1)
-        sf_k = _splitting_rows(omega, full_c, u_cplx, k)
-        eps_v = _induced_map(v_cplx.space(k), v_cplx.space(k + 2), eps_op,
-                             "[eps]")
-        inc_v = _induced_map(v_cplx.space(k), full_c.space(k), ident, "[id]")
-        iv_full = _induced_map(full_c.space(k), v_cplx.space(k - 1), iv_op,
-                               "[i_V]")
-        eps_uv_k = _induced_map(uv.space(k), uv.space(k + 2), eps_op, "[eps]")
-        eps_uv_km1 = _induced_map(uv.space(k - 1), uv.space(k + 1), eps_op,
-                                  "[eps]")
-        inc_uvu_k = _induced_map(uv.space(k), u_cplx.space(k), ident, "[id]")
-        inc_uvu_km1 = _induced_map(uv.space(k - 1), u_cplx.space(k - 1),
-                                   ident, "[id]")
-        iv_u_k = _induced_map(u_cplx.space(k), uv.space(k - 1), iv_op,
-                              "[i_V]")
-        iv_u_km1 = _induced_map(u_cplx.space(k - 1), uv.space(k - 2), iv_op,
-                                "[i_V]")
-        dim_v_k2 = v_cplx.space(k + 2).dimension
-        lhs = linalg.matmul(sv_k, eps_v, dim_v_k2)
-        rhs = linalg.matmul(
-            linalg.block_diag(eps_uv_k, eps_uv_km1,
-                              uv.space(k + 2).dimension,
-                              uv.space(k + 1).dimension),
-            sv_k2, dim_v_k2)
-        if lhs != rhs:
-            return False
-        dim_full_k = full_c.space(k).dimension
-        lhs = linalg.matmul(sv_k, inc_v, dim_full_k)
-        rhs = linalg.matmul(
-            linalg.block_diag(inc_uvu_k, inc_uvu_km1,
-                              u_cplx.space(k).dimension,
-                              u_cplx.space(k - 1).dimension),
-            sf_k, dim_full_k)
-        if lhs != rhs:
-            return False
-        # i_V crosses the 1-form omega in the second summand, hence the sign
-        dim_v_km1 = v_cplx.space(k - 1).dimension
-        lhs = linalg.matmul(sf_k, iv_full, dim_v_km1)
-        rhs = linalg.matmul(
-            linalg.block_diag(iv_u_k, linalg.negate(iv_u_km1),
-                              uv.space(k - 1).dimension,
-                              uv.space(k - 2).dimension),
-            sv_km1, dim_v_km1)
-        if lhs != rhs:
-            return False
+def _squares_commute(induced, ops, v_cplx: Subcomplex, full_c: Subcomplex,
+                     uv: Subcomplex, u_cplx: Subcomplex, splitting_v,
+                     splitting_full) -> bool:
+    """Each map of the top row, composed after the splitting of its source,
+    equals the splitting of its target after the block-diagonal map of the
+    bottom row.  A row is (inner, outer, splitting report); a square is
+    (source row, target row, operator, degree shift, sign of the lower
+    block); i_V crosses the 1-form omega in the lower summand, hence its
+    sign."""
+    eps_op, ident, iv_op = ops
+    rows = ((v_cplx, uv, splitting_v), (full_c, u_cplx, splitting_full))
+    squares = ((0, 0, eps_op, 2, 1, "[eps]"), (0, 1, ident, 0, 1, "[id]"),
+               (1, 0, iv_op, -1, -1, "[i_V]"))
+    for k in range(0, full_c.model.n_gen + 1):
+        for a, b, op, shift, sign, label in squares:
+            inner_a, outer_a, split_a = rows[a]
+            inner_b, outer_b, split_b = rows[b]
+            j = k + shift
+            dim = inner_b.space(j).dimension
+            lhs = linalg.matmul(
+                _splitting_matrix(split_a, outer_a, k),
+                induced(inner_a.space(k), inner_b.space(j), op, label), dim)
+            low = induced(outer_a.space(k - 1), outer_b.space(j - 1), op,
+                          label)
+            block = linalg.block_diag(
+                induced(outer_a.space(k), outer_b.space(j), op, label),
+                low if sign > 0 else linalg.negate(low),
+                outer_b.space(j).dimension, outer_b.space(j - 1).dimension)
+            rhs = linalg.matmul(block, _splitting_matrix(split_b, outer_b, j),
+                                dim)
+            if lhs != rhs:
+                return False
     return True
 
 
@@ -573,16 +543,27 @@ def gysin_sequence_check(struct: LcsStructure) -> GysinReport:
     def iv_op(f):
         return contract(struct.V, f)
 
+    ops = (eps_op, inc_op, iv_op)
+    maps: dict = {}
+
+    def induced(src, dst, op, label):
+        # each class map once per check; a map that fails is not stored, so
+        # its error reaches every chain that asks for it
+        key = (src, dst, op)
+        if key not in maps:
+            maps[key] = _induced_map(src, dst, op, label)
+        return maps[key]
+
     top = _flow_chain("anti-Lee flow sequence", v_cplx, full_c,
-                      "H_B(V)", "H", eps_op, inc_op, iv_op, model.n_gen)
+                      "H_B(V)", "H", induced, ops, model.n_gen)
     bottom = _flow_chain("transversal flow sequence", uv, u_cplx,
-                         "H_B(U,V)", "H_B(U)", eps_op, inc_op, iv_op,
-                         model.n_gen)
+                         "H_B(U,V)", "H_B(U)", induced, ops, model.n_gen)
     splitting_v = splitting_check(model, struct.omega, v_cplx, uv)
     splitting_full = splitting_check(model, struct.omega, full_c, u_cplx)
     squares = None
     if top.well_defined and bottom.well_defined:
-        squares = _squares_commute(struct, v_cplx, full_c, uv, u_cplx)
+        squares = _squares_commute(induced, ops, v_cplx, full_c, uv, u_cplx,
+                                   splitting_v, splitting_full)
     return GysinReport(top, bottom, splitting_v, splitting_full, squares)
 
 
@@ -624,13 +605,8 @@ def pairing_psi(struct: LcsStructure, k: int) -> PairingResult:
     u_cplx = _basic(model, (struct.U,))
     src = u_cplx.space(k)
     dst = u_cplx.space(2 * n + 1 - k)
-    lef_forms = []
-    for i in range(src.dimension):
-        acc = Form.zero(model.n_gen, 2 * n + 1 - k)
-        for j, rep in enumerate(dst.representatives):
-            if lef[i][j]:
-                acc = acc + lef[i][j] * rep
-        lef_forms.append(acc)
+    lef_forms = [_combine(dst.representatives, row, model.n_gen,
+                          2 * n + 1 - k) for row in lef]
     psi = []
     for i in range(src.dimension):
         row = []

@@ -21,16 +21,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[_ZERO] * ncols for _ in range(nrows)]
-
-
 def identity(n: int) -> Matrix:
     return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-
-
-def copy_matrix(mat: Matrix) -> Matrix:
-    return [list(row) for row in mat]
 
 
 def transpose(mat: Matrix, ncols: int) -> Matrix:

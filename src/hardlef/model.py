@@ -256,12 +256,3 @@ def _parse_structure_entry(entry: str, n: int) -> Form:
         total = total + Form.monomial(n, (i, j), sign * coeff)
     return total
 
-
-def extend_differential(model: StructureModel, a: Form) -> Form:
-    """The model differential applied to a form."""
-    return model.d(a)
-
-
-def lie_derivative(model: StructureModel, v: Vector, a: Form) -> Form:
-    """Lie derivative along a constant field, by the Cartan formula."""
-    return model.lie_derivative(v, a)

@@ -10,7 +10,6 @@ identical inputs produce byte-identical JSON.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 CAVEAT_INVARIANT_MODEL = (
     "All computations take place in the invariant (Chevalley-Eilenberg) "
@@ -34,17 +33,6 @@ CAVEAT_NO_NORMALIZATION = (
 CAVEAT_DUALITY = (
     "Poincare duality of the model cohomology is asserted only for "
     "unimodular models.")
-
-
-def frac_str(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def matrix_json(mat) -> list:
-    return [[frac_str(x) for x in row] for row in mat]
 
 
 def model_summary(model, names=None) -> dict:

@@ -3,9 +3,10 @@ from math import comb
 import pytest
 
 from hardlef import (Form, StructureModel, Vector, basic_complex,
-                     betti_numbers, cohomology, full_complex, splitting_check,
+                     betti_numbers, full_complex, splitting_check,
                      splitting_map)
 from hardlef import linalg
+from hardlef.cohomology import cohomology
 from hardlef.errors import (DegreeError, NotClosedError, PreconditionError)
 
 import oracle
@@ -156,3 +157,11 @@ def test_splitting_check_h5s1():
     inner = full_complex(m)
     outer = basic_complex(m, [Vector.basis(6, 6)])
     assert splitting_check(m, Form.generator(6, 6), inner, outer).ok
+
+
+def test_cohomology_module_is_not_shadowed():
+    import types
+
+    import hardlef.cohomology as m
+    assert isinstance(m, types.ModuleType)
+    assert m.cohomology is cohomology

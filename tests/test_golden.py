@@ -1,0 +1,44 @@
+"""Canonical JSON of the CLI against digests frozen before the Lefschetz
+layer was consolidated; any change to a verdict, a representative or the
+report layout shows up here."""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from hardlef import cli
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+GOLDEN = {
+    ("suite",):
+        "98dfbb157bba4871d73d4891da7b5064d8b101983694ef1cc8f6bb99c4a02552",
+    ("cohomology", "h5s1.model", "--basic", "U"):
+        "0d46bd6954939b888d6ce3c29a2438069412eeb4d8d54377c93aec9c3c33d50a",
+    ("cohomology", "kt4.model", "--basic", "U"):
+        "863128402076985b97aa8b2862cb75647add818a2d516d83597ec2e74933854d",
+    ("lefschetz", "h5.model", "--mode", "all"):
+        "c02deafdcf7b03f1e6e59dfb61c068cf82bad835bea9efd82a33c4cc1f0b42c4",
+    ("lefschetz", "h5s1.model", "--mode", "all"):
+        "2b1a65ecd4dbdfd7e4cec38d8a9f8a400cb280ecae2839f8da7aa253452a9611",
+    ("lefschetz", "kt4.model", "--mode", "all"):
+        "b5abed905e4159e89b7255a77f1dae21875975b5a34de168d7c6f9bbd178767e",
+}
+
+
+def test_golden_covers_every_model_file():
+    lcs = {p.name for p in MODELS.glob("*.model")
+           if "omega" in p.read_text()}
+    assert {a[1] for a in GOLDEN if a[0] == "cohomology"} == lcs
+    assert {a[1] for a in GOLDEN if a[0] == "lefschetz"} == \
+        {p.name for p in MODELS.glob("*.model")}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_canonical_json_digest(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    args = [str(MODELS / a) if a.endswith(".model") else a for a in argv]
+    assert cli.main(args + ["--json", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]

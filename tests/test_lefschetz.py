@@ -263,3 +263,38 @@ def test_search_harness_finds_no_mismatch_on_catalog():
         except Exception:
             continue
     assert lef.search_lefschetz_mismatches(structs) == []
+
+
+def test_lefschetz_all_builds_each_relation_once(monkeypatch, capsys):
+    from pathlib import Path
+
+    from hardlef import cli
+    builds = []
+    admissible = lef._admissible_forms
+
+    def counting(cplx, degree, ops):
+        builds.append((cplx, degree))
+        return admissible(cplx, degree, ops)
+
+    lef._memo.cache_clear()
+    monkeypatch.setattr(lef, "_admissible_forms", counting)
+    model = Path(__file__).resolve().parent.parent / "models" / "h5s1.model"
+    assert cli.main(["lefschetz", str(model), "--mode", "all"]) == 0
+    capsys.readouterr()
+    # de Rham, Lee-basic and contact pictures in degrees 0, 1 and 2
+    assert len(builds) == 9
+    assert len(set(builds)) == 9
+
+
+def test_gysin_computes_each_induced_map_once(monkeypatch, h5s1_struct):
+    calls = []
+    induced_map = lef._induced_map
+
+    def counting(src, dst, op, label):
+        calls.append((src, dst, op))
+        return induced_map(src, dst, op, label)
+
+    monkeypatch.setattr(lef, "_induced_map", counting)
+    assert lef.gysin_sequence_check(h5s1_struct).ok
+    assert len(calls) == 56
+    assert len(set(calls)) == 56

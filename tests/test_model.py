@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hardlef import Form, StructureModel, Vector, extend_differential, \
-    lie_derivative, wedge
+from hardlef import Form, StructureModel, Vector, wedge
 from hardlef.errors import ValidationError
 
 from conftest import random_form, random_model, random_vector
@@ -80,8 +79,8 @@ def test_bracket_readoff(kt4):
 
 def test_lie_derivative_examples(kt4):
     e3 = Form.generator(4, 3)
-    assert lie_derivative(kt4, Vector.basis(4, 4), e3).is_zero()
-    assert lie_derivative(kt4, Vector.basis(4, 1), e3) == Form.generator(4, 2)
+    assert kt4.lie_derivative(Vector.basis(4, 4), e3).is_zero()
+    assert kt4.lie_derivative(Vector.basis(4, 1), e3) == Form.generator(4, 2)
 
 
 def test_lie_derivative_closed_and_killed(rng):
@@ -89,7 +88,7 @@ def test_lie_derivative_closed_and_killed(rng):
     m = StructureModel.from_salamon("(0,0,12,0)")
     v = Vector.basis(4, 4)
     f = Form.monomial(4, (1, 2))
-    assert lie_derivative(m, v, f).is_zero()
+    assert m.lie_derivative(v, f).is_zero()
 
 
 def test_lie_derivative_is_derivation(rng):
@@ -109,11 +108,6 @@ def test_lie_derivative_commutes_with_d(rng):
         v = random_vector(rng, m.n_gen)
         a = random_form(rng, m.n_gen, rng.randint(0, m.n_gen - 1))
         assert m.d(m.lie_derivative(v, a)) == m.lie_derivative(v, m.d(a))
-
-
-def test_extend_differential_alias(kt4):
-    f = Form.generator(4, 3)
-    assert extend_differential(kt4, f) == kt4.d(f)
 
 
 def test_nilpotent_and_unimodular_flags(kt4):
