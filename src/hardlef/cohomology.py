@@ -6,8 +6,9 @@ takes all monomials; basic_complex takes the joint kernel of i_v and L_v
 over a list of fields, which is automatically d-stable (verified anyway).
 
 Cohomology spaces carry a deterministic representative basis, obtained by
-completing the canonical image basis inside the canonical kernel basis,
-and an exact class_of projection solving the membership system.
+completing the canonical image basis inside the canonical kernel basis.
+Each slice and each space holds one linalg.Echelon factorization, so
+coords and class_of are one reduction against a stored factorization.
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ class Subcomplex:
         self.bases = tuple(tuple(b) for b in bases)
         if len(self.bases) != n + 1:
             raise ValueError("need one basis per degree 0..n_gen")
-        self._rows = [[form_coords(f) for f in self.bases[k]]
-                      for k in range(n + 1)]
-        self._slice_rref = [linalg.rref(self._rows[k], len(degree_masks(n, k)))
-                            for k in range(n + 1)]
+        self._slices = [linalg.Echelon([form_coords(f) for f in self.bases[k]],
+                                       len(degree_masks(n, k)))
+                        for k in range(n + 1)]
         for k in range(n + 1):
-            if len(self._slice_rref[k][1]) != len(self.bases[k]):
+            if len(self._slices[k].pivots) != len(self.bases[k]):
                 raise InternalConsistencyError(
                     f"degree {k} basis forms are linearly dependent")
         self._diff: list[linalg.Matrix] = []
@@ -72,11 +72,11 @@ class Subcomplex:
             return self._diff[k]
         return []
 
-    def slice_rref(self, k: int):
-        """(rref rows, pivots) of the degree-k slice in monomial coords."""
-        if 0 <= k <= self.model.n_gen:
-            return self._slice_rref[k]
-        return [], []
+    def slice(self, k: int) -> linalg.Echelon:
+        """Factorization of the degree-k basis in monomial coordinates."""
+        if not 0 <= k <= self.model.n_gen:
+            raise DegreeError(f"degree {k} outside [0, {self.model.n_gen}]")
+        return self._slices[k]
 
     def coords(self, form: Form, degree: int | None = None):
         """Coordinates of a form in the degree basis, or None if outside."""
@@ -89,7 +89,7 @@ class Subcomplex:
             return None
         target = [form.terms.get(m, Fraction(0))
                   for m in degree_masks(self.model.n_gen, k)]
-        return linalg.express_in_rows(self._rows[k], target, len(target))
+        return self._slices[k].solve(target)
 
     def dims(self) -> tuple[int, ...]:
         return tuple(self.dim(k) for k in range(self.model.n_gen + 1))
@@ -139,8 +139,8 @@ class CohomologySpace:
         self.complex = cplx
         self.degree = degree
         self.dimension = len(rep_coords)
-        self._solve_rows = [list(r) for r in rep_coords] + \
-                           [list(r) for r in image_rows]
+        self._echelon = linalg.Echelon(rep_coords + image_rows,
+                                       cplx.dim(degree))
         basis = cplx.basis(degree)
         self.representatives = tuple(
             _combine(basis, row, cplx.model.n_gen, degree)
@@ -148,14 +148,13 @@ class CohomologySpace:
 
     def class_of_coords(self, coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Class of a closed element given in subcomplex coordinates."""
-        m_k = self.complex.dim(self.degree)
         img = linalg.matmul([list(coords)],
                             self.complex.diff_matrix(self.degree),
                             self.complex.dim(self.degree + 1))
         if any(img[0]):
             raise PreconditionError(
                 f"class_of needs a closed form in degree {self.degree}")
-        sol = linalg.express_in_rows(self._solve_rows, list(coords), m_k)
+        sol = self._echelon.solve(coords)
         if sol is None:
             raise InternalConsistencyError(
                 "closed form is outside kernel = reps + image; "
@@ -168,8 +167,6 @@ class CohomologySpace:
             raise InternalConsistencyError(
                 f"form of degree {form.degree} is not an element of the "
                 f"degree-{self.degree} slice of the subcomplex")
-        if self.dimension == 0 and not coords:
-            return ()
         return self.class_of_coords(coords)
 
     def __repr__(self):

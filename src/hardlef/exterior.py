@@ -7,8 +7,7 @@ from masks to nonzero rational coefficients.  The orientation convention is
 that e1 ^ ... ^ en is the positive volume element.
 
 All coefficients are `fractions.Fraction`; there is no floating point
-anywhere.  Forms and vectors are immutable values, so they can be shared
-freely between threads.
+anywhere.  Forms and vectors are immutable values.
 """
 
 from __future__ import annotations
@@ -144,22 +143,6 @@ class Form:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, *indices: int) -> Fraction:
-        """Coefficient of the given monomial, with the reordering sign."""
-        idx = list(indices)
-        if len(idx) != self.degree:
-            return _ZERO
-        if len(set(idx)) != len(idx):
-            return _ZERO
-        sign = 1
-        for i in range(1, len(idx)):
-            j = i
-            while j > 0 and idx[j - 1] > idx[j]:
-                idx[j - 1], idx[j] = idx[j], idx[j - 1]
-                sign = -sign
-                j -= 1
-        return sign * self.terms.get(mask_of(idx), _ZERO)
 
     # ----- algebra ------------------------------------------------------
 

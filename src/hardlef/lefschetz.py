@@ -300,14 +300,12 @@ def _induced_relation(src_space: CohomologySpace, dst_space: CohomologySpace,
     if not basis:
         return CohomologyRelation.from_pairs(src_space, dst_space, [])
     in_range = 0 <= b <= model.n_gen
-    dst_rref, dst_pivots = dst_cplx.slice_rref(b)
     rows = []
     for f in basis:
         g = op(f)
         row = list(form_coords(model.d(f)))
         if in_range:
-            row.extend(linalg.reduce_mod_rows(form_coords(g), dst_rref,
-                                              dst_pivots))
+            row.extend(dst_cplx.slice(b).residual(form_coords(g)))
             row.extend(form_coords(model.d(g)))
         else:
             row.extend(form_coords(g))

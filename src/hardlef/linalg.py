@@ -6,6 +6,11 @@ basis vector, so the matrix of f-then-g is matmul(M_f, M_g).  Reduced row
 echelon form is the canonical presentation of a row space, which makes
 subspace comparison an equality of lists.
 
+`rref` is the one elimination loop; a faster kernel (a sparse integer
+one, see ROADMAP.md) replaces it alone.  `Echelon` is the one
+factorization built on it: the RREF of [M | I], which answers membership,
+solve, left kernel and inverse with no further elimination.
+
 Pivots are chosen by smallest numerator magnitude (then denominator, then
 row order); the resulting RREF is the canonical one regardless.
 """
@@ -92,67 +97,55 @@ def row_space(mat: Matrix, ncols: int) -> Matrix:
     return rref(mat, ncols)[0]
 
 
-def nullspace(mat: Matrix, ncols: int) -> Matrix:
-    """Basis of {x : mat . x = 0} with x a column vector of length ncols."""
-    rows, pivots = rref(mat, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[free] = _ONE
-        for r_i, p in enumerate(pivots):
-            v[p] = -rows[r_i][free]
-        basis.append(v)
-    return basis
+class Echelon:
+    """One factorization of a matrix: the RREF of [mat | I].
+
+    rows and pivots are the canonical RREF of mat; combos[i] . mat =
+    rows[i]; kernel is the canonical RREF basis of the left kernel of mat
+    (the identity block of the rows whose pivot lies past ncols).
+    """
+
+    def __init__(self, mat: Matrix, ncols: int):
+        m = len(mat)
+        red, pivots = rref([list(row) + e for row, e in zip(mat, identity(m))],
+                           ncols + m)
+        r = sum(1 for p in pivots if p < ncols)
+        self.rows = [row[:ncols] for row in red[:r]]
+        self.pivots = pivots[:r]
+        self.combos = [row[ncols:] for row in red[:r]]
+        self.kernel = [row[ncols:] for row in red[r:]]
+        self._nrows = m
+
+    def residual(self, vec: Sequence[Fraction]) -> list[Fraction]:
+        """vec reduced against the rows: zero iff vec is in the row space."""
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        return v
+
+    def solve(self, target: Sequence[Fraction]) -> list[Fraction] | None:
+        """Coefficients c with c . mat = target, or None outside the row
+        space; unique when the rows of mat are independent."""
+        if any(self.residual(target)):
+            return None
+        return matmul([[target[p] for p in self.pivots]], self.combos,
+                      self._nrows)[0]
 
 
 def left_kernel(mat: Matrix, ncols: int) -> Matrix:
     """Canonical basis of {x : x . mat = 0}; x has len(mat) entries."""
-    ker = nullspace(transpose(mat, ncols), len(mat))
-    return row_space(ker, len(mat))
+    return Echelon(mat, ncols).kernel
 
 
 def express_in_rows(rows: Matrix, target: Sequence[Fraction],
                     ncols: int) -> list[Fraction] | None:
     """Coefficients c with sum c_i rows[i] = target, or None.
 
-    Free coefficients are set to zero, so the answer is deterministic.
+    Callers pass linearly independent rows, so the answer is unique.
     """
-    if not rows:
-        return [] if not any(target) else None
-    aug = transpose(rows, ncols)
-    for j, row in enumerate(aug):
-        row.append(Fraction(target[j]))
-    red, pivots = rref(aug, len(rows))
-    # rows of `red` beyond the pivot count were reduced away only if their
-    # augmented entry also vanished; a leftover nonzero entry means the
-    # system is inconsistent.  rref() already dropped all-zero rows, so it
-    # would have kept such a row only by pivoting, which it cannot do in
-    # the augmented column; recheck directly.
-    sol = [_ZERO] * len(rows)
-    for r_i, p in enumerate(pivots):
-        sol[p] = red[r_i][len(rows)]
-    residual = list(target)
-    for i, c in enumerate(sol):
-        if c:
-            for j in range(ncols):
-                residual[j] -= c * rows[i][j]
-    if any(residual):
-        return None
-    return sol
-
-
-def reduce_mod_rows(vec: Sequence[Fraction], rows: Matrix,
-                    pivots: Sequence[int]) -> list[Fraction]:
-    """Residual of a vector after reduction against RREF rows."""
-    v = list(vec)
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-    return v
+    return Echelon(rows, ncols).solve(target)
 
 
 def negate(mat: Matrix) -> Matrix:
@@ -167,12 +160,5 @@ def block_diag(a: Matrix, b: Matrix, a_ncols: int, b_ncols: int) -> Matrix:
 
 def inverse(mat: Matrix) -> Matrix | None:
     """Inverse of a square matrix, or None when singular."""
-    n = len(mat)
-    if n == 0:
-        return []
-    aug = [list(row) + list(ident_row)
-           for row, ident_row in zip(mat, identity(n))]
-    red, pivots = rref(aug, n)
-    if len(pivots) < n:
-        return None
-    return [row[n:] for row in red]
+    ech = Echelon(mat, len(mat))
+    return ech.combos if len(ech.pivots) == len(mat) else None

@@ -139,16 +139,6 @@ def test_suite_unknown_entry(capsys):
     assert cli.main(["suite", "--entry", "nope"]) == 1
 
 
-def test_suite_threads_env(monkeypatch, tmp_path, capsys):
-    serial = tmp_path / "serial.json"
-    threaded = tmp_path / "threaded.json"
-    assert cli.main(["suite", "--json", str(serial)]) == 0
-    monkeypatch.setenv("HARDLEF_THREADS", "4")
-    assert cli.main(["suite", "--json", str(threaded)]) == 0
-    capsys.readouterr()
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 def test_export_roundtrip(tmp_path, capsys):
     from hardlef import modelfile
     out = tmp_path / "kt4.model"

@@ -165,3 +165,26 @@ def test_cohomology_module_is_not_shadowed():
     import hardlef.cohomology as m
     assert isinstance(m, types.ModuleType)
     assert m.cohomology is cohomology
+
+
+def test_class_of_and_coords_factor_nothing_after_build(monkeypatch):
+    m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
+    cplxs = [full_complex(m), basic_complex(m, [Vector.basis(6, 6)])]
+    spaces = [c.space(k) for c in cplxs for k in range(7)]
+    calls = []
+    rref = linalg.rref
+
+    def counting(mat, ncols):
+        calls.append((len(mat), ncols))
+        return rref(mat, ncols)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    for sp in spaces:
+        for i, rep in enumerate(sp.representatives):
+            assert sp.class_of(rep) == tuple(int(i == j)
+                                             for j in range(sp.dimension))
+    for c in cplxs:
+        for k in range(7):
+            for i, f in enumerate(c.basis(k)):
+                assert c.coords(f) == [int(i == j) for j in range(c.dim(k))]
+    assert calls == []

@@ -298,3 +298,15 @@ def test_gysin_computes_each_induced_map_once(monkeypatch, h5s1_struct):
     assert lef.gysin_sequence_check(h5s1_struct).ok
     assert len(calls) == 56
     assert len(set(calls)) == 56
+
+
+def test_run_entry_propagates_programming_errors(monkeypatch):
+    from hardlef.catalog import builtin_entries, run_entry
+    entry = next(e for e in builtin_entries() if "t_inverse_ok" in e.expected)
+
+    def broken(struct, k):
+        raise TypeError("bug in t_map")
+
+    monkeypatch.setattr(lef, "t_map", broken)
+    with pytest.raises(TypeError, match="bug in t_map"):
+        run_entry(entry)
