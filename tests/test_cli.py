@@ -120,6 +120,19 @@ def test_suite_double_run_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_suite_json_is_deterministic(tmp_path, capsys):
+    # The second run starts from empty caches, so no memoised complex or
+    # relation can carry state from the first run into the output.
+    from hardlef import lefschetz
+    warm = tmp_path / "warm.json"
+    cold = tmp_path / "cold.json"
+    assert cli.main(["suite", "--json", str(warm)]) == 0
+    lefschetz._memo.cache_clear()
+    assert cli.main(["suite", "--json", str(cold)]) == 0
+    capsys.readouterr()
+    assert warm.read_bytes() == cold.read_bytes()
+
+
 def test_suite_mismatch_exits_3(monkeypatch, capsys):
     entries = builtin_entries()
     target = entries[0]

@@ -33,15 +33,18 @@ def test_rank_and_row_space():
     assert linalg.row_space(M([[2, 4]]), 2) == M([[1, 2]])
 
 
+def test_nullspace():
+    mat = M([[1, 2, 3]])
+    basis = linalg.left_kernel(linalg.transpose(mat, 3), 1)
+    assert len(basis) == 2
+    for v in basis:
+        assert sum(c * x for c, x in zip(mat[0], v)) == 0
+
+
 def test_left_kernel():
     mat = M([[1, 0], [2, 0], [0, 1]])
     ker = linalg.left_kernel(mat, 2)
     assert ker == M([[1, Fraction(-1, 2), 0]])
-    col = M([[1], [2], [3]])
-    basis = linalg.left_kernel(col, 1)
-    assert len(basis) == 2
-    for v in basis:
-        assert sum(c * x[0] for c, x in zip(v, col)) == 0
 
 
 def test_left_kernel_empty_and_degenerate():
