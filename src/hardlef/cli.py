@@ -80,15 +80,26 @@ def _resolve_fields(doc: modelfile.ModelDocument, spec: str) -> list[Vector]:
         if not token:
             continue
         if token in ("U", "V"):
+            if doc.omega is None or doc.eta is None:
+                raise PreconditionError(
+                    f"field {token} needs a model file that declares "
+                    f"omega and eta")
             if struct is None:
                 struct = validate_lcs(doc.model, doc.omega, doc.eta)
             fields.append(struct.U if token == "U" else struct.V)
         elif token == "xi":
+            if doc.eta is None:
+                raise PreconditionError(
+                    "field xi needs a model file that declares eta")
             if contact is None:
                 contact = validate_contact(doc.model, doc.eta)
             fields.append(contact.xi)
         elif token.startswith("E") and token[1:].isdigit():
-            fields.append(Vector.basis(doc.model.n_gen, int(token[1:])))
+            i, n = int(token[1:]), doc.model.n_gen
+            if not 1 <= i <= n:
+                raise PreconditionError(
+                    f"field {token}: index {i} outside [1, {n}]")
+            fields.append(Vector.basis(n, i))
         else:
             raise PreconditionError(
                 f"unknown field {token!r}; use U, V, xi or E<i>")

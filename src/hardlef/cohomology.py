@@ -9,6 +9,8 @@ Cohomology spaces carry a deterministic representative basis, obtained by
 completing the canonical image basis inside the canonical kernel basis.
 Each slice and each space holds one linalg.Echelon factorization, so
 coords and class_of are one reduction against a stored factorization.
+Each differential is factored once, lazily, by one linalg.Echelon: its
+kernel is the cycles of degree k and its rows the image in degree k+1.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class Subcomplex:
                         f"the fields do not cut out a subcomplex")
                 mat.append(coords)
             self._diff.append(mat)
+        self._diff_echelons: dict[int, linalg.Echelon] = {}
         self._spaces: dict[int, CohomologySpace] = {}
 
     # ----- degree slices --------------------------------------------------
@@ -72,6 +75,15 @@ class Subcomplex:
             return self._diff[k]
         return []
 
+    def _diff_echelon(self, k: int) -> linalg.Echelon:
+        """The one factorization of d from degree k: its RREF rows span
+        the image in degree k+1, its kernel is the cycles in degree k."""
+        ech = self._diff_echelons.get(k)
+        if ech is None:
+            ech = linalg.Echelon(self._diff[k], self.dim(k + 1))
+            self._diff_echelons[k] = ech
+        return ech
+
     def slice(self, k: int) -> linalg.Echelon:
         """Factorization of the degree-k basis in monomial coordinates."""
         if not 0 <= k <= self.model.n_gen:
@@ -87,7 +99,7 @@ class Subcomplex:
             return [] if form.is_zero() else None
         if form.degree != k and not form.is_zero():
             return None
-        target = [form.terms.get(m, Fraction(0))
+        target = [form.terms.get(m, linalg.ZERO)
                   for m in degree_masks(self.model.n_gen, k)]
         return self._slices[k].solve(target)
 
@@ -107,9 +119,8 @@ class Subcomplex:
         m_k = self.dim(k)
         if m_k == 0:
             return CohomologySpace(self, k, [], [])
-        kernel = linalg.left_kernel(self.diff_matrix(k), self.dim(k + 1))
-        image = (linalg.row_space(self._diff[k - 1], m_k)
-                 if k >= 1 else [])
+        kernel = self._diff_echelon(k).kernel
+        image = self._diff_echelon(k - 1).rows if k >= 1 else []
         # a kernel row is a representative exactly when it is independent of
         # the image and the kernel rows before it: a pivot column of the
         # transpose of [image; kernel]

@@ -18,12 +18,11 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DegreeError, ModelMismatchError
+from .linalg import ZERO as _ZERO
 
 MAX_GENERATORS = 16
 
 Rational = Union[int, Fraction]
-
-_ZERO = Fraction(0)
 
 
 def mask_of(indices: Iterable[int]) -> int:

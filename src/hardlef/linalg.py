@@ -1,15 +1,17 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are lists of rows of `Fraction`.  Linear maps act on coordinate
-row vectors from the right: row i of a matrix is the image of the i-th
-basis vector, so the matrix of f-then-g is matmul(M_f, M_g).  Reduced row
-echelon form is the canonical presentation of a row space, which makes
-subspace comparison an equality of lists.
+At the API, matrices are dense lists of rows of `Fraction`.  Linear maps
+act on coordinate row vectors from the right: row i of a matrix is the
+image of the i-th basis vector, so the matrix of f-then-g is
+matmul(M_f, M_g).  Reduced row echelon form is the canonical presentation
+of a row space, which makes subspace comparison an equality of lists.
 
-`rref` is the one elimination loop; a faster kernel (a sparse integer
-one, see ROADMAP.md) replaces it alone.  `Echelon` is the one
-factorization built on it: the RREF of [M | I], which answers membership,
-solve, left kernel and inverse with no further elimination.
+`rref` is the one elimination loop.  Inside, it works on sparse rows,
+dicts {column: nonzero Fraction}, and touches only the support of the
+pivot row; it returns dense rows.  `Echelon` is the one factorization
+built on it: the RREF of [M | I], which answers membership, solve, left
+kernel and inverse with no further elimination, reducing sparse copies of
+its rows.
 
 Pivots are chosen by smallest numerator magnitude (then denominator, then
 row order); the resulting RREF is the canonical one regardless.
@@ -22,12 +24,14 @@ from typing import Sequence
 
 Matrix = list
 
-_ZERO = Fraction(0)
+# Dense rows are padded with this zero; the sparse conversion skips it by
+# identity, before the slower Fraction truth test.
+ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 def identity(n: int) -> Matrix:
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    return [[_ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def transpose(mat: Matrix, ncols: int) -> Matrix:
@@ -38,7 +42,7 @@ def matmul(a: Matrix, b: Matrix, b_ncols: int) -> Matrix:
     """Product of a (r x n) and b (n x b_ncols); b may be empty when n = 0."""
     out = []
     for row in a:
-        acc = [_ZERO] * b_ncols
+        acc = [ZERO] * b_ncols
         for k, x in enumerate(row):
             if x:
                 brow = b[k]
@@ -53,39 +57,66 @@ def is_zero_matrix(mat: Matrix) -> bool:
     return all(not x for row in mat for x in row)
 
 
+def _sparse(row: Sequence) -> dict[int, Fraction]:
+    """{column: nonzero Fraction} of a dense row; Fraction entries are kept
+    as they are, others are coerced."""
+    return {j: x if type(x) is Fraction else Fraction(x)
+            for j, x in enumerate(row) if x is not ZERO and x}
+
+
+def _dense(row: dict[int, Fraction], width: int) -> list[Fraction]:
+    out = [ZERO] * width
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _axpy(row: dict[int, Fraction], f: Fraction,
+          other: dict[int, Fraction]) -> None:
+    """row -= f * other, in place, dropping entries that become zero."""
+    for j, x in other.items():
+        y = row.get(j)
+        if y is None:
+            row[j] = -f * x
+        else:
+            y -= f * x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+
+
 def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
     Row operations apply to full rows, so callers may pass augmented rows
     and restrict pivoting to the first `ncols` columns.
     """
-    rows = [[Fraction(x) for x in row] for row in mat]
+    width = len(mat[0]) if mat else 0
+    rows = [_sparse(row) for row in mat]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        best = None
-        for i in range(r, len(rows)):
-            x = rows[i][c]
-            if x:
-                key = (abs(x.numerator), x.denominator, i)
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
+        found = [i for i in range(r, len(rows)) if c in rows[i]]
+        if not found:
             continue
-        i = best[1]
+        i = min(found, key=lambda i: (abs(rows[i][c].numerator),
+                                      rows[i][c].denominator, i))
         rows[r], rows[i] = rows[i], rows[r]
-        inv = _ONE / rows[r][c]
+        prow = rows[r]
+        inv = _ONE / prow[c]
         if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for j in range(len(rows)):
-            if j != r and rows[j][c]:
-                f = rows[j][c]
-                rows[j] = [xj - f * xr for xj, xr in zip(rows[j], rows[r])]
+            prow = rows[r] = {j: x * inv for j, x in prow.items()}
+        for j, row in enumerate(rows):
+            if j != r:
+                f = row.get(c)
+                if f is not None:
+                    _axpy(row, f, prow)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows[:r], pivots
+    return [_dense(row, width) for row in rows[:r]], pivots
 
 
 def rank(mat: Matrix, ncols: int) -> int:
@@ -102,7 +133,8 @@ class Echelon:
 
     rows and pivots are the canonical RREF of mat; combos[i] . mat =
     rows[i]; kernel is the canonical RREF basis of the left kernel of mat
-    (the identity block of the rows whose pivot lies past ncols).
+    (the identity block of the rows whose pivot lies past ncols).  residual
+    and solve reduce against sparse copies of rows and combos.
     """
 
     def __init__(self, mat: Matrix, ncols: int):
@@ -115,23 +147,33 @@ class Echelon:
         self.combos = [row[ncols:] for row in red[:r]]
         self.kernel = [row[ncols:] for row in red[r:]]
         self._nrows = m
+        self._sparse_rows = [_sparse(row) for row in self.rows]
+        self._sparse_combos = [_sparse(row) for row in self.combos]
+
+    def _reduce(self, v: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Reduce the sparse vector v against the rows, in place."""
+        for row, p in zip(self._sparse_rows, self.pivots):
+            c = v.get(p)
+            if c is not None:
+                _axpy(v, c, row)
+        return v
 
     def residual(self, vec: Sequence[Fraction]) -> list[Fraction]:
         """vec reduced against the rows: zero iff vec is in the row space."""
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
+        return _dense(self._reduce(_sparse(vec)), len(vec))
 
     def solve(self, target: Sequence[Fraction]) -> list[Fraction] | None:
         """Coefficients c with c . mat = target, or None outside the row
         space; unique when the rows of mat are independent."""
-        if any(self.residual(target)):
+        t = _sparse(target)
+        if self._reduce(dict(t)):
             return None
-        return matmul([[target[p] for p in self.pivots]], self.combos,
-                      self._nrows)[0]
+        acc: dict[int, Fraction] = {}
+        for combo, p in zip(self._sparse_combos, self.pivots):
+            c = t.get(p)
+            if c is not None:
+                _axpy(acc, -c, combo)
+        return _dense(acc, self._nrows)
 
 
 def left_kernel(mat: Matrix, ncols: int) -> Matrix:
@@ -153,8 +195,8 @@ def negate(mat: Matrix) -> Matrix:
 
 
 def block_diag(a: Matrix, b: Matrix, a_ncols: int, b_ncols: int) -> Matrix:
-    out = [list(row) + [_ZERO] * b_ncols for row in a]
-    out += [[_ZERO] * a_ncols + list(row) for row in b]
+    out = [list(row) + [ZERO] * b_ncols for row in a]
+    out += [[ZERO] * a_ncols + list(row) for row in b]
     return out
 
 

@@ -64,6 +64,27 @@ def test_degree_error_exit(kt4_file, capsys):
     assert cli.main(["lefschetz", kt4_file, "--k", "99"]) == 1
 
 
+H5 = "dim 5\nd e5 = e1^e2 + e3^e4\neta = e5\n"
+PLAIN = "dim 3\nd e3 = e1^e2\n"
+
+
+@pytest.mark.parametrize("text, spec, message", [
+    (H5, "U", "field U needs a model file that declares omega and eta"),
+    (H5, "E1,V", "field V needs a model file that declares omega and eta"),
+    (PLAIN, "xi", "field xi needs a model file that declares eta"),
+    (H5, "E99", "field E99: index 99 outside [1, 5]"),
+    (H5, "E0", "field E0: index 0 outside [1, 5]"),
+], ids=["U-on-contact", "V-on-contact", "xi-without-eta", "E99", "E0"])
+def test_cohomology_bad_fields_exit_cleanly(tmp_path, capsys, text, spec,
+                                            message):
+    path = tmp_path / "m.model"
+    path.write_text(text)
+    assert cli.main(["cohomology", str(path), "--basic", spec]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"error: {message}\n"
+
+
 def test_cohomology_tables(kt4_file, capsys):
     assert cli.main(["cohomology", kt4_file, "--basic", "U"]) == 0
     out = capsys.readouterr().out

@@ -188,3 +188,25 @@ def test_class_of_and_coords_factor_nothing_after_build(monkeypatch):
             for i, f in enumerate(c.basis(k)):
                 assert c.coords(f) == [int(i == j) for j in range(c.dim(k))]
     assert calls == []
+
+
+def test_each_differential_is_factored_once(monkeypatch):
+    m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
+    cplx = full_complex(m)
+    calls = []
+    rref = linalg.rref
+
+    def recording(mat, ncols):
+        calls.append(mat)
+        return rref(mat, ncols)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    assert betti_numbers(cplx) == (1, 5, 9, 10, 9, 5, 1)
+    factored = {}
+    for k in range(7):
+        d, width = cplx.diff_matrix(k), cplx.dim(k + 1)
+        if linalg.is_zero_matrix(d):
+            continue
+        factored[k] = sum(1 for mat in calls if len(mat) == len(d)
+                          and [row[:width] for row in mat] == d)
+    assert factored and set(factored.values()) == {1}

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from hardlef import linalg
 
+import oracle
+
 
 def F(x):
     return Fraction(x)
@@ -151,3 +153,91 @@ def test_echelon_factorization(data):
     assert (inv is None) == (linalg.rank(square, k) < k)
     if inv is not None:
         assert linalg.matmul(inv, square, k) == linalg.identity(k)
+
+
+_rationals = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+
+
+@st.composite
+def _mixed_matrices(draw):
+    """Sparse or dense rational matrices with int and Fraction entries as
+    drawn (not coerced), repeated and zero rows, empty shapes included;
+    with a pivot width ncols <= width and two vectors of that width."""
+    width = draw(st.integers(0, 7))
+    density = draw(st.sampled_from([0.15, 0.5, 1.0]))
+
+    def entry():
+        return draw(_rationals) if draw(st.floats(0, 1)) < density else 0
+
+    rows = [[entry() for _ in range(width)]
+            for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [draw(st.sampled_from([0, F(0)])) for _ in range(width)])
+    ncols = draw(st.integers(0, width))
+    coeffs = [draw(_rationals) for _ in rows]
+    inside = [sum((c * row[j] for c, row in zip(coeffs, rows)), F(0))
+              for j in range(width)]
+    return rows, width, ncols, [inside, [entry() for _ in range(width)]]
+
+
+def _dense_residual(ech, vec):
+    v = [F(x) for x in vec]
+    for row, p in zip(ech.rows, ech.pivots):
+        c = v[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=_mixed_matrices())
+def test_sparse_kernel_matches_oracle(data):
+    mat, width, ncols, vecs = data
+    snapshot = [[(type(x), x) for x in row] for row in mat]
+    vec_snapshot = [[(type(x), x) for x in v] for v in vecs]
+
+    rows, pivots = linalg.rref(mat, width)
+    assert (rows, pivots) == oracle.rref(mat, width)
+    assert all(type(x) is Fraction for row in rows for x in row)
+    assert all(out is not row for out in rows for row in mat)
+    part, part_pivots = linalg.rref(mat, ncols)
+    o_part, o_pivots = oracle.rref(mat, ncols)
+    assert part_pivots == o_pivots
+    assert [r[:ncols] for r in part] == [r[:ncols] for r in o_part]
+
+    ech = linalg.Echelon(mat, width)
+    for vec in vecs:
+        res = _dense_residual(ech, vec)
+        assert ech.residual(vec) == res
+        expected = None if any(res) else [
+            sum((F(vec[p]) * combo[j] for combo, p in
+                 zip(ech.combos, ech.pivots)), F(0))
+            for j in range(len(mat))]
+        assert ech.solve(vec) == expected
+    assert ech.solve(vecs[0]) is not None
+
+    assert [[(type(x), x) for x in row] for row in mat] == snapshot
+    assert [[(type(x), x) for x in v] for v in vecs] == vec_snapshot
+
+
+def test_inputs_are_not_mutated_or_aliased():
+    mat = [[0, 2, Fraction(1, 2)], [F(0), 0, 3], [0, 2, Fraction(1, 2)]]
+    vec = [1, 0, F(3)]
+    before = [list(row) for row in mat], list(vec)
+    rows, _ = linalg.rref(mat, 3)
+    ech = linalg.Echelon(mat, 3)
+    ech.residual(vec)
+    ech.solve(vec)
+    assert ([list(row) for row in mat], list(vec)) == before
+    assert [type(x) for x in mat[0]] == [int, int, Fraction]
+    for out in rows + ech.rows + ech.combos + ech.kernel:
+        assert all(out is not row for row in mat)
+        out[:] = [F(7)] * len(out)
+    assert ([list(row) for row in mat], list(vec)) == before
+    assert ech.residual([0, 2, Fraction(1, 2)]) == [F(0)] * 3
