@@ -128,7 +128,11 @@ def cmd_cohomology(args) -> int:
 def _degree_list(arg: str, n: int) -> list[int]:
     if arg == "all":
         return list(range(n + 1))
-    k = int(arg)
+    try:
+        k = int(arg)
+    except ValueError:
+        raise DegreeError(f"degree must be an integer or 'all', "
+                          f"got {arg!r}") from None
     if not 0 <= k <= n:
         raise DegreeError(f"degree {k} outside [0, {n}]")
     return [k]

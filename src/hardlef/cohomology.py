@@ -1,16 +1,22 @@
 """Subcomplexes of the invariant complex and their exact cohomology.
 
 A Subcomplex owns, per degree, a basis of an admissible d-stable subspace
-together with the matrices of the restricted differential.  full_complex
-takes all monomials; basic_complex takes the joint kernel of i_v and L_v
-over a list of fields, which is automatically d-stable (verified anyway).
+together with the restricted differential.  full_complex takes all
+monomials; basic_complex takes the joint kernel of i_v and L_v over a
+list of fields, which is automatically d-stable (verified anyway).
 
 Cohomology spaces carry a deterministic representative basis, obtained by
 completing the canonical image basis inside the canonical kernel basis.
-Each slice and each space holds one linalg.Echelon factorization, so
-coords and class_of are one reduction against a stored factorization.
-Each differential is factored once, lazily, by one linalg.Echelon: its
-kernel is the cycles of degree k and its rows the image in degree k+1.
+
+Sparse inside, dense at the API.  Forms enter through
+exterior.sparse_coords, which owns the mask -> column index of each
+monomial basis; everything after that (the slice factorizations, the
+differential rows, kernels, images, representatives and the coordinates
+class_of solves for) is a sparse vector {column: Fraction}.  coords and
+diff_matrix return dense lists.  Each slice and each space holds one
+linalg.Echelon, so coords and class_of are one reduction against a stored
+factorization, and each differential is factored once, lazily: its kernel
+is the cycles of degree k and its rows the image in degree k+1.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Sequence
 from . import linalg
 from .errors import (DegreeError, InternalConsistencyError, ModelMismatchError,
                      NotClosedError, PreconditionError)
-from .exterior import Form, Vector, contract, degree_masks, form_coords
+from .exterior import Form, Vector, contract, degree_masks, sparse_coords
 from .model import StructureModel
 
 
@@ -38,18 +44,20 @@ class Subcomplex:
         self.bases = tuple(tuple(b) for b in bases)
         if len(self.bases) != n + 1:
             raise ValueError("need one basis per degree 0..n_gen")
-        self._slices = [linalg.Echelon([form_coords(f) for f in self.bases[k]],
+        self._slices = [linalg.Echelon([sparse_coords(f)
+                                        for f in self.bases[k]],
                                        len(degree_masks(n, k)))
                         for k in range(n + 1)]
         for k in range(n + 1):
             if len(self._slices[k].pivots) != len(self.bases[k]):
                 raise InternalConsistencyError(
                     f"degree {k} basis forms are linearly dependent")
-        self._diff: list[linalg.Matrix] = []
+        # sparse rows of d from each degree, in subcomplex coordinates
+        self._diff: list[list[dict[int, Fraction]]] = []
         for k in range(n + 1):
             mat = []
             for f in self.bases[k]:
-                coords = self.coords(model.d(f), k + 1)
+                coords = self._coords(model.d(f), k + 1)
                 if coords is None:
                     raise InternalConsistencyError(
                         f"span is not closed under d in degree {k}; "
@@ -71,9 +79,10 @@ class Subcomplex:
 
     def diff_matrix(self, k: int) -> linalg.Matrix:
         """Matrix of d from degree k to k+1, rows indexed by the basis."""
-        if 0 <= k <= self.model.n_gen:
-            return self._diff[k]
-        return []
+        return [linalg.dense(row, self.dim(k + 1)) for row in self._d(k)]
+
+    def _d(self, k: int) -> list[dict[int, Fraction]]:
+        return self._diff[k] if 0 <= k <= self.model.n_gen else []
 
     def _diff_echelon(self, k: int) -> linalg.Echelon:
         """The one factorization of d from degree k: its RREF rows span
@@ -92,16 +101,19 @@ class Subcomplex:
 
     def coords(self, form: Form, degree: int | None = None):
         """Coordinates of a form in the degree basis, or None if outside."""
+        k = form.degree if degree is None else degree
+        sol = self._coords(form, k)
+        return None if sol is None else linalg.dense(sol, self.dim(k))
+
+    def _coords(self, form: Form, k: int) -> dict[int, Fraction] | None:
+        """Sparse coordinates of a form in the degree-k basis, or None."""
         if form.n_gen != self.model.n_gen:
             raise ModelMismatchError("form does not live over this model")
-        k = form.degree if degree is None else degree
-        if not 0 <= k <= self.model.n_gen:
-            return [] if form.is_zero() else None
-        if form.degree != k and not form.is_zero():
+        if not form.terms:
+            return {}
+        if form.degree != k or not 0 <= k <= self.model.n_gen:
             return None
-        target = [form.terms.get(m, linalg.ZERO)
-                  for m in degree_masks(self.model.n_gen, k)]
-        return self._slices[k].solve(target)
+        return self._slices[k].solve(sparse_coords(form))
 
     def dims(self) -> tuple[int, ...]:
         return tuple(self.dim(k) for k in range(self.model.n_gen + 1))
@@ -119,13 +131,17 @@ class Subcomplex:
         m_k = self.dim(k)
         if m_k == 0:
             return CohomologySpace(self, k, [], [])
-        kernel = self._diff_echelon(k).kernel
-        image = self._diff_echelon(k - 1).rows if k >= 1 else []
+        kernel = self._diff_echelon(k).sparse_kernel
+        image = self._diff_echelon(k - 1).sparse_rows if k >= 1 else []
         # a kernel row is a representative exactly when it is independent of
         # the image and the kernel rows before it: a pivot column of the
         # transpose of [image; kernel]
         cols = image + kernel
-        _, pivots = linalg.rref(linalg.transpose(cols, m_k), len(cols))
+        transposed: list[dict[int, Fraction]] = [{} for _ in range(m_k)]
+        for i, col in enumerate(cols):
+            for j, x in col.items():
+                transposed[j][i] = x
+        _, pivots = linalg.rref(transposed, len(cols))
         reps = [cols[p] for p in pivots if p >= len(image)]
         if len(reps) != len(kernel) - len(image):
             raise InternalConsistencyError(
@@ -146,7 +162,8 @@ class CohomologySpace:
     """
 
     def __init__(self, cplx: Subcomplex, degree: int,
-                 rep_coords: linalg.Matrix, image_rows: linalg.Matrix):
+                 rep_coords: list[dict[int, Fraction]],
+                 image_rows: list[dict[int, Fraction]]):
         self.complex = cplx
         self.degree = degree
         self.dimension = len(rep_coords)
@@ -157,12 +174,16 @@ class CohomologySpace:
             _combine(basis, row, cplx.model.n_gen, degree)
             for row in rep_coords)
 
-    def class_of_coords(self, coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Class of a closed element given in subcomplex coordinates."""
-        img = linalg.matmul([list(coords)],
-                            self.complex.diff_matrix(self.degree),
-                            self.complex.dim(self.degree + 1))
-        if any(img[0]):
+    def class_of_coords(self, coords) -> tuple[Fraction, ...]:
+        """Class of a closed element given in subcomplex coordinates, as a
+        dense sequence or a sparse dict."""
+        if not isinstance(coords, dict):
+            coords = linalg.sparse(coords)
+        diff = self.complex._d(self.degree)
+        img: dict[int, Fraction] = {}
+        for i, c in coords.items():
+            linalg.add_scaled(img, c, diff[i])
+        if img:
             raise PreconditionError(
                 f"class_of needs a closed form in degree {self.degree}")
         sol = self._echelon.solve(coords)
@@ -170,10 +191,10 @@ class CohomologySpace:
             raise InternalConsistencyError(
                 "closed form is outside kernel = reps + image; "
                 "the quotient data is corrupt")
-        return tuple(sol[:self.dimension])
+        return tuple(sol.get(i, linalg.ZERO) for i in range(self.dimension))
 
     def class_of(self, form: Form) -> tuple[Fraction, ...]:
-        coords = self.complex.coords(form, self.degree)
+        coords = self.complex._coords(form, self.degree)
         if coords is None:
             raise InternalConsistencyError(
                 f"form of degree {form.degree} is not an element of the "
@@ -185,13 +206,30 @@ class CohomologySpace:
                 f"dimension {self.dimension}>")
 
 
-def _combine(basis: Sequence[Form], coords: Sequence[Fraction],
-             n_gen: int, degree: int) -> Form:
-    acc = Form.zero(n_gen, degree if 0 <= degree else 0)
-    for f, c in zip(basis, coords):
+def _combine(basis: Sequence[Form], coords, n_gen: int, degree: int) -> Form:
+    """sum c_i basis[i] for coordinates given dense or as a sparse dict."""
+    out: dict[int, Fraction] = {}
+    items = coords.items() if isinstance(coords, dict) else enumerate(coords)
+    for i, c in items:
         if c:
-            acc = acc + c * f
-    return acc
+            linalg.add_scaled(out, c, basis[i].terms)
+    return Form._make(n_gen, max(degree, 0), out)
+
+
+def _block(form: Form) -> tuple[dict[int, Fraction], int]:
+    """Sparse coordinates of a form and the width of its monomial basis."""
+    return sparse_coords(form), len(degree_masks(form.n_gen, form.degree))
+
+
+def _side_by_side(blocks) -> tuple[dict[int, Fraction], int]:
+    """(vector, width) blocks laid out as one sparse row, columns offset
+    by the widths before them; returns the row and its width."""
+    row: dict[int, Fraction] = {}
+    width = 0
+    for vec, w in blocks:
+        row.update((width + j, x) for j, x in vec.items())
+        width += w
+    return row, width
 
 
 def _joint_kernel(basis: Sequence[Form], operators, n_gen: int,
@@ -202,11 +240,9 @@ def _joint_kernel(basis: Sequence[Form], operators, n_gen: int,
         return []
     rows = []
     for f in basis:
-        row: list[Fraction] = []
-        for op in operators:
-            row.extend(form_coords(op(f)))
+        row, width = _side_by_side(_block(op(f)) for op in operators)
         rows.append(row)
-    kernel = linalg.left_kernel(rows, len(rows[0]))
+    kernel = linalg.left_kernel(rows, width)
     return [_combine(basis, coords, n_gen, degree) for coords in kernel]
 
 

@@ -6,8 +6,17 @@ bitmask with bits i1-1, ..., ik-1 set; a homogeneous form is a sparse map
 from masks to nonzero rational coefficients.  The orientation convention is
 that e1 ^ ... ^ en is the positive volume element.
 
+This module owns the monomial basis of each degree: degree_masks(n, k)
+lists its masks in ascending order, and one cached mask -> column index
+per (n, k) numbers them.  sparse_coords reads a form in that basis as the
+sparse vector {column: coefficient} that linalg works on; there are no
+dense coordinate vectors here.
+
 All coefficients are `fractions.Fraction`; there is no floating point
-anywhere.  Forms and vectors are immutable values.
+anywhere.  The public Form constructor coerces and validates every term;
+the algebra (+, -, *, wedge, contract, and model.d) builds its results
+through a private constructor that takes its fresh terms dict as it is.
+Forms and vectors are immutable values.
 """
 
 from __future__ import annotations
@@ -66,6 +75,19 @@ def degree_masks(n_gen: int, degree: int) -> tuple[int, ...]:
                         for c in combinations(range(1, n_gen + 1), degree)))
 
 
+@lru_cache(maxsize=None)
+def _column_index(n_gen: int, degree: int) -> dict[int, int]:
+    """mask -> position in degree_masks(n_gen, degree)."""
+    return {m: i for i, m in enumerate(degree_masks(n_gen, degree))}
+
+
+def sparse_coords(a: Form) -> dict[int, Fraction]:
+    """{column: coefficient} of a in the ascending-mask monomial basis of
+    its degree."""
+    index = _column_index(a.n_gen, a.degree)
+    return {index[m]: c for m, c in a.terms.items()}
+
+
 def _coerce(value: Rational) -> Fraction:
     if isinstance(value, float):
         raise TypeError("float coefficients are not allowed; use Fraction")
@@ -101,6 +123,18 @@ class Form:
         self.n_gen = n_gen
         self.degree = degree
         self.terms = clean
+
+    @classmethod
+    def _make(cls, n_gen: int, degree: int,
+              terms: dict[int, Fraction]) -> "Form":
+        """A form that takes ownership of terms, which must be a fresh dict
+        of nonzero Fractions on valid degree-`degree` masks: the results of
+        the algebra below, which need no coercion or validation."""
+        form = object.__new__(cls)
+        form.n_gen = n_gen
+        form.degree = degree
+        form.terms = terms
+        return form
 
     # ----- constructors -------------------------------------------------
 
@@ -169,11 +203,11 @@ class Form:
                 out[mask] = c
             else:
                 out.pop(mask, None)
-        return Form(self.n_gen, self.degree, out)
+        return Form._make(self.n_gen, self.degree, out)
 
     def __neg__(self):
-        return Form(self.n_gen, self.degree,
-                    {m: -c for m, c in self.terms.items()})
+        return Form._make(self.n_gen, self.degree,
+                          {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -182,11 +216,11 @@ class Form:
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            s = _coerce(scalar)
-            if not s:
-                return Form(self.n_gen, self.degree)
-            return Form(self.n_gen, self.degree,
-                        {m: c * s for m, c in self.terms.items()})
+            # a Fraction times an int or a Fraction is a Fraction
+            if not scalar:
+                return Form._make(self.n_gen, self.degree, {})
+            return Form._make(self.n_gen, self.degree,
+                              {m: c * scalar for m, c in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -210,7 +244,7 @@ class Form:
                     out[m] = c
                 else:
                     out.pop(m, None)
-        return Form(self.n_gen, self.degree + other.degree, out)
+        return Form._make(self.n_gen, self.degree + other.degree, out)
 
     # ----- value semantics ----------------------------------------------
 
@@ -351,7 +385,7 @@ def contract(v: Vector, a: Form) -> Form:
                     out.pop(m, None)
             rem ^= low
             pos += 1
-    return Form(a.n_gen, a.degree - 1, out)
+    return Form._make(a.n_gen, a.degree - 1, out)
 
 
 def top_coefficient(a: Form) -> Fraction:
@@ -361,9 +395,4 @@ def top_coefficient(a: Form) -> Fraction:
         raise DegreeError(f"top_coefficient needs degree {a.n_gen}, "
                           f"got {a.degree}")
     return a.terms.get((1 << a.n_gen) - 1, _ZERO)
-
-
-def form_coords(a: Form) -> list[Fraction]:
-    """Coordinates in the ascending-mask monomial basis of a's degree."""
-    return [a.terms.get(m, _ZERO) for m in degree_masks(a.n_gen, a.degree)]
 

@@ -23,22 +23,25 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import linalg
-from .cohomology import (CohomologySpace, Subcomplex, _combine, _joint_kernel,
-                         basic_complex, betti_numbers, full_complex,
-                         splitting_check)
+from .cohomology import (CohomologySpace, Subcomplex, _block, _combine,
+                         _joint_kernel, _side_by_side, basic_complex,
+                         betti_numbers, full_complex, splitting_check)
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
                      NotProjectableError, PreconditionError)
-from .exterior import Form, contract, form_coords, top_coefficient, wedge_power
+from .exterior import (Form, contract, degree_masks, sparse_coords,
+                       top_coefficient, wedge_power)
 from .structures import ContactStructure, LcsStructure, quotient_contact
 
 
 @dataclass
 class _ModelMemo:
-    """What one model has computed: complexes keyed by field tuple, and
-    Lefschetz relations keyed by (picture, structure, degree)."""
+    """What one model has computed: complexes keyed by field tuple,
+    Lefschetz relations keyed by (picture, structure, degree) and reports
+    keyed by (kind, structure)."""
 
     complexes: dict = field(default_factory=dict)
     relations: dict = field(default_factory=dict)
+    reports: dict = field(default_factory=dict)
 
 
 @lru_cache(maxsize=128)
@@ -58,6 +61,15 @@ def _basic(model, fields) -> Subcomplex:
         complexes[fields] = (basic_complex(model, fields) if fields
                              else full_complex(model))
     return complexes[fields]
+
+
+def _report(kind: str, struct, build):
+    """build(struct), computed once per structure."""
+    reports = _memo(struct.model).reports
+    key = (kind, struct)
+    if key not in reports:
+        reports[key] = build(struct)
+    return reports[key]
 
 
 def _check_k(k: int, n: int) -> None:
@@ -296,21 +308,24 @@ def _induced_relation(src_space: CohomologySpace, dst_space: CohomologySpace,
     a = src_space.degree
     b = dst_space.degree
     model = cplx.model
+    n = model.n_gen
     basis = cplx.basis(a)
     if not basis:
         return CohomologyRelation.from_pairs(src_space, dst_space, [])
-    in_range = 0 <= b <= model.n_gen
+    in_range = 0 <= b <= n
     rows = []
     for f in basis:
         g = op(f)
-        row = list(form_coords(model.d(f)))
         if in_range:
-            row.extend(dst_cplx.slice(b).residual(form_coords(g)))
-            row.extend(form_coords(model.d(g)))
+            blocks = (_block(model.d(f)),
+                      (dst_cplx.slice(b).residual(sparse_coords(g)),
+                       len(degree_masks(n, b))),
+                      _block(model.d(g)))
         else:
-            row.extend(form_coords(g))
+            blocks = (_block(model.d(f)), _block(g))
+        row, width = _side_by_side(blocks)
         rows.append(row)
-    kernel = linalg.left_kernel(rows, len(rows[0]))
+    kernel = linalg.left_kernel(rows, width)
     pairs = []
     for coords in kernel:
         x = _combine(basis, coords, model.n_gen, a)
@@ -645,6 +660,10 @@ class BettiParityReport:
 
 def betti_parity_check(struct: LcsStructure) -> BettiParityReport:
     """Evenness of b_k - b_(k-1) for odd k <= n, and b_k = c_k + c_(k-1)."""
+    return _report("parity", struct, _betti_parity)
+
+
+def _betti_parity(struct: LcsStructure) -> BettiParityReport:
     model = struct.model
     betti = betti_numbers(_full(model))
     basic = betti_numbers(_basic(model, (struct.U,)))
@@ -697,6 +716,10 @@ class LefschetzEquivalenceReport:
 
 def lefschetz_equivalence_report(struct: LcsStructure) -> LefschetzEquivalenceReport:
     """Evaluate all three verdict vectors and compare their aggregates."""
+    return _report("equivalence", struct, _equivalence)
+
+
+def _equivalence(struct: LcsStructure) -> LefschetzEquivalenceReport:
     n = struct.n
     contact = None
     try:

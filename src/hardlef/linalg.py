@@ -1,17 +1,22 @@
 """Exact linear algebra over the rationals.
 
-At the API, matrices are dense lists of rows of `Fraction`.  Linear maps
-act on coordinate row vectors from the right: row i of a matrix is the
-image of the i-th basis vector, so the matrix of f-then-g is
-matmul(M_f, M_g).  Reduced row echelon form is the canonical presentation
-of a row space, which makes subspace comparison an equality of lists.
+Sparse inside, dense at the API.  Inside the package a vector is a dict
+{column: nonzero Fraction}; `sparse`, `dense` and `add_scaled` convert
+and combine them.  Dense lists of `Fraction` rows remain for callers
+that pass them (rref, rank, row_space, left_kernel, inverse, and the
+rows, combos and kernel of an Echelon) and for the small report matrices
+(matmul and friends).  Linear maps act on coordinate row vectors from the
+right: row i of a matrix is the image of the i-th basis vector, so the
+matrix of f-then-g is matmul(M_f, M_g).  Reduced row echelon form is the
+canonical presentation of a row space, which makes subspace comparison
+an equality of lists.
 
-`rref` is the one elimination loop.  Inside, it works on sparse rows,
-dicts {column: nonzero Fraction}, and touches only the support of the
-pivot row; it returns dense rows.  `Echelon` is the one factorization
-built on it: the RREF of [M | I], which answers membership, solve, left
-kernel and inverse with no further elimination, reducing sparse copies of
-its rows.
+`rref` is the one elimination loop.  It takes dense or sparse rows,
+eliminates on sparse ones, touching only the support of the pivot row,
+and returns rows of the kind it was given.  `Echelon` is the one
+factorization built on it: the RREF of [M | I], with the identity as one
+sparse entry per row.  It answers membership, solve, left kernel and
+inverse with no further elimination.
 
 Pivots are chosen by smallest numerator magnitude (then denominator, then
 row order); the resulting RREF is the canonical one regardless.
@@ -20,6 +25,7 @@ row order); the resulting RREF is the canonical one regardless.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 Matrix = list
@@ -28,6 +34,58 @@ Matrix = list
 # identity, before the slower Fraction truth test.
 ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+# ----- sparse vectors --------------------------------------------------------
+
+
+def sparse(row: Sequence) -> dict[int, Fraction]:
+    """{column: nonzero Fraction} of a dense row; Fraction entries are kept
+    as they are, others are coerced."""
+    return {j: x if type(x) is Fraction else Fraction(x)
+            for j, x in enumerate(row) if x is not ZERO and x}
+
+
+def dense(row: dict[int, Fraction], width: int) -> list[Fraction]:
+    out = [ZERO] * width
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def add_scaled(acc: dict, f: Fraction, other: dict) -> None:
+    """acc += f * other, in place, dropping entries that become zero; the
+    keys are columns or any other index."""
+    for j, x in other.items():
+        y = acc.get(j)
+        if y is None:
+            acc[j] = f * x
+        else:
+            y += f * x
+            if y:
+                acc[j] = y
+            else:
+                del acc[j]
+
+
+def _fresh(row: dict) -> dict[int, Fraction]:
+    """Copy of a sparse row without zero entries, non-Fractions coerced."""
+    return {j: x if type(x) is Fraction else Fraction(x)
+            for j, x in row.items() if x}
+
+
+def _is_sparse(mat: Matrix) -> bool:
+    return bool(mat) and isinstance(mat[0], dict)
+
+
+def _sparse_rows(mat: Matrix) -> list[dict[int, Fraction]]:
+    """Fresh sparse copies of the rows of mat, dense or sparse."""
+    if _is_sparse(mat):
+        return [_fresh(row) for row in mat]
+    return [sparse(row) for row in mat]
+
+
+# ----- dense matrices --------------------------------------------------------
 
 
 def identity(n: int) -> Matrix:
@@ -40,16 +98,14 @@ def transpose(mat: Matrix, ncols: int) -> Matrix:
 
 def matmul(a: Matrix, b: Matrix, b_ncols: int) -> Matrix:
     """Product of a (r x n) and b (n x b_ncols); b may be empty when n = 0."""
+    sparse_b = [sparse(row) for row in b]
     out = []
     for row in a:
-        acc = [ZERO] * b_ncols
+        acc: dict[int, Fraction] = {}
         for k, x in enumerate(row):
             if x:
-                brow = b[k]
-                for j in range(b_ncols):
-                    if brow[j]:
-                        acc[j] += x * brow[j]
-        out.append(acc)
+                add_scaled(acc, x, sparse_b[k])
+        out.append(dense(acc, b_ncols))
     return out
 
 
@@ -57,47 +113,35 @@ def is_zero_matrix(mat: Matrix) -> bool:
     return all(not x for row in mat for x in row)
 
 
-def _sparse(row: Sequence) -> dict[int, Fraction]:
-    """{column: nonzero Fraction} of a dense row; Fraction entries are kept
-    as they are, others are coerced."""
-    return {j: x if type(x) is Fraction else Fraction(x)
-            for j, x in enumerate(row) if x is not ZERO and x}
+def negate(mat: Matrix) -> Matrix:
+    return [[-x for x in row] for row in mat]
 
 
-def _dense(row: dict[int, Fraction], width: int) -> list[Fraction]:
-    out = [ZERO] * width
-    for j, x in row.items():
-        out[j] = x
+def block_diag(a: Matrix, b: Matrix, a_ncols: int, b_ncols: int) -> Matrix:
+    out = [list(row) + [ZERO] * b_ncols for row in a]
+    out += [[ZERO] * a_ncols + list(row) for row in b]
     return out
 
 
-def _axpy(row: dict[int, Fraction], f: Fraction,
-          other: dict[int, Fraction]) -> None:
-    """row -= f * other, in place, dropping entries that become zero."""
-    for j, x in other.items():
-        y = row.get(j)
-        if y is None:
-            row[j] = -f * x
-        else:
-            y -= f * x
-            if y:
-                row[j] = y
-            else:
-                del row[j]
+# ----- elimination -----------------------------------------------------------
 
 
 def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
+    Rows are dense sequences or sparse dicts {column: value}, and the
+    result rows are of the same kind (dense ones as wide as the input).
     Row operations apply to full rows, so callers may pass augmented rows
     and restrict pivoting to the first `ncols` columns.
     """
-    width = len(mat[0]) if mat else 0
-    rows = [_sparse(row) for row in mat]
+    rows = _sparse_rows(mat)
     pivots: list[int] = []
     r = 0
+    m = len(rows)
     for c in range(ncols):
-        found = [i for i in range(r, len(rows)) if c in rows[i]]
+        if r == m:
+            break
+        found = [i for i in range(r, m) if c in rows[i]]
         if not found:
             continue
         i = min(found, key=lambda i: (abs(rows[i][c].numerator),
@@ -107,16 +151,17 @@ def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
         inv = _ONE / prow[c]
         if inv != 1:
             prow = rows[r] = {j: x * inv for j, x in prow.items()}
-        for j, row in enumerate(rows):
-            if j != r:
-                f = row.get(c)
-                if f is not None:
-                    _axpy(row, f, prow)
+        # the other rows holding column c; the swap moved row r to i
+        for j in [j for j in range(r) if c in rows[j]] + \
+                [i if j == r else j for j in found if j != i]:
+            row = rows[j]
+            add_scaled(row, -row[c], prow)
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
-    return [_dense(row, width) for row in rows[:r]], pivots
+    if _is_sparse(mat):
+        return rows[:r], pivots
+    width = len(mat[0]) if mat else 0
+    return [dense(row, width) for row in rows[:r]], pivots
 
 
 def rank(mat: Matrix, ncols: int) -> int:
@@ -131,54 +176,82 @@ def row_space(mat: Matrix, ncols: int) -> Matrix:
 class Echelon:
     """One factorization of a matrix: the RREF of [mat | I].
 
-    rows and pivots are the canonical RREF of mat; combos[i] . mat =
-    rows[i]; kernel is the canonical RREF basis of the left kernel of mat
-    (the identity block of the rows whose pivot lies past ncols).  residual
-    and solve reduce against sparse copies of rows and combos.
+    mat has dense rows of width ncols or sparse rows with columns below
+    ncols.  sparse_rows and pivots are the canonical RREF of mat;
+    sparse_combos[i] . mat = sparse_rows[i]; sparse_kernel is the
+    canonical RREF basis of the left kernel of mat (the identity block of
+    the rows whose pivot lies past ncols).  rows, combos and kernel are the
+    same as dense lists, built on first access.  residual and solve take
+    a dense or a sparse vector and answer in the same kind.
     """
 
     def __init__(self, mat: Matrix, ncols: int):
-        m = len(mat)
-        red, pivots = rref([list(row) + e for row, e in zip(mat, identity(m))],
-                           ncols + m)
+        aug = _sparse_rows(mat)
+        m = len(aug)
+        for i, row in enumerate(aug):
+            row[ncols + i] = _ONE
+        red, pivots = rref(aug, ncols + m)
         r = sum(1 for p in pivots if p < ncols)
-        self.rows = [row[:ncols] for row in red[:r]]
         self.pivots = pivots[:r]
-        self.combos = [row[ncols:] for row in red[:r]]
-        self.kernel = [row[ncols:] for row in red[r:]]
+        self.sparse_rows = [{j: x for j, x in row.items() if j < ncols}
+                            for row in red[:r]]
+        self.sparse_combos = [{j - ncols: x for j, x in row.items()
+                               if j >= ncols} for row in red[:r]]
+        self.sparse_kernel = [{j - ncols: x for j, x in row.items()}
+                              for row in red[r:]]
+        self._ncols = ncols
         self._nrows = m
-        self._sparse_rows = [_sparse(row) for row in self.rows]
-        self._sparse_combos = [_sparse(row) for row in self.combos]
+        self._row_at = dict(zip(self.pivots, self.sparse_rows))
+        self._combo_at = dict(zip(self.pivots, self.sparse_combos))
 
-    def _reduce(self, v: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Reduce the sparse vector v against the rows, in place."""
-        for row, p in zip(self._sparse_rows, self.pivots):
-            c = v.get(p)
-            if c is not None:
-                _axpy(v, c, row)
-        return v
+    @cached_property
+    def rows(self) -> Matrix:
+        return [dense(row, self._ncols) for row in self.sparse_rows]
 
-    def residual(self, vec: Sequence[Fraction]) -> list[Fraction]:
+    @cached_property
+    def combos(self) -> Matrix:
+        return [dense(row, self._nrows) for row in self.sparse_combos]
+
+    @cached_property
+    def kernel(self) -> Matrix:
+        return [dense(row, self._nrows) for row in self.sparse_kernel]
+
+    def _residual(self, v: dict[int, Fraction]) -> dict[int, Fraction]:
+        # the RREF rows vanish on each other's pivots, so the coefficient of
+        # the row with pivot p is v[p], whatever the order of reduction
+        out = dict(v)
+        for p, c in v.items():
+            row = self._row_at.get(p)
+            if row is not None:
+                add_scaled(out, -c, row)
+        return out
+
+    def residual(self, vec):
         """vec reduced against the rows: zero iff vec is in the row space."""
-        return _dense(self._reduce(_sparse(vec)), len(vec))
+        if isinstance(vec, dict):
+            return self._residual(_fresh(vec))
+        return dense(self._residual(sparse(vec)), len(vec))
 
-    def solve(self, target: Sequence[Fraction]) -> list[Fraction] | None:
+    def solve(self, target):
         """Coefficients c with c . mat = target, or None outside the row
         space; unique when the rows of mat are independent."""
-        t = _sparse(target)
-        if self._reduce(dict(t)):
+        given_sparse = isinstance(target, dict)
+        t = _fresh(target) if given_sparse else sparse(target)
+        if self._residual(t):
             return None
         acc: dict[int, Fraction] = {}
-        for combo, p in zip(self._sparse_combos, self.pivots):
-            c = t.get(p)
-            if c is not None:
-                _axpy(acc, -c, combo)
-        return _dense(acc, self._nrows)
+        for p, c in t.items():
+            combo = self._combo_at.get(p)
+            if combo is not None:
+                add_scaled(acc, c, combo)
+        return acc if given_sparse else dense(acc, self._nrows)
 
 
 def left_kernel(mat: Matrix, ncols: int) -> Matrix:
-    """Canonical basis of {x : x . mat = 0}; x has len(mat) entries."""
-    return Echelon(mat, ncols).kernel
+    """Canonical basis of {x : x . mat = 0}; x has len(mat) entries.  The
+    basis is sparse when the rows of mat are."""
+    ech = Echelon(mat, ncols)
+    return ech.sparse_kernel if _is_sparse(mat) else ech.kernel
 
 
 def express_in_rows(rows: Matrix, target: Sequence[Fraction],
@@ -188,16 +261,6 @@ def express_in_rows(rows: Matrix, target: Sequence[Fraction],
     Callers pass linearly independent rows, so the answer is unique.
     """
     return Echelon(rows, ncols).solve(target)
-
-
-def negate(mat: Matrix) -> Matrix:
-    return [[-x for x in row] for row in mat]
-
-
-def block_diag(a: Matrix, b: Matrix, a_ncols: int, b_ncols: int) -> Matrix:
-    out = [list(row) + [ZERO] * b_ncols for row in a]
-    out += [[ZERO] * a_ncols + list(row) for row in b]
-    return out
 
 
 def inverse(mat: Matrix) -> Matrix | None:

@@ -107,10 +107,10 @@ class StructureModel:
             raise ModelMismatchError("form does not live over this model")
         if a.degree == 0:
             return Form.zero(self.n_gen, 1)
-        out = Form.zero(self.n_gen, a.degree + 1)
+        out: dict[int, Fraction] = {}
         for mask, coeff in a.terms.items():
-            out = out + coeff * self._d_monomial(mask)
-        return out
+            linalg.add_scaled(out, coeff, self._d_monomial(mask).terms)
+        return Form._make(self.n_gen, a.degree + 1, out)
 
     def _d_monomial(self, mask: int) -> Form:
         cached = self._d_cache.get(mask)

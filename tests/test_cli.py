@@ -64,6 +64,14 @@ def test_degree_error_exit(kt4_file, capsys):
     assert cli.main(["lefschetz", kt4_file, "--k", "99"]) == 1
 
 
+@pytest.mark.parametrize("k", ["x", "1.5"])
+def test_non_integer_degree_exits_cleanly(kt4_file, capsys, k):
+    assert cli.main(["lefschetz", kt4_file, "--k", k]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"error: degree must be an integer or 'all', got {k!r}\n"
+
+
 H5 = "dim 5\nd e5 = e1^e2 + e3^e4\neta = e5\n"
 PLAIN = "dim 3\nd e3 = e1^e2\n"
 

@@ -4,8 +4,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardlef import Form, Vector, contract, top_coefficient, wedge, wedge_power
+from hardlef import (Form, StructureModel, Vector, contract, top_coefficient,
+                     wedge, wedge_power)
 from hardlef.errors import DegreeError, ModelMismatchError
+from hardlef.exterior import degree_masks, sparse_coords
 
 from conftest import random_form, random_vector
 
@@ -149,6 +151,31 @@ def test_top_coefficient_bilinear(a, b, s):
     c = Form.monomial(4, (3, 4))
     lhs = top_coefficient(wedge(a + s * b, c))
     assert lhs == top_coefficient(wedge(a, c)) + s * top_coefficient(wedge(b, c))
+
+
+H5 = StructureModel.from_salamon("(0,0,0,0,12+34)")
+
+
+@settings(max_examples=120, derandomize=True)
+@given(v=_vectors(5), a=_forms(5, 2), b=_forms(5, 2), s=st.integers(-2, 2))
+def test_algebra_results_are_canonical(v, a, b, s):
+    # the algebra skips the public constructor's coercion and checks, so
+    # its results must already be what that constructor would keep
+    closed = Form.monomial(5, (1, 2, 5)) - Form.monomial(5, (3, 4, 5))
+    for f in (a + b, a - b, -a, s * a, a * Fraction(s, 3), wedge(a, b),
+              contract(v, a), H5.d(a), H5.lie_derivative(v, a), H5.d(closed)):
+        assert all(type(c) is Fraction and c for c in f.terms.values())
+        assert all(m.bit_count() == f.degree for m in f.terms)
+        assert Form(f.n_gen, f.degree, f.terms).terms == f.terms
+        assert f.terms is not a.terms and f.terms is not b.terms
+
+
+@settings(max_examples=60, derandomize=True)
+@given(a=_forms(5, 2), b=_forms(5, 3))
+def test_sparse_coords_index_the_ascending_monomial_basis(a, b):
+    for f in (a, b, Form.zero(5, 6)):
+        masks = degree_masks(5, f.degree)
+        assert {masks[j]: c for j, c in sparse_coords(f).items()} == f.terms
 
 
 def test_random_form_helper_canonical(rng):

@@ -286,6 +286,25 @@ def test_lefschetz_all_builds_each_relation_once(monkeypatch, capsys):
     assert len(set(builds)) == 9
 
 
+def test_lefschetz_all_builds_each_report_once(monkeypatch, capsys):
+    from pathlib import Path
+
+    from hardlef import cli
+    builds = []
+    for name in ("BettiParityReport", "LefschetzEquivalenceReport"):
+        def counting(*args, _cls=getattr(lef, name), _name=name):
+            builds.append(_name)
+            return _cls(*args)
+        monkeypatch.setattr(lef, name, counting)
+    lef._memo.cache_clear()
+    model = Path(__file__).resolve().parent.parent / "models" / "h5s1.model"
+    assert cli.main(["lefschetz", str(model), "--mode", "all"]) == 0
+    capsys.readouterr()
+    # the Vaisman report reads the two reports the command already built
+    assert builds.count("BettiParityReport") == 1
+    assert builds.count("LefschetzEquivalenceReport") == 1
+
+
 def test_gysin_computes_each_induced_map_once(monkeypatch, h5s1_struct):
     calls = []
     induced_map = lef._induced_map

@@ -222,6 +222,33 @@ def test_sparse_kernel_matches_oracle(data):
         assert ech.solve(vec) == expected
     assert ech.solve(vecs[0]) is not None
 
+    # the same matrix and vectors as sparse dicts, entries as drawn; every
+    # other one keeps its explicit zeros
+    smat = [{j: x for j, x in enumerate(row) if x or i % 2}
+            for i, row in enumerate(mat)]
+    svecs = [{j: x for j, x in enumerate(v) if x or i % 2}
+             for i, v in enumerate(vecs)]
+    sparse_snapshot = [dict(row) for row in smat + svecs]
+    srows, spivots = linalg.rref(smat, width)
+    assert spivots == pivots
+    assert srows == [linalg.sparse(row) for row in rows]
+    assert all(type(x) is Fraction for row in srows for x in row.values())
+    assert all(out is not row for out in srows for row in smat)
+    assert linalg.rref(smat, ncols)[1] == part_pivots
+    sech = linalg.Echelon(smat, width)
+    assert (sech.rows, sech.pivots, sech.combos, sech.kernel) == \
+        (ech.rows, ech.pivots, ech.combos, ech.kernel)
+    assert sech.sparse_rows == [linalg.sparse(r) for r in ech.rows]
+    assert sech.sparse_combos == [linalg.sparse(r) for r in ech.combos]
+    assert sech.sparse_kernel == [linalg.sparse(r) for r in ech.kernel]
+    assert linalg.left_kernel(smat, width) == sech.sparse_kernel
+    for vec, svec in zip(vecs, svecs):
+        assert sech.residual(svec) == linalg.sparse(ech.residual(vec))
+        sol = ech.solve(vec)
+        ssol = sech.solve(svec)
+        assert ssol == (None if sol is None else linalg.sparse(sol))
+    assert smat + svecs == sparse_snapshot
+
     assert [[(type(x), x) for x in row] for row in mat] == snapshot
     assert [[(type(x), x) for x in v] for v in vecs] == vec_snapshot
 
