@@ -21,6 +21,7 @@ is the cycles of degree k and its rows the image in degree k+1.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -66,6 +67,11 @@ class Subcomplex:
             self._diff.append(mat)
         self._diff_echelons: dict[int, linalg.Echelon] = {}
         self._spaces: dict[int, CohomologySpace] = {}
+        # operator -> {(target complex, k, j): verdict}: the chain-map
+        # certificates of lefschetz._is_chain_map for the degree-k slice,
+        # held weakly in the operator, which is a closure made per check
+        self._chain_slices: weakref.WeakKeyDictionary = \
+            weakref.WeakKeyDictionary()
 
     # ----- degree slices --------------------------------------------------
 

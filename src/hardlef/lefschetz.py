@@ -13,6 +13,17 @@ follow the same pattern with the simpler admissibility conditions
 (closed, i_V beta = 0, L^(n-k+1) beta = 0) and target eta ^ L^(n-k) beta.
 Everything is decided by exact rank computations; powers of L that exceed
 the top degree are the zero map.
+
+The flow sequences compare cohomologies through maps induced by operators
+on forms: cup with d(eta), inclusion and i_V.  When such an operator is
+certified a chain map on the source slices of degrees a-1 and a (it lands
+in the target slices and d op = +-op d on their basis forms), [x] ->
+[op x] is well defined and its matrix is the classes of op applied to the
+source representatives.  Each slice verdict is computed once per target
+complex and operator and kept by the source complex.  An operator that is
+not certified falls back to the relation of class pairs ([x], [op x]),
+which decides whether the map is defined on every class and single valued
+and reports it when it is not.
 """
 
 from __future__ import annotations
@@ -126,17 +137,16 @@ def _graph(relation: CohomologyRelation):
     map it is the graph of."""
     da = relation.source.dimension
     x_rows = [r[:da] for r in relation.span]
-    x_rank = linalg.rank(x_rows, da)
-    total = x_rank == da
-    functional = x_rank == len(x_rows)
+    x_proj = linalg.Echelon(x_rows, da)
+    total = len(x_proj.pivots) == da
+    functional = len(x_proj.pivots) == len(x_rows)
     if not (total and functional):
         return total, functional, None
-    x_inv = linalg.inverse(x_rows)
-    if x_inv is None:
-        raise InternalConsistencyError("total functional relation with "
-                                       "singular first projection")
+    # the first projection is square and invertible: its RREF is the
+    # identity, so the combinations that reach it are its inverse
     return total, functional, linalg.matmul(
-        x_inv, [r[da:] for r in relation.span], relation.target.dimension)
+        x_proj.combos, [r[da:] for r in relation.span],
+        relation.target.dimension)
 
 
 def is_graph_of_isomorphism(relation: CohomologyRelation) -> LefschetzVerdict:
@@ -333,9 +343,53 @@ def _induced_relation(src_space: CohomologySpace, dst_space: CohomologySpace,
     return CohomologyRelation.from_pairs(src_space, dst_space, pairs)
 
 
+def _chain_slice(src: Subcomplex, dst: Subcomplex,
+                 op: Callable[[Form], Form], k: int, j: int) -> bool:
+    """Whether op sends the degree-k slice of src into the degree-j slice
+    of dst with d(op f) = s op(d f) on every basis form f, for one sign s."""
+    d = src.model.d
+    pairs = []
+    for f in src.basis(k):
+        g = op(f)
+        if dst._coords(g, j) is None:
+            return False
+        pairs.append((d(g), op(d(f))))
+    return (all(x == y for x, y in pairs)
+            or all(x == -y for x, y in pairs))
+
+
+def _is_chain_map(src_space: CohomologySpace, dst_space: CohomologySpace,
+                  op: Callable[[Form], Form]) -> bool:
+    """Whether op is certified a chain map on the source slices of degrees
+    a-1 and a, which makes [x] -> [op x] defined on every class (closed
+    forms go to closed forms) and single valued (exact to exact).  Each
+    slice verdict is computed once and kept by the source complex."""
+    src, dst = src_space.complex, dst_space.complex
+    shift = dst_space.degree - src_space.degree
+    verdicts = src._chain_slices.setdefault(op, {})
+    for k in (src_space.degree - 1, src_space.degree):
+        key = (dst, k, k + shift)
+        if key not in verdicts:
+            verdicts[key] = _chain_slice(src, dst, op, k, k + shift)
+        if not verdicts[key]:
+            return False
+    return True
+
+
 def _induced_map(src_space: CohomologySpace, dst_space: CohomologySpace,
                  op: Callable[[Form], Form], label: str) -> linalg.Matrix:
-    """Matrix of the class map induced by op, or an error if ill defined."""
+    """Matrix of the class map induced by op, or an error if ill defined.
+
+    When op is certified a chain map (_is_chain_map), row i is the class
+    of op applied to the i-th source representative.  Otherwise the map
+    is read off the relation of class pairs ([x], [op x]) over every x op
+    behaves on, which decides whether it is defined on every class and
+    single valued and raises if not; on a chain map that relation is the
+    graph of the same matrix.
+    """
+    if _is_chain_map(src_space, dst_space, op):
+        return [list(dst_space.class_of(op(rep)))
+                for rep in src_space.representatives]
     total, functional, matrix = _graph(
         _induced_relation(src_space, dst_space, op))
     if not total:
@@ -621,12 +675,10 @@ def pairing_psi(struct: LcsStructure, k: int) -> PairingResult:
     lef_forms = [_combine(dst.representatives, row, model.n_gen,
                           2 * n + 1 - k) for row in lef]
     psi = []
-    for i in range(src.dimension):
-        row = []
-        for j, rep_j in enumerate(src.representatives):
-            row.append(top_coefficient(
-                struct.omega.wedge(lef_forms[i]).wedge(rep_j)))
-        psi.append(row)
+    for lef_form in lef_forms:
+        w = struct.omega.wedge(lef_form)
+        psi.append([top_coefficient(w.wedge(rep))
+                    for rep in src.representatives])
     d = src.dimension
     sign = -1 if k % 2 else 1
     parity_ok = all(psi[j][i] == sign * psi[i][j]

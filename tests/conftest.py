@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from hardlef import Form, StructureModel, Vector
+from hardlef import Form, StructureModel, Vector, modelfile, validate_lcs
+from hardlef.catalog import builtin_entries
+
+MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
 
 MODEL_POOL = {
@@ -47,3 +51,27 @@ def random_model(rng):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def _lcs_corpus():
+    """id -> (model, omega, eta) of every l.c.s. file in models/ and of the
+    catalog entries kt4, h5s1, nil5a_s1 and nil5b_s1."""
+    corpus = {}
+    for path in sorted(MODELS_DIR.glob("*.model")):
+        doc = modelfile.load_path(path)
+        if doc.kind == "lcs":
+            corpus[f"models/{path.name}"] = (doc.model, doc.omega, doc.eta)
+    for entry in builtin_entries():
+        if entry.name in ("kt4", "h5s1", "nil5a_s1", "nil5b_s1"):
+            corpus[f"catalog:{entry.name}"] = (entry.model, entry.omega,
+                                               entry.eta)
+    return corpus
+
+
+LCS_CORPUS = _lcs_corpus()
+
+
+@pytest.fixture(params=sorted(LCS_CORPUS))
+def lcs_struct(request):
+    """Each l.c.s. structure of the corpus in turn."""
+    return validate_lcs(*LCS_CORPUS[request.param])

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from hardlef import (Form, StructureModel, validate_contact,
+from hardlef import (Form, StructureModel, modelfile, validate_contact,
                      validate_lcs)
 from hardlef import lefschetz as lef
 from hardlef import linalg
-from hardlef.errors import DegreeError, NotLefschetzError, PreconditionError
+from hardlef.cohomology import CohomologySpace
+from hardlef.errors import (DegreeError, InternalConsistencyError,
+                            NotLefschetzError, PreconditionError)
 
 
 def gen(n, i):
@@ -317,6 +319,182 @@ def test_gysin_computes_each_induced_map_once(monkeypatch, h5s1_struct):
     assert lef.gysin_sequence_check(h5s1_struct).ok
     assert len(calls) == 56
     assert len(set(calls)) == 56
+
+
+def test_graph_factors_the_first_projection_once(monkeypatch, kt4_struct):
+    relations = [lef.de_rham_lefschetz_relation(kt4_struct, k)
+                 for k in range(kt4_struct.n + 1)]
+    calls = []
+    rref = linalg.rref
+
+    def counting(mat, ncols):
+        calls.append(ncols)
+        return rref(mat, ncols)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    for rel in relations:
+        total, functional, matrix = lef._graph(rel)
+        assert total and functional and matrix is not None
+    assert len(calls) == len(relations)
+
+
+def test_induced_maps_agree_with_relation_path(monkeypatch, lcs_struct):
+    """Every map of the Gysin check and of T_k, certified or not, equals the
+    map read off its relation of class pairs."""
+    certified = []
+    induced_map = lef._induced_map
+
+    def both(src, dst, op, label):
+        chain = lef._is_chain_map(src, dst, op)
+        total, functional, by_relation = lef._graph(
+            lef._induced_relation(src, dst, op))
+        assert (total and functional) or not chain
+        # raises, as the relation path does, when the map is ill defined
+        matrix = induced_map(src, dst, op, label)
+        assert matrix == by_relation
+        certified.append(chain)
+        return matrix
+
+    monkeypatch.setattr(lef, "_induced_map", both)
+    lef.gysin_sequence_check(lcs_struct)
+    for k in range(lcs_struct.n + 1):
+        try:
+            lef.t_map(lcs_struct, k)
+        except PreconditionError:
+            pass
+    assert any(certified)
+
+
+def test_non_chain_operator_takes_the_relation_path(monkeypatch,
+                                                    h5s1_struct):
+    model = h5s1_struct.model
+    cplx = lef._full(model)
+    e5 = gen(6, 5)
+    relations = []
+    induced_relation = lef._induced_relation
+
+    def counting(src, dst, op):
+        relations.append(src.degree)
+        return induced_relation(src, dst, op)
+
+    monkeypatch.setattr(lef, "_induced_relation", counting)
+
+    # d e5 = e12 + e34, so wedging with e5 is no chain map; no degree of
+    # H(h5 x S1) maps under it, and the relation path says why
+    def wedge_e5(f):
+        return e5.wedge(f)
+
+    messages = {0: "is not defined on every class",
+                1: "is not defined on every class",
+                4: "is not single valued on classes"}
+    for a, message in messages.items():
+        src, dst = cplx.space(a), cplx.space(a + 1)
+        assert not lef._is_chain_map(src, dst, wedge_e5)
+        with pytest.raises(InternalConsistencyError,
+                           match=f"^\\[e5\\] {message} in the invariant"):
+            lef._induced_map(src, dst, wedge_e5, "[e5]")
+    assert relations == list(messages)
+
+    # scaling by 2^degree has d op = op d / 2, refused wherever d is not
+    # zero on slice a-1 or a; it still induces 2^a times the identity,
+    # which the relation path returns
+    def scale(f):
+        return f * 2 ** f.degree
+
+    degrees = range(1, model.n_gen)
+    for a in degrees:
+        src = cplx.space(a)
+        assert not lef._is_chain_map(src, src, scale)
+        matrix = lef._induced_map(src, src, scale, "[2^deg]")
+        assert matrix == [[2 ** a * x for x in row]
+                          for row in linalg.identity(src.dimension)]
+    assert relations == list(messages) + list(degrees)
+
+
+def test_certificate_checks_the_slice_below(h5s1_struct):
+    # dropping e34 from 2-forms commutes with d on 2-forms, but sends the
+    # exact e12 + e34 = d e5 to the closed, not exact e12: the slice below
+    # refuses it, and the relation path finds the map ill defined
+    cplx = lef._full(h5s1_struct.model)
+    e34 = 0b1100
+
+    def drop_e34(f):
+        if f.degree != 2:
+            return f
+        return Form(f.n_gen, 2, {m: c for m, c in f.terms.items()
+                                 if m != e34})
+
+    assert lef._chain_slice(cplx, cplx, drop_e34, 2, 2)
+    assert not lef._chain_slice(cplx, cplx, drop_e34, 1, 1)
+    h2 = cplx.space(2)
+    assert not lef._is_chain_map(h2, h2, drop_e34)
+    with pytest.raises(InternalConsistencyError, match="not single valued"):
+        lef._induced_map(h2, h2, drop_e34, "[drop e34]")
+
+
+def test_certificate_checks_the_target_slice(h5s1_struct):
+    # the identity is a chain map of the full complex into itself, not into
+    # the Lee-basic complex, whose slices miss e6
+    model = h5s1_struct.model
+    full = lef._full(model)
+    lee_basic = lef._basic(model, (h5s1_struct.U,))
+
+    def ident(f):
+        return f
+
+    h1, h1_basic = full.space(1), lee_basic.space(1)
+    assert lef._is_chain_map(h1, h1, ident)
+    assert not lef._is_chain_map(h1, h1_basic, ident)
+    with pytest.raises(InternalConsistencyError,
+                       match="not defined on every class"):
+        lef._induced_map(h1, h1_basic, ident, "[id]")
+
+
+def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
+    from pathlib import Path
+    doc = modelfile.load_path(
+        Path(__file__).resolve().parent.parent / "models" / "h7s1.model")
+    struct = validate_lcs(doc.model, doc.omega, doc.eta)
+    relations, slices, source_dims = [], [], []
+    class_calls = {"in_map": 0}
+    depth = []
+
+    induced_map = lef._induced_map
+    chain_slice = lef._chain_slice
+    class_of = CohomologySpace.class_of
+
+    def counting_map(src, dst, op, label):
+        source_dims.append(src.dimension)
+        depth.append(1)
+        try:
+            return induced_map(src, dst, op, label)
+        finally:
+            depth.pop()
+
+    def counting_slice(src, dst, op, k, j):
+        slices.append((src, dst, op, k, j))
+        return chain_slice(src, dst, op, k, j)
+
+    def counting_class_of(space, form):
+        if depth:
+            class_calls["in_map"] += 1
+        return class_of(space, form)
+
+    monkeypatch.setattr(lef, "_induced_map", counting_map)
+    monkeypatch.setattr(lef, "_chain_slice", counting_slice)
+    monkeypatch.setattr(lef, "_induced_relation",
+                        lambda *args: relations.append(args))
+    monkeypatch.setattr(CohomologySpace, "class_of", counting_class_of)
+    assert lef.gysin_sequence_check(struct).ok
+    assert relations == []
+    assert len(source_dims) == 68
+    assert class_calls["in_map"] == sum(source_dims)
+    assert slices and len(slices) == len(set(slices))
+    # the verdicts are held weakly in the operators, which the check made
+    # and dropped
+    complexes = {s[0] for s in slices}
+    slices.clear()
+    assert all(len(c._chain_slices) == 0 for c in complexes)
 
 
 def test_run_entry_propagates_programming_errors(monkeypatch):
