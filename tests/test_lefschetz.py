@@ -379,8 +379,9 @@ def test_non_chain_operator_takes_the_relation_path(monkeypatch,
 
     monkeypatch.setattr(lef, "_induced_relation", counting)
 
-    # d e5 = e12 + e34, so wedging with e5 is no chain map; no degree of
-    # H(h5 x S1) maps under it, and the relation path says why
+    # d e5 = e12 + e34, so wedging with e5 is no chain map, and the class
+    # map it would induce is ill defined in degrees 0 to 5; the relation
+    # path says why
     def wedge_e5(f):
         return e5.wedge(f)
 
