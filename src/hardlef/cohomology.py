@@ -11,12 +11,15 @@ completing the canonical image basis inside the canonical kernel basis.
 Sparse inside, dense at the API.  Forms enter through
 exterior.sparse_coords, which owns the mask -> column index of each
 monomial basis; everything after that (the slice factorizations, the
-differential rows, kernels, images, representatives and the coordinates
-class_of solves for) is a sparse vector {column: Fraction}.  coords and
-diff_matrix return dense lists.  Each slice and each space holds one
-linalg.Echelon, so coords and class_of are one reduction against a stored
-factorization, and each differential is factored once, lazily: its kernel
-is the cycles of degree k and its rows the image in degree k+1.
+differential rows, kernels, images, representatives and the classes
+_class_of solves for) is a sparse vector {column: Fraction}.  Dense
+remains only in what the public methods return: coords and class_of give
+dense tuples or lists, diff_matrix dense rows, and a SplittingMap holds
+its matrix as dense tuples.  Each slice and each space holds one
+linalg.Echelon, so coords and _class_of are one reduction against a
+stored factorization, and each differential is factored once, lazily:
+its kernel is the cycles of degree k and its rows the image in degree
+k+1.
 """
 
 from __future__ import annotations
@@ -180,11 +183,16 @@ class CohomologySpace:
             _combine(basis, row, cplx.model.n_gen, degree)
             for row in rep_coords)
 
-    def class_of_coords(self, coords) -> tuple[Fraction, ...]:
-        """Class of a closed element given in subcomplex coordinates, as a
-        dense sequence or a sparse dict."""
-        if not isinstance(coords, dict):
-            coords = linalg.sparse(coords)
+    def class_of(self, form: Form) -> tuple[Fraction, ...]:
+        return tuple(linalg.dense(self._class_of(form), self.dimension))
+
+    def _class_of(self, form: Form) -> dict[int, Fraction]:
+        """Sparse class of a closed element of the degree slice."""
+        coords = self.complex._coords(form, self.degree)
+        if coords is None:
+            raise InternalConsistencyError(
+                f"form of degree {form.degree} is not an element of the "
+                f"degree-{self.degree} slice of the subcomplex")
         diff = self.complex._d(self.degree)
         img: dict[int, Fraction] = {}
         for i, c in coords.items():
@@ -197,15 +205,8 @@ class CohomologySpace:
             raise InternalConsistencyError(
                 "closed form is outside kernel = reps + image; "
                 "the quotient data is corrupt")
-        return tuple(sol.get(i, linalg.ZERO) for i in range(self.dimension))
-
-    def class_of(self, form: Form) -> tuple[Fraction, ...]:
-        coords = self.complex._coords(form, self.degree)
-        if coords is None:
-            raise InternalConsistencyError(
-                f"form of degree {form.degree} is not an element of the "
-                f"degree-{self.degree} slice of the subcomplex")
-        return self.class_of_coords(coords)
+        # the coefficients past the representatives are those of the image
+        return {i: c for i, c in sol.items() if i < self.dimension}
 
     def __repr__(self):
         return (f"<CohomologySpace degree {self.degree} "
@@ -392,7 +393,7 @@ def splitting_check(model: StructureModel, w_form: Form, inner: Subcomplex,
         nrows = len(sm.matrix)
         square = nrows == sm.inner_dim
         invertible = square and linalg.rank(
-            [list(r) for r in sm.matrix], sm.inner_dim) == sm.inner_dim
+            sm.matrix, sm.inner_dim) == sm.inner_dim
         entries.append(SplittingDegree(k, sm.inner_dim, sm.outer_dims[0],
                                        sm.outer_dims[1], square, invertible))
     return SplittingReport(tuple(entries), all(e.invertible for e in entries),

@@ -47,11 +47,12 @@ from .structures import ContactStructure, LcsStructure, quotient_contact
 @dataclass
 class _ModelMemo:
     """What one model has computed: complexes keyed by field tuple,
-    Lefschetz relations keyed by (picture, structure, degree) and reports
-    keyed by (kind, structure)."""
+    Lefschetz relations keyed by (picture, structure, degree), their
+    verdicts keyed by relation and reports keyed by (kind, structure)."""
 
     complexes: dict = field(default_factory=dict)
     relations: dict = field(default_factory=dict)
+    verdicts: dict = field(default_factory=dict)
     reports: dict = field(default_factory=dict)
 
 
@@ -133,10 +134,10 @@ class LefschetzVerdict:
 
 def _graph(relation: CohomologyRelation):
     """(total, functional, matrix): whether the relation is defined on every
-    source class and single valued, and when both hold the matrix of the
-    map it is the graph of."""
+    source class and single valued, and when both hold the sparse matrix of
+    the map it is the graph of."""
     da = relation.source.dimension
-    x_rows = [r[:da] for r in relation.span]
+    x_rows = [linalg.sparse(r[:da]) for r in relation.span]
     x_proj = linalg.Echelon(x_rows, da)
     total = len(x_proj.pivots) == da
     functional = len(x_proj.pivots) == len(x_rows)
@@ -145,20 +146,28 @@ def _graph(relation: CohomologyRelation):
     # the first projection is square and invertible: its RREF is the
     # identity, so the combinations that reach it are its inverse
     return total, functional, linalg.matmul(
-        x_proj.combos, [r[da:] for r in relation.span],
-        relation.target.dimension)
+        x_proj.sparse_combos, [linalg.sparse(r[da:]) for r in relation.span])
 
 
 def is_graph_of_isomorphism(relation: CohomologyRelation) -> LefschetzVerdict:
-    """Decide totality, functionality and invertibility by exact ranks."""
+    """Decide totality, functionality and invertibility by exact ranks,
+    once per relation of a model."""
+    verdicts = _memo(relation.source.complex.model).verdicts
+    if relation not in verdicts:
+        verdicts[relation] = _verdict(relation)
+    return verdicts[relation]
+
+
+def _verdict(relation: CohomologyRelation) -> LefschetzVerdict:
     total, functional, m = _graph(relation)
     injective = surjective = False
     matrix = None
     if m is not None:
-        r = linalg.rank(m, relation.target.dimension)
+        width = relation.target.dimension
+        r = linalg.rank(m, width)
         injective = r == relation.source.dimension
-        surjective = r == relation.target.dimension
-        matrix = tuple(tuple(row) for row in m)
+        surjective = r == width
+        matrix = tuple(tuple(linalg.dense(row, width)) for row in m)
     return LefschetzVerdict(relation.source.degree, total, functional,
                             injective, surjective, matrix)
 
@@ -378,7 +387,8 @@ def _is_chain_map(src_space: CohomologySpace, dst_space: CohomologySpace,
 
 def _induced_map(src_space: CohomologySpace, dst_space: CohomologySpace,
                  op: Callable[[Form], Form], label: str) -> linalg.Matrix:
-    """Matrix of the class map induced by op, or an error if ill defined.
+    """Sparse matrix of the class map induced by op, or an error if ill
+    defined.
 
     When op is certified a chain map (_is_chain_map), row i is the class
     of op applied to the i-th source representative.  Otherwise the map
@@ -388,7 +398,7 @@ def _induced_map(src_space: CohomologySpace, dst_space: CohomologySpace,
     graph of the same matrix.
     """
     if _is_chain_map(src_space, dst_space, op):
-        return [list(dst_space.class_of(op(rep)))
+        return [dst_space._class_of(op(rep))
                 for rep in src_space.representatives]
     total, functional, matrix = _graph(
         _induced_relation(src_space, dst_space, op))
@@ -421,21 +431,23 @@ def t_map(struct: LcsStructure, k: int) -> tuple[tuple[Fraction, ...], ...]:
     iv = _induced_map(src, mid, lambda f: contract(struct.V, f),
                       "[i_V] on Lee-basic classes")
     inc = _induced_map(low, dst, lambda f: f, "[id] on (U,V)-basic classes")
-    l_inv = linalg.inverse([list(r) for r in lef_uv.matrix])
-    t = linalg.matmul(linalg.matmul(iv, l_inv, low.dimension), inc,
-                      dst.dimension)
+    l_inv = linalg.inverse([linalg.sparse(r) for r in lef_uv.matrix])
+    t = linalg.matmul(linalg.matmul(iv, l_inv), inc)
     try:
         basic = lefschetz_map_basic(struct, k)
     except NotLefschetzError:
         basic = None
     if basic is not None:
-        left = linalg.matmul([list(r) for r in basic], t, dst.dimension)
-        right = linalg.matmul(t, [list(r) for r in basic], src.dimension)
-        if left != linalg.identity(dst.dimension) or \
-                right != linalg.identity(src.dimension):
+        basic = [linalg.sparse(r) for r in basic]
+        if linalg.matmul(basic, t) != _identity(dst.dimension) or \
+                linalg.matmul(t, basic) != _identity(src.dimension):
             raise InternalConsistencyError(
                 f"T_{k} is not inverse to the basic Lefschetz map")
-    return tuple(tuple(row) for row in t)
+    return tuple(tuple(linalg.dense(row, dst.dimension)) for row in t)
+
+
+def _identity(n: int) -> linalg.Matrix:
+    return [{i: 1} for i in range(n)]
 
 
 # ----- flow exact sequences -------------------------------------------------
@@ -524,8 +536,7 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
                                tuple(failures), False, (), False)
     comps_ok = True
     for i in range(len(maps) - 1):
-        prod = linalg.matmul(maps[i], maps[i + 1], dims[i + 2])
-        if not linalg.is_zero_matrix(prod):
+        if any(linalg.matmul(maps[i], maps[i + 1])):
             comps_ok = False
             failures.append(f"composition through {node_labels[i + 1]} "
                             f"does not vanish")
@@ -544,12 +555,13 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
 
 
 def _splitting_matrix(report, outer: Subcomplex, k: int) -> linalg.Matrix:
-    """Degree-k splitting matrix from splitting_check's report.  Outside
-    degrees 0..n_gen the inner space is zero, so each of the
+    """Degree-k splitting matrix from splitting_check's report, as sparse
+    rows.  Outside degrees 0..n_gen the inner space is zero, so each of the
     dim H^k(outer) + dim H^(k-1)(outer) rows is empty."""
     if 0 <= k < len(report.maps):
-        return report.maps[k].matrix
-    return [()] * (outer.space(k).dimension + outer.space(k - 1).dimension)
+        return [linalg.sparse(r) for r in report.maps[k].matrix]
+    return [{} for _ in range(outer.space(k).dimension
+                              + outer.space(k - 1).dimension)]
 
 
 def _squares_commute(induced, ops, v_cplx: Subcomplex, full_c: Subcomplex,
@@ -560,29 +572,35 @@ def _squares_commute(induced, ops, v_cplx: Subcomplex, full_c: Subcomplex,
     bottom row.  A row is (inner, outer, splitting report); a square is
     (source row, target row, operator, degree shift, sign of the lower
     block); i_V crosses the 1-form omega in the lower summand, hence its
-    sign."""
+    sign.  The block-diagonal map stacks the upper map over the lower one,
+    whose columns are offset by the dimension of the upper target."""
     eps_op, ident, iv_op = ops
     rows = ((v_cplx, uv, splitting_v), (full_c, u_cplx, splitting_full))
     squares = ((0, 0, eps_op, 2, 1, "[eps]"), (0, 1, ident, 0, 1, "[id]"),
                (1, 0, iv_op, -1, -1, "[i_V]"))
+    splits: dict = {}
+
+    def split(row, k):
+        # each splitting matrix is read into sparse rows once
+        if (row, k) not in splits:
+            _, outer, report = rows[row]
+            splits[row, k] = _splitting_matrix(report, outer, k)
+        return splits[row, k]
+
     for k in range(0, full_c.model.n_gen + 1):
         for a, b, op, shift, sign, label in squares:
-            inner_a, outer_a, split_a = rows[a]
-            inner_b, outer_b, split_b = rows[b]
+            inner_a, outer_a, _ = rows[a]
+            inner_b, outer_b, _ = rows[b]
             j = k + shift
-            dim = inner_b.space(j).dimension
             lhs = linalg.matmul(
-                _splitting_matrix(split_a, outer_a, k),
-                induced(inner_a.space(k), inner_b.space(j), op, label), dim)
+                split(a, k),
+                induced(inner_a.space(k), inner_b.space(j), op, label))
+            offset = outer_b.space(j).dimension
             low = induced(outer_a.space(k - 1), outer_b.space(j - 1), op,
                           label)
-            block = linalg.block_diag(
-                induced(outer_a.space(k), outer_b.space(j), op, label),
-                low if sign > 0 else linalg.negate(low),
-                outer_b.space(j).dimension, outer_b.space(j - 1).dimension)
-            rhs = linalg.matmul(block, _splitting_matrix(split_b, outer_b, j),
-                                dim)
-            if lhs != rhs:
+            block = induced(outer_a.space(k), outer_b.space(j), op, label) + \
+                [{offset + i: sign * x for i, x in row.items()} for row in low]
+            if lhs != linalg.matmul(block, split(b, j)):
                 return False
     return True
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Sparse inside, dense at the API.  Inside the package a vector is a dict
-{column: nonzero Fraction}; `sparse`, `dense` and `add_scaled` convert
-and combine them.  Dense lists of `Fraction` rows remain for callers
-that pass them (rref, rank, row_space, left_kernel, inverse, and the
-rows, combos and kernel of an Echelon) and for the small report matrices
-(matmul and friends).  Linear maps act on coordinate row vectors from the
+{column: nonzero Fraction} and a matrix a list of such rows; `sparse`,
+`dense` and `add_scaled` convert and combine them, and `matmul` is the
+one product.  Dense rows are accepted only where a caller may hold them:
+rref, rank and row_space take either kind and answer in the kind given,
+as do Echelon.residual, Echelon.solve and inverse; left_kernel always
+answers sparse.  Linear maps act on coordinate row vectors from the
 right: row i of a matrix is the image of the i-th basis vector, so the
 matrix of f-then-g is matmul(M_f, M_g).  Reduced row echelon form is the
 canonical presentation of a row space, which makes subspace comparison
@@ -25,7 +26,6 @@ row order); the resulting RREF is the canonical one regardless.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 Matrix = list
@@ -85,41 +85,19 @@ def _sparse_rows(mat: Matrix) -> list[dict[int, Fraction]]:
     return [sparse(row) for row in mat]
 
 
-# ----- dense matrices --------------------------------------------------------
+# ----- products --------------------------------------------------------------
 
 
-def identity(n: int) -> Matrix:
-    return [[_ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def transpose(mat: Matrix, ncols: int) -> Matrix:
-    return [[row[j] for row in mat] for j in range(ncols)]
-
-
-def matmul(a: Matrix, b: Matrix, b_ncols: int) -> Matrix:
-    """Product of a (r x n) and b (n x b_ncols); b may be empty when n = 0."""
-    sparse_b = [sparse(row) for row in b]
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Product of sparse matrices: row i is sum_k a[i][k] b[k], without the
+    entries that cancel; b may be empty when a has no entries."""
     out = []
     for row in a:
         acc: dict[int, Fraction] = {}
-        for k, x in enumerate(row):
+        for k, x in row.items():
             if x:
-                add_scaled(acc, x, sparse_b[k])
-        out.append(dense(acc, b_ncols))
-    return out
-
-
-def is_zero_matrix(mat: Matrix) -> bool:
-    return all(not x for row in mat for x in row)
-
-
-def negate(mat: Matrix) -> Matrix:
-    return [[-x for x in row] for row in mat]
-
-
-def block_diag(a: Matrix, b: Matrix, a_ncols: int, b_ncols: int) -> Matrix:
-    out = [list(row) + [ZERO] * b_ncols for row in a]
-    out += [[ZERO] * a_ncols + list(row) for row in b]
+                add_scaled(acc, x, b[k])
+        out.append(acc)
     return out
 
 
@@ -180,9 +158,8 @@ class Echelon:
     ncols.  sparse_rows and pivots are the canonical RREF of mat;
     sparse_combos[i] . mat = sparse_rows[i]; sparse_kernel is the
     canonical RREF basis of the left kernel of mat (the identity block of
-    the rows whose pivot lies past ncols).  rows, combos and kernel are the
-    same as dense lists, built on first access.  residual and solve take
-    a dense or a sparse vector and answer in the same kind.
+    the rows whose pivot lies past ncols); all three are sparse.  residual
+    and solve take a dense or a sparse vector and answer in the same kind.
     """
 
     def __init__(self, mat: Matrix, ncols: int):
@@ -199,22 +176,9 @@ class Echelon:
                                if j >= ncols} for row in red[:r]]
         self.sparse_kernel = [{j - ncols: x for j, x in row.items()}
                               for row in red[r:]]
-        self._ncols = ncols
         self._nrows = m
         self._row_at = dict(zip(self.pivots, self.sparse_rows))
         self._combo_at = dict(zip(self.pivots, self.sparse_combos))
-
-    @cached_property
-    def rows(self) -> Matrix:
-        return [dense(row, self._ncols) for row in self.sparse_rows]
-
-    @cached_property
-    def combos(self) -> Matrix:
-        return [dense(row, self._nrows) for row in self.sparse_combos]
-
-    @cached_property
-    def kernel(self) -> Matrix:
-        return [dense(row, self._nrows) for row in self.sparse_kernel]
 
     def _residual(self, v: dict[int, Fraction]) -> dict[int, Fraction]:
         # the RREF rows vanish on each other's pivots, so the coefficient of
@@ -248,22 +212,17 @@ class Echelon:
 
 
 def left_kernel(mat: Matrix, ncols: int) -> Matrix:
-    """Canonical basis of {x : x . mat = 0}; x has len(mat) entries.  The
-    basis is sparse when the rows of mat are."""
-    ech = Echelon(mat, ncols)
-    return ech.sparse_kernel if _is_sparse(mat) else ech.kernel
-
-
-def express_in_rows(rows: Matrix, target: Sequence[Fraction],
-                    ncols: int) -> list[Fraction] | None:
-    """Coefficients c with sum c_i rows[i] = target, or None.
-
-    Callers pass linearly independent rows, so the answer is unique.
-    """
-    return Echelon(rows, ncols).solve(target)
+    """Canonical sparse basis of {x : x . mat = 0}; x is indexed by the
+    rows of mat."""
+    return Echelon(mat, ncols).sparse_kernel
 
 
 def inverse(mat: Matrix) -> Matrix | None:
-    """Inverse of a square matrix, or None when singular."""
+    """Inverse of a square matrix, or None when singular; its rows are of
+    the kind given."""
     ech = Echelon(mat, len(mat))
-    return ech.combos if len(ech.pivots) == len(mat) else None
+    if len(ech.pivots) != len(mat):
+        return None
+    if _is_sparse(mat):
+        return ech.sparse_combos
+    return [dense(row, len(mat)) for row in ech.sparse_combos]

@@ -159,7 +159,7 @@ class StructureModel:
         if self._nilpotent is None:
             n = self.n_gen
             fields = [Vector.basis(n, i) for i in range(1, n + 1)]
-            current = linalg.identity(n)
+            current = [f.coeffs for f in fields]
             while True:
                 produced = []
                 for f in fields:

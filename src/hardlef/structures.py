@@ -82,10 +82,11 @@ def _solve_characterizing_field(deta: Form, conditions, err_cls) -> Vector:
         rows.append(row)
     ncols = n + len(conditions)
     target = [Fraction(0)] * n + [Fraction(v) for _, v in conditions]
-    if linalg.rank(rows, ncols) < n:
+    ech = linalg.Echelon(rows, ncols)
+    if len(ech.pivots) < n:
         raise err_cls("characterizing linear system is singular; the field "
                       "is not unique")
-    sol = linalg.express_in_rows(rows, target, ncols)
+    sol = ech.solve(target)
     if sol is None:
         raise err_cls("characterizing linear system has no solution")
     return Vector(sol)

@@ -178,10 +178,9 @@ def test_c6_flow_sequences_and_t_maps():
             assert lef.uv_basic_lefschetz(struct, k).invertible
             t = lef.t_map(struct, k)
             basic = lef.lefschetz_map_basic(struct, k)
-            dim_k = len(t[0]) if t else 0
-            prod = linalg.matmul([list(r) for r in basic],
-                                 [list(r) for r in t], dim_k)
-            assert prod == linalg.identity(dim_k)
+            prod = linalg.matmul([linalg.sparse(r) for r in basic],
+                                 [linalg.sparse(r) for r in t])
+            assert prod == [{i: 1} for i in range(len(basic))]
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"{entry.name}: {elapsed:.1f}s"
         seen.add(entry.name)

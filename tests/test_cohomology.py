@@ -26,9 +26,10 @@ def test_full_complex_slices(kt4):
 def test_d_squared_zero_matrices(kt4):
     cplx = full_complex(kt4)
     for k in range(4):
-        prod = linalg.matmul(cplx.diff_matrix(k), cplx.diff_matrix(k + 1),
-                             cplx.dim(k + 2))
-        assert linalg.is_zero_matrix(prod)
+        prod = linalg.matmul(
+            [linalg.sparse(row) for row in cplx.diff_matrix(k)],
+            [linalg.sparse(row) for row in cplx.diff_matrix(k + 1)])
+        assert len(prod) == cplx.dim(k) and not any(prod)
 
 
 def test_basic_complex_single_field(kt4):
@@ -205,7 +206,7 @@ def test_each_differential_is_factored_once(monkeypatch):
     factored = {}
     for k in range(7):
         d, width = cplx.diff_matrix(k), cplx.dim(k + 1)
-        if linalg.is_zero_matrix(d):
+        if not any(map(any, d)):
             continue
         rows = [{j: x for j, x in enumerate(row) if x} for row in d]
         factored[k] = sum(1 for mat in calls if len(mat) == len(d)

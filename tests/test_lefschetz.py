@@ -143,7 +143,7 @@ def test_uv_basic_lefschetz_kt4(kt4_struct):
     assert r0.invertible and r0.matrix == ((1,),)
     r1 = lef.uv_basic_lefschetz(kt4_struct, 1)
     assert r1.invertible
-    assert r1.matrix == tuple(tuple(row) for row in linalg.identity(2))
+    assert r1.matrix == ((1, 0), (0, 1))
 
 
 def test_uv_basic_lefschetz_failure():
@@ -158,10 +158,9 @@ def test_t_map_inverse_property(kt4_struct, h5s1_struct):
         for k in range(struct.n + 1):
             t = lef.t_map(struct, k)
             basic = lef.lefschetz_map_basic(struct, k)
-            dim_k = len(t[0]) if t else 0
-            prod = linalg.matmul([list(r) for r in basic],
-                                 [list(r) for r in t], dim_k)
-            assert prod == linalg.identity(dim_k)
+            prod = linalg.matmul([linalg.sparse(r) for r in basic],
+                                 [linalg.sparse(r) for r in t])
+            assert prod == [{i: 1} for i in range(len(basic))]
 
 
 def test_t_map_degree_zero_value(kt4_struct):
@@ -407,8 +406,7 @@ def test_non_chain_operator_takes_the_relation_path(monkeypatch,
         src = cplx.space(a)
         assert not lef._is_chain_map(src, src, scale)
         matrix = lef._induced_map(src, src, scale, "[2^deg]")
-        assert matrix == [[2 ** a * x for x in row]
-                          for row in linalg.identity(src.dimension)]
+        assert matrix == [{i: 2 ** a} for i in range(src.dimension)]
     assert relations == list(messages) + list(degrees)
 
 
@@ -462,7 +460,7 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
 
     induced_map = lef._induced_map
     chain_slice = lef._chain_slice
-    class_of = CohomologySpace.class_of
+    class_of = CohomologySpace._class_of
 
     def counting_map(src, dst, op, label):
         source_dims.append(src.dimension)
@@ -485,7 +483,7 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
     monkeypatch.setattr(lef, "_chain_slice", counting_slice)
     monkeypatch.setattr(lef, "_induced_relation",
                         lambda *args: relations.append(args))
-    monkeypatch.setattr(CohomologySpace, "class_of", counting_class_of)
+    monkeypatch.setattr(CohomologySpace, "_class_of", counting_class_of)
     assert lef.gysin_sequence_check(struct).ok
     assert relations == []
     assert len(source_dims) == 68
@@ -508,3 +506,106 @@ def test_run_entry_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(lef, "t_map", broken)
     with pytest.raises(TypeError, match="bug in t_map"):
         run_entry(entry)
+
+
+def test_lefschetz_all_computes_each_verdict_once(monkeypatch, capsys):
+    from pathlib import Path
+
+    from hardlef import cli
+    asked, computed = [], []
+    is_graph, verdict = lef.is_graph_of_isomorphism, lef._verdict
+
+    def asking(relation):
+        asked.append(relation)
+        return is_graph(relation)
+
+    def computing(relation):
+        computed.append(relation)
+        return verdict(relation)
+
+    lef._memo.cache_clear()
+    monkeypatch.setattr(lef, "is_graph_of_isomorphism", asking)
+    monkeypatch.setattr(lef, "_verdict", computing)
+    model = Path(__file__).resolve().parent.parent / "models" / "h7s1.model"
+    assert cli.main(["lefschetz", str(model), "--mode", "all"]) == 0
+    capsys.readouterr()
+    # the command, the equivalence report and T_k ask again for a verdict
+    assert len(asked) > len(set(asked))
+    assert len(computed) == len(set(computed)) == len(set(asked))
+
+
+def _scaled(matrix, c, rows=None):
+    """matrix with the listed rows (all by default) times c; rows dense or
+    sparse alike."""
+    out = list(matrix)
+    for i in range(len(out)) if rows is None else rows:
+        row = out[i]
+        out[i] = ({j: c * x for j, x in row.items()} if isinstance(row, dict)
+                  else [c * x for x in row])
+    return out
+
+
+def _gysin_parts(struct):
+    model = struct.model
+    deta = model.d(struct.eta)
+    ops = (lambda f: deta.wedge(f), lambda f: f,
+           lambda f: lef.contract(struct.V, f))
+    return (ops, lef._basic(model, (struct.V,)), lef._full(model),
+            lef._basic(model, (struct.U, struct.V)),
+            lef._basic(model, (struct.U,)))
+
+
+def test_flow_chain_reports_a_perturbed_map(h5s1_struct):
+    # scaling a whole map keeps every kernel and image, so one row of the
+    # inclusion H_B(V)^2 -> H^2 is doubled: eps then [id] stops vanishing
+    ops, v_cplx, full_c, _, _ = _gysin_parts(h5s1_struct)
+    n = h5s1_struct.model.n_gen
+
+    def induced(perturbed):
+        def build(src, dst, op, label):
+            matrix = lef._induced_map(src, dst, op, label)
+            if label == perturbed:
+                matrix = _scaled(matrix, 2, [0])
+            return matrix
+        return build
+
+    chain = (v_cplx, full_c, "H_B(V)", "H")
+    report = lef._flow_chain("anti-Lee", *chain, induced(None), ops, n)
+    assert report.compositions_vanish and report.exact
+    report = lef._flow_chain("anti-Lee", *chain,
+                             induced("[id] H_B(V)(2)->H(2)"), ops, n)
+    assert report.well_defined
+    assert not report.compositions_vanish and not report.exact
+    assert "composition through H_B(V)(2) does not vanish" in report.failures
+
+
+def test_squares_commute_detects_a_negated_map(h5s1_struct):
+    ops, v_cplx, full_c, uv, u_cplx = _gysin_parts(h5s1_struct)
+    model, omega = h5s1_struct.model, h5s1_struct.omega
+    splittings = (lef.splitting_check(model, omega, v_cplx, uv),
+                  lef.splitting_check(model, omega, full_c, u_cplx))
+
+    def induced(negate):
+        def build(src, dst, op, label):
+            matrix = lef._induced_map(src, dst, op, label)
+            # the [i_V] map of the top row, H^k -> H_B(V)^(k-1)
+            if negate and label == "[i_V]" and src.complex is full_c:
+                matrix = _scaled(matrix, -1)
+            return matrix
+        return build
+
+    args = (ops, v_cplx, full_c, uv, u_cplx) + splittings
+    assert lef._squares_commute(induced(False), *args)
+    assert not lef._squares_commute(induced(True), *args)
+
+
+def test_t_map_refuses_a_wrong_basic_map(monkeypatch, kt4_struct):
+    basic = lef.lefschetz_map_basic
+
+    def doubled(struct, k):
+        return tuple(tuple(2 * x for x in row) for row in basic(struct, k))
+
+    monkeypatch.setattr(lef, "lefschetz_map_basic", doubled)
+    with pytest.raises(InternalConsistencyError,
+                       match="T_1 is not inverse to the basic Lefschetz"):
+        lef.t_map(kt4_struct, 1)

@@ -16,6 +16,14 @@ def M(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def S(rows):
+    return [linalg.sparse(row) for row in rows]
+
+
+def eye(n):
+    return [{i: F(1)} for i in range(n)]
+
+
 def test_rref_canonical():
     rows, pivots = linalg.rref(M([[2, 4, 0], [1, 2, 1]]), 3)
     assert pivots == [0, 2]
@@ -37,49 +45,70 @@ def test_rank_and_row_space():
 
 def test_nullspace():
     mat = M([[1, 2, 3]])
-    basis = linalg.left_kernel(linalg.transpose(mat, 3), 1)
+    basis = linalg.left_kernel(M([[1], [2], [3]]), 1)
     assert len(basis) == 2
     for v in basis:
-        assert sum(c * x for c, x in zip(mat[0], v)) == 0
+        assert sum(c * mat[0][j] for j, c in v.items()) == 0
 
 
 def test_left_kernel():
     mat = M([[1, 0], [2, 0], [0, 1]])
     ker = linalg.left_kernel(mat, 2)
-    assert ker == M([[1, Fraction(-1, 2), 0]])
+    assert ker == [{0: F(1), 1: Fraction(-1, 2)}]
+    assert linalg.left_kernel(S(mat), 2) == ker
 
 
 def test_left_kernel_empty_and_degenerate():
     assert linalg.left_kernel([], 3) == []
     full = linalg.left_kernel([[], []], 0)
-    assert full == linalg.identity(2)
+    assert full == eye(2)
 
 
 def test_express_in_rows():
-    rows = M([[1, 0, 1], [0, 1, 1]])
-    assert linalg.express_in_rows(rows, M([[2, 3, 5]])[0], 3) == [F(2), F(3)]
-    assert linalg.express_in_rows(rows, M([[0, 0, 1]])[0], 3) is None
-    assert linalg.express_in_rows([], [F(0)], 1) == []
-    assert linalg.express_in_rows([], [F(1)], 1) is None
+    ech = linalg.Echelon(M([[1, 0, 1], [0, 1, 1]]), 3)
+    assert ech.solve(M([[2, 3, 5]])[0]) == [F(2), F(3)]
+    assert ech.solve(M([[0, 0, 1]])[0]) is None
+    empty = linalg.Echelon([], 1)
+    assert empty.solve([F(0)]) == []
+    assert empty.solve([F(1)]) is None
 
 
 def test_inverse():
     mat = M([[1, 2], [3, 5]])
     inv = linalg.inverse(mat)
-    assert linalg.matmul(mat, inv, 2) == linalg.identity(2)
+    assert inv == M([[-5, 2], [3, -1]])
+    assert linalg.matmul(S(mat), S(inv)) == eye(2)
+    assert linalg.inverse(S(mat)) == S(inv)
     assert linalg.inverse(M([[1, 2], [2, 4]])) is None
+    assert linalg.inverse(S(M([[1, 2], [2, 4]]))) is None
     assert linalg.inverse([]) == []
 
 
+def _schoolbook(a, b, ncols):
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), F(0))
+             for j in range(ncols)] for row in a]
+
+
 def test_matmul_empty_dimensions():
-    assert linalg.matmul([], M([[1]]), 1) == []
-    assert linalg.matmul(M([[]]), [], 3) == [[F(0)] * 3]
-
-
-def test_block_diag_and_negate():
-    out = linalg.block_diag(M([[1]]), M([[2, 3]]), 1, 2)
-    assert out == M([[1, 0, 0], [0, 2, 3]])
-    assert linalg.negate(M([[1, -2]])) == M([[-1, 2]])
+    assert linalg.matmul([], S(M([[1]]))) == []
+    assert linalg.matmul([{}], []) == [{}]
+    assert linalg.matmul([{}, {}], S(M([[1, 2]]))) == [{}, {}]
+    # (1, -1) against two equal rows cancels to the zero row
+    assert linalg.matmul([{0: F(1), 1: F(-1)}],
+                         S(M([[1, 2], [1, 2]]))) == [{}]
+    rng = random.Random(11)
+    values = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+    for _ in range(60):
+        r, n, c = (rng.randint(0, 4) for _ in range(3))
+        a = [[F(rng.choice(values)) for _ in range(n)] for _ in range(r)]
+        b = [[F(rng.choice(values)) for _ in range(c)] for _ in range(n)]
+        if n >= 2 and r:
+            # a row of a that cancels against two equal rows of b
+            b[1] = list(b[0])
+            a[0] = [F(1), F(-1)] + [F(0)] * (n - 2)
+        prod = linalg.matmul(S(a), S(b))
+        assert [linalg.dense(row, c) for row in prod] == _schoolbook(a, b, c)
+        assert all(x for row in prod for x in row.values())
 
 
 def test_echelon_residual():
@@ -98,8 +127,9 @@ def test_random_inverse_roundtrip():
         if inv is None:
             assert linalg.rank(mat, n) < n
         else:
-            assert linalg.matmul(mat, inv, n) == linalg.identity(n)
-            assert linalg.matmul(inv, mat, n) == linalg.identity(n)
+            assert linalg.matmul(S(mat), S(inv)) == eye(n)
+            assert linalg.matmul(S(inv), S(mat)) == eye(n)
+            assert linalg.inverse(S(mat)) == S(inv)
 
 
 _entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4),
@@ -133,18 +163,22 @@ def test_echelon_factorization(data):
     mat, ncols, coeffs = data
     m = len(mat)
     ech = linalg.Echelon(mat, ncols)
-    assert ech.rows == linalg.row_space(mat, ncols)
-    assert linalg.matmul(ech.combos, mat, ncols) == ech.rows
-    assert linalg.is_zero_matrix(linalg.matmul(ech.kernel, mat, ncols))
-    assert ech.kernel == linalg.row_space(ech.kernel, m)
-    assert len(ech.pivots) + len(ech.kernel) == m
-    inside = linalg.matmul([coeffs], mat, ncols)[0] if m else [F(0)] * ncols
+    smat = S(mat)
+    rows, pivots = oracle.rref(mat, ncols)
+    assert (ech.sparse_rows, ech.pivots) == (S(rows), pivots)
+    assert linalg.matmul(ech.sparse_combos, smat) == ech.sparse_rows
+    assert ech.sparse_kernel == S(oracle.kernel_rows(mat, ncols))
+    assert not any(linalg.matmul(ech.sparse_kernel, smat))
+    assert len(ech.pivots) + len(ech.sparse_kernel) == m
+    inside = linalg.dense(
+        linalg.matmul([linalg.sparse(coeffs)], smat)[0], ncols)
     for target in (inside, [F(0)] * ncols, [F(1)] * ncols):
         sol = ech.solve(target)
         in_span = linalg.rank(mat + [target], ncols) == len(ech.pivots)
         assert (sol is not None) == in_span
         if sol is not None:
-            assert linalg.matmul([sol], mat, ncols)[0] == target
+            assert linalg.dense(linalg.matmul([linalg.sparse(sol)], smat)[0],
+                                ncols) == target
             assert not any(ech.residual(target))
     assert ech.solve(inside) is not None
     k = min(m, ncols)
@@ -152,7 +186,7 @@ def test_echelon_factorization(data):
     inv = linalg.inverse(square)
     assert (inv is None) == (linalg.rank(square, k) < k)
     if inv is not None:
-        assert linalg.matmul(inv, square, k) == linalg.identity(k)
+        assert linalg.matmul(S(inv), S(square)) == eye(k)
 
 
 _rationals = st.one_of(
@@ -188,10 +222,10 @@ def _mixed_matrices(draw):
 
 def _dense_residual(ech, vec):
     v = [F(x) for x in vec]
-    for row, p in zip(ech.rows, ech.pivots):
+    for row, p in zip(ech.sparse_rows, ech.pivots):
         c = v[p]
         if c:
-            v = [a - c * b for a, b in zip(v, row)]
+            v = [a - c * b for a, b in zip(v, linalg.dense(row, len(v)))]
     return v
 
 
@@ -216,8 +250,8 @@ def test_sparse_kernel_matches_oracle(data):
         res = _dense_residual(ech, vec)
         assert ech.residual(vec) == res
         expected = None if any(res) else [
-            sum((F(vec[p]) * combo[j] for combo, p in
-                 zip(ech.combos, ech.pivots)), F(0))
+            sum((F(vec[p]) * combo.get(j, 0) for combo, p in
+                 zip(ech.sparse_combos, ech.pivots)), F(0))
             for j in range(len(mat))]
         assert ech.solve(vec) == expected
     assert ech.solve(vecs[0]) is not None
@@ -236,12 +270,13 @@ def test_sparse_kernel_matches_oracle(data):
     assert all(out is not row for out in srows for row in smat)
     assert linalg.rref(smat, ncols)[1] == part_pivots
     sech = linalg.Echelon(smat, width)
-    assert (sech.rows, sech.pivots, sech.combos, sech.kernel) == \
-        (ech.rows, ech.pivots, ech.combos, ech.kernel)
-    assert sech.sparse_rows == [linalg.sparse(r) for r in ech.rows]
-    assert sech.sparse_combos == [linalg.sparse(r) for r in ech.combos]
-    assert sech.sparse_kernel == [linalg.sparse(r) for r in ech.kernel]
+    assert (sech.sparse_rows, sech.pivots, sech.sparse_combos,
+            sech.sparse_kernel) == (ech.sparse_rows, ech.pivots,
+                                    ech.sparse_combos, ech.sparse_kernel)
+    assert ech.sparse_rows == [linalg.sparse(r) for r in rows]
+    assert ech.sparse_kernel == S(oracle.kernel_rows(mat, width))
     assert linalg.left_kernel(smat, width) == sech.sparse_kernel
+    assert linalg.left_kernel(mat, width) == sech.sparse_kernel
     for vec, svec in zip(vecs, svecs):
         assert sech.residual(svec) == linalg.sparse(ech.residual(vec))
         sol = ech.solve(vec)
@@ -263,7 +298,9 @@ def test_inputs_are_not_mutated_or_aliased():
     ech.solve(vec)
     assert ([list(row) for row in mat], list(vec)) == before
     assert [type(x) for x in mat[0]] == [int, int, Fraction]
-    for out in rows + ech.rows + ech.combos + ech.kernel:
+    for out in ech.sparse_rows + ech.sparse_combos + ech.sparse_kernel:
+        assert all(out is not row for row in mat)
+    for out in rows:
         assert all(out is not row for row in mat)
         out[:] = [F(7)] * len(out)
     assert ([list(row) for row in mat], list(vec)) == before
