@@ -117,9 +117,7 @@ def cmd_cohomology(args) -> int:
         results["basic_fields"] = [str(v) for v in fields]
         results["basic_betti"] = basic
         if args.basic.strip() == "U":
-            results["b_equals_c_sum"] = all(
-                betti[k] == basic[k] + (basic[k - 1] if k else 0)
-                for k in range(model.n_gen + 1))
+            results["b_equals_c_sum"] = _lef._sum_identity(betti, basic)
     _emit(report.document("cohomology", results, model,
                           doc.generator_names), args.json)
     return 0
@@ -196,7 +194,9 @@ def cmd_lefschetz(args) -> int:
             "contact hard Lefschetz", _lef.contact_lefschetz_relation,
             contact, degrees)
     else:
-        raise ValidationError("the file declares neither omega/eta nor eta; "
+        declared = ("omega but no eta" if doc.omega is not None
+                    else "neither omega/eta nor eta")
+        raise ValidationError(f"the file declares {declared}; "
                               "nothing to check")
     _emit(report.document("lefschetz", results, doc.model,
                           doc.generator_names), args.json)

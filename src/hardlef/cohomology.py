@@ -19,12 +19,12 @@ its matrix as dense tuples.  Each slice and each space holds one
 linalg.Echelon, so coords and _class_of are one reduction against a
 stored factorization, and each differential is factored once, lazily:
 its kernel is the cycles of degree k and its rows the image in degree
-k+1.
+k+1.  A Subcomplex keeps only these; what other layers derive from it
+(relations, chain-map certificates, class maps) they keep themselves.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -70,11 +70,6 @@ class Subcomplex:
             self._diff.append(mat)
         self._diff_echelons: dict[int, linalg.Echelon] = {}
         self._spaces: dict[int, CohomologySpace] = {}
-        # operator -> {(target complex, k, j): verdict}: the chain-map
-        # certificates of lefschetz._is_chain_map for the degree-k slice,
-        # held weakly in the operator, which is a closure made per check
-        self._chain_slices: weakref.WeakKeyDictionary = \
-            weakref.WeakKeyDictionary()
 
     # ----- degree slices --------------------------------------------------
 
@@ -223,31 +218,22 @@ def _combine(basis: Sequence[Form], coords, n_gen: int, degree: int) -> Form:
     return Form._make(n_gen, max(degree, 0), out)
 
 
-def _block(form: Form) -> tuple[dict[int, Fraction], int]:
-    """Sparse coordinates of a form and the width of its monomial basis."""
-    return sparse_coords(form), len(degree_masks(form.n_gen, form.degree))
-
-
-def _side_by_side(blocks) -> tuple[dict[int, Fraction], int]:
-    """(vector, width) blocks laid out as one sparse row, columns offset
-    by the widths before them; returns the row and its width."""
-    row: dict[int, Fraction] = {}
-    width = 0
-    for vec, w in blocks:
-        row.update((width + j, x) for j, x in vec.items())
-        width += w
-    return row, width
-
-
 def _joint_kernel(basis: Sequence[Form], operators, n_gen: int,
                   degree: int) -> list[Form]:
     """Canonical basis of the forms in span(basis) that every operator
-    sends to zero."""
+    sends to zero.  Row i lays the images of basis[i] side by side, each
+    in the monomial basis of its degree, columns offset by the widths
+    before them."""
     if not basis:
         return []
     rows = []
     for f in basis:
-        row, width = _side_by_side(_block(op(f)) for op in operators)
+        row: dict[int, Fraction] = {}
+        width = 0
+        for op in operators:
+            g = op(f)
+            row.update((width + j, x) for j, x in sparse_coords(g).items())
+            width += len(degree_masks(g.n_gen, g.degree))
         rows.append(row)
     kernel = linalg.left_kernel(rows, width)
     return [_combine(basis, coords, n_gen, degree) for coords in kernel]

@@ -15,28 +15,31 @@ Everything is decided by exact rank computations; powers of L that exceed
 the top degree are the zero map.
 
 The flow sequences compare cohomologies through maps induced by operators
-on forms: cup with d(eta), inclusion and i_V.  When such an operator is
-certified a chain map on the source slices of degrees a-1 and a (it lands
-in the target slices and d op = +-op d on their basis forms), [x] ->
-[op x] is well defined and its matrix is the classes of op applied to the
-source representatives.  Each slice verdict is computed once per target
-complex and operator and kept by the source complex.  An operator that is
+on forms: cup with d(eta), inclusion and i_V, made once per structure.
+When such an operator is certified a chain map on the source slices of
+degrees a-1 and a (it lands in the target slices and d op = +-op d on
+their basis forms), [x] -> [op x] is well defined and its matrix is the
+classes of op applied to the source representatives.  An operator that is
 not certified falls back to the relation of class pairs ([x], [op x]),
 which decides whether the map is defined on every class and single valued
 and reports it when it is not.
+
+One memo per model keeps everything this layer computes: complexes,
+relations with their verdicts, reports, the flow operators, chain-slice
+certificates and induced class maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import linalg
-from .cohomology import (CohomologySpace, Subcomplex, _block, _combine,
-                         _joint_kernel, _side_by_side, basic_complex,
-                         betti_numbers, full_complex, splitting_check)
+from .cohomology import (CohomologySpace, Subcomplex, _combine,
+                         _joint_kernel, basic_complex, betti_numbers,
+                         full_complex, splitting_check)
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
                      NotProjectableError, PreconditionError)
 from .exterior import (Form, contract, degree_masks, sparse_coords,
@@ -44,23 +47,25 @@ from .exterior import (Form, contract, degree_masks, sparse_coords,
 from .structures import ContactStructure, LcsStructure, quotient_contact
 
 
-@dataclass
-class _ModelMemo:
-    """What one model has computed: complexes keyed by field tuple,
-    Lefschetz relations keyed by (picture, structure, degree), their
-    verdicts keyed by relation and reports keyed by (kind, structure)."""
-
-    complexes: dict = field(default_factory=dict)
-    relations: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    reports: dict = field(default_factory=dict)
-
-
 @lru_cache(maxsize=128)
-def _memo(model) -> _ModelMemo:
-    # keyed by model equality: quotient_contact builds a fresh but equal
-    # model on every call
-    return _ModelMemo()
+def _memo(model) -> dict:
+    """What the layer has computed for one model, under keys tagged by
+    kind: ("complex", fields); (picture, structure, k) for a relation;
+    ("verdict", id(relation)); ("parity" or "equivalence", structure);
+    ("flow operators", structure); ("chain slice", source complex, target
+    complex, operator, k, j); ("class map", source space, target space,
+    operator).  Keyed by model equality: quotient_contact builds a fresh
+    but equal model on every call."""
+    return {}
+
+
+def _cached(model, key, build):
+    """The memo entry of key for the model, built on first request; a
+    build that raises stores nothing, so its error reaches every caller."""
+    memo = _memo(model)
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def _full(model) -> Subcomplex:
@@ -68,20 +73,9 @@ def _full(model) -> Subcomplex:
 
 
 def _basic(model, fields) -> Subcomplex:
-    complexes = _memo(model).complexes
-    if fields not in complexes:
-        complexes[fields] = (basic_complex(model, fields) if fields
-                             else full_complex(model))
-    return complexes[fields]
-
-
-def _report(kind: str, struct, build):
-    """build(struct), computed once per structure."""
-    reports = _memo(struct.model).reports
-    key = (kind, struct)
-    if key not in reports:
-        reports[key] = build(struct)
-    return reports[key]
+    return _cached(model, ("complex", fields),
+                   lambda: (basic_complex(model, fields) if fields
+                            else full_complex(model)))
 
 
 def _check_k(k: int, n: int) -> None:
@@ -151,11 +145,11 @@ def _graph(relation: CohomologyRelation):
 
 def is_graph_of_isomorphism(relation: CohomologyRelation) -> LefschetzVerdict:
     """Decide totality, functionality and invertibility by exact ranks,
-    once per relation of a model."""
-    verdicts = _memo(relation.source.complex.model).verdicts
-    if relation not in verdicts:
-        verdicts[relation] = _verdict(relation)
-    return verdicts[relation]
+    once per relation.  The memo keeps the verdict with its relation under
+    the relation's id, which stays its own while the entry holds it, so a
+    lookup never hashes the span."""
+    return _cached(relation.source.complex.model, ("verdict", id(relation)),
+                   lambda: (relation, _verdict(relation)))[1]
 
 
 def _verdict(relation: CohomologyRelation) -> LefschetzVerdict:
@@ -172,36 +166,24 @@ def _verdict(relation: CohomologyRelation) -> LefschetzVerdict:
                             injective, surjective, matrix)
 
 
-def _admissible_forms(cplx: Subcomplex, degree: int,
-                      operators: Sequence[Callable[[Form], Form]]) -> list[Form]:
-    """Canonical basis of the joint kernel of the operators on a slice."""
-    return _joint_kernel(cplx.basis(degree), operators, cplx.model.n_gen,
-                         degree)
-
-
-def _relation(key, cplx: Subcomplex, target_degree: int,
-              operators: Sequence[Callable[[Form], Form]],
-              target: Callable[[Form], Form],
-              label: str) -> CohomologyRelation:
-    """The relation of key = (picture, structure, k), built once per model:
-    the class pairs ([x], [target(x)]) over the admissible k-forms x, the
-    joint kernel of the operators on the slice."""
-    relations = _memo(cplx.model).relations
-    if key in relations:
-        return relations[key]
-    k = key[2]
+def _relation(src: CohomologySpace, dst: CohomologySpace,
+              conditions: Sequence[Callable[[Form], Form]],
+              op: Callable[[Form], Form], label: str) -> CohomologyRelation:
+    """The class pairs ([x], [op x]) over the x of the source slice that
+    every condition sends to zero, their joint kernel; op x must be closed.
+    A Lefschetz relation takes the admissible forms and its target map; an
+    induced map takes the forms op behaves on (_relation_map)."""
+    cplx = src.complex
     d = cplx.model.d
-    src = cplx.space(k)
-    dst = cplx.space(target_degree)
     pairs = []
-    for x in _admissible_forms(cplx, k, operators):
-        y = target(x)
+    for x in _joint_kernel(cplx.basis(src.degree), conditions,
+                           cplx.model.n_gen, src.degree):
+        y = op(x)
         if not d(y).is_zero():
             raise InternalConsistencyError(
-                f"{label} in degree {k} is not closed")
+                f"{label} in degree {src.degree} is not closed")
         pairs.append((src.class_of(x), dst.class_of(y)))
-    relations[key] = CohomologyRelation.from_pairs(src, dst, pairs)
-    return relations[key]
+    return CohomologyRelation.from_pairs(src, dst, pairs)
 
 
 def de_rham_lefschetz_relation(struct: LcsStructure,
@@ -227,8 +209,10 @@ def de_rham_lefschetz_relation(struct: LcsStructure,
             liu = Form.zero(model.n_gen, 1)
         return struct.eta.wedge(l_low.wedge(liu - struct.omega.wedge(gamma)))
 
-    return _relation(("de_rham", struct, k), _full(model), 2 * n + 2 - k,
-                     ops, target, "relation target")
+    cplx = _full(model)
+    return _cached(model, ("de_rham", struct, k), lambda: _relation(
+        cplx.space(k), cplx.space(2 * n + 2 - k), ops, target,
+        "relation target"))
 
 
 def basic_lefschetz_relation(struct: LcsStructure,
@@ -243,10 +227,11 @@ def basic_lefschetz_relation(struct: LcsStructure,
     ops = (model.d,
            lambda f: contract(struct.V, f),
            lambda f: l_mid.wedge(f))
-    return _relation(("basic", struct, k), _basic(model, (struct.U,)),
-                     2 * n + 1 - k, ops,
-                     lambda beta: struct.eta.wedge(l_low.wedge(beta)),
-                     "basic relation target")
+    cplx = _basic(model, (struct.U,))
+    return _cached(model, ("basic", struct, k), lambda: _relation(
+        cplx.space(k), cplx.space(2 * n + 1 - k), ops,
+        lambda beta: struct.eta.wedge(l_low.wedge(beta)),
+        "basic relation target"))
 
 
 def contact_lefschetz_relation(contact: ContactStructure,
@@ -261,9 +246,11 @@ def contact_lefschetz_relation(contact: ContactStructure,
     ops = (model.d,
            lambda f: contract(contact.xi, f),
            lambda f: l_mid.wedge(f))
-    return _relation(("contact", contact, k), _full(model), 2 * n + 1 - k,
-                     ops, lambda beta: contact.eta.wedge(l_low.wedge(beta)),
-                     "contact relation target")
+    cplx = _full(model)
+    return _cached(model, ("contact", contact, k), lambda: _relation(
+        cplx.space(k), cplx.space(2 * n + 1 - k), ops,
+        lambda beta: contact.eta.wedge(l_low.wedge(beta)),
+        "contact relation target"))
 
 
 def _isomorphism(relation: CohomologyRelation, k: int):
@@ -315,41 +302,14 @@ def uv_basic_lefschetz(struct: LcsStructure, k: int) -> TransversalLefschetz:
                                 src.dimension, dst.dimension, invertible)
 
 
-def _induced_relation(src_space: CohomologySpace, dst_space: CohomologySpace,
-                      op: Callable[[Form], Form]) -> CohomologyRelation:
-    """Class pairs ([x], [op x]) over every x the operator behaves on.
-
-    x ranges over closed slice elements whose image lands in the target
-    slice and is closed there.
-    """
-    cplx = src_space.complex
-    dst_cplx = dst_space.complex
-    a = src_space.degree
-    b = dst_space.degree
-    model = cplx.model
-    n = model.n_gen
-    basis = cplx.basis(a)
-    if not basis:
-        return CohomologyRelation.from_pairs(src_space, dst_space, [])
-    in_range = 0 <= b <= n
-    rows = []
-    for f in basis:
-        g = op(f)
-        if in_range:
-            blocks = (_block(model.d(f)),
-                      (dst_cplx.slice(b).residual(sparse_coords(g)),
-                       len(degree_masks(n, b))),
-                      _block(model.d(g)))
-        else:
-            blocks = (_block(model.d(f)), _block(g))
-        row, width = _side_by_side(blocks)
-        rows.append(row)
-    kernel = linalg.left_kernel(rows, width)
-    pairs = []
-    for coords in kernel:
-        x = _combine(basis, coords, model.n_gen, a)
-        pairs.append((src_space.class_of(x), dst_space.class_of(op(x))))
-    return CohomologyRelation.from_pairs(src_space, dst_space, pairs)
+def _flow_ops(struct: LcsStructure) -> tuple:
+    """(cup with d eta, inclusion, i_V), made once per structure, so that
+    the flow sequences and T_k share their class maps."""
+    def build():
+        deta = struct.model.d(struct.eta)
+        return (lambda f: deta.wedge(f), lambda f: f,
+                lambda f: contract(struct.V, f))
+    return _cached(struct.model, ("flow operators", struct), build)
 
 
 def _chain_slice(src: Subcomplex, dst: Subcomplex,
@@ -372,36 +332,55 @@ def _is_chain_map(src_space: CohomologySpace, dst_space: CohomologySpace,
     """Whether op is certified a chain map on the source slices of degrees
     a-1 and a, which makes [x] -> [op x] defined on every class (closed
     forms go to closed forms) and single valued (exact to exact).  Each
-    slice verdict is computed once and kept by the source complex."""
+    slice verdict is computed once per model."""
     src, dst = src_space.complex, dst_space.complex
-    shift = dst_space.degree - src_space.degree
-    verdicts = src._chain_slices.setdefault(op, {})
-    for k in (src_space.degree - 1, src_space.degree):
-        key = (dst, k, k + shift)
-        if key not in verdicts:
-            verdicts[key] = _chain_slice(src, dst, op, k, k + shift)
-        if not verdicts[key]:
-            return False
-    return True
+    a = src_space.degree
+    shift = dst_space.degree - a
+    return all(_cached(src.model, ("chain slice", src, dst, op, k, k + shift),
+                       lambda k=k: _chain_slice(src, dst, op, k, k + shift))
+               for k in (a - 1, a))
 
 
 def _induced_map(src_space: CohomologySpace, dst_space: CohomologySpace,
                  op: Callable[[Form], Form], label: str) -> linalg.Matrix:
     """Sparse matrix of the class map induced by op, or an error if ill
-    defined.
+    defined; built once per (source, target, operator) of a model, and
+    shared, so callers never change it in place."""
+    return _cached(src_space.complex.model,
+                   ("class map", src_space, dst_space, op),
+                   lambda: _class_map(src_space, dst_space, op, label))
 
-    When op is certified a chain map (_is_chain_map), row i is the class
-    of op applied to the i-th source representative.  Otherwise the map
-    is read off the relation of class pairs ([x], [op x]) over every x op
-    behaves on, which decides whether it is defined on every class and
-    single valued and raises if not; on a chain map that relation is the
-    graph of the same matrix.
-    """
+
+def _class_map(src_space: CohomologySpace, dst_space: CohomologySpace,
+               op: Callable[[Form], Form], label: str) -> linalg.Matrix:
+    """When op is certified a chain map (_is_chain_map), row i is the class
+    of op applied to the i-th source representative; otherwise the map is
+    read off its relation of class pairs (_relation_map)."""
     if _is_chain_map(src_space, dst_space, op):
         return [dst_space._class_of(op(rep))
                 for rep in src_space.representatives]
+    return _relation_map(src_space, dst_space, op, label)
+
+
+def _relation_map(src_space: CohomologySpace, dst_space: CohomologySpace,
+                  op: Callable[[Form], Form], label: str) -> linalg.Matrix:
+    """The map read off the class pairs ([x], [op x]) over every x op
+    behaves on: closed slice elements whose image is closed and lies in
+    the target slice.  The relation decides whether the map is defined on
+    every class and single valued, and this raises if not; on a chain map
+    it is the graph of the same matrix as the representatives give."""
+    model = src_space.complex.model
+    n, b = model.n_gen, dst_space.degree
+    conditions = [model.d, lambda f: model.d(op(f))]
+    if 0 <= b <= n:
+        # the part of op f off the target slice, as a b-form
+        masks = degree_masks(n, b)
+        residual = dst_space.complex.slice(b).residual
+        conditions.append(lambda f: Form._make(n, b, {
+            masks[j]: c
+            for j, c in residual(sparse_coords(op(f))).items()}))
     total, functional, matrix = _graph(
-        _induced_relation(src_space, dst_space, op))
+        _relation(src_space, dst_space, conditions, op, label))
     if not total:
         raise InternalConsistencyError(
             f"{label} is not defined on every class in the invariant model")
@@ -428,9 +407,9 @@ def t_map(struct: LcsStructure, k: int) -> tuple[tuple[Fraction, ...], ...]:
     mid = uv.space(2 * n - k)
     low = uv.space(k)
     dst = u_cplx.space(k)
-    iv = _induced_map(src, mid, lambda f: contract(struct.V, f),
-                      "[i_V] on Lee-basic classes")
-    inc = _induced_map(low, dst, lambda f: f, "[id] on (U,V)-basic classes")
+    _, inc_op, iv_op = _flow_ops(struct)
+    iv = _induced_map(src, mid, iv_op, "[i_V] on Lee-basic classes")
+    inc = _induced_map(low, dst, inc_op, "[id] on (U,V)-basic classes")
     l_inv = linalg.inverse([linalg.sparse(r) for r in lef_uv.matrix])
     t = linalg.matmul(linalg.matmul(iv, l_inv), inc)
     try:
@@ -504,7 +483,7 @@ class GysinReport:
 
 
 def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
-                b_name: str, a_name: str, induced, ops,
+                b_name: str, a_name: str, ops,
                 top_k: int) -> FlowChainReport:
     eps_op, inc_op, iv_op = ops
     spaces = [b_cplx.space(-2)]
@@ -515,7 +494,7 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
     def append(space, name, op, desc):
         src = spaces[-1]
         try:
-            maps.append(induced(src, space, op, desc))
+            maps.append(_induced_map(src, space, op, desc))
         except InternalConsistencyError as exc:
             maps.append(None)
             failures.append(str(exc))
@@ -564,7 +543,7 @@ def _splitting_matrix(report, outer: Subcomplex, k: int) -> linalg.Matrix:
                               + outer.space(k - 1).dimension)]
 
 
-def _squares_commute(induced, ops, v_cplx: Subcomplex, full_c: Subcomplex,
+def _squares_commute(ops, v_cplx: Subcomplex, full_c: Subcomplex,
                      uv: Subcomplex, u_cplx: Subcomplex, splitting_v,
                      splitting_full) -> bool:
     """Each map of the top row, composed after the splitting of its source,
@@ -594,11 +573,12 @@ def _squares_commute(induced, ops, v_cplx: Subcomplex, full_c: Subcomplex,
             j = k + shift
             lhs = linalg.matmul(
                 split(a, k),
-                induced(inner_a.space(k), inner_b.space(j), op, label))
+                _induced_map(inner_a.space(k), inner_b.space(j), op, label))
             offset = outer_b.space(j).dimension
-            low = induced(outer_a.space(k - 1), outer_b.space(j - 1), op,
-                          label)
-            block = induced(outer_a.space(k), outer_b.space(j), op, label) + \
+            low = _induced_map(outer_a.space(k - 1), outer_b.space(j - 1),
+                               op, label)
+            block = _induced_map(outer_a.space(k), outer_b.space(j), op,
+                                 label) + \
                 [{offset + i: sign * x for i, x in row.items()} for row in low]
             if lhs != linalg.matmul(block, split(b, j)):
                 return False
@@ -617,37 +597,16 @@ def gysin_sequence_check(struct: LcsStructure) -> GysinReport:
     u_cplx = _basic(model, (struct.U,))
     uv = _basic(model, (struct.U, struct.V))
     full_c = _full(model)
-    deta = model.d(struct.eta)
-
-    def eps_op(f):
-        return deta.wedge(f)
-
-    def inc_op(f):
-        return f
-
-    def iv_op(f):
-        return contract(struct.V, f)
-
-    ops = (eps_op, inc_op, iv_op)
-    maps: dict = {}
-
-    def induced(src, dst, op, label):
-        # each class map once per check; a map that fails is not stored, so
-        # its error reaches every chain that asks for it
-        key = (src, dst, op)
-        if key not in maps:
-            maps[key] = _induced_map(src, dst, op, label)
-        return maps[key]
-
+    ops = _flow_ops(struct)
     top = _flow_chain("anti-Lee flow sequence", v_cplx, full_c,
-                      "H_B(V)", "H", induced, ops, model.n_gen)
+                      "H_B(V)", "H", ops, model.n_gen)
     bottom = _flow_chain("transversal flow sequence", uv, u_cplx,
-                         "H_B(U,V)", "H_B(U)", induced, ops, model.n_gen)
+                         "H_B(U,V)", "H_B(U)", ops, model.n_gen)
     splitting_v = splitting_check(model, struct.omega, v_cplx, uv)
     splitting_full = splitting_check(model, struct.omega, full_c, u_cplx)
     squares = None
     if top.well_defined and bottom.well_defined:
-        squares = _squares_commute(induced, ops, v_cplx, full_c, uv, u_cplx,
+        squares = _squares_commute(ops, v_cplx, full_c, uv, u_cplx,
                                    splitting_v, splitting_full)
     return GysinReport(top, bottom, splitting_v, splitting_full, squares)
 
@@ -730,7 +689,8 @@ class BettiParityReport:
 
 def betti_parity_check(struct: LcsStructure) -> BettiParityReport:
     """Evenness of b_k - b_(k-1) for odd k <= n, and b_k = c_k + c_(k-1)."""
-    return _report("parity", struct, _betti_parity)
+    return _cached(struct.model, ("parity", struct),
+                   lambda: _betti_parity(struct))
 
 
 def _betti_parity(struct: LcsStructure) -> BettiParityReport:
@@ -741,10 +701,14 @@ def _betti_parity(struct: LcsStructure) -> BettiParityReport:
     for k in range(1, struct.n + 1, 2):
         if (betti[k] - betti[k - 1]) % 2:
             failures.append(k)
-    sum_ok = all(betti[k] == basic[k] + (basic[k - 1] if k else 0)
-                 for k in range(model.n_gen + 1))
     return BettiParityReport(betti, basic, not failures, tuple(failures),
-                             sum_ok)
+                             _sum_identity(betti, basic))
+
+
+def _sum_identity(betti, basic) -> bool:
+    """b_k = c_k + c_(k-1) in every degree, with c_(-1) = 0."""
+    return all(b == c + (basic[k - 1] if k else 0)
+               for k, (b, c) in enumerate(zip(betti, basic)))
 
 
 @dataclass(frozen=True)
@@ -786,7 +750,8 @@ class LefschetzEquivalenceReport:
 
 def lefschetz_equivalence_report(struct: LcsStructure) -> LefschetzEquivalenceReport:
     """Evaluate all three verdict vectors and compare their aggregates."""
-    return _report("equivalence", struct, _equivalence)
+    return _cached(struct.model, ("equivalence", struct),
+                   lambda: _equivalence(struct))
 
 
 def _equivalence(struct: LcsStructure) -> LefschetzEquivalenceReport:

@@ -41,6 +41,8 @@ class StructureModel:
             diffs.append(f)
         self.n_gen = n
         self.d1 = tuple(diffs)
+        # hashed on every memo lookup of the Lefschetz layer
+        self._hash = hash((n, self.d1))
         self.name = name
         self._d_cache: dict[int, Form] = {}
         self._nilpotent: bool | None = None
@@ -221,7 +223,7 @@ class StructureModel:
         return self.n_gen == other.n_gen and self.d1 == other.d1
 
     def __hash__(self):
-        return hash((self.n_gen, self.d1))
+        return self._hash
 
     def __repr__(self):
         label = self.name or self.structure_string() or f"dim {self.n_gen}"

@@ -54,8 +54,8 @@ def rng():
 
 
 def _lcs_corpus():
-    """id -> (model, omega, eta) of every l.c.s. file in models/ and of the
-    catalog entries kt4, h5s1, nil5a_s1 and nil5b_s1."""
+    """id -> (model, omega, eta) of every l.c.s. file in models/, of the
+    catalog entries kt4, h5s1, nil5a_s1 and nil5b_s1, and of su(2) x R."""
     corpus = {}
     for path in sorted(MODELS_DIR.glob("*.model")):
         doc = modelfile.load_path(path)
@@ -65,6 +65,11 @@ def _lcs_corpus():
         if entry.name in ("kt4", "h5s1", "nil5a_s1", "nil5b_s1"):
             corpus[f"catalog:{entry.name}"] = (entry.model, entry.omega,
                                                entry.eta)
+    # the invariant model of the Hopf surface S^3 x S^1, the paper's basic
+    # compact Vaisman example; its anti-Lee field E3 is not central, so
+    # some of its Gysin maps are not certified chain maps
+    corpus["su2_s1"] = (StructureModel.from_salamon("(23,-13,12,0)"),
+                        Form.generator(4, 4), Form.generator(4, 3))
     return corpus
 
 

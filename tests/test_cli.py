@@ -52,6 +52,15 @@ def test_validation_failure_exit(tmp_path, capsys):
     assert "RankDefect" in capsys.readouterr().err
 
 
+def test_lefschetz_names_the_missing_eta(tmp_path, capsys):
+    path = tmp_path / "omega.model"
+    path.write_text("dim 4\nd e3 = e1^e2\nomega = e4\n")
+    assert cli.main(["lefschetz", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "validation failure: ValidationError: the file declares omega but "
+        "no eta; nothing to check\n")
+
+
 def test_usage_error_exit(capsys):
     assert cli.main(["lefschetz", "--bogus"]) == 1
 

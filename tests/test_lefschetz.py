@@ -110,7 +110,7 @@ def test_relation_spans_are_representative_independent(kt4_struct):
            lambda f: lef.contract(kt4_struct.V, f),
            lambda f: lef.wedge_power(deta, 2).wedge(f),
            lambda f: lef.wedge_power(deta, 1).wedge(kt4_struct.omega.wedge(f)))
-    basis = lef._admissible_forms(cplx, 1, ops)
+    basis = lef._joint_kernel(cplx.basis(1), ops, model.n_gen, 1)
     # a different (still admissible) spanning set of the same subspace
     shuffled = [basis[0] + basis[1], basis[1], basis[2] + 2 * basis[0]]
     pairs = []
@@ -270,21 +270,27 @@ def test_lefschetz_all_builds_each_relation_once(monkeypatch, capsys):
     from pathlib import Path
 
     from hardlef import cli
-    builds = []
-    admissible = lef._admissible_forms
+    builds, verdicts = [], []
+    relation, verdict = lef._relation, lef._verdict
 
-    def counting(cplx, degree, ops):
-        builds.append((cplx, degree))
-        return admissible(cplx, degree, ops)
+    def building(src, dst, conditions, op, label):
+        builds.append((src, dst))
+        return relation(src, dst, conditions, op, label)
+
+    def deciding(rel):
+        verdicts.append(id(rel))
+        return verdict(rel)
 
     lef._memo.cache_clear()
-    monkeypatch.setattr(lef, "_admissible_forms", counting)
+    monkeypatch.setattr(lef, "_relation", building)
+    monkeypatch.setattr(lef, "_verdict", deciding)
     model = Path(__file__).resolve().parent.parent / "models" / "h5s1.model"
     assert cli.main(["lefschetz", str(model), "--mode", "all"]) == 0
     capsys.readouterr()
     # de Rham, Lee-basic and contact pictures in degrees 0, 1 and 2
     assert len(builds) == 9
     assert len(set(builds)) == 9
+    assert len(verdicts) == len(set(verdicts)) == 9
 
 
 def test_lefschetz_all_builds_each_report_once(monkeypatch, capsys):
@@ -307,17 +313,40 @@ def test_lefschetz_all_builds_each_report_once(monkeypatch, capsys):
 
 
 def test_gysin_computes_each_induced_map_once(monkeypatch, h5s1_struct):
-    calls = []
-    induced_map = lef._induced_map
+    asked, built = [], []
+    induced_map, class_map = lef._induced_map, lef._class_map
 
-    def counting(src, dst, op, label):
-        calls.append((src, dst, op))
+    def asking(src, dst, op, label):
+        asked.append((src, dst, op))
         return induced_map(src, dst, op, label)
 
-    monkeypatch.setattr(lef, "_induced_map", counting)
+    def building(src, dst, op, label):
+        built.append((src, dst, op))
+        return class_map(src, dst, op, label)
+
+    lef._memo.cache_clear()
+    monkeypatch.setattr(lef, "_induced_map", asking)
+    monkeypatch.setattr(lef, "_class_map", building)
     assert lef.gysin_sequence_check(h5s1_struct).ok
-    assert len(calls) == 56
-    assert len(set(calls)) == 56
+    # the squares ask again for maps of the two rows
+    assert len(asked) > len(set(asked)) == 56
+    assert len(built) == len(set(built)) == 56
+
+
+def test_t_map_reuses_the_gysin_maps(monkeypatch, h5s1_struct):
+    built = []
+    class_map = lef._class_map
+
+    def building(src, dst, op, label):
+        built.append(label)
+        return class_map(src, dst, op, label)
+
+    lef._memo.cache_clear()
+    lef.gysin_sequence_check(h5s1_struct)
+    monkeypatch.setattr(lef, "_class_map", building)
+    for k in range(h5s1_struct.n + 1):
+        lef.t_map(h5s1_struct, k)
+    assert built == []
 
 
 def test_graph_factors_the_first_projection_once(monkeypatch, kt4_struct):
@@ -345,15 +374,18 @@ def test_induced_maps_agree_with_relation_path(monkeypatch, lcs_struct):
 
     def both(src, dst, op, label):
         chain = lef._is_chain_map(src, dst, op)
-        total, functional, by_relation = lef._graph(
-            lef._induced_relation(src, dst, op))
-        assert (total and functional) or not chain
+        try:
+            by_relation = lef._relation_map(src, dst, op, label)
+        except InternalConsistencyError:
+            assert not chain
+            by_relation = None
         # raises, as the relation path does, when the map is ill defined
         matrix = induced_map(src, dst, op, label)
         assert matrix == by_relation
         certified.append(chain)
         return matrix
 
+    lef._memo.cache_clear()
     monkeypatch.setattr(lef, "_induced_map", both)
     lef.gysin_sequence_check(lcs_struct)
     for k in range(lcs_struct.n + 1):
@@ -370,13 +402,13 @@ def test_non_chain_operator_takes_the_relation_path(monkeypatch,
     cplx = lef._full(model)
     e5 = gen(6, 5)
     relations = []
-    induced_relation = lef._induced_relation
+    relation_map = lef._relation_map
 
-    def counting(src, dst, op):
+    def counting(src, dst, op, label):
         relations.append(src.degree)
-        return induced_relation(src, dst, op)
+        return relation_map(src, dst, op, label)
 
-    monkeypatch.setattr(lef, "_induced_relation", counting)
+    monkeypatch.setattr(lef, "_relation_map", counting)
 
     # d e5 = e12 + e34, so wedging with e5 is no chain map, and the class
     # map it would induce is ill defined in degrees 0 to 5; the relation
@@ -408,6 +440,29 @@ def test_non_chain_operator_takes_the_relation_path(monkeypatch,
         matrix = lef._induced_map(src, src, scale, "[2^deg]")
         assert matrix == [{i: 2 ** a} for i in range(src.dimension)]
     assert relations == list(messages) + list(degrees)
+
+
+def test_an_ill_defined_map_is_not_kept(monkeypatch, h5s1_struct):
+    # the error is raised, not stored: asking again runs the relation path
+    # again and raises again
+    cplx = lef._full(h5s1_struct.model)
+    e5 = gen(6, 5)
+    runs = []
+    relation_map = lef._relation_map
+
+    def counting(src, dst, op, label):
+        runs.append(label)
+        return relation_map(src, dst, op, label)
+
+    def wedge_e5(f):
+        return e5.wedge(f)
+
+    monkeypatch.setattr(lef, "_relation_map", counting)
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError,
+                           match="not defined on every class"):
+            lef._induced_map(cplx.space(1), cplx.space(2), wedge_e5, "[e5]")
+    assert runs == ["[e5]", "[e5]"]
 
 
 def test_certificate_checks_the_slice_below(h5s1_struct):
@@ -458,7 +513,7 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
     class_calls = {"in_map": 0}
     depth = []
 
-    induced_map = lef._induced_map
+    class_map = lef._class_map
     chain_slice = lef._chain_slice
     class_of = CohomologySpace._class_of
 
@@ -466,7 +521,7 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
         source_dims.append(src.dimension)
         depth.append(1)
         try:
-            return induced_map(src, dst, op, label)
+            return class_map(src, dst, op, label)
         finally:
             depth.pop()
 
@@ -479,9 +534,10 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
             class_calls["in_map"] += 1
         return class_of(space, form)
 
-    monkeypatch.setattr(lef, "_induced_map", counting_map)
+    lef._memo.cache_clear()
+    monkeypatch.setattr(lef, "_class_map", counting_map)
     monkeypatch.setattr(lef, "_chain_slice", counting_slice)
-    monkeypatch.setattr(lef, "_induced_relation",
+    monkeypatch.setattr(lef, "_relation_map",
                         lambda *args: relations.append(args))
     monkeypatch.setattr(CohomologySpace, "_class_of", counting_class_of)
     assert lef.gysin_sequence_check(struct).ok
@@ -489,11 +545,9 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
     assert len(source_dims) == 68
     assert class_calls["in_map"] == sum(source_dims)
     assert slices and len(slices) == len(set(slices))
-    # the verdicts are held weakly in the operators, which the check made
-    # and dropped
-    complexes = {s[0] for s in slices}
-    slices.clear()
-    assert all(len(c._chain_slices) == 0 for c in complexes)
+    # the model's memo keeps every slice verdict
+    memo = lef._memo(struct.model)
+    assert sum(key[0] == "chain slice" for key in memo) == len(slices)
 
 
 def test_run_entry_propagates_programming_errors(monkeypatch):
@@ -516,11 +570,11 @@ def test_lefschetz_all_computes_each_verdict_once(monkeypatch, capsys):
     is_graph, verdict = lef.is_graph_of_isomorphism, lef._verdict
 
     def asking(relation):
-        asked.append(relation)
+        asked.append(id(relation))
         return is_graph(relation)
 
     def computing(relation):
-        computed.append(relation)
+        computed.append(id(relation))
         return verdict(relation)
 
     lef._memo.cache_clear()
@@ -532,6 +586,21 @@ def test_lefschetz_all_computes_each_verdict_once(monkeypatch, capsys):
     # the command, the equivalence report and T_k ask again for a verdict
     assert len(asked) > len(set(asked))
     assert len(computed) == len(set(computed)) == len(set(asked))
+
+
+def test_lefschetz_all_never_hashes_a_relation(monkeypatch, capsys):
+    from pathlib import Path
+
+    from hardlef import cli
+
+    def unhashable(relation):
+        raise TypeError("a relation was hashed")
+
+    lef._memo.cache_clear()
+    monkeypatch.setattr(lef.CohomologyRelation, "__hash__", unhashable)
+    model = Path(__file__).resolve().parent.parent / "models" / "h7s1.model"
+    assert cli.main(["lefschetz", str(model), "--mode", "all"]) == 0
+    capsys.readouterr()
 
 
 def _scaled(matrix, c, rows=None):
@@ -547,56 +616,51 @@ def _scaled(matrix, c, rows=None):
 
 def _gysin_parts(struct):
     model = struct.model
-    deta = model.d(struct.eta)
-    ops = (lambda f: deta.wedge(f), lambda f: f,
-           lambda f: lef.contract(struct.V, f))
-    return (ops, lef._basic(model, (struct.V,)), lef._full(model),
-            lef._basic(model, (struct.U, struct.V)),
+    return (lef._flow_ops(struct), lef._basic(model, (struct.V,)),
+            lef._full(model), lef._basic(model, (struct.U, struct.V)),
             lef._basic(model, (struct.U,)))
 
 
-def test_flow_chain_reports_a_perturbed_map(h5s1_struct):
+def _altering(monkeypatch, alter):
+    """Patch _induced_map so that each map it answers passes through
+    alter(matrix, src, label) first."""
+    induced_map = lef._induced_map
+
+    def altered(src, dst, op, label):
+        return alter(induced_map(src, dst, op, label), src, label)
+
+    monkeypatch.setattr(lef, "_induced_map", altered)
+
+
+def test_flow_chain_reports_a_perturbed_map(monkeypatch, h5s1_struct):
     # scaling a whole map keeps every kernel and image, so one row of the
     # inclusion H_B(V)^2 -> H^2 is doubled: eps then [id] stops vanishing
     ops, v_cplx, full_c, _, _ = _gysin_parts(h5s1_struct)
     n = h5s1_struct.model.n_gen
-
-    def induced(perturbed):
-        def build(src, dst, op, label):
-            matrix = lef._induced_map(src, dst, op, label)
-            if label == perturbed:
-                matrix = _scaled(matrix, 2, [0])
-            return matrix
-        return build
-
     chain = (v_cplx, full_c, "H_B(V)", "H")
-    report = lef._flow_chain("anti-Lee", *chain, induced(None), ops, n)
+    report = lef._flow_chain("anti-Lee", *chain, ops, n)
     assert report.compositions_vanish and report.exact
-    report = lef._flow_chain("anti-Lee", *chain,
-                             induced("[id] H_B(V)(2)->H(2)"), ops, n)
+    _altering(monkeypatch, lambda matrix, src, label: (
+        _scaled(matrix, 2, [0]) if label == "[id] H_B(V)(2)->H(2)"
+        else matrix))
+    report = lef._flow_chain("anti-Lee", *chain, ops, n)
     assert report.well_defined
     assert not report.compositions_vanish and not report.exact
     assert "composition through H_B(V)(2) does not vanish" in report.failures
 
 
-def test_squares_commute_detects_a_negated_map(h5s1_struct):
+def test_squares_commute_detects_a_negated_map(monkeypatch, h5s1_struct):
     ops, v_cplx, full_c, uv, u_cplx = _gysin_parts(h5s1_struct)
     model, omega = h5s1_struct.model, h5s1_struct.omega
     splittings = (lef.splitting_check(model, omega, v_cplx, uv),
                   lef.splitting_check(model, omega, full_c, u_cplx))
-
-    def induced(negate):
-        def build(src, dst, op, label):
-            matrix = lef._induced_map(src, dst, op, label)
-            # the [i_V] map of the top row, H^k -> H_B(V)^(k-1)
-            if negate and label == "[i_V]" and src.complex is full_c:
-                matrix = _scaled(matrix, -1)
-            return matrix
-        return build
-
     args = (ops, v_cplx, full_c, uv, u_cplx) + splittings
-    assert lef._squares_commute(induced(False), *args)
-    assert not lef._squares_commute(induced(True), *args)
+    assert lef._squares_commute(*args)
+    # the [i_V] map of the top row, H^k -> H_B(V)^(k-1)
+    _altering(monkeypatch, lambda matrix, src, label: (
+        _scaled(matrix, -1) if label == "[i_V]" and src.complex is full_c
+        else matrix))
+    assert not lef._squares_commute(*args)
 
 
 def test_t_map_refuses_a_wrong_basic_map(monkeypatch, kt4_struct):

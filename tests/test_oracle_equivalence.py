@@ -1,12 +1,13 @@
 """Cross-check the package against the independent dense oracle.
 
-For every catalog model (all have at most six generators) the cohomology
-dimensions and every Lefschetz relation subspace must agree exactly with
-the dense recomputation.
+For every catalog model (all have at most six generators), and for su(2)
+and su(2) x R, the cohomology dimensions and every Lefschetz relation
+subspace must agree exactly with the dense recomputation.
 """
 
 import pytest
 
+from hardlef import Form, StructureModel
 from hardlef import lefschetz as lef
 from hardlef.catalog import builtin_entries
 from hardlef.errors import ValidationError
@@ -27,35 +28,44 @@ def _positive_entries(kind):
                 struct = validate_contact(entry.model, entry.eta)
         except ValidationError:
             continue
-        out.append((entry, struct))
+        out.append((entry.name, struct))
     return out
 
 
-LCS = _positive_entries("lcs")
-CONTACT = _positive_entries("contact")
+# the invariant models of the Hopf surface S^3 x S^1, the paper's basic
+# compact Vaisman example, and of its contact quotient S^3
+LCS = _positive_entries("lcs") + [("su2_s1", validate_lcs(
+    StructureModel.from_salamon("(23,-13,12,0)"), Form.generator(4, 4),
+    Form.generator(4, 3)))]
+CONTACT = _positive_entries("contact") + [("su2", validate_contact(
+    StructureModel.from_salamon("(23,-13,12)"), Form.generator(3, 3)))]
 
 
-@pytest.mark.parametrize("entry,struct", LCS + CONTACT,
-                         ids=[e.name for e, _ in LCS + CONTACT])
-def test_betti_numbers_match_oracle(entry, struct):
-    m = entry.model
+def _cases(pairs):
+    return pytest.mark.parametrize("struct", [s for _, s in pairs],
+                                   ids=[name for name, _ in pairs])
+
+
+@_cases(LCS + CONTACT)
+def test_betti_numbers_match_oracle(struct):
+    m = struct.model
     d1 = oracle.model_of(m)
     pkg = list(lef.betti_numbers(lef._full(m)))
     assert pkg == oracle.betti(d1, m.n_gen)
 
 
-@pytest.mark.parametrize("entry,struct", LCS, ids=[e.name for e, _ in LCS])
-def test_basic_betti_match_oracle(entry, struct):
-    m = entry.model
+@_cases(LCS)
+def test_basic_betti_match_oracle(struct):
+    m = struct.model
     d1 = oracle.model_of(m)
     u = [c for c in struct.U.coeffs]
     pkg = list(lef.betti_numbers(lef._basic(m, (struct.U,))))
     assert pkg == oracle.basic_betti(d1, m.n_gen, [u])
 
 
-@pytest.mark.parametrize("entry,struct", LCS, ids=[e.name for e, _ in LCS])
-def test_de_rham_relations_match_oracle(entry, struct):
-    m = entry.model
+@_cases(LCS)
+def test_de_rham_relations_match_oracle(struct):
+    m = struct.model
     d1 = oracle.model_of(m)
     omega = oracle.form_of(struct.omega)
     eta = oracle.form_of(struct.eta)
@@ -72,9 +82,9 @@ def test_de_rham_relations_match_oracle(entry, struct):
         assert [list(r) for r in rel.span] == dense
 
 
-@pytest.mark.parametrize("entry,struct", LCS, ids=[e.name for e, _ in LCS])
-def test_basic_relations_match_oracle(entry, struct):
-    m = entry.model
+@_cases(LCS)
+def test_basic_relations_match_oracle(struct):
+    m = struct.model
     d1 = oracle.model_of(m)
     omega = oracle.form_of(struct.omega)
     eta = oracle.form_of(struct.eta)
@@ -91,10 +101,9 @@ def test_basic_relations_match_oracle(entry, struct):
         assert [list(r) for r in rel.span] == dense
 
 
-@pytest.mark.parametrize("entry,struct", CONTACT,
-                         ids=[e.name for e, _ in CONTACT])
-def test_contact_relations_match_oracle(entry, struct):
-    m = entry.model
+@_cases(CONTACT)
+def test_contact_relations_match_oracle(struct):
+    m = struct.model
     d1 = oracle.model_of(m)
     eta = oracle.form_of(struct.eta)
     xi = list(struct.xi.coeffs)
