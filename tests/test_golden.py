@@ -3,7 +3,9 @@ verdict, a representative or the report layout shows up here.
 
 h7s1 (h7 x S1, dimension 8) and nil5a_rebased0_s1 (dense rational
 coefficients) are the bench workload models written by
-`bench/workloads.generate` at seed 0."""
+`bench/workloads.generate` at seed 0.  su2s1 (su(2) x R, the Hopf surface
+S^3 x S^1) is the one non-nilpotent model file: it guards the nilpotency
+and unimodularity flags ("nilpotent: no, unimodular: yes") in the report."""
 
 import hashlib
 from pathlib import Path
@@ -25,6 +27,8 @@ GOLDEN = {
         "6c24d12a4a2fc8a2286be016319388a25ebf1b06a88dca525783145e4aa9db02",
     ("cohomology", "nil5a_rebased0_s1.model", "--basic", "U"):
         "e1c7c30786d4d5b77eb163a92f8e37cd8f91dde05d0561ff49883f9c04434c36",
+    ("cohomology", "su2s1.model", "--basic", "U"):
+        "f0046e7e8f6ef52a6fe6f1f3d60d6b528e60c5a7bc2f4d7eb496e728a5d9d86e",
     ("lefschetz", "h5.model", "--mode", "all"):
         "c02deafdcf7b03f1e6e59dfb61c068cf82bad835bea9efd82a33c4cc1f0b42c4",
     ("lefschetz", "h5s1.model", "--mode", "all"):
@@ -35,6 +39,8 @@ GOLDEN = {
         "f85dc9811825e7e4de8f98cc4bbf3e7b97223f3691326b170a988e75199fe2f5",
     ("lefschetz", "nil5a_rebased0_s1.model", "--mode", "all"):
         "44b4ac52aaad5bf4bbe82b02c223c641819a00243f5b96c6768b83c7dfeeeef5",
+    ("lefschetz", "su2s1.model", "--mode", "all"):
+        "b23cdddb84cb876458b7a148c619e675bf87176b64f3b354ff053200f74eb785",
 }
 
 
