@@ -48,12 +48,15 @@ class Subcomplex:
         self.bases = tuple(tuple(b) for b in bases)
         if len(self.bases) != n + 1:
             raise ValueError("need one basis per degree 0..n_gen")
-        self._slices = [linalg.Echelon([sparse_coords(f)
-                                        for f in self.bases[k]],
-                                       len(degree_masks(n, k)))
-                        for k in range(n + 1)]
-        for k in range(n + 1):
-            if len(self._slices[k].pivots) != len(self.bases[k]):
+        # a degree whose basis is the monomial basis, in order, needs no
+        # factorization: coordinates there are sparse_coords, and slice(k)
+        # factors it only when asked for
+        self._monomial = [_is_monomial_basis(basis, n, k)
+                          for k, basis in enumerate(self.bases)]
+        self._slices = [None if mono else self._factor(k)
+                        for k, mono in enumerate(self._monomial)]
+        for k, ech in enumerate(self._slices):
+            if ech is not None and len(ech.pivots) != len(self.bases[k]):
                 raise InternalConsistencyError(
                     f"degree {k} basis forms are linearly dependent")
         # sparse rows of d from each degree, in subcomplex coordinates
@@ -101,7 +104,13 @@ class Subcomplex:
         """Factorization of the degree-k basis in monomial coordinates."""
         if not 0 <= k <= self.model.n_gen:
             raise DegreeError(f"degree {k} outside [0, {self.model.n_gen}]")
+        if self._slices[k] is None:
+            self._slices[k] = self._factor(k)
         return self._slices[k]
+
+    def _factor(self, k: int) -> linalg.Echelon:
+        return linalg.Echelon([sparse_coords(f) for f in self.bases[k]],
+                              len(degree_masks(self.model.n_gen, k)))
 
     def coords(self, form: Form, degree: int | None = None):
         """Coordinates of a form in the degree basis, or None if outside."""
@@ -117,6 +126,8 @@ class Subcomplex:
             return {}
         if form.degree != k or not 0 <= k <= self.model.n_gen:
             return None
+        if self._monomial[k]:
+            return sparse_coords(form)
         return self._slices[k].solve(sparse_coords(form))
 
     def dims(self) -> tuple[int, ...]:
@@ -206,6 +217,16 @@ class CohomologySpace:
     def __repr__(self):
         return (f"<CohomologySpace degree {self.degree} "
                 f"dimension {self.dimension}>")
+
+
+def _is_monomial_basis(basis: Sequence[Form], n_gen: int,
+                       degree: int) -> bool:
+    """Whether basis is degree_masks(n_gen, degree) in order, each mask
+    with coefficient 1."""
+    masks = degree_masks(n_gen, degree)
+    return len(basis) == len(masks) and all(
+        len(f.terms) == 1 and f.terms.get(m) == 1
+        for f, m in zip(basis, masks))
 
 
 def _combine(basis: Sequence[Form], coords, n_gen: int, degree: int) -> Form:

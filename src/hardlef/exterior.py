@@ -17,6 +17,12 @@ anywhere.  The public Form constructor coerces and validates every term;
 the algebra (+, -, *, wedge, contract, and model.d) builds its results
 through a private constructor that takes its fresh terms dict as it is.
 Forms and vectors are immutable values.
+
+The arithmetic rule of the exact kernels (here, in model and in linalg):
+`Fraction` stays the only scalar, and no `Fraction` operation is made
+whose result is already known.  A key seen for the first time is stored
+as it is, not added to zero; a sign is applied by negation, not by
+multiplying with -1; a factor 1 is not multiplied in.
 """
 
 from __future__ import annotations
@@ -86,6 +92,25 @@ def sparse_coords(a: Form) -> dict[int, Fraction]:
     its degree."""
     index = _column_index(a.n_gen, a.degree)
     return {index[m]: c for m, c in a.terms.items()}
+
+
+def _accumulate(out: dict, key: int, c: Fraction) -> None:
+    """out[key] += c, storing c itself for a new key and dropping an entry
+    that cancels."""
+    y = out.get(key)
+    if y is None:
+        out[key] = c
+    else:
+        y += c
+        if y:
+            out[key] = y
+        else:
+            del out[key]
+
+
+def _sum(values: list) -> Fraction:
+    """Sum of a list of Fractions, ZERO for none, adding nothing to zero."""
+    return sum(values[1:], values[0]) if values else _ZERO
 
 
 def _coerce(value: Rational) -> Fraction:
@@ -198,11 +223,7 @@ class Form:
                               f"and {other.degree}")
         out = dict(self.terms)
         for mask, coeff in other.terms.items():
-            c = out.get(mask, _ZERO) + coeff
-            if c:
-                out[mask] = c
-            else:
-                out.pop(mask, None)
+            _accumulate(out, mask, coeff)
         return Form._make(self.n_gen, self.degree, out)
 
     def __neg__(self):
@@ -238,12 +259,9 @@ class Form:
             for mb, cb in other.terms.items():
                 if ma & mb:
                     continue
-                m = ma | mb
-                c = out.get(m, _ZERO) + ca * cb * merge_sign(ma, mb)
-                if c:
-                    out[m] = c
-                else:
-                    out.pop(m, None)
+                c = ca * cb
+                _accumulate(out, ma | mb,
+                            c if merge_sign(ma, mb) > 0 else -c)
         return Form._make(self.n_gen, self.degree + other.degree, out)
 
     # ----- value semantics ----------------------------------------------
@@ -368,23 +386,24 @@ def contract(v: Vector, a: Form) -> Form:
         raise ModelMismatchError("vector and form frames differ")
     if a.degree == 0:
         return Form.zero(a.n_gen, 0)
+    # the nonzero components by bit, with None standing for a component 1
+    support = 0
+    factor: dict[int, Fraction | None] = {}
+    for j, vj in enumerate(v.coeffs):
+        if vj:
+            support |= 1 << j
+            factor[1 << j] = None if vj == 1 else vj
     out: dict[int, Fraction] = {}
     for mask, coeff in a.terms.items():
-        rem = mask
-        pos = 0
+        rem = mask & support
         while rem:
             low = rem & -rem
-            vj = v.coeffs[low.bit_length() - 1]
-            if vj:
-                m = mask ^ low
-                sign = -1 if pos & 1 else 1
-                c = out.get(m, _ZERO) + coeff * vj * sign
-                if c:
-                    out[m] = c
-                else:
-                    out.pop(m, None)
+            vj = factor[low]
+            c = coeff if vj is None else coeff * vj
+            # the sign is that of the number of generators of mask below low
+            odd = (mask & (low - 1)).bit_count() & 1
+            _accumulate(out, mask ^ low, -c if odd else c)
             rem ^= low
-            pos += 1
     return Form._make(a.n_gen, a.degree - 1, out)
 
 
@@ -396,3 +415,21 @@ def top_coefficient(a: Form) -> Fraction:
                           f"got {a.degree}")
     return a.terms.get((1 << a.n_gen) - 1, _ZERO)
 
+
+
+def top_pairing(a: Form, b: Form) -> Fraction:
+    """top_coefficient(a ^ b) without the wedge: for forms of complementary
+    degrees, the sum over the masks m of a of
+    a[m] b[full ^ m] merge_sign(m, full ^ m)."""
+    a._require_same_frame(b)
+    if a.degree + b.degree != a.n_gen:
+        raise DegreeError(f"top_pairing needs degrees summing to {a.n_gen}, "
+                          f"got {a.degree} and {b.degree}")
+    full = (1 << a.n_gen) - 1
+    terms = []
+    for m, x in a.terms.items():
+        y = b.terms.get(full ^ m)
+        if y is not None:
+            t = x * y
+            terms.append(t if merge_sign(m, full ^ m) > 0 else -t)
+    return _sum(terms)

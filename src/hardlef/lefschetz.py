@@ -43,7 +43,7 @@ from .cohomology import (CohomologySpace, Subcomplex, _combine,
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
                      NotProjectableError, PreconditionError)
 from .exterior import (Form, contract, degree_masks, sparse_coords,
-                       top_coefficient, wedge_power)
+                       top_pairing, wedge_power)
 from .structures import ContactStructure, LcsStructure, quotient_contact
 
 
@@ -519,11 +519,10 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
             comps_ok = False
             failures.append(f"composition through {node_labels[i + 1]} "
                             f"does not vanish")
-    exact_at = []
-    for i in range(1, len(spaces) - 1):
-        rank_in = linalg.rank(maps[i - 1], dims[i])
-        rank_out = linalg.rank(maps[i], dims[i + 1])
-        exact_at.append(rank_in == dims[i] - rank_out)
+    # map i runs from node i to node i+1; each is ranked once
+    ranks = [linalg.rank(m, dims[i + 1]) for i, m in enumerate(maps)]
+    exact_at = [ranks[i - 1] == dims[i] - ranks[i]
+                for i in range(1, len(spaces) - 1)]
     exact = all(exact_at)
     if not exact:
         bad = [node_labels[i + 1] for i, ok in enumerate(exact_at) if not ok]
@@ -651,11 +650,8 @@ def pairing_psi(struct: LcsStructure, k: int) -> PairingResult:
     dst = u_cplx.space(2 * n + 1 - k)
     lef_forms = [_combine(dst.representatives, row, model.n_gen,
                           2 * n + 1 - k) for row in lef]
-    psi = []
-    for lef_form in lef_forms:
-        w = struct.omega.wedge(lef_form)
-        psi.append([top_coefficient(w.wedge(rep))
-                    for rep in src.representatives])
+    psi = [[top_pairing(w, rep) for rep in src.representatives]
+           for w in (struct.omega.wedge(f) for f in lef_forms)]
     d = src.dimension
     sign = -1 if k % 2 else 1
     parity_ok = all(psi[j][i] == sign * psi[i][j]

@@ -21,6 +21,13 @@ inverse with no further elimination.
 
 Pivots are chosen by smallest numerator magnitude (then denominator, then
 row order); the resulting RREF is the canonical one regardless.
+
+The arithmetic follows the rule stated in exterior: `Fraction` is the only
+scalar, and no `Fraction` operation is made whose result is already
+known.  add_scaled does not multiply by 1 and negates for -1, a new entry
+is stored as it is, the pivot key is computed only when a column has
+more than one candidate row, and the rows Echelon builds are eliminated
+in place, not copied again.
 """
 
 from __future__ import annotations
@@ -56,12 +63,18 @@ def dense(row: dict[int, Fraction], width: int) -> list[Fraction]:
 def add_scaled(acc: dict, f: Fraction, other: dict) -> None:
     """acc += f * other, in place, dropping entries that become zero; the
     keys are columns or any other index."""
-    for j, x in other.items():
+    if f == 1:
+        items = other.items()
+    elif f == -1:
+        items = ((j, -x) for j, x in other.items())
+    else:
+        items = ((j, f * x) for j, x in other.items())
+    for j, x in items:
         y = acc.get(j)
         if y is None:
-            acc[j] = f * x
+            acc[j] = x
         else:
-            y += f * x
+            y += x
             if y:
                 acc[j] = y
             else:
@@ -113,6 +126,17 @@ def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
     and restrict pivoting to the first `ncols` columns.
     """
     rows = _sparse_rows(mat)
+    pivots = _eliminate(rows, ncols)
+    r = len(pivots)
+    if _is_sparse(mat):
+        return rows[:r], pivots
+    width = len(mat[0]) if mat else 0
+    return [dense(row, width) for row in rows[:r]], pivots
+
+
+def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> list[int]:
+    """Reduce fresh sparse rows to RREF in place, the nonzero rows first;
+    returns the pivot columns."""
     pivots: list[int] = []
     r = 0
     m = len(rows)
@@ -122,7 +146,8 @@ def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
         found = [i for i in range(r, m) if c in rows[i]]
         if not found:
             continue
-        i = min(found, key=lambda i: (abs(rows[i][c].numerator),
+        i = found[0] if len(found) == 1 else \
+            min(found, key=lambda i: (abs(rows[i][c].numerator),
                                       rows[i][c].denominator, i))
         rows[r], rows[i] = rows[i], rows[r]
         prow = rows[r]
@@ -136,10 +161,7 @@ def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
             add_scaled(row, -row[c], prow)
         pivots.append(c)
         r += 1
-    if _is_sparse(mat):
-        return rows[:r], pivots
-    width = len(mat[0]) if mat else 0
-    return [dense(row, width) for row in rows[:r]], pivots
+    return pivots
 
 
 def rank(mat: Matrix, ncols: int) -> int:
@@ -163,11 +185,11 @@ class Echelon:
     """
 
     def __init__(self, mat: Matrix, ncols: int):
-        aug = _sparse_rows(mat)
-        m = len(aug)
-        for i, row in enumerate(aug):
+        red = _sparse_rows(mat)
+        m = len(red)
+        for i, row in enumerate(red):
             row[ncols + i] = _ONE
-        red, pivots = rref(aug, ncols + m)
+        pivots = _eliminate(red, ncols + m)
         r = sum(1 for p in pivots if p < ncols)
         self.pivots = pivots[:r]
         self.sparse_rows = [{j: x for j, x in row.items() if j < ncols}

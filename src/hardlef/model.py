@@ -7,6 +7,12 @@ checked at construction.  For a nilpotent model the cohomology of this
 complex equals the de Rham cohomology of the associated compact
 nilmanifold (Nomizu); for non-nilpotent input that identification is an
 assumption which reports flag explicitly.
+
+The arithmetic follows the rule stated in exterior: `Fraction` is the only
+scalar, and no `Fraction` operation is made whose result is already
+known.  d(e_I) is read off the terms of the d(e_i) with two merge signs
+per term, and the bracket and the two flags read the structure constants
+from those terms directly, touching only nonzero components.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DegreeError, ModelMismatchError, ValidationError
-from .exterior import Form, Rational, Vector, contract, indices_of
+from .exterior import (Form, Rational, Vector, _accumulate, _sum, contract,
+                       indices_of, merge_sign)
 
 
 class StructureModel:
@@ -47,6 +54,12 @@ class StructureModel:
         self._d_cache: dict[int, Form] = {}
         self._nilpotent: bool | None = None
         self._unimodular: bool | None = None
+        # per k, the terms c e_a ^ e_b (a < b, 0-based) of d(e_k): the
+        # structure constants the bracket and the flags read
+        self._constants = tuple(
+            tuple(((m & -m).bit_length() - 1, m.bit_length() - 1, c)
+                  for m, c in f.terms.items())
+            for f in self.d1)
         for i in range(1, n + 1):
             if not self.d(self.d1[i - 1]).is_zero():
                 raise ValidationError(
@@ -115,25 +128,26 @@ class StructureModel:
         return Form._make(self.n_gen, a.degree + 1, out)
 
     def _d_monomial(self, mask: int) -> Form:
+        """d(e_I) = sum over i in I of (-1)^pos e_(I<i) ^ d(e_i) ^ e_(I>i),
+        pos the number of generators of I below i, read term by term."""
         cached = self._d_cache.get(mask)
         if cached is not None:
             return cached
-        n = self.n_gen
-        k = mask.bit_count()
-        total = Form.zero(n, k + 1)
+        out: dict[int, Fraction] = {}
         rem = mask
-        pos = 0
         while rem:
             low = rem & -rem
-            di = self.d1[low.bit_length() - 1]
-            if not di.is_zero():
-                prefix = Form(n, pos, {mask & (low - 1): Fraction(1)})
-                suffix_mask = mask & ~((low << 1) - 1)
-                suffix = Form(n, k - pos - 1, {suffix_mask: Fraction(1)})
-                sign = -1 if pos & 1 else 1
-                total = total + sign * prefix.wedge(di).wedge(suffix)
+            prefix = mask & (low - 1)
+            suffix = mask ^ prefix ^ low
+            odd = prefix.bit_count() & 1
+            for m, c in self.d1[low.bit_length() - 1].terms.items():
+                if m & (prefix | suffix):
+                    continue
+                sign = merge_sign(prefix, m) * merge_sign(prefix | m, suffix)
+                _accumulate(out, prefix | m | suffix,
+                            -c if (sign < 0) != odd else c)
             rem ^= low
-            pos += 1
+        total = Form._make(self.n_gen, mask.bit_count() + 1, out)
         self._d_cache[mask] = total
         return total
 
@@ -146,27 +160,48 @@ class StructureModel:
         return contract(v, self.d(a)) + self.d(contract(v, a))
 
     def bracket(self, v: Vector, w: Vector) -> Vector:
-        """Lie bracket of constant fields via e_k([v, w]) = -de_k(v, w)."""
+        """Lie bracket of constant fields via e_k([v, w]) = -de_k(v, w),
+        where c e_a ^ e_b (a < b) evaluates to c (v_a w_b - v_b w_a)."""
+        if v.n_gen != self.n_gen or w.n_gen != self.n_gen:
+            raise ModelMismatchError("fields do not live over this model")
         comps = []
-        for k in range(self.n_gen):
-            val = contract(w, contract(v, self.d1[k]))
-            comps.append(-val.terms.get(0, Fraction(0)))
+        for terms in self._constants:
+            parts = []
+            for a, b, c in terms:
+                for x, y, neg in ((v.coeffs[a], w.coeffs[b], True),
+                                  (v.coeffs[b], w.coeffs[a], False)):
+                    if x and y:
+                        t = c * x * y
+                        parts.append(-t if neg else t)
+            comps.append(_sum(parts))
         return Vector(comps)
 
     # ----- flags ----------------------------------------------------------
 
     @property
     def is_nilpotent(self) -> bool:
-        """Whether the lower central series reaches zero."""
+        """Whether the lower central series reaches zero.  Its next term
+        is spanned by the brackets [e_f, x] of the generators with the
+        rows x of the current one; by the bracket formula the term c e_a ^
+        e_b of d(e_k) gives [e_a, x]_k its -c x_b and [e_b, x]_k its
+        c x_a."""
         if self._nilpotent is None:
             n = self.n_gen
-            fields = [Vector.basis(n, i) for i in range(1, n + 1)]
-            current = [f.coeffs for f in fields]
+            current: list[dict[int, Fraction]] = [{i: Fraction(1)}
+                                                   for i in range(n)]
             while True:
                 produced = []
-                for f in fields:
-                    for row in current:
-                        produced.append(list(self.bracket(f, Vector(row)).coeffs))
+                for x in current:
+                    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+                    for k, terms in enumerate(self._constants):
+                        for a, b, c in terms:
+                            xb = x.get(b)
+                            if xb is not None:
+                                _accumulate(rows[a], k, -(c * xb))
+                            xa = x.get(a)
+                            if xa is not None:
+                                _accumulate(rows[b], k, c * xa)
+                    produced += rows
                 nxt = linalg.row_space(produced, n)
                 if not nxt:
                     self._nilpotent = True
@@ -179,19 +214,18 @@ class StructureModel:
 
     @property
     def is_unimodular(self) -> bool:
-        """Whether every adjoint operator is traceless."""
+        """Whether every adjoint operator is traceless.  The trace of
+        ad(e_i) is sum_k e_k([e_i, e_k]); the term c e_a ^ e_b of d(e_k)
+        adds -c to it when i = a and b = k, and c when i = b and a = k."""
         if self._unimodular is None:
-            n = self.n_gen
-            ok = True
-            for i in range(1, n + 1):
-                ei = Vector.basis(n, i)
-                trace = Fraction(0)
-                for j in range(1, n + 1):
-                    trace += self.bracket(ei, Vector.basis(n, j)).coeffs[j - 1]
-                if trace:
-                    ok = False
-                    break
-            self._unimodular = ok
+            traces: dict[int, Fraction] = {}
+            for k, terms in enumerate(self._constants):
+                for a, b, c in terms:
+                    if b == k:
+                        _accumulate(traces, a, -c)
+                    elif a == k:
+                        _accumulate(traces, b, c)
+            self._unimodular = not traces
         return self._unimodular
 
     def structure_string(self) -> str:

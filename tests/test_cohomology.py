@@ -6,7 +6,7 @@ from hardlef import (Form, StructureModel, Vector, basic_complex,
                      betti_numbers, full_complex, splitting_check,
                      splitting_map)
 from hardlef import linalg
-from hardlef.cohomology import cohomology
+from hardlef.cohomology import Subcomplex, cohomology
 from hardlef.errors import (DegreeError, NotClosedError, PreconditionError)
 
 import oracle
@@ -173,13 +173,13 @@ def test_class_of_and_coords_factor_nothing_after_build(monkeypatch):
     cplxs = [full_complex(m), basic_complex(m, [Vector.basis(6, 6)])]
     spaces = [c.space(k) for c in cplxs for k in range(7)]
     calls = []
-    rref = linalg.rref
+    eliminate = linalg._eliminate
 
-    def counting(mat, ncols):
-        calls.append((len(mat), ncols))
-        return rref(mat, ncols)
+    def counting(rows, ncols):
+        calls.append((len(rows), ncols))
+        return eliminate(rows, ncols)
 
-    monkeypatch.setattr(linalg, "rref", counting)
+    monkeypatch.setattr(linalg, "_eliminate", counting)
     for sp in spaces:
         for i, rep in enumerate(sp.representatives):
             assert sp.class_of(rep) == tuple(int(i == j)
@@ -195,13 +195,14 @@ def test_each_differential_is_factored_once(monkeypatch):
     m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
     cplx = full_complex(m)
     calls = []
-    rref = linalg.rref
+    eliminate = linalg._eliminate
 
-    def recording(mat, ncols):
-        calls.append(mat)
-        return rref(mat, ncols)
+    def recording(rows, ncols):
+        # the elimination works in place, so record the rows it is given
+        calls.append([dict(row) for row in rows])
+        return eliminate(rows, ncols)
 
-    monkeypatch.setattr(linalg, "rref", recording)
+    monkeypatch.setattr(linalg, "_eliminate", recording)
     assert betti_numbers(cplx) == (1, 5, 9, 10, 9, 5, 1)
     factored = {}
     for k in range(7):
@@ -213,3 +214,34 @@ def test_each_differential_is_factored_once(monkeypatch):
                           and [{j: x for j, x in row.items() if j < width}
                                for row in mat] == rows)
     assert factored and set(factored.values()) == {1}
+
+
+def test_full_complex_factors_no_slice(monkeypatch):
+    from fractions import Fraction
+
+    from hardlef.exterior import degree_masks
+
+    m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
+    factored = []
+    factor = Subcomplex._factor
+
+    def recording(cplx, k):
+        factored.append(k)
+        return factor(cplx, k)
+
+    monkeypatch.setattr(Subcomplex, "_factor", recording)
+    cplx = full_complex(m)
+    assert betti_numbers(cplx) == (1, 5, 9, 10, 9, 5, 1)
+    assert factored == []
+    for k in range(7):
+        masks = degree_masks(6, k)
+        ech = cplx.slice(k)
+        assert ech.pivots == list(range(len(masks)))
+        assert ech.sparse_combos == [{i: 1} for i in range(len(masks))]
+        assert cplx.slice(k) is ech and factored.count(k) == 1
+        f = Form(6, k, {mk: Fraction(i + 1, 2) for i, mk in
+                        enumerate(masks)})
+        assert cplx.coords(f) == [Fraction(i + 1, 2)
+                                  for i in range(len(masks))]
+        assert cplx.coords(Form.zero(6, k)) == [0] * len(masks)
+    assert cplx.coords(Form.generator(6, 1), 2) is None

@@ -353,13 +353,13 @@ def test_graph_factors_the_first_projection_once(monkeypatch, kt4_struct):
     relations = [lef.de_rham_lefschetz_relation(kt4_struct, k)
                  for k in range(kt4_struct.n + 1)]
     calls = []
-    rref = linalg.rref
+    eliminate = linalg._eliminate
 
-    def counting(mat, ncols):
+    def counting(rows, ncols):
         calls.append(ncols)
-        return rref(mat, ncols)
+        return eliminate(rows, ncols)
 
-    monkeypatch.setattr(linalg, "rref", counting)
+    monkeypatch.setattr(linalg, "_eliminate", counting)
     for rel in relations:
         total, functional, matrix = lef._graph(rel)
         assert total and functional and matrix is not None
@@ -673,3 +673,48 @@ def test_t_map_refuses_a_wrong_basic_map(monkeypatch, kt4_struct):
     with pytest.raises(InternalConsistencyError,
                        match="T_1 is not inverse to the basic Lefschetz"):
         lef.t_map(kt4_struct, 1)
+
+
+def test_gysin_ranks_each_flow_chain_map_once(monkeypatch):
+    from pathlib import Path
+    doc = modelfile.load_path(
+        Path(__file__).resolve().parent.parent / "models" / "h7s1.model")
+    struct = validate_lcs(doc.model, doc.omega, doc.eta)
+    calls = []
+    rank = linalg.rank
+
+    def counting(mat, ncols):
+        calls.append(ncols)
+        return rank(mat, ncols)
+
+    lef._memo.cache_clear()
+    monkeypatch.setattr(linalg, "rank", counting)
+    report = lef.gysin_sequence_check(struct)
+    assert report.ok
+    chain_maps = len(report.top.dims) - 1 + len(report.bottom.dims) - 1
+    assert chain_maps == 66
+    # one rank per chain map, plus one per degree of each splitting check
+    splitting = len(report.splitting_v.degrees) + \
+        len(report.splitting_full.degrees)
+    assert len(calls) == chain_maps + splitting == 84
+
+
+def test_pairing_psi_equals_the_wedge_formula(lcs_struct):
+    from hardlef.cohomology import _combine
+    from hardlef.exterior import top_coefficient
+
+    model, n = lcs_struct.model, lcs_struct.n
+    u_cplx = lef._basic(model, (lcs_struct.U,))
+    for k in range(1, n + 1):
+        try:
+            lef_rows = lef.lefschetz_map_basic(lcs_struct, k)
+        except NotLefschetzError:
+            continue
+        dst = u_cplx.space(2 * n + 1 - k)
+        reps = u_cplx.space(k).representatives
+        gram = [[top_coefficient(lcs_struct.omega.wedge(
+                    _combine(dst.representatives, row, model.n_gen,
+                             2 * n + 1 - k)).wedge(rep))
+                 for rep in reps] for row in lef_rows]
+        assert [list(r) for r in lef.pairing_psi(lcs_struct, k).matrix] == \
+            gram

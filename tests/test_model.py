@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hardlef import Form, StructureModel, Vector, wedge
+from hardlef import Form, StructureModel, Vector, contract, wedge
 from hardlef.errors import ValidationError
 
-from conftest import random_form, random_model, random_vector
+from conftest import (random_form, random_model, random_vector,
+                      rational_models, vectors)
 
 
 @pytest.fixture
@@ -117,3 +119,37 @@ def test_nilpotent_and_unimodular_flags(kt4):
     assert not solvable.is_unimodular
     h5 = StructureModel.from_salamon("(0,0,0,0,12+34)")
     assert h5.is_nilpotent and h5.is_unimodular
+
+
+@pytest.mark.parametrize("structure, nilpotent, unimodular", [
+    ("(0,12)", False, False),
+    ("(0,12,0)", False, False),
+    ("(12,0)", False, False),
+    ("(23,-13,12)", False, True),
+    ("(0,0,12,0)", True, True),
+    ("(0,0,1/2*12,13)", True, True),
+])
+def test_flags_on_named_algebras(structure, nilpotent, unimodular):
+    m = StructureModel.from_salamon(structure)
+    assert m.is_nilpotent is nilpotent
+    assert m.is_unimodular is unimodular
+
+
+@settings(max_examples=60, derandomize=True)
+@given(m=rational_models())
+def test_flags_survive_a_change_of_basis(m):
+    base = StructureModel.from_salamon(m.name)
+    assert (m.is_nilpotent, m.is_unimodular) == \
+        (base.is_nilpotent, base.is_unimodular)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(data=st.data())
+def test_bracket_is_minus_the_double_contraction(data):
+    m = data.draw(rational_models())
+    v = data.draw(vectors(m.n_gen))
+    w = data.draw(vectors(m.n_gen))
+    # e_k([v, w]) = -de_k(v, w), evaluated through the contraction Forms
+    want = [-contract(w, contract(v, m.d1[k])).terms.get(0, Fraction(0))
+            for k in range(m.n_gen)]
+    assert m.bracket(v, w) == Vector(want)

@@ -2,18 +2,22 @@
 
 For every catalog model (all have at most six generators), and for su(2)
 and su(2) x R, the cohomology dimensions and every Lefschetz relation
-subspace must agree exactly with the dense recomputation.
+subspace must agree exactly with the dense recomputation.  On random
+rational models the form kernels (d, wedge, contraction, Lie derivative)
+must agree with the oracle's.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hardlef import Form, StructureModel
+from hardlef import Form, StructureModel, contract
 from hardlef import lefschetz as lef
 from hardlef.catalog import builtin_entries
 from hardlef.errors import ValidationError
 from hardlef.structures import validate_contact, validate_lcs
 
 import oracle
+from conftest import forms, rational_models, vectors
 
 
 def _positive_entries(kind):
@@ -116,3 +120,23 @@ def test_contact_relations_match_oracle(struct):
         dense = oracle.contact_relation(d1, m.n_gen, struct.n, eta, xi, k,
                                         src_reps, dst_reps)
         assert [list(r) for r in rel.span] == dense
+
+
+# ----- the kernels on random rational models ----------------------------------
+
+
+@settings(max_examples=80, derandomize=True)
+@given(data=st.data())
+def test_kernels_match_oracle(data):
+    m = data.draw(rational_models())
+    n = m.n_gen
+    d1 = oracle.model_of(m)
+    a = data.draw(forms(n))
+    b = data.draw(forms(n))
+    v = data.draw(vectors(n))
+    vec = list(v.coeffs)
+    fa, fb = oracle.form_of(a), oracle.form_of(b)
+    assert oracle.form_of(m.d(a)) == oracle.dform(d1, fa)
+    assert oracle.form_of(a.wedge(b)) == oracle.wedge(fa, fb)
+    assert oracle.form_of(contract(v, a)) == oracle.icontract(vec, fa)
+    assert oracle.form_of(m.lie_derivative(v, a)) == oracle.lie(d1, vec, fa)
