@@ -17,9 +17,11 @@ remains only in what the public methods return: coords and class_of give
 dense tuples or lists, diff_matrix dense rows, and a SplittingMap holds
 its matrix as dense tuples.  Each slice and each space holds one
 linalg.Echelon, so coords and _class_of are one reduction against a
-stored factorization, and each differential is factored once, lazily:
-its kernel is the cycles of degree k and its rows the image in degree
-k+1.  A Subcomplex keeps only these; what other layers derive from it
+stored factorization; a slice whose basis is the monomial basis, as in
+full_complex, needs none (its coordinates are sparse_coords) and is
+factored only if slice(k) asks.  Each differential is factored once,
+lazily: its kernel is the cycles of degree k and its rows the image in
+degree k+1.  A Subcomplex keeps only these; what other layers derive from it
 (relations, chain-map certificates, class maps) they keep themselves.
 """
 

@@ -416,7 +416,6 @@ def top_coefficient(a: Form) -> Fraction:
     return a.terms.get((1 << a.n_gen) - 1, _ZERO)
 
 
-
 def top_pairing(a: Form, b: Form) -> Fraction:
     """top_coefficient(a ^ b) without the wedge: for forms of complementary
     degrees, the sum over the masks m of a of

@@ -12,12 +12,12 @@ matrix of f-then-g is matmul(M_f, M_g).  Reduced row echelon form is the
 canonical presentation of a row space, which makes subspace comparison
 an equality of lists.
 
-`rref` is the one elimination loop.  It takes dense or sparse rows,
-eliminates on sparse ones, touching only the support of the pivot row,
-and returns rows of the kind it was given.  `Echelon` is the one
-factorization built on it: the RREF of [M | I], with the identity as one
-sparse entry per row.  It answers membership, solve, left kernel and
-inverse with no further elimination.
+`_eliminate` is the one elimination loop: it reduces fresh sparse rows
+in place, touching only the support of the pivot row.  `rref` copies
+dense or sparse rows into it and returns rows of the kind it was given.
+`Echelon` is the one factorization built on it: the RREF of [M | I],
+with the identity as one sparse entry per row.  It answers membership,
+solve, left kernel and inverse with no further elimination.
 
 Pivots are chosen by smallest numerator magnitude (then denominator, then
 row order); the resulting RREF is the canonical one regardless.
@@ -26,8 +26,8 @@ The arithmetic follows the rule stated in exterior: `Fraction` is the only
 scalar, and no `Fraction` operation is made whose result is already
 known.  add_scaled does not multiply by 1 and negates for -1, a new entry
 is stored as it is, the pivot key is computed only when a column has
-more than one candidate row, and the rows Echelon builds are eliminated
-in place, not copied again.
+more than one candidate row, and the augmented rows Echelon builds go to
+_eliminate as they are, not copied again.
 """
 
 from __future__ import annotations

@@ -59,8 +59,9 @@ COEFFS = st.sampled_from([0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 2),
 NONZERO = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-3, 2), 3])
 
 # nilpotent, solvable and simple (su(2)) algebras
-RATIONAL_POOL = ["(0,12)", "(12,0)", "(23,-13,12)", "(0,0,12,0)", "(0,0,1/2*12,13)",
-                 "(0,0,0,0,12+34)", "(0,0,12,13,14+23)", "(0,0,0,0,12+34,0)"]
+RATIONAL_POOL = ["(0,12)", "(12,0)", "(23,-13,12)", "(0,0,12,0)",
+                 "(0,0,1/2*12,13)", "(0,0,0,0,12+34)", "(0,0,12,13,14+23)",
+                 "(0,0,0,0,12+34,0)"]
 
 
 def rebase(model, p, name=""):

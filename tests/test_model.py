@@ -119,20 +119,11 @@ def test_nilpotent_and_unimodular_flags(kt4):
     assert not solvable.is_unimodular
     h5 = StructureModel.from_salamon("(0,0,0,0,12+34)")
     assert h5.is_nilpotent and h5.is_unimodular
-
-
-@pytest.mark.parametrize("structure, nilpotent, unimodular", [
-    ("(0,12)", False, False),
-    ("(0,12,0)", False, False),
-    ("(12,0)", False, False),
-    ("(23,-13,12)", False, True),
-    ("(0,0,12,0)", True, True),
-    ("(0,0,1/2*12,13)", True, True),
-])
-def test_flags_on_named_algebras(structure, nilpotent, unimodular):
-    m = StructureModel.from_salamon(structure)
-    assert m.is_nilpotent is nilpotent
-    assert m.is_unimodular is unimodular
+    for structure, nilpotent, unimodular in [
+            ("(0,12,0)", False, False), ("(12,0)", False, False),
+            ("(23,-13,12)", False, True), ("(0,0,1/2*12,13)", True, True)]:
+        m = StructureModel.from_salamon(structure)
+        assert (m.is_nilpotent, m.is_unimodular) == (nilpotent, unimodular)
 
 
 @settings(max_examples=60, derandomize=True)

@@ -122,7 +122,7 @@ def test_contact_relations_match_oracle(struct):
         assert [list(r) for r in rel.span] == dense
 
 
-# ----- the kernels on random rational models ----------------------------------
+# ----- the kernels on random rational models -------------------------------
 
 
 @settings(max_examples=80, derandomize=True)
