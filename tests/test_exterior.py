@@ -8,6 +8,7 @@ from hardlef import (Form, StructureModel, Vector, contract, top_coefficient,
                      wedge, wedge_power)
 from hardlef.errors import DegreeError, ModelMismatchError
 from hardlef.exterior import degree_masks, sparse_coords
+from hardlef.modelfile import form_text
 
 from conftest import random_form, random_vector
 
@@ -98,6 +99,57 @@ def test_wedge_power():
     f = Form.monomial(5, (1, 2)) + Form.monomial(5, (3, 4))
     assert wedge_power(f, 0) == Form.constant(5, 1)
     assert wedge_power(f, 2) == Form.monomial(5, (1, 2, 3, 4), 2)
+
+
+# ----- text ------------------------------------------------------------------
+
+# (form, str and form_text with default names, form_text with x y z w)
+FORM_TEXT = [
+    (Form.zero(4, 2), "0", "0"),
+    (Form.zero(4, 0), "0", "0"),
+    (Form.constant(4, Fraction(-3, 2)), "-3/2", "-3/2"),
+    (Form.constant(4, 1), "1", "1"),
+    (Form(4, 2, {0b0011: -1, 0b0101: Fraction(1, 2)}),
+     "-e1^e2 + 1/2*e1^e3", "-x^y + 1/2*x^z"),
+    (Form(4, 2, {0b0011: 1, 0b0101: -1, 0b0110: Fraction(2, 3),
+                 0b1001: Fraction(-5, 2)}),
+     "e1^e2 - e1^e3 + 2/3*e2^e3 - 5/2*e1^e4",
+     "x^y - x^z + 2/3*y^z - 5/2*x^w"),
+    (Form(4, 1, {0b1000: -2}), "-2*e4", "-2*w"),
+    (Form(4, 3, {0b1110: Fraction(7, 3)}), "7/3*e2^e3^e4", "7/3*y^z^w"),
+]
+
+
+@pytest.mark.parametrize("form, text, named", FORM_TEXT)
+def test_form_text_table(form, text, named):
+    assert str(form) == text
+    assert form_text(form) == text
+    assert form_text(form, ("x", "y", "z", "w")) == named
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ([0, 0, 0], "0"),
+    ([-1, 0, 3], "-E1 + 3*E3"),
+    ([0, 1, -1, Fraction(2, 3), Fraction(-5, 2)],
+     "E2 - E3 + 2/3*E4 - 5/2*E5"),
+    ([Fraction(-1, 2)], "-1/2*E1"),
+])
+def test_vector_text_table(coeffs, text):
+    assert str(Vector(coeffs)) == text
+
+
+@pytest.mark.parametrize("structure", [
+    "(0,0,12,0)", "(23,-13,12,0)", "(0,0,-1/2*12,13)", "(0,0,0,0,-12+34)",
+    "(0,0,0,0,12-2*34)", "(0,0,0,0,1/3*12+34)"])
+def test_structure_string_table(structure):
+    assert StructureModel.from_salamon(structure).structure_string() == \
+        structure
+
+
+def test_structure_string_is_empty_above_nine_generators():
+    model = StructureModel([Form.zero(10, 2)] * 10)
+    assert model.structure_string() == ""
+    assert str(Form.generator(10, 10)) == "e10"
 
 
 # ----- property tests --------------------------------------------------------
