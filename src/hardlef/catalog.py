@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 from .errors import (HardLefError, NonUniqueLeeFieldError, NonUniqueReebError,
@@ -230,6 +231,15 @@ _ERROR_NAMES = (
 )
 
 
+def _each(check, struct, degrees) -> list | None:
+    """[check(struct, k) for k in degrees], or None when one raises a
+    HardLefError."""
+    try:
+        return [check(struct, k) for k in degrees]
+    except HardLefError:
+        return None
+
+
 def run_entry(entry: CatalogEntry) -> dict:
     """Compute the actual value of every check the entry expects."""
     actual: dict = {}
@@ -253,69 +263,54 @@ def run_entry(entry: CatalogEntry) -> dict:
         actual["validates"] = name
         return actual
 
-    expected = entry.expected
     model = entry.model
-    if "betti" in expected:
-        actual["betti"] = list(_lef.betti_numbers(_lef._full(model)))
+    checks = {"betti": lambda: list(_lef.betti_numbers(_lef._full(model)))}
     if struct is not None:
         n = struct.n
-        if "lee_field" in expected:
-            actual["lee_field"] = str(struct.U)
-        if "anti_lee_field" in expected:
-            actual["anti_lee_field"] = str(struct.V)
-        if "basic_betti" in expected:
-            actual["basic_betti"] = list(
-                _lef.betti_numbers(_lef._basic(model, (struct.U,))))
-        equivalence = None
-        if {"lefschetz_de_rham", "lefschetz_basic", "lefschetz_contact",
-                "equivalence_agree"} & set(expected):
-            equivalence = _lef.lefschetz_equivalence_report(struct)
-        for picture in ("de_rham", "basic", "contact"):
-            if f"lefschetz_{picture}" in expected:
-                actual[f"lefschetz_{picture}"] = [
-                    getattr(v, picture) for v in equivalence.per_degree]
-        if "equivalence_agree" in expected:
-            actual["equivalence_agree"] = equivalence.agree
-        if {"parity_ok", "b_equals_c_sum"} & set(expected):
-            parity = _lef.betti_parity_check(struct)
-            if "parity_ok" in expected:
-                actual["parity_ok"] = parity.parity_ok
-            if "b_equals_c_sum" in expected:
-                actual["b_equals_c_sum"] = parity.sum_identity_ok
-        if "uv_invertible" in expected:
-            actual["uv_invertible"] = [
+        # each report is asked for once, by the first check that reads it
+        equivalence = cache(lambda: _lef.lefschetz_equivalence_report(struct))
+        parity = cache(lambda: _lef.betti_parity_check(struct))
+
+        def verdicts(picture):
+            return lambda: [getattr(v, picture)
+                            for v in equivalence().per_degree]
+
+        def psi_ok():
+            psi = _each(_lef.pairing_psi, struct, range(1, n + 1))
+            return psi is not None and all(r.parity_ok and r.nondegenerate
+                                           for r in psi)
+
+        checks.update({
+            "lee_field": lambda: str(struct.U),
+            "anti_lee_field": lambda: str(struct.V),
+            "basic_betti": lambda: list(
+                _lef.betti_numbers(_lef._basic(model, (struct.U,)))),
+            "lefschetz_de_rham": verdicts("de_rham"),
+            "lefschetz_basic": verdicts("basic"),
+            "lefschetz_contact": verdicts("contact"),
+            "equivalence_agree": lambda: equivalence().agree,
+            "parity_ok": lambda: parity().parity_ok,
+            "b_equals_c_sum": lambda: parity().sum_identity_ok,
+            "uv_invertible": lambda: [
                 _lef.uv_basic_lefschetz(struct, k).invertible
-                for k in range(n + 1)]
-        if "gysin_ok" in expected:
-            actual["gysin_ok"] = _lef.gysin_sequence_check(struct).ok
-        if "t_inverse_ok" in expected:
-            ok = True
-            try:
-                for k in range(n + 1):
-                    _lef.t_map(struct, k)
-            except HardLefError:
-                ok = False
-            actual["t_inverse_ok"] = ok
-        if "psi_ok" in expected:
-            ok = True
-            try:
-                for k in range(1, n + 1):
-                    res = _lef.pairing_psi(struct, k)
-                    ok = ok and res.parity_ok and res.nondegenerate
-            except HardLefError:
-                ok = False
-            actual["psi_ok"] = ok
-        if "vaisman" in expected:
-            actual["vaisman"] = vaisman_candidate_report(struct).verdict
+                for k in range(n + 1)],
+            "gysin_ok": lambda: _lef.gysin_sequence_check(struct).ok,
+            "t_inverse_ok": lambda: _each(_lef.t_map, struct,
+                                          range(n + 1)) is not None,
+            "psi_ok": psi_ok,
+            "vaisman": lambda: vaisman_candidate_report(struct).verdict,
+        })
     if contact is not None:
-        if "reeb_field" in expected:
-            actual["reeb_field"] = str(contact.xi)
-        if "lefschetz_contact" in expected:
-            actual["lefschetz_contact"] = [
-                _lef.is_graph_of_isomorphism(
-                    _lef.contact_lefschetz_relation(contact, k)
-                ).is_graph_of_isomorphism
-                for k in range(contact.n + 1)]
+        checks["reeb_field"] = lambda: str(contact.xi)
+        checks["lefschetz_contact"] = lambda: [
+            _lef.is_graph_of_isomorphism(
+                _lef.contact_lefschetz_relation(contact, k)
+            ).is_graph_of_isomorphism
+            for k in range(contact.n + 1)]
+    # in table order, and only what the entry expects
+    for key, check in checks.items():
+        if key in entry.expected:
+            actual[key] = check()
     return actual
 
 

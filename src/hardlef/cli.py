@@ -19,7 +19,7 @@ from . import modelfile, report
 from .cohomology import betti_numbers
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
                      ParseError, PreconditionError, ValidationError)
-from .exterior import Vector
+from .exterior import Vector, default_names, form_text
 from .structures import (validate_contact, validate_lcs,
                          vaisman_candidate_report)
 
@@ -49,8 +49,7 @@ def cmd_validate(args) -> int:
         results["n"] = struct.n
         results["lee_field_U"] = str(struct.U)
         results["anti_lee_field_V"] = str(struct.V)
-        results["Omega"] = modelfile.form_text(struct.Omega,
-                                               doc.generator_names)
+        results["Omega"] = form_text(struct.Omega, doc.generator_names)
         results["checks"] = {
             "omega closed": True,
             "rank d(eta) = 2n": True,
@@ -237,12 +236,10 @@ def cmd_export(args) -> int:
     if entry is None:
         raise PreconditionError(f"unknown catalog entry {args.entry!r}; "
                                 f"available: {sorted(entries)}")
-    names = tuple(f"e{i}" for i in range(1, entry.model.n_gen + 1))
-    doc = modelfile.ModelDocument(entry.model, entry.omega, entry.eta, names)
+    doc = modelfile.ModelDocument(entry.model, entry.omega, entry.eta,
+                                  default_names(entry.model.n_gen))
     if args.format == "json":
-        import json as _json
-        text = _json.dumps(modelfile.to_json_dict(doc), indent=2,
-                           sort_keys=True) + "\n"
+        text = report.to_json(modelfile.to_json_dict(doc))
     else:
         text = modelfile.serialize(doc)
     if args.out:

@@ -279,23 +279,7 @@ class Form:
         return hash((self.n_gen, deg, frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mask in sorted(self.terms):
-            coeff = self.terms[mask]
-            mono = "^".join(f"e{i}" for i in indices_of(mask))
-            if not mono:
-                body = str(coeff)
-            elif coeff == 1:
-                body = mono
-            elif coeff == -1:
-                body = f"-{mono}"
-            else:
-                body = f"{coeff}*{mono}"
-            parts.append(body)
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return form_text(self)
 
     def __repr__(self):
         return f"<Form {self}>"
@@ -346,20 +330,48 @@ class Vector:
         return hash(self.coeffs)
 
     def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs, start=1):
-            if not c:
-                continue
-            if c == 1:
-                parts.append(f"E{i}")
-            elif c == -1:
-                parts.append(f"-E{i}")
-            else:
-                parts.append(f"{c}*E{i}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        return _signed_sum((c, f"E{i}")
+                           for i, c in enumerate(self.coeffs, start=1) if c)
 
     def __repr__(self):
         return f"<Vector {self}>"
+
+
+def default_names(n_gen: int) -> tuple[str, ...]:
+    """The generator names e1, ..., en of a model that declares none."""
+    return tuple(f"e{i}" for i in range(1, n_gen + 1))
+
+
+def _signed_sum(terms: Iterable[tuple[Fraction, str]], sep: str = " ") -> str:
+    """The text of a sum of (coefficient, monomial) terms: a coefficient 1
+    is left out, -1 is a minus sign and any other is written c*monomial; an
+    empty monomial is the constant c; no terms is 0.  sep surrounds the
+    signs between terms."""
+    out = []
+    for c, mono in terms:
+        if not mono:
+            body = str(c)
+        elif c == 1:
+            body = mono
+        elif c == -1:
+            body = f"-{mono}"
+        else:
+            body = f"{c}*{mono}"
+        if out:
+            body = (f"{sep}-{sep}{body[1:]}" if body.startswith("-")
+                    else f"{sep}+{sep}{body}")
+        out.append(body)
+    return "".join(out) or "0"
+
+
+def form_text(a: Form, names: Sequence[str] | None = None) -> str:
+    """The form as a signed sum of wedge monomials in ascending mask order,
+    with the given generator names (default e1..en); the model-file syntax
+    and the text of every report."""
+    names = names or default_names(a.n_gen)
+    return _signed_sum(
+        (a.terms[m], "^".join(names[i - 1] for i in indices_of(m)))
+        for m in sorted(a.terms))
 
 
 def wedge(a: Form, b: Form) -> Form:

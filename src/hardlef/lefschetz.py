@@ -55,7 +55,10 @@ def _memo(model) -> dict:
     ("flow operators", structure); ("chain slice", source complex, target
     complex, operator, k, j); ("class map", source space, target space,
     operator).  Keyed by model equality: quotient_contact builds a fresh
-    but equal model on every call."""
+    but equal model on every call, and the Lee quotient of each l.c.s.
+    catalog entry equals one of the contact entries h3, h5, nil5a and
+    nil5b, so the suite does their contact work once.  A memo keyed by
+    model identity loses that reuse and made a suite pass slower."""
     return {}
 
 
@@ -192,65 +195,65 @@ def de_rham_lefschetz_relation(struct: LcsStructure,
     n = struct.n
     _check_k(k, n)
     model = struct.model
-    deta = model.d(struct.eta)
-    l_high = wedge_power(deta, n - k + 2)
-    l_mid = wedge_power(deta, n - k + 1)
-    l_low = wedge_power(deta, n - k)
-    ops = (model.d,
-           lambda f: model.lie_derivative(struct.U, f),
-           lambda f: contract(struct.V, f),
-           lambda f: l_high.wedge(f),
-           lambda f: l_mid.wedge(struct.omega.wedge(f)))
 
-    def target(gamma):
-        if gamma.degree > 0:
+    def build():
+        deta = model.d(struct.eta)
+        l_high = wedge_power(deta, n - k + 2)
+        l_mid = wedge_power(deta, n - k + 1)
+        l_low = wedge_power(deta, n - k)
+        ops = (model.d,
+               lambda f: model.lie_derivative(struct.U, f),
+               lambda f: contract(struct.V, f),
+               lambda f: l_high.wedge(f),
+               lambda f: l_mid.wedge(struct.omega.wedge(f)))
+
+        def target(gamma):
+            # i_U of a 0-form is zero, and zero forms add in any degree
             liu = deta.wedge(contract(struct.U, gamma))
-        else:
-            liu = Form.zero(model.n_gen, 1)
-        return struct.eta.wedge(l_low.wedge(liu - struct.omega.wedge(gamma)))
+            return struct.eta.wedge(
+                l_low.wedge(liu - struct.omega.wedge(gamma)))
 
-    cplx = _full(model)
-    return _cached(model, ("de_rham", struct, k), lambda: _relation(
-        cplx.space(k), cplx.space(2 * n + 2 - k), ops, target,
-        "relation target"))
+        cplx = _full(model)
+        return _relation(cplx.space(k), cplx.space(2 * n + 2 - k), ops,
+                         target, "relation target")
+
+    return _cached(model, ("de_rham", struct, k), build)
 
 
 def basic_lefschetz_relation(struct: LcsStructure,
                              k: int) -> CohomologyRelation:
     """The degree-k relation inside the Lee-basic complex."""
-    n = struct.n
-    _check_k(k, n)
-    model = struct.model
-    deta = model.d(struct.eta)
-    l_mid = wedge_power(deta, n - k + 1)
-    l_low = wedge_power(deta, n - k)
-    ops = (model.d,
-           lambda f: contract(struct.V, f),
-           lambda f: l_mid.wedge(f))
-    cplx = _basic(model, (struct.U,))
-    return _cached(model, ("basic", struct, k), lambda: _relation(
-        cplx.space(k), cplx.space(2 * n + 1 - k), ops,
-        lambda beta: struct.eta.wedge(l_low.wedge(beta)),
-        "basic relation target"))
+    return _odd_relation("basic", struct, struct.V, (struct.U,), k)
 
 
 def contact_lefschetz_relation(contact: ContactStructure,
                                k: int) -> CohomologyRelation:
     """The degree-k relation between H^k(N) and H^(2n+1-k)(N)."""
-    n = contact.n
+    return _odd_relation("contact", contact, contact.xi, (), k)
+
+
+def _odd_relation(picture: str, struct, field, fields,
+                  k: int) -> CohomologyRelation:
+    """The degree-k relation between degrees k and 2n+1-k of the complex
+    basic for fields: the Lee-basic picture (field V, fields (U,)) or the
+    contact one (field xi, the full complex of the contact model)."""
+    n = struct.n
     _check_k(k, n)
-    model = contact.model
-    deta = model.d(contact.eta)
-    l_mid = wedge_power(deta, n - k + 1)
-    l_low = wedge_power(deta, n - k)
-    ops = (model.d,
-           lambda f: contract(contact.xi, f),
-           lambda f: l_mid.wedge(f))
-    cplx = _full(model)
-    return _cached(model, ("contact", contact, k), lambda: _relation(
-        cplx.space(k), cplx.space(2 * n + 1 - k), ops,
-        lambda beta: contact.eta.wedge(l_low.wedge(beta)),
-        "contact relation target"))
+    model = struct.model
+
+    def build():
+        deta = model.d(struct.eta)
+        l_mid = wedge_power(deta, n - k + 1)
+        l_low = wedge_power(deta, n - k)
+        ops = (model.d,
+               lambda f: contract(field, f),
+               lambda f: l_mid.wedge(f))
+        cplx = _basic(model, fields)
+        return _relation(cplx.space(k), cplx.space(2 * n + 1 - k), ops,
+                         lambda beta: struct.eta.wedge(l_low.wedge(beta)),
+                         f"{picture} relation target")
+
+    return _cached(model, (picture, struct, k), build)
 
 
 def _isomorphism(relation: CohomologyRelation, k: int):

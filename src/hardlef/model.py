@@ -22,8 +22,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DegreeError, ModelMismatchError, ValidationError
-from .exterior import (Form, Rational, Vector, _accumulate, _sum, contract,
-                       indices_of, merge_sign)
+from .exterior import (Form, Rational, Vector, _accumulate, _signed_sum,
+                       _sum, contract, indices_of, merge_sign)
 
 
 class StructureModel:
@@ -232,24 +232,10 @@ class StructureModel:
         """Compact pair notation, e.g. (0,0,12,0); empty above 9 generators."""
         if self.n_gen > 9:
             return ""
-        entries = []
-        for f in self.d1:
-            if f.is_zero():
-                entries.append("0")
-                continue
-            parts = []
-            for mask in sorted(f.terms):
-                c = f.terms[mask]
-                pair = "".join(str(i) for i in indices_of(mask))
-                if c == 1:
-                    body = pair
-                elif c == -1:
-                    body = f"-{pair}"
-                else:
-                    body = f"{c}*{pair}"
-                parts.append(body)
-            entries.append("+".join(parts).replace("+-", "-"))
-        return "(" + ",".join(entries) + ")"
+        return "(" + ",".join(
+            _signed_sum(((f.terms[m], "".join(map(str, indices_of(m))))
+                         for m in sorted(f.terms)), sep="")
+            for f in self.d1) + ")"
 
     def __eq__(self, other):
         if not isinstance(other, StructureModel):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .exterior import Form, indices_of
+from .exterior import Form, default_names, form_text
 from .model import StructureModel
 
 _TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:/\d+)?)"
@@ -216,7 +216,7 @@ def parse(text: str) -> ModelDocument:
                 raise ParseError("dim must be declared before forms",
                                  lineno, col)
             if gen_names is None:
-                gen_names = [f"e{i}" for i in range(1, dim + 1)]
+                gen_names = default_names(dim)
             names_locked = True
             if len(gen_names) != dim:
                 raise ParseError(f"{len(gen_names)} generator names for "
@@ -263,59 +263,17 @@ def parse(text: str) -> ModelDocument:
     if dim is None:
         raise ParseError("missing required `dim` statement", 1, 1)
     if gen_names is None:
-        gen_names = [f"e{i}" for i in range(1, dim + 1)]
+        gen_names = default_names(dim)
     diffs = [d_lines.get(i, (Form.zero(dim, 2), 0))[0]
              for i in range(1, dim + 1)]
     model = StructureModel(diffs, name=name)
     return ModelDocument(model, omega, eta, tuple(gen_names))
 
 
-def form_text(form: Form, names=None) -> str:
-    """Render a form in file syntax with the given generator names."""
-    if form.is_zero():
-        return "0"
-    names = list(names) if names else [f"e{i}"
-                                       for i in range(1, form.n_gen + 1)]
-    parts = []
-    for mask in sorted(form.terms):
-        coeff = form.terms[mask]
-        mono = "^".join(names[i - 1] for i in indices_of(mask))
-        if not mono:
-            body = str(coeff)
-        elif coeff == 1:
-            body = mono
-        elif coeff == -1:
-            body = f"-{mono}"
-        else:
-            body = f"{coeff}*{mono}"
-        if parts:
-            if body.startswith("-"):
-                parts.append(f"- {body[1:]}")
-            else:
-                parts.append(f"+ {body}")
-        else:
-            parts.append(body)
-    return " ".join(parts)
-
-
 def serialize(doc: ModelDocument) -> str:
     """Canonical file text; parse(serialize(doc)) equals doc."""
-    names = doc.generator_names
-    lines = []
-    if doc.model.name:
-        lines.append(f"name {doc.model.name}")
-    lines.append(f"dim {doc.model.n_gen}")
-    default = tuple(f"e{i}" for i in range(1, doc.model.n_gen + 1))
-    if names != default:
-        lines.append("generators " + " ".join(names))
-    for i in range(1, doc.model.n_gen + 1):
-        lines.append(f"d {names[i - 1]} = "
-                     f"{form_text(doc.model.d1[i - 1], names)}")
-    if doc.omega is not None:
-        lines.append(f"omega = {form_text(doc.omega, names)}")
-    if doc.eta is not None:
-        lines.append(f"eta = {form_text(doc.eta, names)}")
-    return "\n".join(lines) + "\n"
+    custom = doc.generator_names != default_names(doc.model.n_gen)
+    return "\n".join(_statements(to_json_dict(doc), custom)) + "\n"
 
 
 def to_json_dict(doc: ModelDocument) -> dict:
@@ -334,22 +292,29 @@ def to_json_dict(doc: ModelDocument) -> dict:
     return out
 
 
+def _statements(data: dict, generators: bool = True) -> list[str]:
+    """The file statements of a model in its JSON form, the generators
+    statement only when asked for."""
+    dim = data["dim"]
+    names = data.get("generators") or default_names(dim)
+    lines = [f"name {data['name']}"] if data.get("name") else []
+    lines.append(f"dim {dim}")
+    if generators:
+        lines.append("generators " + " ".join(names))
+    for gen, expr in data.get("differentials", {}).items():
+        lines.append(f"d {gen} = {expr}")
+    for key in ("omega", "eta"):
+        if key in data:
+            lines.append(f"{key} = {data[key]}")
+    return lines
+
+
 def from_json_dict(data: dict) -> ModelDocument:
     try:
-        dim = data["dim"]
-        names = data.get("generators") or [f"e{i}" for i in range(1, dim + 1)]
-        lines = [f"name {data['name']}" if data.get("name") else "",
-                 f"dim {dim}",
-                 "generators " + " ".join(names)]
-        for gen, expr in data.get("differentials", {}).items():
-            lines.append(f"d {gen} = {expr}")
-        if "omega" in data:
-            lines.append(f"omega = {data['omega']}")
-        if "eta" in data:
-            lines.append(f"eta = {data['eta']}")
+        lines = _statements(data)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed JSON model: {exc}") from exc
-    return parse("\n".join(line for line in lines if line))
+    return parse("\n".join(lines))
 
 
 def load_text(text: str, assume_json: bool | None = None) -> ModelDocument:

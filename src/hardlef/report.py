@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 
+from .exterior import default_names, form_text
+
 CAVEAT_INVARIANT_MODEL = (
     "All computations take place in the invariant (Chevalley-Eilenberg) "
     "model; for nilpotent models they equal the de Rham and basic "
@@ -36,9 +38,7 @@ CAVEAT_DUALITY = (
 
 
 def model_summary(model, names=None) -> dict:
-    from .modelfile import form_text
-    names = list(names) if names else [f"e{i}" for i in
-                                       range(1, model.n_gen + 1)]
+    names = names or default_names(model.n_gen)
     return {
         "name": model.name,
         "dim": model.n_gen,

@@ -292,3 +292,23 @@ def test_catalog_suite_reproduces_expected_verdicts():
     assert report["ok"], [e for e in report["entries"] if not e["ok"]]
     _report("suite", f"all {len(report['entries'])} catalog entries "
                      f"reproduce their stored verdicts")
+
+
+def test_run_entry_computes_only_the_expected_checks(monkeypatch):
+    """nil5a_s1 and nil5b_s1 expect neither t_inverse_ok nor psi_ok, so
+    their entries build no T map and no pairing."""
+    from hardlef import lefschetz as lef
+    from hardlef.catalog import run_entry
+    calls = []
+    for name in ("t_map", "pairing_psi"):
+        def counting(struct, k, _fn=getattr(lef, name), _name=name):
+            calls.append(_name)
+            return _fn(struct, k)
+        monkeypatch.setattr(lef, name, counting)
+    entries = {e.name: e for e in builtin_entries()}
+    for name in ("nil5a_s1", "nil5b_s1"):
+        assert "psi_ok" not in entries[name].expected
+        run_entry(entries[name])
+    assert calls == []
+    run_entry(entries["kt4"])
+    assert calls.count("t_map") == 2 and calls.count("pairing_psi") == 1

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hardlef import (Form, StructureModel, Vector, contract, top_coefficient,
                      wedge, wedge_power)
 from hardlef.errors import DegreeError, ModelMismatchError
-from hardlef.exterior import degree_masks, sparse_coords
-from hardlef.modelfile import form_text
+from hardlef.exterior import (default_names, degree_masks, form_text,
+                              sparse_coords)
 
 from conftest import random_form, random_vector
 
@@ -125,6 +125,10 @@ def test_form_text_table(form, text, named):
     assert str(form) == text
     assert form_text(form) == text
     assert form_text(form, ("x", "y", "z", "w")) == named
+
+
+def test_default_names():
+    assert default_names(3) == ("e1", "e2", "e3")
 
 
 @pytest.mark.parametrize("coeffs, text", [

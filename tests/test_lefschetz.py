@@ -293,6 +293,27 @@ def test_lefschetz_all_builds_each_relation_once(monkeypatch, capsys):
     assert len(verdicts) == len(set(verdicts)) == 9
 
 
+def test_a_second_call_to_a_relation_builder_computes_no_power(
+        monkeypatch, h5s1_struct):
+    lef._memo.cache_clear()
+    contact = lef.quotient_contact(h5s1_struct)
+    calls = [(lef.de_rham_lefschetz_relation, h5s1_struct),
+             (lef.basic_lefschetz_relation, h5s1_struct),
+             (lef.contact_lefschetz_relation, contact)]
+    first = [builder(struct, 1) for builder, struct in calls]
+    powers = []
+    wedge_power = lef.wedge_power
+
+    def counting(a, m):
+        powers.append(m)
+        return wedge_power(a, m)
+
+    monkeypatch.setattr(lef, "wedge_power", counting)
+    for (builder, struct), relation in zip(calls, first):
+        assert builder(struct, 1) is relation
+    assert powers == []
+
+
 def test_lefschetz_all_builds_each_report_once(monkeypatch, capsys):
     from pathlib import Path
 
@@ -364,6 +385,13 @@ def test_graph_factors_the_first_projection_once(monkeypatch, kt4_struct):
         total, functional, matrix = lef._graph(rel)
         assert total and functional and matrix is not None
     assert len(calls) == len(relations)
+
+
+def test_lcs_corpus_holds_each_structure_once():
+    from conftest import LCS_CORPUS
+    structures = list(LCS_CORPUS.values())
+    assert all(a != b for i, a in enumerate(structures)
+               for b in structures[i + 1:])
 
 
 def test_induced_maps_agree_with_relation_path(monkeypatch, lcs_struct):
