@@ -121,21 +121,22 @@ def rng():
 
 
 def _lcs_corpus():
-    """id -> (model, omega, eta) of every l.c.s. file in models/ and of the
-    catalog entries nil5a_s1 and nil5b_s1; the catalog's kt4 and h5s1 are
-    the files of those names.  models/su2s1.model, the invariant model of
-    the Hopf surface S^3 x S^1, is the paper's basic compact Vaisman
-    example; its anti-Lee field E3 is not central, so some of its Gysin
-    maps are not certified chain maps."""
+    """id -> (model, omega, eta) of every l.c.s. file in models/, of the
+    catalog entries kt4, h5s1, nil5a_s1 and nil5b_s1, and of su(2) x R."""
     corpus = {}
     for path in sorted(MODELS_DIR.glob("*.model")):
         doc = modelfile.load_path(path)
         if doc.kind == "lcs":
             corpus[f"models/{path.name}"] = (doc.model, doc.omega, doc.eta)
     for entry in builtin_entries():
-        if entry.name in ("nil5a_s1", "nil5b_s1"):
+        if entry.name in ("kt4", "h5s1", "nil5a_s1", "nil5b_s1"):
             corpus[f"catalog:{entry.name}"] = (entry.model, entry.omega,
                                                entry.eta)
+    # the invariant model of the Hopf surface S^3 x S^1, the paper's basic
+    # compact Vaisman example; its anti-Lee field E3 is not central, so
+    # some of its Gysin maps are not certified chain maps
+    corpus["su2_s1"] = (StructureModel.from_salamon("(23,-13,12,0)"),
+                        Form.generator(4, 4), Form.generator(4, 3))
     return corpus
 
 

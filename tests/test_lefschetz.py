@@ -387,13 +387,6 @@ def test_graph_factors_the_first_projection_once(monkeypatch, kt4_struct):
     assert len(calls) == len(relations)
 
 
-def test_lcs_corpus_holds_each_structure_once():
-    from conftest import LCS_CORPUS
-    structures = list(LCS_CORPUS.values())
-    assert all(a != b for i, a in enumerate(structures)
-               for b in structures[i + 1:])
-
-
 def test_induced_maps_agree_with_relation_path(monkeypatch, lcs_struct):
     """Every map of the Gysin check and of T_k, certified or not, equals the
     map read off its relation of class pairs."""
