@@ -11,18 +11,19 @@ completing the canonical image basis inside the canonical kernel basis.
 Sparse inside, dense at the API.  Forms enter through
 exterior.sparse_coords, which owns the mask -> column index of each
 monomial basis; everything after that (the slice factorizations, the
-differential rows, kernels, images, representatives and the classes
-_class_of solves for) is a sparse vector {column: Fraction}.  Dense
-remains only in what the public methods return: coords and class_of give
-dense tuples or lists, diff_matrix dense rows, and a SplittingMap holds
-its matrix as dense tuples.  Each slice and each space holds one
-linalg.Echelon, so coords and _class_of are one reduction against a
-stored factorization; a slice whose basis is the monomial basis, as in
-full_complex, needs none (its coordinates are sparse_coords) and is
-factored only if slice(k) asks.  Each differential is factored once,
-lazily: its kernel is the cycles of degree k and its rows the image in
-degree k+1.  A Subcomplex keeps only these; what other layers derive from it
-(relations, chain-map certificates, class maps) they keep themselves.
+differential rows, kernels, images, representatives, the classes
+_class_of solves for and the rows of a SplittingMap) is a sparse vector
+{column: Fraction}, the one matrix kind of linalg.  Dense tuples or lists
+are built only when a public method or attribute is read: coords,
+class_of, diff_matrix and SplittingMap.matrix.  Each slice and each space
+holds one linalg.Echelon, so coords and _class_of are one reduction
+against a stored factorization; a slice whose basis is the monomial
+basis, as in full_complex, needs none (its coordinates are sparse_coords)
+and is factored only if slice(k) asks.  Each differential is factored
+once, lazily: its kernel is the cycles of degree k and its rows the image
+in degree k+1.  A Subcomplex keeps only these; what other layers derive
+from it (relations, chain-map certificates, class maps) they keep
+themselves.
 """
 
 from __future__ import annotations
@@ -231,13 +232,12 @@ def _is_monomial_basis(basis: Sequence[Form], n_gen: int,
         for f, m in zip(basis, masks))
 
 
-def _combine(basis: Sequence[Form], coords, n_gen: int, degree: int) -> Form:
-    """sum c_i basis[i] for coordinates given dense or as a sparse dict."""
+def _combine(basis: Sequence[Form], coords: dict[int, Fraction], n_gen: int,
+             degree: int) -> Form:
+    """sum c_i basis[i] for sparse coordinates."""
     out: dict[int, Fraction] = {}
-    items = coords.items() if isinstance(coords, dict) else enumerate(coords)
-    for i, c in items:
-        if c:
-            linalg.add_scaled(out, c, basis[i].terms)
+    for i, c in coords.items():
+        linalg.add_scaled(out, c, basis[i].terms)
     return Form._make(n_gen, max(degree, 0), out)
 
 
@@ -313,13 +313,18 @@ class SplittingMap:
     """Matrix of ([b], [b']) -> [b + w ^ b'] in the representative bases.
 
     Rows list the images of the H^k(outer) representatives followed by the
-    H^(k-1)(outer) representatives; columns index H^k(inner).
+    H^(k-1)(outer) representatives; columns index H^k(inner).  rows are
+    sparse; matrix is the same rows as dense tuples.
     """
 
     degree: int
-    matrix: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[dict[int, Fraction], ...]
     outer_dims: tuple[int, int]
     inner_dim: int
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return linalg.dense_rows(self.rows, self.inner_dim)
 
 
 @dataclass(frozen=True)
@@ -383,12 +388,10 @@ def splitting_map(model: StructureModel, w_form: Form, inner: Subcomplex,
     src1 = outer.space(k)
     src0 = outer.space(k - 1)
     dst = inner.space(k)
-    rows = []
-    for rep in src1.representatives:
-        rows.append(tuple(dst.class_of(rep)))
-    for rep in src0.representatives:
-        rows.append(tuple(dst.class_of(w_form.wedge(rep))))
-    return SplittingMap(k, tuple(rows),
+    rows = tuple([dst._class_of(rep) for rep in src1.representatives]
+                 + [dst._class_of(w_form.wedge(rep))
+                    for rep in src0.representatives])
+    return SplittingMap(k, rows,
                         (src1.dimension, src0.dimension), dst.dimension)
 
 
@@ -399,10 +402,9 @@ def splitting_check(model: StructureModel, w_form: Form, inner: Subcomplex,
     maps = tuple(splitting_map(model, w_form, inner, outer, k)
                  for k in range(model.n_gen + 1))
     for k, sm in enumerate(maps):
-        nrows = len(sm.matrix)
-        square = nrows == sm.inner_dim
+        square = len(sm.rows) == sm.inner_dim
         invertible = square and linalg.rank(
-            sm.matrix, sm.inner_dim) == sm.inner_dim
+            sm.rows, sm.inner_dim) == sm.inner_dim
         entries.append(SplittingDegree(k, sm.inner_dim, sm.outer_dims[0],
                                        sm.outer_dims[1], square, invertible))
     return SplittingReport(tuple(entries), all(e.invertible for e in entries),

@@ -91,18 +91,26 @@ def _check_k(k: int, n: int) -> None:
 
 @dataclass(frozen=True)
 class CohomologyRelation:
-    """A linear subspace of H^a x H^b, stored by its canonical RREF basis."""
+    """A linear subspace of H^a x H^b, stored by its canonical RREF basis:
+    sparse rows, the H^b columns offset by dim H^a; span is dense."""
 
     source: CohomologySpace
     target: CohomologySpace
-    span: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[dict[int, Fraction], ...]
 
     @classmethod
     def from_pairs(cls, source: CohomologySpace, target: CohomologySpace,
                    pairs) -> "CohomologyRelation":
-        rows = [list(x) + list(y) for x, y in pairs]
-        span = linalg.row_space(rows, source.dimension + target.dimension)
-        return cls(source, target, tuple(tuple(r) for r in span))
+        """The span of sparse class pairs (x, y)."""
+        da = source.dimension
+        rows = [{**x, **{da + j: c for j, c in y.items()}} for x, y in pairs]
+        return cls(source, target, tuple(
+            linalg.row_space(rows, da + target.dimension)))
+
+    @property
+    def span(self) -> tuple[tuple[Fraction, ...], ...]:
+        return linalg.dense_rows(
+            self.rows, self.source.dimension + self.target.dimension)
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,14 @@ class LefschetzVerdict:
     is_functional: bool
     is_injective: bool
     is_surjective: bool
-    matrix: tuple[tuple[Fraction, ...], ...] | None
+    rows: tuple[dict[int, Fraction], ...] | None
+    target_dim: int
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...] | None:
+        """The rows of the map as dense tuples, when it is one."""
+        return (None if self.rows is None
+                else linalg.dense_rows(self.rows, self.target_dim))
 
     @property
     def is_graph_of_isomorphism(self) -> bool:
@@ -132,41 +147,41 @@ class LefschetzVerdict:
 def _graph(relation: CohomologyRelation):
     """(total, functional, matrix): whether the relation is defined on every
     source class and single valued, and when both hold the sparse matrix of
-    the map it is the graph of."""
+    the map it is the graph of.  In the canonical RREF, the rows with a
+    pivot among the source columns have independent source parts and the
+    others have none; when they are dim H^a and all of the rows, the rows
+    are [I | M]."""
     da = relation.source.dimension
-    x_rows = [linalg.sparse(r[:da]) for r in relation.span]
-    x_proj = linalg.Echelon(x_rows, da)
-    total = len(x_proj.pivots) == da
-    functional = len(x_proj.pivots) == len(x_rows)
+    rows = relation.rows
+    x_rank = sum(1 for row in rows if min(row) < da)
+    total = x_rank == da
+    functional = x_rank == len(rows)
     if not (total and functional):
         return total, functional, None
-    # the first projection is square and invertible: its RREF is the
-    # identity, so the combinations that reach it are its inverse
-    return total, functional, linalg.matmul(
-        x_proj.sparse_combos, [linalg.sparse(r[da:]) for r in relation.span])
+    return total, functional, [{j - da: c for j, c in row.items() if j >= da}
+                               for row in rows]
 
 
 def is_graph_of_isomorphism(relation: CohomologyRelation) -> LefschetzVerdict:
     """Decide totality, functionality and invertibility by exact ranks,
     once per relation.  The memo keeps the verdict with its relation under
-    the relation's id, which stays its own while the entry holds it, so a
-    lookup never hashes the span."""
+    the relation's id, which stays its own while the entry holds it; a
+    relation holds dict rows and cannot be hashed."""
     return _cached(relation.source.complex.model, ("verdict", id(relation)),
                    lambda: (relation, _verdict(relation)))[1]
 
 
 def _verdict(relation: CohomologyRelation) -> LefschetzVerdict:
     total, functional, m = _graph(relation)
+    width = relation.target.dimension
     injective = surjective = False
-    matrix = None
     if m is not None:
-        width = relation.target.dimension
         r = linalg.rank(m, width)
         injective = r == relation.source.dimension
         surjective = r == width
-        matrix = tuple(tuple(linalg.dense(row, width)) for row in m)
+        m = tuple(m)
     return LefschetzVerdict(relation.source.degree, total, functional,
-                            injective, surjective, matrix)
+                            injective, surjective, m, width)
 
 
 def _relation(src: CohomologySpace, dst: CohomologySpace,
@@ -185,7 +200,7 @@ def _relation(src: CohomologySpace, dst: CohomologySpace,
         if not d(y).is_zero():
             raise InternalConsistencyError(
                 f"{label} in degree {src.degree} is not closed")
-        pairs.append((src.class_of(x), dst.class_of(y)))
+        pairs.append((src._class_of(x), dst._class_of(y)))
     return CohomologyRelation.from_pairs(src, dst, pairs)
 
 
@@ -256,21 +271,21 @@ def _odd_relation(picture: str, struct, field, fields,
     return _cached(model, (picture, struct, k), build)
 
 
-def _isomorphism(relation: CohomologyRelation, k: int):
+def _isomorphism(relation: CohomologyRelation, k: int) -> LefschetzVerdict:
     verdict = is_graph_of_isomorphism(relation)
     if not verdict.is_graph_of_isomorphism:
         raise NotLefschetzError(k, verdict)
-    return verdict.matrix
+    return verdict
 
 
 def lefschetz_map_de_rham(struct: LcsStructure, k: int):
     """Matrix of the degree-k Lefschetz isomorphism H^k -> H^(2n+2-k)."""
-    return _isomorphism(de_rham_lefschetz_relation(struct, k), k)
+    return _isomorphism(de_rham_lefschetz_relation(struct, k), k).matrix
 
 
 def lefschetz_map_basic(struct: LcsStructure, k: int):
     """Matrix of the degree-k Lee-basic Lefschetz isomorphism."""
-    return _isomorphism(basic_lefschetz_relation(struct, k), k)
+    return _isomorphism(basic_lefschetz_relation(struct, k), k).matrix
 
 
 # ----- transversal machinery -----------------------------------------------
@@ -278,31 +293,40 @@ def lefschetz_map_basic(struct: LcsStructure, k: int):
 
 @dataclass(frozen=True)
 class TransversalLefschetz:
-    """Cup with (d eta)^(n-k) on the (U,V)-basic cohomology."""
+    """Cup with (d eta)^(n-k) on the (U,V)-basic cohomology; rows are
+    sparse, matrix the same rows as dense tuples."""
 
     degree: int
-    matrix: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[dict[int, Fraction], ...]
     source_dim: int
     target_dim: int
     invertible: bool
 
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return linalg.dense_rows(self.rows, self.target_dim)
+
 
 def uv_basic_lefschetz(struct: LcsStructure, k: int) -> TransversalLefschetz:
-    """The transversal Lefschetz map H^k_B(U,V) -> H^(2n-k)_B(U,V)."""
+    """The transversal Lefschetz map H^k_B(U,V) -> H^(2n-k)_B(U,V), built
+    once per structure and degree."""
     n = struct.n
     _check_k(k, n)
     model = struct.model
-    uv = _basic(model, (struct.U, struct.V))
-    deta = model.d(struct.eta)
-    src = uv.space(k)
-    dst = uv.space(2 * n - k)
-    power = wedge_power(deta, n - k)
-    rows = [list(dst.class_of(power.wedge(rep)))
-            for rep in src.representatives]
-    invertible = (src.dimension == dst.dimension
-                  and linalg.rank(rows, dst.dimension) == src.dimension)
-    return TransversalLefschetz(k, tuple(tuple(r) for r in rows),
-                                src.dimension, dst.dimension, invertible)
+
+    def build():
+        uv = _basic(model, (struct.U, struct.V))
+        src = uv.space(k)
+        dst = uv.space(2 * n - k)
+        power = wedge_power(model.d(struct.eta), n - k)
+        rows = tuple(dst._class_of(power.wedge(rep))
+                     for rep in src.representatives)
+        invertible = (src.dimension == dst.dimension
+                      and linalg.rank(rows, dst.dimension) == src.dimension)
+        return TransversalLefschetz(k, rows, src.dimension, dst.dimension,
+                                    invertible)
+
+    return _cached(model, ("transversal", struct, k), build)
 
 
 def _flow_ops(struct: LcsStructure) -> tuple:
@@ -413,19 +437,16 @@ def t_map(struct: LcsStructure, k: int) -> tuple[tuple[Fraction, ...], ...]:
     _, inc_op, iv_op = _flow_ops(struct)
     iv = _induced_map(src, mid, iv_op, "[i_V] on Lee-basic classes")
     inc = _induced_map(low, dst, inc_op, "[id] on (U,V)-basic classes")
-    l_inv = linalg.inverse([linalg.sparse(r) for r in lef_uv.matrix])
+    # invertible, so the combinations that reduce it to I are its inverse
+    l_inv = linalg.Echelon(lef_uv.rows, lef_uv.target_dim).sparse_combos
     t = linalg.matmul(linalg.matmul(iv, l_inv), inc)
-    try:
-        basic = lefschetz_map_basic(struct, k)
-    except NotLefschetzError:
-        basic = None
-    if basic is not None:
-        basic = [linalg.sparse(r) for r in basic]
-        if linalg.matmul(basic, t) != _identity(dst.dimension) or \
-                linalg.matmul(t, basic) != _identity(src.dimension):
+    basic = is_graph_of_isomorphism(basic_lefschetz_relation(struct, k))
+    if basic.is_graph_of_isomorphism:
+        if linalg.matmul(basic.rows, t) != _identity(dst.dimension) or \
+                linalg.matmul(t, basic.rows) != _identity(src.dimension):
             raise InternalConsistencyError(
                 f"T_{k} is not inverse to the basic Lefschetz map")
-    return tuple(tuple(linalg.dense(row, dst.dimension)) for row in t)
+    return linalg.dense_rows(t, dst.dimension)
 
 
 def _identity(n: int) -> linalg.Matrix:
@@ -536,11 +557,11 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
 
 
 def _splitting_matrix(report, outer: Subcomplex, k: int) -> linalg.Matrix:
-    """Degree-k splitting matrix from splitting_check's report, as sparse
-    rows.  Outside degrees 0..n_gen the inner space is zero, so each of the
+    """Degree-k sparse splitting matrix from splitting_check's report.
+    Outside degrees 0..n_gen the inner space is zero, so each of the
     dim H^k(outer) + dim H^(k-1)(outer) rows is empty."""
     if 0 <= k < len(report.maps):
-        return [linalg.sparse(r) for r in report.maps[k].matrix]
+        return report.maps[k].rows
     return [{} for _ in range(outer.space(k).dimension
                               + outer.space(k - 1).dimension)]
 
@@ -559,22 +580,13 @@ def _squares_commute(ops, v_cplx: Subcomplex, full_c: Subcomplex,
     rows = ((v_cplx, uv, splitting_v), (full_c, u_cplx, splitting_full))
     squares = ((0, 0, eps_op, 2, 1, "[eps]"), (0, 1, ident, 0, 1, "[id]"),
                (1, 0, iv_op, -1, -1, "[i_V]"))
-    splits: dict = {}
-
-    def split(row, k):
-        # each splitting matrix is read into sparse rows once
-        if (row, k) not in splits:
-            _, outer, report = rows[row]
-            splits[row, k] = _splitting_matrix(report, outer, k)
-        return splits[row, k]
-
     for k in range(0, full_c.model.n_gen + 1):
         for a, b, op, shift, sign, label in squares:
-            inner_a, outer_a, _ = rows[a]
-            inner_b, outer_b, _ = rows[b]
+            inner_a, outer_a, report_a = rows[a]
+            inner_b, outer_b, report_b = rows[b]
             j = k + shift
             lhs = linalg.matmul(
-                split(a, k),
+                _splitting_matrix(report_a, outer_a, k),
                 _induced_map(inner_a.space(k), inner_b.space(j), op, label))
             offset = outer_b.space(j).dimension
             low = _induced_map(outer_a.space(k - 1), outer_b.space(j - 1),
@@ -582,7 +594,8 @@ def _squares_commute(ops, v_cplx: Subcomplex, full_c: Subcomplex,
             block = _induced_map(outer_a.space(k), outer_b.space(j), op,
                                  label) + \
                 [{offset + i: sign * x for i, x in row.items()} for row in low]
-            if lhs != linalg.matmul(block, split(b, j)):
+            if lhs != linalg.matmul(
+                    block, _splitting_matrix(report_b, outer_b, j)):
                 return False
     return True
 
@@ -646,7 +659,7 @@ def pairing_psi(struct: LcsStructure, k: int) -> PairingResult:
     n = struct.n
     if not 1 <= k <= n:
         raise DegreeError(f"psi is defined for 1 <= k <= {n}, got {k}")
-    lef = lefschetz_map_basic(struct, k)
+    lef = _isomorphism(basic_lefschetz_relation(struct, k), k).rows
     model = struct.model
     u_cplx = _basic(model, (struct.U,))
     src = u_cplx.space(k)
@@ -663,7 +676,7 @@ def pairing_psi(struct: LcsStructure, k: int) -> PairingResult:
                     for i in range(d) for j in range(d))
     skew = all(psi[j][i] == -psi[i][j]
                for i in range(d) for j in range(d))
-    nondegenerate = linalg.rank(psi, d) == d
+    nondegenerate = linalg.rank([linalg.sparse(r) for r in psi], d) == d
     return PairingResult(k, tuple(tuple(r) for r in psi), nondegenerate,
                          parity_ok, symmetric, skew)
 

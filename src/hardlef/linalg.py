@@ -1,23 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Sparse inside, dense at the API.  Inside the package a vector is a dict
-{column: nonzero Fraction} and a matrix a list of such rows; `sparse`,
-`dense` and `add_scaled` convert and combine them, and `matmul` is the
-one product.  Dense rows are accepted only where a caller may hold them:
-rref, rank and row_space take either kind and answer in the kind given,
-as do Echelon.residual, Echelon.solve and inverse; left_kernel always
-answers sparse.  Linear maps act on coordinate row vectors from the
-right: row i of a matrix is the image of the i-th basis vector, so the
-matrix of f-then-g is matmul(M_f, M_g).  Reduced row echelon form is the
-canonical presentation of a row space, which makes subspace comparison
-an equality of lists.
+One matrix kind: a vector is a dict {column: nonzero Fraction} and a
+matrix a list of such rows.  `sparse`, `dense` and `dense_rows` convert
+at the edges of the package, `add_scaled` combines rows and `matmul` is
+the one product.  rref, rank, row_space, Echelon and left_kernel take sparse
+rows and answer sparse; only inverse takes and gives dense rows, for
+callers outside the package that index its entries.  Linear maps act on
+coordinate row vectors from the right: row i of a matrix is the image of
+the i-th basis vector, so the matrix of f-then-g is matmul(M_f, M_g).
+Reduced row echelon form is the canonical presentation of a row space,
+which makes subspace comparison an equality of lists.
 
 `_eliminate` is the one elimination loop: it reduces fresh sparse rows
 in place, touching only the support of the pivot row.  `rref` copies
-dense or sparse rows into it and returns rows of the kind it was given.
-`Echelon` is the one factorization built on it: the RREF of [M | I],
-with the identity as one sparse entry per row.  It answers membership,
-solve, left kernel and inverse with no further elimination.
+rows into it.  `Echelon` is the one factorization built on it: the RREF
+of [M | I], with the identity as one sparse entry per row.  It answers
+membership, solve, left kernel and inverse with no further elimination.
 
 Pivots are chosen by smallest numerator magnitude (then denominator, then
 row order); the resulting RREF is the canonical one regardless.
@@ -60,6 +58,11 @@ def dense(row: dict[int, Fraction], width: int) -> list[Fraction]:
     return out
 
 
+def dense_rows(rows, width: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Sparse rows as the dense tuples a public result shows."""
+    return tuple(tuple(dense(row, width)) for row in rows)
+
+
 def add_scaled(acc: dict, f: Fraction, other: dict) -> None:
     """acc += f * other, in place, dropping entries that become zero; the
     keys are columns or any other index."""
@@ -87,17 +90,6 @@ def _fresh(row: dict) -> dict[int, Fraction]:
             for j, x in row.items() if x}
 
 
-def _is_sparse(mat: Matrix) -> bool:
-    return bool(mat) and isinstance(mat[0], dict)
-
-
-def _sparse_rows(mat: Matrix) -> list[dict[int, Fraction]]:
-    """Fresh sparse copies of the rows of mat, dense or sparse."""
-    if _is_sparse(mat):
-        return [_fresh(row) for row in mat]
-    return [sparse(row) for row in mat]
-
-
 # ----- products --------------------------------------------------------------
 
 
@@ -120,18 +112,12 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    Rows are dense sequences or sparse dicts {column: value}, and the
-    result rows are of the same kind (dense ones as wide as the input).
     Row operations apply to full rows, so callers may pass augmented rows
     and restrict pivoting to the first `ncols` columns.
     """
-    rows = _sparse_rows(mat)
+    rows = [_fresh(row) for row in mat]
     pivots = _eliminate(rows, ncols)
-    r = len(pivots)
-    if _is_sparse(mat):
-        return rows[:r], pivots
-    width = len(mat[0]) if mat else 0
-    return [dense(row, width) for row in rows[:r]], pivots
+    return rows[:len(pivots)], pivots
 
 
 def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> list[int]:
@@ -176,16 +162,14 @@ def row_space(mat: Matrix, ncols: int) -> Matrix:
 class Echelon:
     """One factorization of a matrix: the RREF of [mat | I].
 
-    mat has dense rows of width ncols or sparse rows with columns below
-    ncols.  sparse_rows and pivots are the canonical RREF of mat;
-    sparse_combos[i] . mat = sparse_rows[i]; sparse_kernel is the
-    canonical RREF basis of the left kernel of mat (the identity block of
-    the rows whose pivot lies past ncols); all three are sparse.  residual
-    and solve take a dense or a sparse vector and answer in the same kind.
+    mat has sparse rows with columns below ncols.  sparse_rows and pivots
+    are the canonical RREF of mat; sparse_combos[i] . mat = sparse_rows[i];
+    sparse_kernel is the canonical RREF basis of the left kernel of mat
+    (the identity block of the rows whose pivot lies past ncols).
     """
 
     def __init__(self, mat: Matrix, ncols: int):
-        red = _sparse_rows(mat)
+        red = [_fresh(row) for row in mat]
         m = len(red)
         for i, row in enumerate(red):
             row[ncols + i] = _ONE
@@ -198,7 +182,6 @@ class Echelon:
                                if j >= ncols} for row in red[:r]]
         self.sparse_kernel = [{j - ncols: x for j, x in row.items()}
                               for row in red[r:]]
-        self._nrows = m
         self._row_at = dict(zip(self.pivots, self.sparse_rows))
         self._combo_at = dict(zip(self.pivots, self.sparse_combos))
 
@@ -212,17 +195,15 @@ class Echelon:
                 add_scaled(out, -c, row)
         return out
 
-    def residual(self, vec):
-        """vec reduced against the rows: zero iff vec is in the row space."""
-        if isinstance(vec, dict):
-            return self._residual(_fresh(vec))
-        return dense(self._residual(sparse(vec)), len(vec))
+    def residual(self, vec: dict) -> dict[int, Fraction]:
+        """vec reduced against the rows: empty iff vec is in the row
+        space."""
+        return self._residual(_fresh(vec))
 
-    def solve(self, target):
+    def solve(self, target: dict) -> dict[int, Fraction] | None:
         """Coefficients c with c . mat = target, or None outside the row
         space; unique when the rows of mat are independent."""
-        given_sparse = isinstance(target, dict)
-        t = _fresh(target) if given_sparse else sparse(target)
+        t = _fresh(target)
         if self._residual(t):
             return None
         acc: dict[int, Fraction] = {}
@@ -230,7 +211,7 @@ class Echelon:
             combo = self._combo_at.get(p)
             if combo is not None:
                 add_scaled(acc, c, combo)
-        return acc if given_sparse else dense(acc, self._nrows)
+        return acc
 
 
 def left_kernel(mat: Matrix, ncols: int) -> Matrix:
@@ -239,12 +220,10 @@ def left_kernel(mat: Matrix, ncols: int) -> Matrix:
     return Echelon(mat, ncols).sparse_kernel
 
 
-def inverse(mat: Matrix) -> Matrix | None:
-    """Inverse of a square matrix, or None when singular; its rows are of
-    the kind given."""
-    ech = Echelon(mat, len(mat))
+def inverse(mat: Sequence[Sequence]) -> list[list[Fraction]] | None:
+    """Inverse of a square matrix of dense rows, as dense rows, or None
+    when singular."""
+    ech = Echelon([sparse(row) for row in mat], len(mat))
     if len(ech.pivots) != len(mat):
         return None
-    if _is_sparse(mat):
-        return ech.sparse_combos
     return [dense(row, len(mat)) for row in ech.sparse_combos]

@@ -165,8 +165,9 @@ def parse(text: str) -> ModelDocument:
     name = ""
     dim = None
     gen_names: list[str] | None = None
-    names_locked = False
-    d_lines: dict[int, tuple[Form, int]] = {}
+    gen_at = (1, 1)
+    forms = []
+    d_lines: dict[int, Form] = {}
     omega = None
     eta = None
 
@@ -207,56 +208,16 @@ def parse(text: str) -> ModelDocument:
             if len(set(names)) != len(names):
                 raise ParseError("generator names must be distinct",
                                  lineno, col)
-            if names_locked:
+            if forms:
                 raise ParseError("generators must be declared before any "
                                  "form statement", lineno, col)
             gen_names = names
+            gen_at = (lineno, col)
         elif head in ("d", "omega", "eta"):
             if dim is None:
                 raise ParseError("dim must be declared before forms",
                                  lineno, col)
-            if gen_names is None:
-                gen_names = default_names(dim)
-            names_locked = True
-            if len(gen_names) != dim:
-                raise ParseError(f"{len(gen_names)} generator names for "
-                                 f"dim {dim}", lineno, col)
-            gen_index = {g: i + 1 for i, g in enumerate(gen_names)}
-            if head == "d":
-                if len(tokens) < 3 or tokens[1][0] != "name" \
-                        or tokens[2][1] != "=":
-                    raise ParseError("usage: d <generator> = <expression>",
-                                     lineno, col)
-                target = gen_index.get(tokens[1][1])
-                if target is None:
-                    raise ParseError(f"unknown generator {tokens[1][1]!r}",
-                                     lineno, tokens[1][2])
-                expr = _FormParser(tokens[3:], lineno, gen_index, dim).parse()
-                if expr.is_zero():
-                    expr = Form.zero(dim, 2)
-                if expr.degree != 2:
-                    raise ParseError(f"d {tokens[1][1]} must be a 2-form, "
-                                     f"got degree {expr.degree}", lineno,
-                                     tokens[3][2] if len(tokens) > 3 else col)
-                if target in d_lines:
-                    raise ParseError(f"duplicate structure equation for "
-                                     f"{tokens[1][1]}", lineno, col)
-                d_lines[target] = (expr, lineno)
-            else:
-                if len(tokens) < 2 or tokens[1][1] != "=":
-                    raise ParseError(f"usage: {head} = <expression>",
-                                     lineno, col)
-                expr = _FormParser(tokens[2:], lineno, gen_index, dim).parse()
-                if expr.is_zero():
-                    expr = Form.zero(dim, 1)
-                if expr.degree != 1:
-                    raise ParseError(f"{head} must be a 1-form, got degree "
-                                     f"{expr.degree}", lineno,
-                                     tokens[2][2] if len(tokens) > 2 else col)
-                if head == "omega":
-                    omega = expr
-                else:
-                    eta = expr
+            forms.append((lineno, tokens))
         else:
             raise ParseError(f"unknown keyword {head!r}", lineno, col)
 
@@ -264,7 +225,50 @@ def parse(text: str) -> ModelDocument:
         raise ParseError("missing required `dim` statement", 1, 1)
     if gen_names is None:
         gen_names = default_names(dim)
-    diffs = [d_lines.get(i, (Form.zero(dim, 2), 0))[0]
+    if len(gen_names) != dim:
+        raise ParseError(f"{len(gen_names)} generator names for dim {dim}",
+                         *gen_at)
+    # forms are read once the generator names are final
+    gen_index = {g: i + 1 for i, g in enumerate(gen_names)}
+    for lineno, tokens in forms:
+        _, head, col = tokens[0]
+        if head == "d":
+            if len(tokens) < 3 or tokens[1][0] != "name" \
+                    or tokens[2][1] != "=":
+                raise ParseError("usage: d <generator> = <expression>",
+                                 lineno, col)
+            target = gen_index.get(tokens[1][1])
+            if target is None:
+                raise ParseError(f"unknown generator {tokens[1][1]!r}",
+                                 lineno, tokens[1][2])
+            expr = _FormParser(tokens[3:], lineno, gen_index, dim).parse()
+            if expr.is_zero():
+                expr = Form.zero(dim, 2)
+            if expr.degree != 2:
+                raise ParseError(f"d {tokens[1][1]} must be a 2-form, "
+                                 f"got degree {expr.degree}", lineno,
+                                 tokens[3][2] if len(tokens) > 3 else col)
+            if target in d_lines:
+                raise ParseError(f"duplicate structure equation for "
+                                 f"{tokens[1][1]}", lineno, col)
+            d_lines[target] = expr
+        else:
+            if len(tokens) < 2 or tokens[1][1] != "=":
+                raise ParseError(f"usage: {head} = <expression>",
+                                 lineno, col)
+            expr = _FormParser(tokens[2:], lineno, gen_index, dim).parse()
+            if expr.is_zero():
+                expr = Form.zero(dim, 1)
+            if expr.degree != 1:
+                raise ParseError(f"{head} must be a 1-form, got degree "
+                                 f"{expr.degree}", lineno,
+                                 tokens[2][2] if len(tokens) > 2 else col)
+            if head == "omega":
+                omega = expr
+            else:
+                eta = expr
+
+    diffs = [d_lines.get(i, Form.zero(dim, 2))
              for i in range(1, dim + 1)]
     model = StructureModel(diffs, name=name)
     return ModelDocument(model, omega, eta, tuple(gen_names))

@@ -54,8 +54,7 @@ class ContactStructure:
 
 
 def _two_form_skew_rows(f: Form) -> linalg.Matrix:
-    n = f.n_gen
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows: linalg.Matrix = [{} for _ in range(f.n_gen)]
     for mask, coeff in f.terms.items():
         i, j = indices_of(mask)
         rows[i - 1][j - 1] = coeff
@@ -73,23 +72,19 @@ def two_form_rank(f: Form) -> int:
 def _solve_characterizing_field(deta: Form, conditions, err_cls) -> Vector:
     """Unique v with i_v d(eta) = 0 and the listed (form, value) pairings."""
     n = deta.n_gen
-    skew = _two_form_skew_rows(deta)
-    rows = []
-    for a in range(n):
-        row = list(skew[a])
-        for form, _ in conditions:
-            row.append(form.terms.get(1 << a, Fraction(0)))
-        rows.append(row)
-    ncols = n + len(conditions)
-    target = [Fraction(0)] * n + [Fraction(v) for _, v in conditions]
-    ech = linalg.Echelon(rows, ncols)
+    rows = _two_form_skew_rows(deta)
+    for a, row in enumerate(rows):
+        for i, (form, _) in enumerate(conditions):
+            row[n + i] = form.terms.get(1 << a, 0)
+    target = {n + i: Fraction(v) for i, (_, v) in enumerate(conditions)}
+    ech = linalg.Echelon(rows, n + len(conditions))
     if len(ech.pivots) < n:
         raise err_cls("characterizing linear system is singular; the field "
                       "is not unique")
     sol = ech.solve(target)
     if sol is None:
         raise err_cls("characterizing linear system has no solution")
-    return Vector(sol)
+    return Vector(linalg.dense(sol, n))
 
 
 def validate_lcs(model: StructureModel, omega: Form, eta: Form) -> LcsStructure:

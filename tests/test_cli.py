@@ -45,6 +45,17 @@ def test_parse_error_exit_and_position(tmp_path, capsys):
     assert "line 2" in err and "column 12" in err
 
 
+def test_generator_count_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "names.model"
+    path.write_text("dim 4\ngenerators a b c\n")
+    assert cli.main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+    assert "line 2" in captured.err and "column 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_validation_failure_exit(tmp_path, capsys):
     path = tmp_path / "rank.model"
     path.write_text("dim 6\nd e3 = e1^e2\nomega = e4\neta = e3\n")

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardlef import (Form, StructureModel, modelfile, validate_contact,
                      validate_lcs)
@@ -9,6 +11,9 @@ from hardlef import linalg
 from hardlef.cohomology import CohomologySpace
 from hardlef.errors import (DegreeError, InternalConsistencyError,
                             NotLefschetzError, PreconditionError)
+
+import oracle
+from conftest import COEFFS
 
 
 def gen(n, i):
@@ -79,16 +84,13 @@ def test_graph_decision_total_functional(kt4_struct):
     cplx = lef._full(kt4_struct.model)
     h1 = cplx.space(1)
     one = Fraction(1)
-    zero = Fraction(0)
-    identity_pairs = [((one, zero, zero), (one, zero, zero)),
-                      ((zero, one, zero), (zero, one, zero)),
-                      ((zero, zero, one), (zero, zero, one))]
+    identity_pairs = [({i: one}, {i: one}) for i in range(3)]
     rel = lef.CohomologyRelation.from_pairs(h1, h1, identity_pairs)
     v = lef.is_graph_of_isomorphism(rel)
     assert v.is_graph_of_isomorphism
+    assert v.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    with_kernel_pair = identity_pairs + [((zero, zero, zero),
-                                          (one, one, zero))]
+    with_kernel_pair = identity_pairs + [({}, {0: one, 1: one})]
     rel = lef.CohomologyRelation.from_pairs(h1, h1, with_kernel_pair)
     v = lef.is_graph_of_isomorphism(rel)
     assert v.is_total and not v.is_functional
@@ -96,6 +98,47 @@ def test_graph_decision_total_functional(kt4_struct):
     half = lef.CohomologyRelation.from_pairs(h1, h1, identity_pairs[:2])
     v = lef.is_graph_of_isomorphism(half)
     assert not v.is_total and v.is_functional
+
+
+@st.composite
+def _class_pairs(draw):
+    """Dense class pairs (x, y) in H^a x H^b, a and b in 0..4, with
+    repeated and dependent pairs mixed in."""
+    da, db = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+    def vector(n):
+        return [Fraction(draw(COEFFS)) for _ in range(n)]
+
+    pairs = [(vector(da), vector(db))
+             for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 2))):
+        if pairs:
+            (x1, y1), (x2, y2) = (draw(st.sampled_from(pairs))
+                                  for _ in range(2))
+            c = draw(COEFFS)
+            pairs.append(([a + c * b for a, b in zip(x1, x2)],
+                          [a + c * b for a, b in zip(y1, y2)]))
+    return da, db, pairs
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=_class_pairs())
+def test_graph_matches_the_oracle(data):
+    da, db, pairs = data
+    rel = lef.CohomologyRelation.from_pairs(
+        SimpleNamespace(dimension=da), SimpleNamespace(dimension=db),
+        [(linalg.sparse(x), linalg.sparse(y)) for x, y in pairs])
+    stacked = [x + y for x, y in pairs]
+    assert [list(r) for r in rel.span] == oracle.rref(stacked, da + db)[0]
+    total, functional, matrix = lef._graph(rel)
+    x_rank = oracle.rank([x for x, _ in pairs])
+    assert total == (x_rank == da)
+    assert functional == (oracle.rank(stacked) == x_rank)
+    assert (matrix is not None) == (total and functional)
+    if matrix is not None:
+        for x, y in pairs:
+            assert [sum((c * matrix[i].get(j, 0) for i, c in enumerate(x)),
+                        Fraction(0)) for j in range(db)] == y
 
 
 def test_relation_spans_are_representative_independent(kt4_struct):
@@ -118,9 +161,9 @@ def test_relation_spans_are_representative_independent(kt4_struct):
         liu = deta.wedge(lef.contract(kt4_struct.U, gamma))
         target = kt4_struct.eta.wedge(
             lef.wedge_power(deta, 0).wedge(liu - kt4_struct.omega.wedge(gamma)))
-        pairs.append((src.class_of(gamma), dst.class_of(target)))
+        pairs.append((src._class_of(gamma), dst._class_of(target)))
     rebuilt = lef.CohomologyRelation.from_pairs(src, dst, pairs)
-    assert rebuilt.span == rel.span
+    assert rebuilt.rows == rel.rows and rebuilt.span == rel.span
 
 
 def test_target_closed_before_projecting(kt4_struct, rng):
@@ -370,21 +413,43 @@ def test_t_map_reuses_the_gysin_maps(monkeypatch, h5s1_struct):
     assert built == []
 
 
+def test_suite_builds_each_transversal_map_once(monkeypatch):
+    from hardlef.catalog import run_suite
+    built = []
+    transversal = lef.TransversalLefschetz
+
+    def counting(*args):
+        built.append(args[0])
+        return transversal(*args)
+
+    lef._memo.cache_clear()
+    monkeypatch.setattr(lef, "TransversalLefschetz", counting)
+    assert run_suite()["ok"]
+    # uv_invertible asks for every degree 0..n of kt4 (n = 1), h5s1,
+    # nil5a_s1 and nil5b_s1 (n = 2); t_map asks kt4 and h5s1 again
+    assert len(built) == 11
+
+
 def test_graph_factors_the_first_projection_once(monkeypatch, kt4_struct):
+    # the canonical RREF of the relation already shows its first
+    # projection, so reading the graph eliminates and multiplies nothing
     relations = [lef.de_rham_lefschetz_relation(kt4_struct, k)
                  for k in range(kt4_struct.n + 1)]
     calls = []
-    eliminate = linalg._eliminate
 
-    def counting(rows, ncols):
-        calls.append(ncols)
-        return eliminate(rows, ncols)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(linalg, "_eliminate", counting)
+    for name in ("_eliminate", "matmul"):
+        monkeypatch.setattr(linalg, name,
+                            counting(name, getattr(linalg, name)))
     for rel in relations:
         total, functional, matrix = lef._graph(rel)
         assert total and functional and matrix is not None
-    assert len(calls) == len(relations)
+    assert calls == []
 
 
 def test_induced_maps_agree_with_relation_path(monkeypatch, lcs_struct):
@@ -625,13 +690,10 @@ def test_lefschetz_all_never_hashes_a_relation(monkeypatch, capsys):
 
 
 def _scaled(matrix, c, rows=None):
-    """matrix with the listed rows (all by default) times c; rows dense or
-    sparse alike."""
+    """Sparse matrix with the listed rows (all by default) times c."""
     out = list(matrix)
     for i in range(len(out)) if rows is None else rows:
-        row = out[i]
-        out[i] = ({j: c * x for j, x in row.items()} if isinstance(row, dict)
-                  else [c * x for x in row])
+        out[i] = {j: c * x for j, x in out[i].items()}
     return out
 
 
@@ -685,12 +747,14 @@ def test_squares_commute_detects_a_negated_map(monkeypatch, h5s1_struct):
 
 
 def test_t_map_refuses_a_wrong_basic_map(monkeypatch, kt4_struct):
-    basic = lef.lefschetz_map_basic
+    from dataclasses import replace
+    verdict = lef.is_graph_of_isomorphism
 
-    def doubled(struct, k):
-        return tuple(tuple(2 * x for x in row) for row in basic(struct, k))
+    def doubled(relation):
+        v = verdict(relation)
+        return replace(v, rows=tuple(_scaled(v.rows, 2)))
 
-    monkeypatch.setattr(lef, "lefschetz_map_basic", doubled)
+    monkeypatch.setattr(lef, "is_graph_of_isomorphism", doubled)
     with pytest.raises(InternalConsistencyError,
                        match="T_1 is not inverse to the basic Lefschetz"):
         lef.t_map(kt4_struct, 1)
@@ -734,8 +798,8 @@ def test_pairing_psi_equals_the_wedge_formula(lcs_struct):
         dst = u_cplx.space(2 * n + 1 - k)
         reps = u_cplx.space(k).representatives
         gram = [[top_coefficient(lcs_struct.omega.wedge(
-                    _combine(dst.representatives, row, model.n_gen,
-                             2 * n + 1 - k)).wedge(rep))
+                    _combine(dst.representatives, linalg.sparse(row),
+                             model.n_gen, 2 * n + 1 - k)).wedge(rep))
                  for rep in reps] for row in lef_rows]
         assert [list(r) for r in lef.pairing_psi(lcs_struct, k).matrix] == \
             gram

@@ -25,52 +25,52 @@ def eye(n):
 
 
 def test_rref_canonical():
-    rows, pivots = linalg.rref(M([[2, 4, 0], [1, 2, 1]]), 3)
+    rows, pivots = linalg.rref(S(M([[2, 4, 0], [1, 2, 1]])), 3)
     assert pivots == [0, 2]
-    assert rows == M([[1, 2, 0], [0, 0, 1]])
+    assert rows == S(M([[1, 2, 0], [0, 0, 1]]))
 
 
 def test_rref_is_pivot_strategy_independent():
-    mat = M([[3, 1, 0], [6, 2, 1], [0, 0, 5]])
+    mat = S(M([[3, 1, 0], [6, 2, 1], [0, 0, 5]]))
     a = linalg.rref(mat, 3)[0]
     b = linalg.rref(list(reversed(mat)), 3)[0]
     assert a == b
 
 
 def test_rank_and_row_space():
-    mat = M([[1, 2], [2, 4], [0, 1]])
+    mat = S(M([[1, 2], [2, 4], [0, 1]]))
     assert linalg.rank(mat, 2) == 2
-    assert linalg.row_space(M([[2, 4]]), 2) == M([[1, 2]])
+    assert linalg.row_space(S(M([[2, 4]])), 2) == S(M([[1, 2]]))
 
 
 def test_nullspace():
     mat = M([[1, 2, 3]])
-    basis = linalg.left_kernel(M([[1], [2], [3]]), 1)
+    basis = linalg.left_kernel(S(M([[1], [2], [3]])), 1)
     assert len(basis) == 2
     for v in basis:
         assert sum(c * mat[0][j] for j, c in v.items()) == 0
 
 
 def test_left_kernel():
-    mat = M([[1, 0], [2, 0], [0, 1]])
-    ker = linalg.left_kernel(mat, 2)
+    # explicit zeros and int entries are read as the sparse row they mean
+    ker = linalg.left_kernel(S(M([[1, 0], [2, 0], [0, 1]])), 2)
     assert ker == [{0: F(1), 1: Fraction(-1, 2)}]
-    assert linalg.left_kernel(S(mat), 2) == ker
+    assert linalg.left_kernel([{0: 1, 1: 0}, {0: 2}, {1: F(1)}], 2) == ker
 
 
 def test_left_kernel_empty_and_degenerate():
     assert linalg.left_kernel([], 3) == []
-    full = linalg.left_kernel([[], []], 0)
+    full = linalg.left_kernel([{}, {}], 0)
     assert full == eye(2)
 
 
 def test_express_in_rows():
-    ech = linalg.Echelon(M([[1, 0, 1], [0, 1, 1]]), 3)
-    assert ech.solve(M([[2, 3, 5]])[0]) == [F(2), F(3)]
-    assert ech.solve(M([[0, 0, 1]])[0]) is None
+    ech = linalg.Echelon(S(M([[1, 0, 1], [0, 1, 1]])), 3)
+    assert ech.solve({0: F(2), 1: F(3), 2: F(5)}) == {0: F(2), 1: F(3)}
+    assert ech.solve({2: F(1)}) is None
     empty = linalg.Echelon([], 1)
-    assert empty.solve([F(0)]) == []
-    assert empty.solve([F(1)]) is None
+    assert empty.solve({}) == {}
+    assert empty.solve({0: F(1)}) is None
 
 
 def test_inverse():
@@ -78,9 +78,9 @@ def test_inverse():
     inv = linalg.inverse(mat)
     assert inv == M([[-5, 2], [3, -1]])
     assert linalg.matmul(S(mat), S(inv)) == eye(2)
-    assert linalg.inverse(S(mat)) == S(inv)
+    # dense in, dense out: int entries are read, every entry is indexable
+    assert linalg.inverse([[1, 0], [0, 2]]) == M([[1, 0], [0, Fraction(1, 2)]])
     assert linalg.inverse(M([[1, 2], [2, 4]])) is None
-    assert linalg.inverse(S(M([[1, 2], [2, 4]]))) is None
     assert linalg.inverse([]) == []
 
 
@@ -112,9 +112,9 @@ def test_matmul_empty_dimensions():
 
 
 def test_echelon_residual():
-    ech = linalg.Echelon(M([[1, 0, 2], [0, 1, 3]]), 3)
-    assert ech.residual(M([[2, 1, 7]])[0]) == [F(0), F(0), F(0)]
-    assert any(ech.residual(M([[0, 0, 1]])[0]))
+    ech = linalg.Echelon(S(M([[1, 0, 2], [0, 1, 3]])), 3)
+    assert ech.residual({0: F(2), 1: F(1), 2: F(7)}) == {}
+    assert ech.residual({2: F(1)}) == {2: F(1)}
 
 
 def test_random_inverse_roundtrip():
@@ -125,11 +125,11 @@ def test_random_inverse_roundtrip():
                 for _ in range(n)] for _ in range(n)]
         inv = linalg.inverse(mat)
         if inv is None:
-            assert linalg.rank(mat, n) < n
+            assert linalg.rank(S(mat), n) < n
         else:
             assert linalg.matmul(S(mat), S(inv)) == eye(n)
             assert linalg.matmul(S(inv), S(mat)) == eye(n)
-            assert linalg.inverse(S(mat)) == S(inv)
+            assert S(inv) == linalg.Echelon(S(mat), n).sparse_combos
 
 
 _entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4),
@@ -162,8 +162,8 @@ def _matrices(draw):
 def test_echelon_factorization(data):
     mat, ncols, coeffs = data
     m = len(mat)
-    ech = linalg.Echelon(mat, ncols)
     smat = S(mat)
+    ech = linalg.Echelon(smat, ncols)
     rows, pivots = oracle.rref(mat, ncols)
     assert (ech.sparse_rows, ech.pivots) == (S(rows), pivots)
     assert linalg.matmul(ech.sparse_combos, smat) == ech.sparse_rows
@@ -173,18 +173,19 @@ def test_echelon_factorization(data):
     inside = linalg.dense(
         linalg.matmul([linalg.sparse(coeffs)], smat)[0], ncols)
     for target in (inside, [F(0)] * ncols, [F(1)] * ncols):
-        sol = ech.solve(target)
-        in_span = linalg.rank(mat + [target], ncols) == len(ech.pivots)
+        sol = ech.solve(linalg.sparse(target))
+        in_span = linalg.rank(smat + [linalg.sparse(target)], ncols) == \
+            len(ech.pivots)
         assert (sol is not None) == in_span
         if sol is not None:
-            assert linalg.dense(linalg.matmul([linalg.sparse(sol)], smat)[0],
+            assert linalg.dense(linalg.matmul([sol], smat)[0],
                                 ncols) == target
-            assert not any(ech.residual(target))
-    assert ech.solve(inside) is not None
+            assert not ech.residual(linalg.sparse(target))
+    assert ech.solve(linalg.sparse(inside)) is not None
     k = min(m, ncols)
     square = [row[:k] for row in mat[:k]]
     inv = linalg.inverse(square)
-    assert (inv is None) == (linalg.rank(square, k) < k)
+    assert (inv is None) == (linalg.rank(S(square), k) < k)
     if inv is not None:
         assert linalg.matmul(S(inv), S(square)) == eye(k)
 
@@ -196,8 +197,8 @@ _rationals = st.one_of(
 
 @st.composite
 def _mixed_matrices(draw):
-    """Sparse or dense rational matrices with int and Fraction entries as
-    drawn (not coerced), repeated and zero rows, empty shapes included;
+    """Dense rational matrices with int and Fraction entries as drawn (not
+    coerced), repeated and zero rows, empty shapes included;
     with a pivot width ncols <= width and two vectors of that width."""
     width = draw(st.integers(0, 7))
     density = draw(st.sampled_from([0.15, 0.5, 1.0]))
@@ -233,75 +234,57 @@ def _dense_residual(ech, vec):
 @given(data=_mixed_matrices())
 def test_sparse_kernel_matches_oracle(data):
     mat, width, ncols, vecs = data
-    snapshot = [[(type(x), x) for x in row] for row in mat]
-    vec_snapshot = [[(type(x), x) for x in v] for v in vecs]
-
-    rows, pivots = linalg.rref(mat, width)
-    assert (rows, pivots) == oracle.rref(mat, width)
-    assert all(type(x) is Fraction for row in rows for x in row)
-    assert all(out is not row for out in rows for row in mat)
-    part, part_pivots = linalg.rref(mat, ncols)
-    o_part, o_pivots = oracle.rref(mat, ncols)
-    assert part_pivots == o_pivots
-    assert [r[:ncols] for r in part] == [r[:ncols] for r in o_part]
-
-    ech = linalg.Echelon(mat, width)
-    for vec in vecs:
-        res = _dense_residual(ech, vec)
-        assert ech.residual(vec) == res
-        expected = None if any(res) else [
-            sum((F(vec[p]) * combo.get(j, 0) for combo, p in
-                 zip(ech.sparse_combos, ech.pivots)), F(0))
-            for j in range(len(mat))]
-        assert ech.solve(vec) == expected
-    assert ech.solve(vecs[0]) is not None
-
-    # the same matrix and vectors as sparse dicts, entries as drawn; every
+    # the matrix and vectors as sparse dicts, entries as drawn; every
     # other one keeps its explicit zeros
     smat = [{j: x for j, x in enumerate(row) if x or i % 2}
             for i, row in enumerate(mat)]
     svecs = [{j: x for j, x in enumerate(v) if x or i % 2}
              for i, v in enumerate(vecs)]
     sparse_snapshot = [dict(row) for row in smat + svecs]
-    srows, spivots = linalg.rref(smat, width)
-    assert spivots == pivots
-    assert srows == [linalg.sparse(row) for row in rows]
-    assert all(type(x) is Fraction for row in srows for x in row.values())
-    assert all(out is not row for out in srows for row in smat)
-    assert linalg.rref(smat, ncols)[1] == part_pivots
-    sech = linalg.Echelon(smat, width)
-    assert (sech.sparse_rows, sech.pivots, sech.sparse_combos,
-            sech.sparse_kernel) == (ech.sparse_rows, ech.pivots,
-                                    ech.sparse_combos, ech.sparse_kernel)
-    assert ech.sparse_rows == [linalg.sparse(r) for r in rows]
-    assert ech.sparse_kernel == S(oracle.kernel_rows(mat, width))
-    assert linalg.left_kernel(smat, width) == sech.sparse_kernel
-    assert linalg.left_kernel(mat, width) == sech.sparse_kernel
-    for vec, svec in zip(vecs, svecs):
-        assert sech.residual(svec) == linalg.sparse(ech.residual(vec))
-        sol = ech.solve(vec)
-        ssol = sech.solve(svec)
-        assert ssol == (None if sol is None else linalg.sparse(sol))
-    assert smat + svecs == sparse_snapshot
 
-    assert [[(type(x), x) for x in row] for row in mat] == snapshot
-    assert [[(type(x), x) for x in v] for v in vecs] == vec_snapshot
+    rows, pivots = linalg.rref(smat, width)
+    assert ([linalg.dense(r, width) for r in rows], pivots) == \
+        oracle.rref(mat, width)
+    assert all(type(x) is Fraction and x for row in rows
+               for x in row.values())
+    assert all(out is not row for out in rows for row in smat)
+    part, part_pivots = linalg.rref(smat, ncols)
+    o_part, o_pivots = oracle.rref(mat, ncols)
+    assert part_pivots == o_pivots
+    assert [linalg.dense(r, width)[:ncols] for r in part] == \
+        [r[:ncols] for r in o_part]
+
+    ech = linalg.Echelon(smat, width)
+    assert (ech.sparse_rows, ech.pivots) == (rows, pivots)
+    assert ech.sparse_kernel == S(oracle.kernel_rows(mat, width))
+    assert linalg.left_kernel(smat, width) == ech.sparse_kernel
+    for vec, svec in zip(vecs, svecs):
+        res = _dense_residual(ech, vec)
+        assert ech.residual(svec) == linalg.sparse(res)
+        expected = None if any(res) else linalg.sparse([
+            sum((F(vec[p]) * combo.get(j, 0) for combo, p in
+                 zip(ech.sparse_combos, ech.pivots)), F(0))
+            for j in range(len(mat))])
+        assert ech.solve(svec) == expected
+    assert ech.solve(svecs[0]) is not None
+    assert smat + svecs == sparse_snapshot
 
 
 def test_inputs_are_not_mutated_or_aliased():
-    mat = [[0, 2, Fraction(1, 2)], [F(0), 0, 3], [0, 2, Fraction(1, 2)]]
-    vec = [1, 0, F(3)]
-    before = [list(row) for row in mat], list(vec)
+    mat = [{1: 2, 2: Fraction(1, 2)}, {0: F(0), 2: 3},
+           {0: 0, 1: 2, 2: Fraction(1, 2)}]
+    vec = {0: 1, 1: 0, 2: F(3)}
+    before = [dict(row) for row in mat], dict(vec)
     rows, _ = linalg.rref(mat, 3)
     ech = linalg.Echelon(mat, 3)
     ech.residual(vec)
     ech.solve(vec)
-    assert ([list(row) for row in mat], list(vec)) == before
-    assert [type(x) for x in mat[0]] == [int, int, Fraction]
+    assert ([dict(row) for row in mat], dict(vec)) == before
+    assert [type(x) for x in mat[0].values()] == [int, Fraction]
     for out in ech.sparse_rows + ech.sparse_combos + ech.sparse_kernel:
         assert all(out is not row for row in mat)
     for out in rows:
         assert all(out is not row for row in mat)
-        out[:] = [F(7)] * len(out)
-    assert ([list(row) for row in mat], list(vec)) == before
-    assert ech.residual([0, 2, Fraction(1, 2)]) == [F(0)] * 3
+        out.update((j, F(7)) for j in out)
+    assert ([dict(row) for row in mat], dict(vec)) == before
+    assert ech.residual({1: 2, 2: Fraction(1, 2)}) == {}

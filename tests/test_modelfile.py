@@ -86,6 +86,11 @@ def test_json_detection():
     ("dim 3\ndim 3\n", 2, "duplicate dim"),
     ("dim 3\nd e3 = e1^e2\ngenerators a b c\n", 3, "before any form"),
     ("dim 3\nd e3 =\n", 2, "empty form"),
+    # the names are counted once every statement is read, with or without
+    # a form statement, and the error points at the generators line
+    ("dim 4\ngenerators a b c\n", 2, "3 generator names for dim 4"),
+    ("generators a b c d\ndim 3\nd c = a^d\n", 1,
+     "4 generator names for dim 3"),
 ])
 def test_positioned_parse_errors(text, line, fragment):
     with pytest.raises(ParseError) as err:
