@@ -3,7 +3,8 @@
 A Subcomplex owns, per degree, a basis of an admissible d-stable subspace
 together with the restricted differential.  full_complex takes all
 monomials; basic_complex takes the joint kernel of i_v and L_v over a
-list of fields, which is automatically d-stable (verified anyway).
+list of fields, built as the kernel of L_v on the exterior algebra of
+the fields' annihilator; it is automatically d-stable (verified anyway).
 
 Cohomology spaces carry a deterministic representative basis, obtained by
 completing the canonical image basis inside the canonical kernel basis.
@@ -36,7 +37,7 @@ from typing import Sequence
 from . import linalg
 from .errors import (DegreeError, InternalConsistencyError, ModelMismatchError,
                      NotClosedError, PreconditionError)
-from .exterior import Form, Vector, contract, degree_masks, sparse_coords
+from .exterior import Form, Vector, degree_masks, sparse_coords
 from .model import StructureModel
 
 
@@ -274,7 +275,10 @@ def basic_complex(model: StructureModel,
                   fields: Sequence[Vector]) -> Subcomplex:
     """Joint kernel of i_v and L_v for every listed field, per degree.
 
-    With an empty field list this is the full complex.
+    The kernel of every i_v is spanned by the products theta_I of a basis
+    theta of the 1-forms that vanish on the fields; only L_v is imposed on
+    them, and a row space in monomial coordinates gives the canonical
+    basis.  With an empty field list this is the full complex.
     """
     fields = tuple(fields)
     for v in fields:
@@ -283,12 +287,21 @@ def basic_complex(model: StructureModel,
     if not fields:
         return full_complex(model)
     n = model.n_gen
-    ops = []
-    for v in fields:
-        ops += [partial(contract, v), partial(model.lie_derivative, v)]
-    bases = [_joint_kernel([Form(n, k, {m: Fraction(1)})
-                            for m in degree_masks(n, k)], ops, n, k)
-             for k in range(n + 1)]
+    pairing = [linalg.sparse(col) for col in zip(*(v.coeffs for v in fields))]
+    theta = [Form._make(n, 1, {1 << i: x for i, x in row.items()})
+             for row in linalg.left_kernel(pairing, len(fields))]
+    lie = [partial(model.lie_derivative, v) for v in fields]
+    # (index of the last factor, theta_I) for ascending index tuples I
+    products = [(-1, Form.constant(n, 1))]
+    bases = []
+    for k in range(n + 1):
+        kept = _joint_kernel([f for _, f in products], lie, n, k)
+        masks = degree_masks(n, k)
+        rows = linalg.row_space([sparse_coords(f) for f in kept], len(masks))
+        bases.append([Form._make(n, k, {masks[j]: x for j, x in row.items()})
+                      for row in rows])
+        products = [(j, f.wedge(theta[j])) for i, f in products
+                    for j in range(i + 1, len(theta))]
     return Subcomplex(model, fields, bases)
 
 

@@ -19,10 +19,11 @@ through a private constructor that takes its fresh terms dict as it is.
 Forms and vectors are immutable values.
 
 The arithmetic rule of the exact kernels (here, in model and in linalg):
-`Fraction` stays the only scalar, and no `Fraction` operation is made
-whose result is already known.  A key seen for the first time is stored
-as it is, not added to zero; a sign is applied by negation, not by
-multiplying with -1; a factor 1 is not multiplied in.
+`Fraction` is the only scalar a function takes or gives (linalg reduces
+rows as integers inside), and no `Fraction` operation is made whose
+result is already known.  A key seen for the first time is stored as it
+is, not added to zero; a sign is applied by negation, not by multiplying
+with -1; a factor 1 is not multiplied in.
 """
 
 from __future__ import annotations

@@ -11,26 +11,29 @@ the i-th basis vector, so the matrix of f-then-g is matmul(M_f, M_g).
 Reduced row echelon form is the canonical presentation of a row space,
 which makes subspace comparison an equality of lists.
 
-`_eliminate` is the one elimination loop: it reduces fresh sparse rows
-in place, touching only the support of the pivot row.  `rref` copies
-rows into it.  `Echelon` is the one factorization built on it: the RREF
-of [M | I], with the identity as one sparse entry per row.  It answers
+`_eliminate` is the one elimination, on integer rows: each row is scaled
+to coprime integers, and a step replaces a row q by (a/g) q - (b/g) p,
+with a and b the entries of the pivot row p and of q in the pivot column
+and g = gcd(a, b), then divides q by its content.  A column index
+(column -> ids of the rows holding it, for the pivot columns) finds the
+rows to clear without a scan; a step updates it on the keys of p only.
+The RREF is unique, so any row may give a pivot (Dumas, Saunders and
+Villard, J. Symb. Comp. 32, 2001); the smallest entry, then the fewest
+nonzeros, then the first row keeps the integers small.  Pivot rows are
+divided by their pivots at the end: every function here takes and gives
+`Fraction`s.  `Echelon` is the one factorization built on it: the RREF
+of [M | I], with the identity as one entry per row.  It answers
 membership, solve, left kernel and inverse with no further elimination.
 
-Pivots are chosen by smallest numerator magnitude (then denominator, then
-row order); the resulting RREF is the canonical one regardless.
-
-The arithmetic follows the rule stated in exterior: `Fraction` is the only
-scalar, and no `Fraction` operation is made whose result is already
-known.  add_scaled does not multiply by 1 and negates for -1, a new entry
-is stored as it is, the pivot key is computed only when a column has
-more than one candidate row, and the augmented rows Echelon builds go to
-_eliminate as they are, not copied again.
+Elsewhere the arithmetic follows the rule stated in exterior: add_scaled
+does not multiply by 1 and negates for -1, and stores a new entry as it is.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Matrix = list
@@ -38,7 +41,7 @@ Matrix = list
 # Dense rows are padded with this zero; the sparse conversion skips it by
 # identity, before the slower Fraction truth test.
 ZERO = Fraction(0)
-_ONE = Fraction(1)
+_SMALL = {i: Fraction(i) for i in range(-16, 17)}  # shared by reduced rows
 
 
 # ----- sparse vectors --------------------------------------------------------
@@ -113,41 +116,86 @@ def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
     Row operations apply to full rows, so callers may pass augmented rows
-    and restrict pivoting to the first `ncols` columns.
+    and restrict pivoting (and canonical form) to the first `ncols` columns.
     """
-    rows = [_fresh(row) for row in mat]
-    pivots = _eliminate(rows, ncols)
-    return rows[:len(pivots)], pivots
+    return _eliminate(mat, ncols)
 
 
-def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> list[int]:
-    """Reduce fresh sparse rows to RREF in place, the nonzero rows first;
-    returns the pivot columns."""
-    pivots: list[int] = []
-    r = 0
-    m = len(rows)
+def _integer_row(row: dict) -> dict[int, int]:
+    """The row times the positive rational that makes its entries
+    coprime integers; zero entries dropped."""
+    den = lcm(*[x.denominator for x in row.values()])
+    out = {j: x.numerator * (den // x.denominator)
+           for j, x in row.items() if x}
+    _divide_content(out)
+    return out
+
+
+def _divide_content(row: dict[int, int]) -> None:
+    g = gcd(*row.values())
+    if g > 1:
+        for j, x in row.items():
+            row[j] = x // g
+
+
+def _eliminate(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
+    """rref's work; holders[c] is the set of ids of the rows holding c."""
+    rows = [_integer_row(row) for row in mat]
+    holders: dict[int, set[int]] = defaultdict(set)
+    for i, row in enumerate(rows):
+        for j in row:
+            if j < ncols:
+                holders[j].add(i)
+    free = set(range(len(rows)))
+    order: list[tuple[int, int]] = []
     for c in range(ncols):
-        if r == m:
-            break
-        found = [i for i in range(r, m) if c in rows[i]]
+        found = [i for i in holders.get(c, ()) if i in free]
         if not found:
             continue
-        i = found[0] if len(found) == 1 else \
-            min(found, key=lambda i: (abs(rows[i][c].numerator),
-                                      rows[i][c].denominator, i))
-        rows[r], rows[i] = rows[i], rows[r]
-        prow = rows[r]
-        inv = _ONE / prow[c]
-        if inv != 1:
-            prow = rows[r] = {j: x * inv for j, x in prow.items()}
-        # the other rows holding column c; the swap moved row r to i
-        for j in [j for j in range(r) if c in rows[j]] + \
-                [i if j == r else j for j in found if j != i]:
-            row = rows[j]
-            add_scaled(row, -row[c], prow)
-        pivots.append(c)
-        r += 1
-    return pivots
+        p = found[0] if len(found) == 1 else \
+            min(found, key=lambda i: (abs(rows[i][c]), len(rows[i]), i))
+        free.discard(p)
+        if rows[p][c] < 0:
+            rows[p] = {j: -x for j, x in rows[p].items()}
+        _pivot_step(rows, holders, p, c, ncols)
+        order.append((p, c))
+    out = [{j: _SMALL.get(x) or Fraction(x) for j, x in rows[p].items()}
+           if rows[p][c] == 1 else
+           {j: Fraction(x, rows[p][c]) for j, x in rows[p].items()}
+           for p, c in order]
+    return out, [c for _, c in order]
+
+
+def _pivot_step(rows: list[dict[int, int]], holders: dict[int, set[int]],
+                p: int, c: int, ncols: int) -> None:
+    """Clear column c from every row but rows[p], updating holders on
+    the keys of rows[p] only."""
+    others = holders[c] - {p}
+    holders[c] = {p}
+    prow = rows[p]
+    a = prow[c]
+    for i in others:
+        row = rows[i]
+        g = gcd(a, row[c])
+        ag, bg = a // g, row[c] // g
+        if ag != 1:
+            for j, x in row.items():
+                row[j] = x * ag
+        for j, x in prow.items():
+            y = row.get(j)
+            if y is None:
+                row[j] = -bg * x
+                if j < ncols:
+                    holders[j].add(i)
+            else:
+                y -= bg * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+                    if j < ncols:
+                        holders[j].discard(i)
+        _divide_content(row)
 
 
 def rank(mat: Matrix, ncols: int) -> int:
@@ -169,11 +217,9 @@ class Echelon:
     """
 
     def __init__(self, mat: Matrix, ncols: int):
-        red = [_fresh(row) for row in mat]
-        m = len(red)
-        for i, row in enumerate(red):
-            row[ncols + i] = _ONE
-        pivots = _eliminate(red, ncols + m)
+        m = len(mat)
+        red, pivots = _eliminate([{**row, ncols + i: 1}
+                                  for i, row in enumerate(mat)], ncols + m)
         r = sum(1 for p in pivots if p < ncols)
         self.pivots = pivots[:r]
         self.sparse_rows = [{j: x for j, x in row.items() if j < ncols}

@@ -1,15 +1,20 @@
+from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardlef import (Form, StructureModel, Vector, basic_complex,
                      betti_numbers, full_complex, splitting_check,
                      splitting_map)
 from hardlef import linalg
-from hardlef.cohomology import Subcomplex, cohomology
+from hardlef.cohomology import Subcomplex, _joint_kernel, cohomology
 from hardlef.errors import (DegreeError, NotClosedError, PreconditionError)
+from hardlef.exterior import contract, degree_masks
 
 import oracle
+from conftest import rational_models, vectors
 
 
 @pytest.fixture
@@ -47,6 +52,48 @@ def test_basic_complex_two_fields(kt4):
 
 def test_basic_complex_no_fields_is_full(kt4):
     assert basic_complex(kt4, []).dims() == full_complex(kt4).dims()
+
+
+def _reference_basic_bases(model, fields):
+    """The definition basic_complex had before it built on the annihilator:
+    the joint kernel of i_v and L_v over all monomials, per degree."""
+    n = model.n_gen
+    ops = []
+    for v in fields:
+        ops += [partial(contract, v), partial(model.lie_derivative, v)]
+    return tuple(tuple(_joint_kernel([Form(n, k, {m: Fraction(1)})
+                                      for m in degree_masks(n, k)],
+                                     ops, n, k))
+                 for k in range(n + 1))
+
+
+@pytest.mark.parametrize("names", [("U",), ("V", "U"), ("U", "V", "E1"),
+                                   ("E1", "E1")], ids=",".join)
+def test_basic_complex_is_the_joint_kernel_of_i_and_l(lcs_struct, names):
+    n = lcs_struct.model.n_gen
+    fields = [Vector.basis(n, 1) if name == "E1" else getattr(lcs_struct, name)
+              for name in names]
+    assert basic_complex(lcs_struct.model, fields).bases == \
+        _reference_basic_bases(lcs_struct.model, fields)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_basic_complex_on_random_fields(data):
+    model = data.draw(rational_models())
+    n = model.n_gen
+    fields = data.draw(st.lists(vectors(n), min_size=1, max_size=3))
+    cplx = basic_complex(model, fields)
+    assert cplx.bases == _reference_basic_bases(model, fields)
+    # the dense oracle spans the same spaces, in its own monomial order
+    d1 = oracle.model_of(model)
+    vecs = [list(v.coeffs) for v in fields]
+    for k in range(n + 1):
+        monos = oracle.monomials(n, k)
+        rows = [oracle.coords(oracle.form_of(f), monos)
+                for f in cplx.bases[k]]
+        assert oracle.rref(rows, len(monos))[0] == \
+            oracle.basic_space(d1, n, vecs, k)
 
 
 def test_cohomology_dimensions(kt4):
@@ -200,7 +247,7 @@ def test_each_differential_is_factored_once(monkeypatch):
     eliminate = linalg._eliminate
 
     def recording(rows, ncols):
-        # the elimination works in place, so record the rows it is given
+        # record the rows it is given
         calls.append([dict(row) for row in rows])
         return eliminate(rows, ncols)
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardlef import linalg
@@ -192,14 +193,22 @@ def test_echelon_factorization(data):
 
 _rationals = st.one_of(
     st.integers(-3, 3),
-    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+    # large numerators over large denominators, coprime or sharing the
+    # factors 2, 3 and 5 with the other entries of their row
+    st.builds(Fraction, st.integers(-10**12, 10**12),
+              st.one_of(st.integers(1, 10**6),
+                        st.builds(lambda a, b, c: 2**a * 3**b * 5**c,
+                                  st.integers(0, 6), st.integers(0, 4),
+                                  st.integers(0, 3)))))
 
 
 @st.composite
 def _mixed_matrices(draw):
     """Dense rational matrices with int and Fraction entries as drawn (not
     coerced), repeated and zero rows, empty shapes included;
-    with a pivot width ncols <= width and two vectors of that width."""
+    with a pivot width ncols <= width, two vectors of that width and a
+    permutation of the rows."""
     width = draw(st.integers(0, 7))
     density = draw(st.sampled_from([0.15, 0.5, 1.0]))
 
@@ -218,7 +227,8 @@ def _mixed_matrices(draw):
     coeffs = [draw(_rationals) for _ in rows]
     inside = [sum((c * row[j] for c, row in zip(coeffs, rows)), F(0))
               for j in range(width)]
-    return rows, width, ncols, [inside, [entry() for _ in range(width)]]
+    perm = draw(st.permutations(range(len(rows))))
+    return rows, width, ncols, [inside, [entry() for _ in range(width)]], perm
 
 
 def _dense_residual(ech, vec):
@@ -230,23 +240,31 @@ def _dense_residual(ech, vec):
     return v
 
 
+def _typed(rows):
+    """Rows with the type of each entry, so that a change of type shows."""
+    return [[(j, type(x), x) for j, x in row.items()] for row in rows]
+
+
+def _nonzero_fractions(rows):
+    return all(type(x) is Fraction and x for row in rows
+               for x in row.values())
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(data=_mixed_matrices())
 def test_sparse_kernel_matches_oracle(data):
-    mat, width, ncols, vecs = data
+    mat, width, ncols, vecs, perm = data
     # the matrix and vectors as sparse dicts, entries as drawn; every
     # other one keeps its explicit zeros
     smat = [{j: x for j, x in enumerate(row) if x or i % 2}
             for i, row in enumerate(mat)]
     svecs = [{j: x for j, x in enumerate(v) if x or i % 2}
              for i, v in enumerate(vecs)]
-    sparse_snapshot = [dict(row) for row in smat + svecs]
+    snapshot = _typed(smat + svecs)
 
     rows, pivots = linalg.rref(smat, width)
     assert ([linalg.dense(r, width) for r in rows], pivots) == \
         oracle.rref(mat, width)
-    assert all(type(x) is Fraction and x for row in rows
-               for x in row.values())
     assert all(out is not row for out in rows for row in smat)
     part, part_pivots = linalg.rref(smat, ncols)
     o_part, o_pivots = oracle.rref(mat, ncols)
@@ -258,6 +276,7 @@ def test_sparse_kernel_matches_oracle(data):
     assert (ech.sparse_rows, ech.pivots) == (rows, pivots)
     assert ech.sparse_kernel == S(oracle.kernel_rows(mat, width))
     assert linalg.left_kernel(smat, width) == ech.sparse_kernel
+    answers = []
     for vec, svec in zip(vecs, svecs):
         res = _dense_residual(ech, vec)
         assert ech.residual(svec) == linalg.sparse(res)
@@ -265,9 +284,56 @@ def test_sparse_kernel_matches_oracle(data):
             sum((F(vec[p]) * combo.get(j, 0) for combo, p in
                  zip(ech.sparse_combos, ech.pivots)), F(0))
             for j in range(len(mat))])
-        assert ech.solve(svec) == expected
+        sol = ech.solve(svec)
+        assert sol == expected
+        answers += [ech.residual(svec)] + ([sol] if sol else [])
     assert ech.solve(svecs[0]) is not None
-    assert smat + svecs == sparse_snapshot
+    assert _nonzero_fractions(rows + part + ech.sparse_rows + ech.sparse_combos
+                              + ech.sparse_kernel + answers)
+
+    # the pivot order is free: permuted rows give the same canonical results
+    permuted = [smat[i] for i in perm]
+    assert linalg.rref(permuted, width) == (rows, pivots)
+    p_part, p_pivots = linalg.rref(permuted, ncols)
+    assert p_pivots == part_pivots
+    assert [{j: x for j, x in r.items() if j < ncols} for r in p_part] == \
+        [{j: x for j, x in r.items() if j < ncols} for r in part]
+    pech = linalg.Echelon(permuted, width)
+    assert (pech.sparse_rows, pech.pivots) == (rows, pivots)
+    assert linalg.matmul(pech.sparse_combos, S([mat[i] for i in perm])) == rows
+    # a kernel vector of the permuted rows, read back in the original order
+    assert linalg.row_space([{perm[k]: x for k, x in v.items()}
+                             for v in pech.sparse_kernel], len(mat)) == \
+        ech.sparse_kernel
+    assert _nonzero_fractions(p_part + pech.sparse_combos
+                              + pech.sparse_kernel)
+    assert _typed(smat + svecs) == snapshot
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=_mixed_matrices())
+def test_column_index_matches_the_rows_after_every_step(data):
+    mat, width, ncols = data[:3]
+    step = linalg._pivot_step
+    steps = []
+
+    def checked(rows, holders, p, c, index_width):
+        step(rows, holders, p, c, index_width)
+        held: dict = {}
+        for i, row in enumerate(rows):
+            for j in row:
+                if j < index_width:
+                    held.setdefault(j, set()).add(i)
+        assert {j: ids for j, ids in holders.items() if ids} == held
+        steps.append(c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_pivot_step", checked)
+        _, pivots = linalg.rref(S(mat), ncols)
+        assert steps == pivots
+        linalg.Echelon(S(mat), width)
+    # [mat | I] has a pivot in every row
+    assert len(steps) == len(pivots) + len(mat)
 
 
 def test_inputs_are_not_mutated_or_aliased():
