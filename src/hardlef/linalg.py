@@ -122,8 +122,7 @@ def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
 
 
 def _integer_row(row: dict) -> dict[int, int]:
-    """The row times the positive rational that makes its entries
-    coprime integers; zero entries dropped."""
+    """The row scaled to coprime integers, zero entries dropped."""
     den = lcm(*[x.denominator for x in row.values()])
     out = {j: x.numerator * (den // x.denominator)
            for j, x in row.items() if x}
@@ -139,13 +138,14 @@ def _divide_content(row: dict[int, int]) -> None:
 
 
 def _eliminate(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
-    """rref's work; holders[c] is the set of ids of the rows holding c."""
+    """rref's work.  holders[c] has the ids of the rows holding c as keys:
+    a dict of ints, which the garbage collector does not track; a set is."""
     rows = [_integer_row(row) for row in mat]
-    holders: dict[int, set[int]] = defaultdict(set)
+    holders: dict[int, dict[int, None]] = defaultdict(dict)
     for i, row in enumerate(rows):
         for j in row:
             if j < ncols:
-                holders[j].add(i)
+                holders[j][i] = None
     free = set(range(len(rows)))
     order: list[tuple[int, int]] = []
     for c in range(ncols):
@@ -166,12 +166,12 @@ def _eliminate(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
     return out, [c for _, c in order]
 
 
-def _pivot_step(rows: list[dict[int, int]], holders: dict[int, set[int]],
+def _pivot_step(rows: list[dict[int, int]], holders: dict[int, dict],
                 p: int, c: int, ncols: int) -> None:
     """Clear column c from every row but rows[p], updating holders on
     the keys of rows[p] only."""
-    others = holders[c] - {p}
-    holders[c] = {p}
+    others = [i for i in holders[c] if i != p]
+    holders[c] = {p: None}
     prow = rows[p]
     a = prow[c]
     for i in others:
@@ -186,7 +186,7 @@ def _pivot_step(rows: list[dict[int, int]], holders: dict[int, set[int]],
             if y is None:
                 row[j] = -bg * x
                 if j < ncols:
-                    holders[j].add(i)
+                    holders[j][i] = None
             else:
                 y -= bg * x
                 if y:
@@ -194,7 +194,7 @@ def _pivot_step(rows: list[dict[int, int]], holders: dict[int, set[int]],
                 else:
                     del row[j]
                     if j < ncols:
-                        holders[j].discard(i)
+                        holders[j].pop(i, None)
         _divide_content(row)
 
 

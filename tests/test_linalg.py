@@ -324,7 +324,7 @@ def test_column_index_matches_the_rows_after_every_step(data):
             for j in row:
                 if j < index_width:
                     held.setdefault(j, set()).add(i)
-        assert {j: ids for j, ids in holders.items() if ids} == held
+        assert {j: set(ids) for j, ids in holders.items() if ids} == held
         steps.append(c)
 
     with pytest.MonkeyPatch.context() as mp:
