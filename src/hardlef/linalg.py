@@ -194,7 +194,7 @@ def _pivot_step(rows: list[dict[int, int]], holders: dict[int, dict],
                 else:
                     del row[j]
                     if j < ncols:
-                        holders[j].pop(i, None)
+                        holders[j].pop(i, None)  # c: reset above
         _divide_content(row)
 
 

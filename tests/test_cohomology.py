@@ -247,7 +247,6 @@ def test_each_differential_is_factored_once(monkeypatch):
     eliminate = linalg._eliminate
 
     def recording(rows, ncols):
-        # record the rows it is given
         calls.append([dict(row) for row in rows])
         return eliminate(rows, ncols)
 
