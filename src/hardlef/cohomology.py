@@ -7,24 +7,24 @@ list of fields, built as the kernel of L_v on the exterior algebra of
 the fields' annihilator; it is automatically d-stable (verified anyway).
 
 Cohomology spaces carry a deterministic representative basis, obtained by
-completing the canonical image basis inside the canonical kernel basis.
+completing the canonical image basis inside the canonical kernel basis;
+the elimination that picks them also gives the class of every cycle.
 
 Sparse inside, dense at the API.  Forms enter through
 exterior.sparse_coords, which owns the mask -> column index of each
 monomial basis; everything after that (the slice factorizations, the
 differential rows, kernels, images, representatives, the classes
-_class_of solves for and the rows of a SplittingMap) is a sparse vector
+_class_of returns and the rows of a SplittingMap) is a sparse vector
 {column: Fraction}, the one matrix kind of linalg.  Dense tuples or lists
 are built only when a public method or attribute is read: coords,
-class_of, diff_matrix and SplittingMap.matrix.  Each slice and each space
-holds one linalg.Echelon, so coords and _class_of are one reduction
-against a stored factorization; a slice whose basis is the monomial
-basis, as in full_complex, needs none (its coordinates are sparse_coords)
-and is factored only if slice(k) asks.  Each differential is factored
-once, lazily: its kernel is the cycles of degree k and its rows the image
-in degree k+1.  A Subcomplex keeps only these; what other layers derive
-from it (relations, chain-map certificates, class maps) they keep
-themselves.
+class_of, diff_matrix and SplittingMap.matrix.  Each slice holds one
+linalg.Echelon, so coords is one reduction against a stored factorization;
+a slice whose basis is the monomial basis, as in full_complex, needs none
+(its coordinates are sparse_coords) and is factored only if slice(k) asks.
+Each differential is factored once, lazily: its kernel is the cycles of
+degree k and its rows the image in degree k+1.  A Subcomplex keeps only
+these; what other layers derive from it (relations, chain-map
+certificates, class maps) they keep themselves.
 """
 
 from __future__ import annotations
@@ -149,23 +149,31 @@ class Subcomplex:
     def _build_space(self, k: int) -> "CohomologySpace":
         m_k = self.dim(k)
         if m_k == 0:
-            return CohomologySpace(self, k, [], [])
+            return CohomologySpace(self, k, [], {})
         kernel = self._diff_echelon(k).sparse_kernel
         image = self._diff_echelon(k - 1).sparse_rows if k >= 1 else []
         # a kernel row is a representative exactly when it is independent of
         # the image and the kernel rows before it: a pivot column of the
-        # transpose of [image; kernel]
+        # transpose of [image; kernel].  A column of an RREF is the sum of the
+        # pivot columns weighted by its entries in the pivot rows, and the
+        # representative rows vanish on the image columns (all pivots)
+        r = len(image)
         cols = image + kernel
         transposed: list[dict[int, Fraction]] = [{} for _ in range(m_k)]
         for i, col in enumerate(cols):
             for j, x in col.items():
                 transposed[j][i] = x
-        _, pivots = linalg.rref(transposed, len(cols))
-        reps = [cols[p] for p in pivots if p >= len(image)]
-        if len(reps) != len(kernel) - len(image):
+        rows, pivots = linalg.rref(transposed, len(cols))
+        reps = [cols[p] for p in pivots if p >= r]
+        if len(reps) != len(kernel) - r:
             raise InternalConsistencyError(
                 f"image is not contained in the kernel in degree {k}")
-        return CohomologySpace(self, k, reps, image)
+        classes: list[dict[int, Fraction]] = [{} for _ in kernel]
+        for i, row in enumerate(rows[r:]):
+            for j, x in row.items():
+                classes[j - r][i] = x
+        return CohomologySpace(self, k, reps, {
+            min(row): c for row, c in zip(kernel, classes)})
 
     def __repr__(self):
         label = "full" if not self.fields else f"basic({len(self.fields)})"
@@ -177,17 +185,17 @@ class CohomologySpace:
 
     representatives are closed admissible forms whose classes form a basis;
     class_of maps any closed admissible form to its exact coordinates in
-    that basis.
+    that basis.  A cycle x is sum_j x[p_j] K_j in the RREF basis K_j of the
+    cycles, p_j the smallest key of K_j; the class of K_j is kept under p_j.
     """
 
     def __init__(self, cplx: Subcomplex, degree: int,
                  rep_coords: list[dict[int, Fraction]],
-                 image_rows: list[dict[int, Fraction]]):
+                 classes: dict[int, dict[int, Fraction]]):
         self.complex = cplx
         self.degree = degree
         self.dimension = len(rep_coords)
-        self._echelon = linalg.Echelon(rep_coords + image_rows,
-                                       cplx.dim(degree))
+        self._classes = classes
         basis = cplx.basis(degree)
         self.representatives = tuple(
             _combine(basis, row, cplx.model.n_gen, degree)
@@ -210,13 +218,12 @@ class CohomologySpace:
         if img:
             raise PreconditionError(
                 f"class_of needs a closed form in degree {self.degree}")
-        sol = self._echelon.solve(coords)
-        if sol is None:
-            raise InternalConsistencyError(
-                "closed form is outside kernel = reps + image; "
-                "the quotient data is corrupt")
-        # the coefficients past the representatives are those of the image
-        return {i: c for i, c in sol.items() if i < self.dimension}
+        out: dict[int, Fraction] = {}
+        for p, c in coords.items():
+            cls = self._classes.get(p)
+            if cls is not None:
+                linalg.add_scaled(out, c, cls)
+        return out
 
     def __repr__(self):
         return (f"<CohomologySpace degree {self.degree} "
@@ -266,7 +273,8 @@ def _joint_kernel(basis: Sequence[Form], operators, n_gen: int,
 def full_complex(model: StructureModel) -> Subcomplex:
     """The whole invariant complex, with the monomial basis per degree."""
     n = model.n_gen
-    bases = [[Form(n, k, {m: Fraction(1)}) for m in degree_masks(n, k)]
+    one = Fraction(1)
+    bases = [[Form._make(n, k, {m: one}) for m in degree_masks(n, k)]
              for k in range(n + 1)]
     return Subcomplex(model, (), bases)
 

@@ -131,7 +131,11 @@ class _FormParser:
             raise ParseError("dangling sign", self.lineno)
         if tok[0] == "number":
             self.take()
-            coeff *= Fraction(tok[1])
+            try:
+                coeff *= Fraction(tok[1])
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {tok[1]}",
+                                 self.lineno, tok[2]) from None
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "*":
                 self.take()
@@ -168,8 +172,7 @@ def parse(text: str) -> ModelDocument:
     gen_at = (1, 1)
     forms = []
     d_lines: dict[int, Form] = {}
-    omega = None
-    eta = None
+    designated: dict[str, Form] = {}  # omega and eta
 
     lines = text.splitlines()
     statements = []
@@ -263,15 +266,15 @@ def parse(text: str) -> ModelDocument:
                 raise ParseError(f"{head} must be a 1-form, got degree "
                                  f"{expr.degree}", lineno,
                                  tokens[2][2] if len(tokens) > 2 else col)
-            if head == "omega":
-                omega = expr
-            else:
-                eta = expr
+            if head in designated:
+                raise ParseError(f"duplicate {head}", lineno, col)
+            designated[head] = expr
 
     diffs = [d_lines.get(i, Form.zero(dim, 2))
              for i in range(1, dim + 1)]
     model = StructureModel(diffs, name=name)
-    return ModelDocument(model, omega, eta, tuple(gen_names))
+    return ModelDocument(model, designated.get("omega"),
+                         designated.get("eta"), tuple(gen_names))
 
 
 def serialize(doc: ModelDocument) -> str:

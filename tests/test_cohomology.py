@@ -14,7 +14,7 @@ from hardlef.errors import (DegreeError, NotClosedError, PreconditionError)
 from hardlef.exterior import contract, degree_masks
 
 import oracle
-from conftest import rational_models, vectors
+from conftest import COEFFS, rational_models, vectors
 
 
 @pytest.fixture
@@ -262,6 +262,56 @@ def test_each_differential_is_factored_once(monkeypatch):
                           and [{j: x for j, x in row.items() if j < width}
                                for row in mat] == rows)
     assert factored and set(factored.values()) == {1}
+
+
+def test_each_space_takes_one_elimination(monkeypatch):
+    m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
+    eliminate = linalg._eliminate
+    for cplx, degrees in [(full_complex(m), 7),
+                          (basic_complex(m, [Vector.basis(6, 6)]), 6)]:
+        for k in range(7):
+            cplx._diff_echelon(k)
+        calls = []
+
+        def counting(rows, ncols):
+            calls.append(ncols)
+            return eliminate(rows, ncols)
+
+        monkeypatch.setattr(linalg, "_eliminate", counting)
+        betti_numbers(cplx)
+        monkeypatch.undo()
+        assert sum(1 for k in range(7) if cplx.dim(k)) == degrees
+        assert len(calls) == degrees
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_class_of_matches_the_oracle(data):
+    """y = sum c_i rep_i + d z has class c, in the package and in the
+    dense oracle; d z has coordinates on kernel rows that are not
+    representatives."""
+    model = data.draw(rational_models())
+    n = model.n_gen
+    fields = data.draw(st.lists(vectors(n), max_size=2))
+    cplx = basic_complex(model, fields)
+    d1 = oracle.model_of(model)
+    vecs = [list(v.coeffs) for v in fields]
+    for k in range(n + 1):
+        if not cplx.dim(k):
+            continue
+        space = cplx.space(k)
+        c = data.draw(st.lists(COEFFS, min_size=space.dimension,
+                               max_size=space.dimension))
+        y = Form.zero(n, k)
+        for ci, rep in zip(c, space.representatives):
+            y = y + ci * rep
+        for b in cplx.basis(k - 1):
+            y = y + data.draw(COEFFS) * model.d(b)
+        assert space.class_of(y) == tuple(c)
+        reps = [oracle.form_of(rep) for rep in space.representatives]
+        exact = oracle.exact_rows_basic(d1, n, vecs, k)
+        assert oracle.class_coords(oracle.form_of(y), reps, exact,
+                                   oracle.monomials(n, k)) == list(c)
 
 
 def test_full_complex_factors_no_slice(monkeypatch):

@@ -91,6 +91,9 @@ def test_json_detection():
     ("dim 4\ngenerators a b c\n", 2, "3 generator names for dim 4"),
     ("generators a b c d\ndim 3\nd c = a^d\n", 1,
      "4 generator names for dim 3"),
+    ("dim 2\nd e1 = 1/0*e2\n", 2, "zero denominator in 1/0"),
+    ("dim 4\neta = e1\neta = e2\n", 3, "duplicate eta"),
+    ("dim 4\nomega = e1\neta = e2\nomega = e3\n", 4, "duplicate omega"),
 ])
 def test_positioned_parse_errors(text, line, fragment):
     with pytest.raises(ParseError) as err:
@@ -103,6 +106,19 @@ def test_parse_error_column():
     with pytest.raises(ParseError) as err:
         modelfile.parse("dim 4\nd e3 = e1 ^^ e2\n")
     assert err.value.column == 12
+    # a zero denominator points at its number
+    with pytest.raises(ParseError) as err:
+        modelfile.parse("dim 2\nd e1 = 1/0*e2\n")
+    assert err.value.column == 8
+
+
+def test_json_zero_denominator_is_a_parse_error():
+    import json
+    text = json.dumps({"dim": 2, "differentials": {"e1": "e1^e2 - 3/0*e1^e2"}})
+    with pytest.raises(ParseError) as err:
+        modelfile.load_text(text)
+    assert "zero denominator in 3/0" in str(err.value)
+    assert err.value.column == len("d e1 = e1^e2 - ") + 1
 
 
 def test_jacobi_failure_is_validation_not_parse():
