@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cache
 from typing import Mapping
 
 from .errors import (HardLefError, NonUniqueLeeFieldError, NonUniqueReebError,
@@ -267,13 +266,13 @@ def run_entry(entry: CatalogEntry) -> dict:
     checks = {"betti": lambda: list(_lef.betti_numbers(_lef._full(model)))}
     if struct is not None:
         n = struct.n
-        # each report is asked for once, by the first check that reads it
-        equivalence = cache(lambda: _lef.lefschetz_equivalence_report(struct))
-        parity = cache(lambda: _lef.betti_parity_check(struct))
+        # both reports are memoized per model by the Lefschetz layer
+        equivalence = _lef.lefschetz_equivalence_report
+        parity = _lef.betti_parity_check
 
         def verdicts(picture):
             return lambda: [getattr(v, picture)
-                            for v in equivalence().per_degree]
+                            for v in equivalence(struct).per_degree]
 
         def psi_ok():
             psi = _each(_lef.pairing_psi, struct, range(1, n + 1))
@@ -288,9 +287,9 @@ def run_entry(entry: CatalogEntry) -> dict:
             "lefschetz_de_rham": verdicts("de_rham"),
             "lefschetz_basic": verdicts("basic"),
             "lefschetz_contact": verdicts("contact"),
-            "equivalence_agree": lambda: equivalence().agree,
-            "parity_ok": lambda: parity().parity_ok,
-            "b_equals_c_sum": lambda: parity().sum_identity_ok,
+            "equivalence_agree": lambda: equivalence(struct).agree,
+            "parity_ok": lambda: parity(struct).parity_ok,
+            "b_equals_c_sum": lambda: parity(struct).sum_identity_ok,
             "uv_invertible": lambda: [
                 _lef.uv_basic_lefschetz(struct, k).invertible
                 for k in range(n + 1)],

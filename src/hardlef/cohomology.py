@@ -10,21 +10,19 @@ Cohomology spaces carry a deterministic representative basis, obtained by
 completing the canonical image basis inside the canonical kernel basis;
 the elimination that picks them also gives the class of every cycle.
 
-Sparse inside, dense at the API.  Forms enter through
-exterior.sparse_coords, which owns the mask -> column index of each
-monomial basis; everything after that (the slice factorizations, the
-differential rows, kernels, images, representatives, the classes
-_class_of returns and the rows of a SplittingMap) is a sparse vector
-{column: Fraction}, the one matrix kind of linalg.  Dense tuples or lists
-are built only when a public method or attribute is read: coords,
-class_of, diff_matrix and SplittingMap.matrix.  Each slice holds one
-linalg.Echelon, so coords is one reduction against a stored factorization;
-a slice whose basis is the monomial basis, as in full_complex, needs none
-(its coordinates are sparse_coords) and is factored only if slice(k) asks.
-Each differential is factored once, lazily: its kernel is the cycles of
-degree k and its rows the image in degree k+1.  A Subcomplex keeps only
-these; what other layers derive from it (relations, chain-map
-certificates, class maps) they keep themselves.
+Sparse inside, dense at the API.  The differential rows, kernels, images,
+representatives, the classes _class_of returns and the rows of a
+SplittingMap are sparse vectors {column: Fraction}, the one matrix kind
+of linalg.  Dense tuples or lists are built only when a public method or
+attribute is read: coords, class_of, diff_matrix and SplittingMap.matrix.
+Every degree basis is an RREF over the monomials of its degree (the
+identity for full_complex, a row space for basic_complex), hence its own
+factorization: linalg.reduce reads a form's coordinates at the pivots,
+and its residual is empty exactly when the form lies in the slice.  Each
+differential is factored once, lazily: its kernel is the cycles of degree
+k and its rows the image in degree k+1.  A Subcomplex keeps only these;
+what other layers derive from it (relations, chain-map certificates,
+class maps) they keep themselves.
 """
 
 from __future__ import annotations
@@ -37,12 +35,15 @@ from typing import Sequence
 from . import linalg
 from .errors import (DegreeError, InternalConsistencyError, ModelMismatchError,
                      NotClosedError, PreconditionError)
-from .exterior import Form, Vector, degree_masks, sparse_coords
+from .exterior import (Form, Vector, _column_index, degree_masks,
+                       sparse_coords)
 from .model import StructureModel
 
 
 class Subcomplex:
-    """A graded d-stable subspace of the invariant forms of a model."""
+    """A graded d-stable subspace of the invariant forms of a model.  Each
+    degree's basis must be in RREF over the monomials in ascending mask
+    order, as linalg.pivot_index checks; ValueError otherwise."""
 
     def __init__(self, model: StructureModel, fields: Sequence[Vector],
                  bases: Sequence[Sequence[Form]]):
@@ -52,17 +53,15 @@ class Subcomplex:
         self.bases = tuple(tuple(b) for b in bases)
         if len(self.bases) != n + 1:
             raise ValueError("need one basis per degree 0..n_gen")
-        # a degree whose basis is the monomial basis, in order, needs no
-        # factorization: coordinates there are sparse_coords, and slice(k)
-        # factors it only when asked for
-        self._monomial = [_is_monomial_basis(basis, n, k)
-                          for k, basis in enumerate(self.bases)]
-        self._slices = [None if mono else self._factor(k)
-                        for k, mono in enumerate(self._monomial)]
-        for k, ech in enumerate(self._slices):
-            if ech is not None and len(ech.pivots) != len(self.bases[k]):
-                raise InternalConsistencyError(
-                    f"degree {k} basis forms are linearly dependent")
+        # per degree, linalg.pivot_index on masks; monomials share one index
+        self._pivots: list[tuple[dict, dict]] = []
+        for k, basis in enumerate(self.bases):
+            try:
+                at, off = linalg.pivot_index([f.terms for f in basis])
+            except ValueError as exc:
+                raise ValueError(f"degree {k} basis not in RREF: {exc}")
+            index = _column_index(n, k)
+            self._pivots.append((index if at == index else at, off))
         # sparse rows of d from each degree, in subcomplex coordinates
         self._diff: list[list[dict[int, Fraction]]] = []
         for k in range(n + 1):
@@ -104,18 +103,6 @@ class Subcomplex:
             self._diff_echelons[k] = ech
         return ech
 
-    def slice(self, k: int) -> linalg.Echelon:
-        """Factorization of the degree-k basis in monomial coordinates."""
-        if not 0 <= k <= self.model.n_gen:
-            raise DegreeError(f"degree {k} outside [0, {self.model.n_gen}]")
-        if self._slices[k] is None:
-            self._slices[k] = self._factor(k)
-        return self._slices[k]
-
-    def _factor(self, k: int) -> linalg.Echelon:
-        return linalg.Echelon([sparse_coords(f) for f in self.bases[k]],
-                              len(degree_masks(self.model.n_gen, k)))
-
     def coords(self, form: Form, degree: int | None = None):
         """Coordinates of a form in the degree basis, or None if outside."""
         k = form.degree if degree is None else degree
@@ -130,9 +117,8 @@ class Subcomplex:
             return {}
         if form.degree != k or not 0 <= k <= self.model.n_gen:
             return None
-        if self._monomial[k]:
-            return sparse_coords(form)
-        return self._slices[k].solve(sparse_coords(form))
+        coords, residual = linalg.reduce(form.terms, *self._pivots[k])
+        return None if residual else coords
 
     def dims(self) -> tuple[int, ...]:
         return tuple(self.dim(k) for k in range(self.model.n_gen + 1))
@@ -228,16 +214,6 @@ class CohomologySpace:
     def __repr__(self):
         return (f"<CohomologySpace degree {self.degree} "
                 f"dimension {self.dimension}>")
-
-
-def _is_monomial_basis(basis: Sequence[Form], n_gen: int,
-                       degree: int) -> bool:
-    """Whether basis is degree_masks(n_gen, degree) in order, each mask
-    with coefficient 1."""
-    masks = degree_masks(n_gen, degree)
-    return len(basis) == len(masks) and all(
-        len(f.terms) == 1 and f.terms.get(m) == 1
-        for f, m in zip(basis, masks))
 
 
 def _combine(basis: Sequence[Form], coords: dict[int, Fraction], n_gen: int,

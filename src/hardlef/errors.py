@@ -23,20 +23,21 @@ class PreconditionError(HardLefError):
 
 
 class ParseError(HardLefError):
-    """A model file was rejected; carries the offending position."""
+    """A model file was rejected; carries the offending position: line and
+    column, or the key of a JSON model and the column in its string."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None, column=None, key=None):
         super().__init__(message)
         self.line = line
         self.column = column
+        self.key = key
 
     def __str__(self):
         base = super().__str__()
-        if self.line is None:
-            return base
-        if self.column is None:
-            return f"line {self.line}: {base}"
-        return f"line {self.line}, column {self.column}: {base}"
+        where = self.key or (self.line and f"line {self.line}")
+        if where and self.column is not None:
+            where += f", column {self.column}"
+        return f"{where}: {base}" if where else base
 
 
 class ValidationError(HardLefError):

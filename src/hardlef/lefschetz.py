@@ -42,8 +42,7 @@ from .cohomology import (CohomologySpace, Subcomplex, _combine,
                          full_complex, splitting_check)
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
                      NotProjectableError, PreconditionError)
-from .exterior import (Form, contract, degree_masks, sparse_coords,
-                       top_pairing, wedge_power)
+from .exterior import Form, contract, top_pairing, wedge_power
 from .structures import ContactStructure, LcsStructure, quotient_contact
 
 
@@ -401,11 +400,9 @@ def _relation_map(src_space: CohomologySpace, dst_space: CohomologySpace,
     conditions = [model.d, lambda f: model.d(op(f))]
     if 0 <= b <= n:
         # the part of op f off the target slice, as a b-form
-        masks = degree_masks(n, b)
-        residual = dst_space.complex.slice(b).residual
-        conditions.append(lambda f: Form._make(n, b, {
-            masks[j]: c
-            for j, c in residual(sparse_coords(op(f))).items()}))
+        at, off = dst_space.complex._pivots[b]
+        conditions.append(lambda f: Form._make(
+            n, b, linalg.reduce(op(f).terms, at, off)[1]))
     total, functional, matrix = _graph(
         _relation(src_space, dst_space, conditions, op, label))
     if not total:

@@ -3,13 +3,14 @@
 One matrix kind: a vector is a dict {column: nonzero Fraction} and a
 matrix a list of such rows.  `sparse`, `dense` and `dense_rows` convert
 at the edges of the package, `add_scaled` combines rows and `matmul` is
-the one product.  rref, rank, row_space, Echelon and left_kernel take sparse
-rows and answer sparse; only inverse takes and gives dense rows, for
-callers outside the package that index its entries.  Linear maps act on
-coordinate row vectors from the right: row i of a matrix is the image of
-the i-th basis vector, so the matrix of f-then-g is matmul(M_f, M_g).
-Reduced row echelon form is the canonical presentation of a row space,
-which makes subspace comparison an equality of lists.
+the one product.  rref, rank, row_space, Echelon, left_kernel, pivot_index
+and reduce take sparse rows and answer sparse; only inverse takes and
+gives dense rows, for callers outside the package that index its entries.
+Linear maps act on coordinate row vectors from the right: row i of a
+matrix is the image of the i-th basis vector, so the matrix of f-then-g
+is matmul(M_f, M_g).  Reduced row echelon form is the canonical
+presentation of a row space, which makes subspace comparison an equality
+of lists.
 
 `_eliminate` is the one elimination, on integer rows: each row is scaled
 to coprime integers, and a step replaces a row q by (a/g) q - (b/g) p,
@@ -22,8 +23,11 @@ Villard, J. Symb. Comp. 32, 2001); the smallest entry, then the fewest
 nonzeros, then the first row keeps the integers small.  Pivot rows are
 divided by their pivots at the end: every function here takes and gives
 `Fraction`s.  `Echelon` is the one factorization built on it: the RREF
-of [M | I], with the identity as one entry per row.  It answers
-membership, solve, left kernel and inverse with no further elimination.
+of [M | I], with the identity as one entry per row, which gives the
+combinations behind each row, the left kernel and the inverse.  Rows
+already in RREF need no factorization: `pivot_index` checks them and
+`reduce` reads a vector's coordinates at their pivots, with the residual
+that decides membership.
 
 Elsewhere the arithmetic follows the rule stated in exterior: add_scaled
 does not multiply by 1 and negates for -1, and stores a new entry as it is.
@@ -85,12 +89,6 @@ def add_scaled(acc: dict, f: Fraction, other: dict) -> None:
                 acc[j] = y
             else:
                 del acc[j]
-
-
-def _fresh(row: dict) -> dict[int, Fraction]:
-    """Copy of a sparse row without zero entries, non-Fractions coerced."""
-    return {j: x if type(x) is Fraction else Fraction(x)
-            for j, x in row.items() if x}
 
 
 # ----- products --------------------------------------------------------------
@@ -207,6 +205,47 @@ def row_space(mat: Matrix, ncols: int) -> Matrix:
     return rref(mat, ncols)[0]
 
 
+def pivot_index(rows: Matrix) -> tuple[dict, dict]:
+    """(pivot -> row index, pivot -> the row without its pivot entry if it
+    has others) of RREF rows over nonnegative columns; a row's pivot is its
+    smallest key.  ValueError unless every pivot entry is 1, the pivots
+    increase and no row has an entry at another row's pivot."""
+    at: dict = {}
+    off: dict = {}
+    last = -1  # below every column
+    for i, row in enumerate(rows):
+        p = min(row, default=-1)
+        if p <= last or row[p] != 1:
+            raise ValueError(f"row {i} lacks a pivot 1 past the rows above")
+        at[p] = i
+        last = p
+        if len(row) > 1:
+            off[p] = {j: x for j, x in row.items() if j != p}
+    if any(not at.keys().isdisjoint(rest) for rest in off.values()):
+        raise ValueError("a row has an entry at another row's pivot")
+    return at, off
+
+
+def reduce(vec: dict, at: dict, off: dict) -> tuple[dict, dict]:
+    """(coordinates, residual) of a sparse vector of nonzero Fractions
+    against RREF rows given by pivot_index.  The rows vanish on each
+    other's pivots, so the row with pivot p has coefficient vec[p]; the
+    residual vec - sum vec[p] row_p is empty exactly in the row space."""
+    coords: dict[int, Fraction] = {}
+    residual: dict = {}
+    for j, x in vec.items():
+        i = at.get(j)
+        if i is None:
+            residual[j] = x
+        else:
+            coords[i] = x
+    if off:
+        for p, x in vec.items():
+            if p in off:
+                add_scaled(residual, -x, off[p])
+    return coords, residual
+
+
 class Echelon:
     """One factorization of a matrix: the RREF of [mat | I].
 
@@ -228,36 +267,6 @@ class Echelon:
                                if j >= ncols} for row in red[:r]]
         self.sparse_kernel = [{j - ncols: x for j, x in row.items()}
                               for row in red[r:]]
-        self._row_at = dict(zip(self.pivots, self.sparse_rows))
-        self._combo_at = dict(zip(self.pivots, self.sparse_combos))
-
-    def _residual(self, v: dict[int, Fraction]) -> dict[int, Fraction]:
-        # the RREF rows vanish on each other's pivots, so the coefficient of
-        # the row with pivot p is v[p], whatever the order of reduction
-        out = dict(v)
-        for p, c in v.items():
-            row = self._row_at.get(p)
-            if row is not None:
-                add_scaled(out, -c, row)
-        return out
-
-    def residual(self, vec: dict) -> dict[int, Fraction]:
-        """vec reduced against the rows: empty iff vec is in the row
-        space."""
-        return self._residual(_fresh(vec))
-
-    def solve(self, target: dict) -> dict[int, Fraction] | None:
-        """Coefficients c with c . mat = target, or None outside the row
-        space; unique when the rows of mat are independent."""
-        t = _fresh(target)
-        if self._residual(t):
-            return None
-        acc: dict[int, Fraction] = {}
-        for p, c in t.items():
-            combo = self._combo_at.get(p)
-            if combo is not None:
-                add_scaled(acc, c, combo)
-        return acc
 
 
 def left_kernel(mat: Matrix, ncols: int) -> Matrix:

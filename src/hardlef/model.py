@@ -265,7 +265,10 @@ def _parse_structure_entry(entry: str, n: int) -> Form:
             piece = piece[1:].strip()
         if "*" in piece:
             coeff_s, mono = piece.split("*", 1)
-            coeff = Fraction(coeff_s.strip())
+            try:
+                coeff = Fraction(coeff_s.strip())
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {piece!r}") from None
         else:
             coeff, mono = Fraction(1), piece
         mono = mono.strip()

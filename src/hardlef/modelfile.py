@@ -280,7 +280,8 @@ def parse(text: str) -> ModelDocument:
 def serialize(doc: ModelDocument) -> str:
     """Canonical file text; parse(serialize(doc)) equals doc."""
     custom = doc.generator_names != default_names(doc.model.n_gen)
-    return "\n".join(_statements(to_json_dict(doc), custom)) + "\n"
+    return "".join(f"{head}{value}\n" for _, head, value
+                   in _statements(to_json_dict(doc), custom))
 
 
 def to_json_dict(doc: ModelDocument) -> dict:
@@ -299,29 +300,43 @@ def to_json_dict(doc: ModelDocument) -> dict:
     return out
 
 
-def _statements(data: dict, generators: bool = True) -> list[str]:
-    """The file statements of a model in its JSON form, the generators
+def _statements(data: dict, generators: bool = True) -> list[tuple]:
+    """(JSON key, head, value) of each file statement of a model in its
+    JSON form, the statement being head followed by value; the generators
     statement only when asked for."""
     dim = data["dim"]
     names = data.get("generators") or default_names(dim)
-    lines = [f"name {data['name']}"] if data.get("name") else []
-    lines.append(f"dim {dim}")
+    out = [("name", "name ", data["name"])] if data.get("name") else []
+    out.append(("dim", "dim ", dim))
     if generators:
-        lines.append("generators " + " ".join(names))
+        out.append(("generators", "generators ", " ".join(names)))
     for gen, expr in data.get("differentials", {}).items():
-        lines.append(f"d {gen} = {expr}")
+        out.append((f"differentials.{gen}", f"d {gen} = ", expr))
     for key in ("omega", "eta"):
         if key in data:
-            lines.append(f"{key} = {data[key]}")
-    return lines
+            out.append((key, f"{key} = ", data[key]))
+    return out
 
 
 def from_json_dict(data: dict) -> ModelDocument:
+    """The model of a JSON object; a ParseError names the key it is in
+    and, for a string value, the column in that string."""
     try:
-        lines = _statements(data)
-    except (KeyError, TypeError) as exc:
+        statements = _statements(data)
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ParseError(f"malformed JSON model: {exc}") from exc
-    return parse("\n".join(lines))
+    lines = [f"{head}{value}" for _, head, value in statements]
+    for (key, _, _), line in zip(statements, lines):
+        if line.splitlines() != [line]:
+            raise ParseError("line break in a JSON string", key=key)
+    try:
+        return parse("\n".join(lines))
+    except ParseError as exc:
+        key, head, value = statements[exc.line - 1]
+        column = None
+        if isinstance(value, str) and (exc.column or 0) > len(head):
+            column = exc.column - len(head)
+        raise ParseError(exc.args[0], column=column, key=key) from None
 
 
 def load_text(text: str, assume_json: bool | None = None) -> ModelDocument:

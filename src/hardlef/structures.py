@@ -70,21 +70,20 @@ def two_form_rank(f: Form) -> int:
 
 
 def _solve_characterizing_field(deta: Form, conditions, err_cls) -> Vector:
-    """Unique v with i_v d(eta) = 0 and the listed (form, value) pairings."""
+    """Unique v with i_v d(eta) = 0 and the listed (form, value) pairings,
+    read off one RREF of the equations in v_1..v_n, values in column n (by
+    skew symmetry the rows of d(eta) are those of i_v d(eta) = 0)."""
     n = deta.n_gen
-    rows = _two_form_skew_rows(deta)
-    for a, row in enumerate(rows):
-        for i, (form, _) in enumerate(conditions):
-            row[n + i] = form.terms.get(1 << a, 0)
-    target = {n + i: Fraction(v) for i, (_, v) in enumerate(conditions)}
-    ech = linalg.Echelon(rows, n + len(conditions))
-    if len(ech.pivots) < n:
+    eqs = _two_form_skew_rows(deta) + [
+        {**{m.bit_length() - 1: x for m, x in form.terms.items()},
+         n: Fraction(value)} for form, value in conditions]
+    rows, pivots = linalg.rref(eqs, n + 1)
+    if sum(1 for p in pivots if p < n) < n:
         raise err_cls("characterizing linear system is singular; the field "
                       "is not unique")
-    sol = ech.solve(target)
-    if sol is None:
+    if pivots[-1] == n:
         raise err_cls("characterizing linear system has no solution")
-    return Vector(linalg.dense(sol, n))
+    return Vector([row.get(n, linalg.ZERO) for row in rows])
 
 
 def validate_lcs(model: StructureModel, omega: Form, eta: Form) -> LcsStructure:

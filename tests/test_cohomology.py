@@ -314,32 +314,64 @@ def test_class_of_matches_the_oracle(data):
                                    oracle.monomials(n, k)) == list(c)
 
 
-def test_full_complex_factors_no_slice(monkeypatch):
-    from fractions import Fraction
+def _count_eliminations(monkeypatch):
+    """The shapes of the eliminations run while monkeypatch is active."""
+    calls = []
+    eliminate = linalg._eliminate
 
-    from hardlef.exterior import degree_masks
+    def counting(rows, ncols):
+        calls.append((len(rows), ncols))
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    return calls
+
+
+def test_full_complex_factors_no_slice(monkeypatch):
+    from hardlef.exterior import _column_index
 
     m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
-    factored = []
-    factor = Subcomplex._factor
-
-    def recording(cplx, k):
-        factored.append(k)
-        return factor(cplx, k)
-
-    monkeypatch.setattr(Subcomplex, "_factor", recording)
+    calls = _count_eliminations(monkeypatch)
     cplx = full_complex(m)
+    assert calls == []
     assert betti_numbers(cplx) == (1, 5, 9, 10, 9, 5, 1)
-    assert factored == []
     for k in range(7):
         masks = degree_masks(6, k)
-        ech = cplx.slice(k)
-        assert ech.pivots == list(range(len(masks)))
-        assert ech.sparse_combos == [{i: 1} for i in range(len(masks))]
-        assert cplx.slice(k) is ech and factored.count(k) == 1
+        # the monomial basis is its own RREF: the pivot map is the
+        # cached mask index and no row has a part off its pivot
+        at, off = cplx._pivots[k]
+        assert at is _column_index(6, k) and off == {}
         f = Form(6, k, {mk: Fraction(i + 1, 2) for i, mk in
                         enumerate(masks)})
         assert cplx.coords(f) == [Fraction(i + 1, 2)
                                   for i in range(len(masks))]
         assert cplx.coords(Form.zero(6, k)) == [0] * len(masks)
     assert cplx.coords(Form.generator(6, 1), 2) is None
+
+
+@pytest.mark.parametrize("field", [(0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 1, 1)],
+                         ids=["e6", "mixed"])
+def test_rebuilt_basic_complex_runs_no_elimination(monkeypatch, field):
+    """The bases of a basic complex are RREFs: a Subcomplex built on them
+    reads coordinates at the pivots and factors nothing."""
+    m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
+    basic = basic_complex(m, [Vector(field)])
+    calls = _count_eliminations(monkeypatch)
+    again = Subcomplex(m, basic.fields, basic.bases)
+    assert calls == []
+    assert again._pivots == basic._pivots
+    for k in range(7):
+        assert again.diff_matrix(k) == basic.diff_matrix(k)
+        for i, f in enumerate(basic.basis(k)):
+            assert again.coords(f) == [int(i == j)
+                                       for j in range(basic.dim(k))]
+    assert again.coords(Form.generator(6, 6)) is None
+
+
+def test_basis_not_in_rref_is_rejected(kt4):
+    bases = list(full_complex(kt4).bases)
+    e1, e2 = Form.generator(4, 1), Form.generator(4, 2)
+    bases[1] = (e1 + e2, e2)
+    with pytest.raises(ValueError, match="degree 1 basis not in RREF: "
+                                         "a row has an entry at"):
+        Subcomplex(kt4, (), bases)

@@ -66,12 +66,26 @@ def test_left_kernel_empty_and_degenerate():
 
 
 def test_express_in_rows():
-    ech = linalg.Echelon(S(M([[1, 0, 1], [0, 1, 1]])), 3)
-    assert ech.solve({0: F(2), 1: F(3), 2: F(5)}) == {0: F(2), 1: F(3)}
-    assert ech.solve({2: F(1)}) is None
-    empty = linalg.Echelon([], 1)
-    assert empty.solve({}) == {}
-    assert empty.solve({0: F(1)}) is None
+    at, off = linalg.pivot_index(S(M([[1, 0, 1], [0, 1, 1]])))
+    assert (at, off) == ({0: 0, 1: 1}, {0: {2: F(1)}, 1: {2: F(1)}})
+    assert linalg.reduce({0: F(2), 1: F(3), 2: F(5)}, at, off) == \
+        ({0: F(2), 1: F(3)}, {})
+    assert linalg.reduce({2: F(1)}, at, off) == ({}, {2: F(1)})
+    empty = linalg.pivot_index([])
+    assert linalg.reduce({}, *empty) == ({}, {})
+    assert linalg.reduce({0: F(1)}, *empty) == ({}, {0: F(1)})
+
+
+@pytest.mark.parametrize("rows", [
+    [{}],                                  # a zero row
+    [{1: F(1)}, {0: F(1)}],                # pivots decrease
+    [{0: F(1)}, {0: F(1), 1: F(1)}],       # a repeated pivot
+    [{0: F(2), 1: F(1)}],                  # a pivot entry other than 1
+    [{0: F(1), 1: F(1)}, {1: F(1)}],       # an entry at a later pivot
+], ids=["zero", "decreasing", "repeated", "unit", "pivot_column"])
+def test_pivot_index_rejects_rows_not_in_rref(rows):
+    with pytest.raises(ValueError):
+        linalg.pivot_index(rows)
 
 
 def test_inverse():
@@ -113,9 +127,10 @@ def test_matmul_empty_dimensions():
 
 
 def test_echelon_residual():
-    ech = linalg.Echelon(S(M([[1, 0, 2], [0, 1, 3]])), 3)
-    assert ech.residual({0: F(2), 1: F(1), 2: F(7)}) == {}
-    assert ech.residual({2: F(1)}) == {2: F(1)}
+    index = linalg.pivot_index(S(M([[1, 0, 2], [0, 1, 3]])))
+    assert linalg.reduce({0: F(2), 1: F(1), 2: F(7)}, *index)[1] == {}
+    assert linalg.reduce({0: F(1), 2: F(1)}, *index)[1] == {2: F(-1)}
+    assert linalg.reduce({2: F(1)}, *index)[1] == {2: F(1)}
 
 
 def test_random_inverse_roundtrip():
@@ -171,18 +186,22 @@ def test_echelon_factorization(data):
     assert ech.sparse_kernel == S(oracle.kernel_rows(mat, ncols))
     assert not any(linalg.matmul(ech.sparse_kernel, smat))
     assert len(ech.pivots) + len(ech.sparse_kernel) == m
+    # the RREF rows are their own factorization
+    index = linalg.pivot_index(ech.sparse_rows)
     inside = linalg.dense(
         linalg.matmul([linalg.sparse(coeffs)], smat)[0], ncols)
     for target in (inside, [F(0)] * ncols, [F(1)] * ncols):
-        sol = ech.solve(linalg.sparse(target))
+        coords, residual = linalg.reduce(linalg.sparse(target), *index)
         in_span = linalg.rank(smat + [linalg.sparse(target)], ncols) == \
             len(ech.pivots)
-        assert (sol is not None) == in_span
-        if sol is not None:
-            assert linalg.dense(linalg.matmul([sol], smat)[0],
+        assert (not residual) == in_span
+        combo = oracle.solve_combo(rows, target)
+        assert (combo is not None) == in_span
+        if in_span:
+            assert linalg.dense(coords, len(rows)) == combo
+            assert linalg.dense(linalg.matmul([coords], ech.sparse_rows)[0],
                                 ncols) == target
-            assert not ech.residual(linalg.sparse(target))
-    assert ech.solve(linalg.sparse(inside)) is not None
+    assert not linalg.reduce(linalg.sparse(inside), *index)[1]
     k = min(m, ncols)
     square = [row[:k] for row in mat[:k]]
     inv = linalg.inverse(square)
@@ -276,18 +295,24 @@ def test_sparse_kernel_matches_oracle(data):
     assert (ech.sparse_rows, ech.pivots) == (rows, pivots)
     assert ech.sparse_kernel == S(oracle.kernel_rows(mat, width))
     assert linalg.left_kernel(smat, width) == ech.sparse_kernel
+    index = linalg.pivot_index(rows)
+    dense_rows = [linalg.dense(r, width) for r in rows]
     answers = []
-    for vec, svec in zip(vecs, svecs):
+    for vec in vecs:
+        fvec = linalg.sparse(vec)
+        before = dict(fvec)
+        coords, residual = linalg.reduce(fvec, *index)
+        assert fvec == before
         res = _dense_residual(ech, vec)
-        assert ech.residual(svec) == linalg.sparse(res)
-        expected = None if any(res) else linalg.sparse([
-            sum((F(vec[p]) * combo.get(j, 0) for combo, p in
-                 zip(ech.sparse_combos, ech.pivots)), F(0))
-            for j in range(len(mat))])
-        sol = ech.solve(svec)
-        assert sol == expected
-        answers += [ech.residual(svec)] + ([sol] if sol else [])
-    assert ech.solve(svecs[0]) is not None
+        assert residual == linalg.sparse(res)
+        assert coords == {i: fvec[p] for i, p in enumerate(pivots)
+                          if p in fvec}
+        combo = oracle.solve_combo(dense_rows, [F(x) for x in vec])
+        assert (combo is None) == any(res)
+        if combo is not None:
+            assert linalg.dense(coords, len(rows)) == combo
+        answers += [coords, residual]
+    assert not linalg.reduce(linalg.sparse(vecs[0]), *index)[1]
     assert _nonzero_fractions(rows + part + ech.sparse_rows + ech.sparse_combos
                               + ech.sparse_kernel + answers)
 
@@ -339,18 +364,26 @@ def test_column_index_matches_the_rows_after_every_step(data):
 def test_inputs_are_not_mutated_or_aliased():
     mat = [{1: 2, 2: Fraction(1, 2)}, {0: F(0), 2: 3},
            {0: 0, 1: 2, 2: Fraction(1, 2)}]
-    vec = {0: 1, 1: 0, 2: F(3)}
-    before = [dict(row) for row in mat], dict(vec)
+    before = [dict(row) for row in mat]
     rows, _ = linalg.rref(mat, 3)
     ech = linalg.Echelon(mat, 3)
-    ech.residual(vec)
-    ech.solve(vec)
-    assert ([dict(row) for row in mat], dict(vec)) == before
+    assert [dict(row) for row in mat] == before
     assert [type(x) for x in mat[0].values()] == [int, Fraction]
     for out in ech.sparse_rows + ech.sparse_combos + ech.sparse_kernel:
         assert all(out is not row for row in mat)
     for out in rows:
         assert all(out is not row for row in mat)
         out.update((j, F(7)) for j in out)
-    assert ([dict(row) for row in mat], dict(vec)) == before
-    assert ech.residual({1: 2, 2: Fraction(1, 2)}) == {}
+    assert [dict(row) for row in mat] == before
+    # pivot_index and reduce keep neither the rows nor the vector
+    basis = [{0: F(1), 2: F(2)}, {1: F(1), 2: F(-3)}]
+    vec = {0: F(1), 1: F(2), 2: F(5)}
+    before = [dict(row) for row in basis], dict(vec)
+    at, off = linalg.pivot_index(basis)
+    coords, residual = linalg.reduce(vec, at, off)
+    assert (coords, residual) == ({0: F(1), 1: F(2)}, {2: F(9)})
+    assert ([dict(row) for row in basis], dict(vec)) == before
+    for row in basis:
+        row.update((j, F(7)) for j in row)
+    assert linalg.reduce(vec, at, off) == (coords, residual)
+    assert residual is not vec and vec == before[1]

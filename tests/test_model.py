@@ -66,6 +66,8 @@ def test_salamon_rejects_bad_terms():
         StructureModel.from_salamon("(0,0,123)")
     with pytest.raises(ValueError):
         StructureModel.from_salamon("(0,0,11)")
+    with pytest.raises(ValueError, match="zero denominator"):
+        StructureModel.from_salamon("(0,1/0*12)")
 
 
 def test_from_brackets_matches_structure_equations(kt4):

@@ -118,7 +118,34 @@ def test_json_zero_denominator_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         modelfile.load_text(text)
     assert "zero denominator in 3/0" in str(err.value)
-    assert err.value.column == len("d e1 = e1^e2 - ") + 1
+    assert err.value.key == "differentials.e1"
+    assert err.value.column == len("e1^e2 - ") + 1
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"dim": 2, "differentials": {"e1": "e1^e3"}},
+     "differentials.e1, column 4: unknown generator 'e3'"),
+    ({"dim": 2, "differentials": {"e7": "e1^e2"}},
+     "differentials.e7: unknown generator 'e7'"),
+    ({"dim": 2, "eta": "e1 ^^ e2"},
+     "eta, column 5: expected a generator name, got '^'"),
+    ({"dim": 2, "differentials": {"e1": ""}},
+     "differentials.e1: empty form expression"),
+    ({"dim": 44}, "dim: dim must be in [1, 16], got 44"),
+    ({"dim": 2, "differentials": {"e1": "e1^e2\nd e2 = e1"}},
+     "differentials.e1: line break in a JSON string"),
+    ({"dim": 2, "differentials": []},
+     "malformed JSON model: 'list' object has no attribute 'items'"),
+], ids=["unknown_generator", "unknown_key", "syntax", "empty", "dim",
+        "line_break", "differentials_list"])
+def test_json_errors_name_the_key(data, message):
+    """Positions in a JSON model are the key and the column in its string,
+    not a place in the statement text built from it."""
+    import json
+    with pytest.raises(ParseError) as err:
+        modelfile.load_text(json.dumps(data))
+    assert str(err.value) == message
+    assert err.value.line is None
 
 
 def test_jacobi_failure_is_validation_not_parse():

@@ -46,6 +46,31 @@ def test_characterizing_conditions_exact(kt4_struct):
     assert contract(s.V, deta).is_zero()
 
 
+@pytest.mark.parametrize("deta, message", [
+    (Form.zero(2, 2), "characterizing linear system is singular; the field "
+                      "is not unique"),
+    (Form.monomial(2, (1, 2)), "characterizing linear system has no "
+                               "solution"),
+], ids=["singular", "no_solution"])
+def test_characterizing_field_errors(deta, message):
+    """i_v deta = 0 with <v, e1> = 1: deta = 0 leaves v_2 free; a
+    nondegenerate deta forces v = 0, which pairs to 0 with e1."""
+    from hardlef.structures import _solve_characterizing_field
+    with pytest.raises(ValidationError) as err:
+        _solve_characterizing_field(deta, [(gen(2, 1), 1)], ValidationError)
+    assert str(err.value) == message
+
+
+def test_characterizing_field_is_read_off_the_pivots():
+    from hardlef.structures import _solve_characterizing_field
+    # i_v (e1 ^ (e2 + e3)) = 0 leaves v = (0, t, -t); the second
+    # condition repeats the first
+    deta = Form.monomial(3, (1, 2)) + Form.monomial(3, (1, 3))
+    v = _solve_characterizing_field(
+        deta, [(gen(3, 2), 2), (gen(3, 2) - gen(3, 3), 4)], ValidationError)
+    assert v == Vector([0, 2, -2])
+
+
 def test_not_closed(kt4):
     with pytest.raises(NotClosedError):
         validate_lcs(kt4, gen(4, 3), gen(4, 4))
