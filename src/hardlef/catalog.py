@@ -16,9 +16,7 @@ expectation map so accidental edits are caught by the suite.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import (HardLefError, NonUniqueLeeFieldError, NonUniqueReebError,
@@ -27,12 +25,12 @@ from .errors import (HardLefError, NonUniqueLeeFieldError, NonUniqueReebError,
 from .exterior import Form
 from .model import StructureModel
 from . import lefschetz as _lef
+from .record import Record
 from .structures import (validate_contact, validate_lcs,
                          vaisman_candidate_report)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     model: StructureModel
     omega: Form | None
@@ -52,6 +50,7 @@ class CatalogEntry:
 
 
 def entry_fingerprint(expected: Mapping[str, dict]) -> str:
+    import hashlib  # here, so that only the suite loads OpenSSL
     payload = json.dumps(expected, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -70,14 +70,15 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _resolve_fields(doc: modelfile.ModelDocument, spec: str) -> list[Vector]:
+def _resolve_fields(doc: modelfile.ModelDocument,
+                    tokens: list[str]) -> list[Vector]:
+    if not tokens:
+        raise PreconditionError("--basic needs at least one field "
+                                "(U, V, xi or E<i>)")
     fields = []
     struct = None
     contact = None
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in tokens:
         if token in ("U", "V"):
             if doc.omega is None or doc.eta is None:
                 raise PreconditionError(
@@ -110,12 +111,13 @@ def cmd_cohomology(args) -> int:
     model = doc.model
     betti = list(betti_numbers(_lef._full(model)))
     results: dict = {"betti": betti}
-    if args.basic:
-        fields = _resolve_fields(doc, args.basic)
+    if args.basic is not None:
+        tokens = [t.strip() for t in args.basic.split(",") if t.strip()]
+        fields = _resolve_fields(doc, tokens)
         basic = list(betti_numbers(_lef._basic(model, tuple(fields))))
         results["basic_fields"] = [str(v) for v in fields]
         results["basic_betti"] = basic
-        if args.basic.strip() == "U":
+        if tokens == ["U"]:
             results["b_equals_c_sum"] = _lef._sum_identity(betti, basic)
     _emit(report.document("cohomology", results, model,
                           doc.generator_names), args.json)

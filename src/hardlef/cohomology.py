@@ -27,7 +27,6 @@ class maps) they keep themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Sequence
@@ -38,6 +37,7 @@ from .errors import (DegreeError, InternalConsistencyError, ModelMismatchError,
 from .exterior import (Form, Vector, _column_index, degree_masks,
                        sparse_coords)
 from .model import StructureModel
+from .record import Record
 
 
 class Subcomplex:
@@ -305,8 +305,7 @@ def betti_numbers(cplx: Subcomplex) -> tuple[int, ...]:
 # ----- splitting isomorphisms ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplittingMap:
+class SplittingMap(Record):
     """Matrix of ([b], [b']) -> [b + w ^ b'] in the representative bases.
 
     Rows list the images of the H^k(outer) representatives followed by the
@@ -324,8 +323,7 @@ class SplittingMap:
         return linalg.dense_rows(self.rows, self.inner_dim)
 
 
-@dataclass(frozen=True)
-class SplittingDegree:
+class SplittingDegree(Record):
     degree: int
     inner_dim: int
     outer_dim: int
@@ -334,8 +332,7 @@ class SplittingDegree:
     invertible: bool
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(Record):
     """Per-degree verdicts, with the splitting maps they were read from."""
 
     degrees: tuple[SplittingDegree, ...]

@@ -31,7 +31,6 @@ certificates and induced class maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -43,6 +42,7 @@ from .cohomology import (CohomologySpace, Subcomplex, _combine,
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
                      NotProjectableError, PreconditionError)
 from .exterior import Form, contract, top_pairing, wedge_power
+from .record import Record
 from .structures import ContactStructure, LcsStructure, quotient_contact
 
 
@@ -88,8 +88,7 @@ def _check_k(k: int, n: int) -> None:
 # ----- relations -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CohomologyRelation:
+class CohomologyRelation(Record):
     """A linear subspace of H^a x H^b, stored by its canonical RREF basis:
     sparse rows, the H^b columns offset by dim H^a; span is dense."""
 
@@ -112,8 +111,7 @@ class CohomologyRelation:
             self.rows, self.source.dimension + self.target.dimension)
 
 
-@dataclass(frozen=True)
-class LefschetzVerdict:
+class LefschetzVerdict(Record):
     """Graph-of-isomorphism diagnosis of a cohomology relation."""
 
     degree: int
@@ -290,8 +288,7 @@ def lefschetz_map_basic(struct: LcsStructure, k: int):
 # ----- transversal machinery -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransversalLefschetz:
+class TransversalLefschetz(Record):
     """Cup with (d eta)^(n-k) on the (U,V)-basic cohomology; rows are
     sparse, matrix the same rows as dense tuples."""
 
@@ -453,8 +450,7 @@ def _identity(n: int) -> linalg.Matrix:
 # ----- flow exact sequences -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowChainReport:
+class FlowChainReport(Record):
     """Exactness data of one Gysin-type chain."""
 
     label: str
@@ -476,8 +472,7 @@ class FlowChainReport:
                 "exact": self.exact}
 
 
-@dataclass(frozen=True)
-class GysinReport:
+class GysinReport(Record):
     """Both rows of the flow diagram plus their splitting linkage."""
 
     top: FlowChainReport
@@ -626,8 +621,7 @@ def gysin_sequence_check(struct: LcsStructure) -> GysinReport:
 # ----- pairing, parity, equivalence -----------------------------------------
 
 
-@dataclass(frozen=True)
-class PairingResult:
+class PairingResult(Record):
     """The bilinear form psi on degree-k Lee-basic cohomology."""
 
     degree: int
@@ -678,8 +672,7 @@ def pairing_psi(struct: LcsStructure, k: int) -> PairingResult:
                          parity_ok, symmetric, skew)
 
 
-@dataclass(frozen=True)
-class BettiParityReport:
+class BettiParityReport(Record):
     """Betti numbers, Lee-basic Betti numbers and their two identities."""
 
     betti: tuple[int, ...]
@@ -720,16 +713,14 @@ def _sum_identity(betti, basic) -> bool:
                for k, (b, c) in enumerate(zip(betti, basic)))
 
 
-@dataclass(frozen=True)
-class DegreeVerdicts:
+class DegreeVerdicts(Record):
     degree: int
     de_rham: bool
     basic: bool
     contact: bool | None
 
 
-@dataclass(frozen=True)
-class LefschetzEquivalenceReport:
+class LefschetzEquivalenceReport(Record):
     """Per-degree Lefschetz verdicts in the three pictures.
 
     The aggregates must agree for structures satisfying the parallel-Lee

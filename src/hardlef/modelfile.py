@@ -23,20 +23,19 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
 from .exterior import Form, default_names, form_text
 from .model import StructureModel
+from .record import Record
 
 _TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:/\d+)?)"
                     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[\^+\-*=]))")
 
 
-@dataclass(frozen=True)
-class ModelDocument:
+class ModelDocument(Record):
     """A parsed model file: the model plus its optional designated forms."""
 
     model: StructureModel
@@ -348,13 +347,25 @@ def load_text(text: str, assume_json: bool | None = None) -> ModelDocument:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+        except RecursionError:
+            raise ParseError("JSON nested too deeply") from None
         return from_json_dict(data)
     return parse(text)
 
 
 def load_path(path) -> ModelDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read a UTF-8 model file, its line ends translated as in text mode;
+    a byte that is not UTF-8 is a ParseError at its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; "_" stands in for it
+        lines = (data[:exc.start].decode("utf-8") + "_").splitlines()
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+                         len(lines), len(lines[-1])) from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     assume_json = str(path).endswith(".json") or \
         text.lstrip().startswith("{")
     return load_text(text, assume_json)

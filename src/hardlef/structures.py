@@ -17,7 +17,6 @@ move between the two pictures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -28,10 +27,10 @@ from .errors import (DegreeError, InternalConsistencyError, ModelMismatchError,
 from .exterior import (Form, Vector, contract, indices_of, top_coefficient,
                        wedge, wedge_power)
 from .model import StructureModel
+from .record import Record
 
 
-@dataclass(frozen=True)
-class LcsStructure:
+class LcsStructure(Record):
     """A validated l.c.s. structure of the first kind."""
 
     model: StructureModel
@@ -43,8 +42,7 @@ class LcsStructure:
     Omega: Form
 
 
-@dataclass(frozen=True)
-class ContactStructure:
+class ContactStructure(Record):
     """A validated contact structure with its Reeb field."""
 
     model: StructureModel
@@ -210,8 +208,7 @@ def quotient_contact(struct: LcsStructure) -> ContactStructure:
     return contact
 
 
-@dataclass(frozen=True)
-class VaismanReport:
+class VaismanReport(Record):
     """Linear-algebra necessary conditions for a compatible Vaisman metric.
 
     The metric conditions themselves (parallel and unitary Lee field,

@@ -56,6 +56,26 @@ def test_generator_count_is_a_parse_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("name, data, message", [
+    ("bad.model", b"dim 2\n\xff\n",
+     "line 2, column 1: invalid UTF-8 byte 0xff"),
+    ("bad.model", "# \u00e9\r\ndim 2\r\n d e2 = e1\u00e9".encode() + b"\xc3",
+     "line 3, column 12: invalid UTF-8 byte 0xc3"),
+    ("bad.json", b'{"dim":\n 2, "name": "\xfe"}',
+     "line 2, column 14: invalid UTF-8 byte 0xfe"),
+    ("deep.json", b'{"dim": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+     "JSON nested too deeply"),
+], ids=["not-utf8", "truncated-utf8-crlf", "not-utf8-json", "deep-json"])
+def test_unreadable_files_are_parse_errors(tmp_path, capsys, name, data,
+                                           message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert cli.main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {message}\n"
+
+
 def test_validation_failure_exit(tmp_path, capsys):
     path = tmp_path / "rank.model"
     path.write_text("dim 6\nd e3 = e1^e2\nomega = e4\neta = e3\n")
@@ -111,6 +131,23 @@ def test_cohomology_bad_fields_exit_cleanly(tmp_path, capsys, text, spec,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec", [",", " , ", ""])
+def test_cohomology_empty_field_list_exits_cleanly(kt4_file, capsys, spec):
+    assert cli.main(["cohomology", kt4_file, "--basic", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --basic needs at least one field "
+                            "(U, V, xi or E<i>)\n")
+
+
+def test_cohomology_field_list_is_parsed_once(kt4_file, capsys):
+    assert cli.main(["cohomology", kt4_file, "--basic", "U"]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["cohomology", kt4_file, "--basic", " U ,"]) == 0
+    assert capsys.readouterr().out == plain
+    assert "b_equals_c_sum" in plain
 
 
 def test_cohomology_tables(kt4_file, capsys):
@@ -221,3 +258,22 @@ def test_export_json_format(capsys):
 
 def test_export_unknown_entry(capsys):
     assert cli.main(["export", "nope"]) == 1
+
+
+def test_cli_import_loads_no_startup_weight():
+    """A cold `import hardlef.cli` pulls in none of dataclasses, inspect
+    and hashlib beyond what the bare interpreter (and its site) holds."""
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(cli.__file__).resolve().parents[1])
+    report = "import sys; print(*sys.modules)"
+
+    def loaded(code):
+        out = subprocess.run([sys.executable, "-I", "-c", code],
+                             capture_output=True, text=True, check=True)
+        return {"dataclasses", "inspect", "hashlib"} & set(out.stdout.split())
+
+    cold = loaded(f"import sys; sys.path.insert(0, {src!r}); "
+                  f"import hardlef.cli; {report}")
+    assert cold <= loaded(report)

@@ -747,12 +747,13 @@ def test_squares_commute_detects_a_negated_map(monkeypatch, h5s1_struct):
 
 
 def test_t_map_refuses_a_wrong_basic_map(monkeypatch, kt4_struct):
-    from dataclasses import replace
     verdict = lef.is_graph_of_isomorphism
 
     def doubled(relation):
         v = verdict(relation)
-        return replace(v, rows=tuple(_scaled(v.rows, 2)))
+        return lef.LefschetzVerdict(
+            v.degree, v.is_total, v.is_functional, v.is_injective,
+            v.is_surjective, tuple(_scaled(v.rows, 2)), v.target_dim)
 
     monkeypatch.setattr(lef, "is_graph_of_isomorphism", doubled)
     with pytest.raises(InternalConsistencyError,
