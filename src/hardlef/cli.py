@@ -1,17 +1,16 @@
 """Command line interface.
 
-Subcommands: validate, cohomology, lefschetz, suite, export.  Exit codes:
-0 success, 1 usage/parse/degree errors, 2 validation failures, 3 internal
-consistency errors (including suite regressions).  Reports print as text
-on stdout; --json writes the same document as canonical JSON, which is
-byte-identical across runs on identical input.  The suite runs its
-entries serially, in catalog order.
+One table, _COMMANDS, parses every command line and renders the usage that
+-h/--help prints.  Exit codes: 0 success, 1 usage, parse or degree errors,
+2 validation failures, 3 internal consistency errors (including suite
+regressions).  Reports print as text on stdout; --json writes the same
+document as canonical JSON, byte-identical across runs on identical input.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import catalog as _catalog
 from . import lefschetz as _lef
@@ -22,15 +21,6 @@ from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
 from .exterior import Vector, default_names, form_text
 from .structures import (validate_contact, validate_lcs,
                          vaisman_candidate_report)
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with the package's exit-code contract for usage errors."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
 
 
 def _emit(doc: dict, json_path: str | None) -> None:
@@ -109,11 +99,12 @@ def _resolve_fields(doc: modelfile.ModelDocument,
 def cmd_cohomology(args) -> int:
     doc = modelfile.load_path(args.file)
     model = doc.model
-    betti = list(betti_numbers(_lef._full(model)))
-    results: dict = {"betti": betti}
     if args.basic is not None:
         tokens = [t.strip() for t in args.basic.split(",") if t.strip()]
         fields = _resolve_fields(doc, tokens)
+    betti = list(betti_numbers(_lef._full(model)))
+    results: dict = {"betti": betti}
+    if args.basic is not None:
         basic = list(betti_numbers(_lef._basic(model, tuple(fields))))
         results["basic_fields"] = [str(v) for v in fields]
         results["basic_betti"] = basic
@@ -252,62 +243,91 @@ def cmd_export(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hardlef",
-                     description="Exact invariant-model checks for contact "
-                                 "and l.c.s. structures of the first kind.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_DEFAULTS = {"--mode": "all", "--k": "all", "--format": "text"}  # else None
+# command: (handler, positional or None, {option: choices tuple or metavar});
+# an option whose metavar ends in " ..." repeats and collects a list.
+_COMMANDS = {
+    "validate": (cmd_validate, "file", {"--json": "PATH"}),
+    "cohomology": (cmd_cohomology, "file",
+                   {"--basic": "U|V|xi|E<i>[,...]", "--json": "PATH"}),
+    "lefschetz": (cmd_lefschetz, "file",
+                  {"--mode": ("deRham", "basic", "contact", "all"),
+                   "--k": "INT|all", "--json": "PATH"}),
+    "suite": (cmd_suite, None, {"--entry": "NAME ...", "--json": "PATH"}),
+    "export": (cmd_export, "entry",
+               {"--out": "PATH", "--format": ("text", "json")}),
+}
 
-    p = sub.add_parser("validate", help="validate the declared structure")
-    p.add_argument("file")
-    p.add_argument("--json", metavar="PATH")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("cohomology", help="Betti tables of the model")
-    p.add_argument("file")
-    p.add_argument("--basic", metavar="FIELDS",
-                   help="comma-separated fields (U, V, xi, E<i>)")
-    p.add_argument("--json", metavar="PATH")
-    p.set_defaults(func=cmd_cohomology)
+class _UsageError(Exception):
+    """args (command or None, message); no message means -h/--help."""
 
-    p = sub.add_parser("lefschetz", help="hard Lefschetz verdicts")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=["deRham", "basic", "contact", "all"],
-                   default="all")
-    p.add_argument("--k", default="all", metavar="INT|all")
-    p.add_argument("--json", metavar="PATH")
-    p.set_defaults(func=cmd_lefschetz)
 
-    p = sub.add_parser("suite", help="run the built-in regression catalog")
-    p.add_argument("--entry", action="append", metavar="NAME",
-                   help="restrict to the named entries")
-    p.add_argument("--json", metavar="PATH")
-    p.set_defaults(func=cmd_suite)
+def _usage(command: str | None = None) -> str:
+    """The usage of one command, or of all, rendered from _COMMANDS."""
+    lines = []
+    for name in [command] if command else _COMMANDS:
+        _, positional, options = _COMMANDS[name]
+        words = [f"hardlef {name:10s}"
+                 + (f" {positional.upper()}" if positional else "")]
+        words += [f"[{opt} {'|'.join(v) if isinstance(v, tuple) else v}]"
+                  for opt, v in options.items()]
+        lines.append(" ".join(words))
+    return "usage: " + "\n       ".join(lines) + "\n"
 
-    p = sub.add_parser("export", help="write a catalog entry as a model file")
-    p.add_argument("entry")
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_export)
 
-    return parser
+def _parse(argv: list[str]):
+    """(handler, args) for argv, every option checked against _COMMANDS;
+    values are taken verbatim."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        raise _UsageError(None, None if command in ("-h", "--help") else
+                          f"unknown command {command!r}" if argv else
+                          "a command is required")
+    handler, positional, options = _COMMANDS[command]
+    args = {opt: _DEFAULTS.get(opt) for opt in options}
+    rest, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise _UsageError(command, None)
+        if not token.startswith("-") or token == "-":
+            rest.append(token)
+            continue
+        opt, eq, value = token.partition("=")
+        spec = options.get(opt)
+        if spec is None:
+            raise _UsageError(command, f"unknown option {opt}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise _UsageError(command, f"{opt} needs a value")
+        if isinstance(spec, tuple) and value not in spec:
+            raise _UsageError(command, f"{opt} must be one of "
+                              f"{', '.join(spec)}; got {value!r}")
+        repeats = isinstance(spec, str) and spec.endswith(" ...")
+        args[opt] = (args[opt] or []) + [value] if repeats else value
+    if len(rest) != bool(positional):
+        raise _UsageError(command, f"unexpected argument {rest[-1]!r}"
+                          if rest else f"{positional.upper()} is required")
+    args = {opt[2:]: value for opt, value in args.items()}
+    args.update(zip([positional], rest))
+    return handler, SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:
+        command, message = exc.args
+        if message is None:
+            sys.stdout.write(_usage(command))
+            return 0
+        sys.stderr.write(f"{_usage(command)}hardlef: error: {message}\n")
+        return 1
     try:
-        return args.func(args)
+        return handler(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 1
-    except (DegreeError, PreconditionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (DegreeError, PreconditionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (ValidationError, NotLefschetzError) as exc:

@@ -660,16 +660,20 @@ def pairing_psi(struct: LcsStructure, k: int) -> PairingResult:
     psi = [[top_pairing(w, rep) for rep in src.representatives]
            for w in (struct.omega.wedge(f) for f in lef_forms)]
     d = src.dimension
-    sign = -1 if k % 2 else 1
-    parity_ok = all(psi[j][i] == sign * psi[i][j]
-                    for i in range(d) for j in range(d))
-    symmetric = all(psi[j][i] == psi[i][j]
-                    for i in range(d) for j in range(d))
-    skew = all(psi[j][i] == -psi[i][j]
-               for i in range(d) for j in range(d))
+    # one scan over i <= j: the diagonal counts, as skew needs psi[i][i] = 0
+    symmetric = skew = True
+    for i, row in enumerate(psi):
+        for j in range(i, d):
+            a, b = row[j], psi[j][i]
+            if a == b:
+                skew = skew and not a
+            else:
+                symmetric = False
+                skew = skew and a == -b
     nondegenerate = linalg.rank([linalg.sparse(r) for r in psi], d) == d
+    # parity_ok: psi is symmetric for even k and skew for odd k
     return PairingResult(k, tuple(tuple(r) for r in psi), nondegenerate,
-                         parity_ok, symmetric, skew)
+                         skew if k % 2 else symmetric, symmetric, skew)
 
 
 class BettiParityReport(Record):

@@ -33,6 +33,10 @@ from .record import Record
 _TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:/\d+)?)"
                     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[\^+\-*=]))")
+# A model nests to depth 2; a string (escapes included) is one match, so
+# the brackets inside it are skipped.
+_JSON_DEPTH = 32
+_JSON_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[][{}]', re.S)
 
 
 class ModelDocument(Record):
@@ -338,17 +342,33 @@ def from_json_dict(data: dict) -> ModelDocument:
         raise ParseError(exc.args[0], column=column, key=key) from None
 
 
+def _check_json_depth(text: str) -> None:
+    """Refuse JSON nested deeper than _JSON_DEPTH at its first bracket past
+    that depth, before `json` can recurse that far; brackets in strings
+    do not count."""
+    depth = 0
+    for m in _JSON_BRACKET.finditer(text):
+        if m[0] in "[{":
+            depth += 1
+            if depth > _JSON_DEPTH:
+                pos = m.start()
+                raise ParseError(f"JSON nested deeper than {_JSON_DEPTH}",
+                                 text.count("\n", 0, pos) + 1,
+                                 pos - text.rfind("\n", 0, pos))
+        elif m[0] in "]}":
+            depth -= 1
+
+
 def load_text(text: str, assume_json: bool | None = None) -> ModelDocument:
     """Parse either syntax; JSON is detected by a leading brace."""
     if assume_json is None:
         assume_json = text.lstrip().startswith("{")
     if assume_json:
+        _check_json_depth(text)
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
-        except RecursionError:
-            raise ParseError("JSON nested too deeply") from None
         return from_json_dict(data)
     return parse(text)
 

@@ -64,7 +64,7 @@ def test_generator_count_is_a_parse_error(tmp_path, capsys):
     ("bad.json", b'{"dim":\n 2, "name": "\xfe"}',
      "line 2, column 14: invalid UTF-8 byte 0xfe"),
     ("deep.json", b'{"dim": ' + b"[" * 100000 + b"]" * 100000 + b"}",
-     "JSON nested too deeply"),
+     "line 1, column 40: JSON nested deeper than 32"),
 ], ids=["not-utf8", "truncated-utf8-crlf", "not-utf8-json", "deep-json"])
 def test_unreadable_files_are_parse_errors(tmp_path, capsys, name, data,
                                            message):
@@ -94,6 +94,74 @@ def test_lefschetz_names_the_missing_eta(tmp_path, capsys):
 
 def test_usage_error_exit(capsys):
     assert cli.main(["lefschetz", "--bogus"]) == 1
+
+
+def _usage_error(command, message):
+    return f"{cli._usage(command)}hardlef: error: {message}\n"
+
+
+# argv ("@" stands for the kt4 file) -> exit code, stdout, stderr; a list
+# in place of stdout is a command line whose stdout must be the same
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--help"], 0, cli._usage(), ""),
+    (["-h"], 0, cli._usage(), ""),
+    (["suite", "--entry", "kt4", "--help"], 0, cli._usage("suite"), ""),
+    ([], 1, "", _usage_error(None, "a command is required")),
+    (["bogus", "@"], 1, "", _usage_error(None, "unknown command 'bogus'")),
+    (["lefschetz", "@", "--bogus"], 1, "",
+     _usage_error("lefschetz", "unknown option --bogus")),
+    (["lefschetz", "@", "--js=out.json"], 1, "",
+     _usage_error("lefschetz", "unknown option --js")),
+    (["cohomology", "@", "-b", "U"], 1, "",
+     _usage_error("cohomology", "unknown option -b")),
+    (["lefschetz", "@", "--k"], 1, "",
+     _usage_error("lefschetz", "--k needs a value")),
+    (["lefschetz", "@", "--mode", "Derham"], 1, "",
+     _usage_error("lefschetz", "--mode must be one of deRham, basic, "
+                               "contact, all; got 'Derham'")),
+    (["export", "kt4", "--format=yaml"], 1, "",
+     _usage_error("export", "--format must be one of text, json; "
+                            "got 'yaml'")),
+    (["validate"], 1, "", _usage_error("validate", "FILE is required")),
+    (["export", "--format", "json"], 1, "",
+     _usage_error("export", "ENTRY is required")),
+    (["lefschetz", "@", "extra"], 1, "",
+     _usage_error("lefschetz", "unexpected argument 'extra'")),
+    (["suite", "kt4"], 1, "", _usage_error("suite", "unexpected argument "
+                                                    "'kt4'")),
+    (["lefschetz", "@", "--k", "-1"], 1, "",
+     "error: degree -1 outside [0, 1]\n"),
+    (["lefschetz", "--mode=basic", "--k=1", "@"], 0,
+     ["lefschetz", "@", "--mode", "basic", "--k", "1"], ""),
+    (["lefschetz", "@", "--mode", "deRham", "--mode", "basic"], 0,
+     ["lefschetz", "@", "--mode", "basic"], ""),
+    (["lefschetz", "@"], 0, ["lefschetz", "@", "--mode", "all", "--k", "all"],
+     ""),
+    (["suite", "--entry", "kt4", "--entry=h3"], 0,
+     ["suite", "--entry", "h3", "--entry", "kt4"], ""),
+    (["export", "kt4"], 0, ["export", "kt4", "--format", "text"], ""),
+], ids=["help", "h", "help-after-options", "no-command", "unknown-command",
+        "unknown-option", "no-abbreviation", "single-dash", "missing-value",
+        "mode-choice", "format-choice", "missing-file", "missing-entry",
+        "extra-positional", "suite-positional", "negative-k", "opt=value",
+        "last-value-wins", "defaults", "entry-accumulates",
+        "format-default"])
+def test_command_line_table(kt4_file, capsys, argv, code, out, err):
+    def run(line):
+        rc = cli.main([kt4_file if a == "@" else a for a in line])
+        return (rc, *capsys.readouterr())
+
+    if isinstance(out, list):
+        rc, out, _ = run(out)
+        assert rc == 0 and out
+    assert run(argv) == (code, out, err)
+
+
+def test_readme_block_is_the_printed_usage():
+    from pathlib import Path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1]
+    assert section.split("```\n")[1] == cli._usage()
 
 
 def test_missing_file_exit(capsys):
@@ -131,6 +199,22 @@ def test_cohomology_bad_fields_exit_cleanly(tmp_path, capsys, text, spec,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err == f"error: {message}\n"
+
+
+def test_cohomology_checks_fields_before_computing(tmp_path, monkeypatch,
+                                                  capsys):
+    from hardlef import lefschetz
+
+    def refuse(model):
+        raise AssertionError("the full complex was computed")
+
+    path = tmp_path / "m.model"
+    path.write_text(H5)
+    lefschetz._memo.cache_clear()
+    monkeypatch.setattr(lefschetz, "full_complex", refuse)
+    assert cli.main(["cohomology", str(path), "--basic", "E99"]) == 1
+    assert capsys.readouterr().err == \
+        "error: field E99: index 99 outside [1, 5]\n"
 
 
 @pytest.mark.parametrize("spec", [",", " , ", ""])
@@ -261,19 +345,24 @@ def test_export_unknown_entry(capsys):
 
 
 def test_cli_import_loads_no_startup_weight():
-    """A cold `import hardlef.cli` pulls in none of dataclasses, inspect
-    and hashlib beyond what the bare interpreter (and its site) holds."""
+    """A cold `import hardlef.cli` plus `main(['--help'])` pulls in none of
+    dataclasses, inspect and hashlib beyond what the bare interpreter (and
+    its site) holds, and none of argparse, gettext and locale at all."""
     import subprocess
     import sys
     from pathlib import Path
     src = str(Path(cli.__file__).resolve().parents[1])
-    report = "import sys; print(*sys.modules)"
+    report = "print(*sys.modules, file=sys.stderr)"
 
     def loaded(code):
         out = subprocess.run([sys.executable, "-I", "-c", code],
                              capture_output=True, text=True, check=True)
-        return {"dataclasses", "inspect", "hashlib"} & set(out.stdout.split())
+        return out.stdout, set(out.stderr.split())
 
-    cold = loaded(f"import sys; sys.path.insert(0, {src!r}); "
-                  f"import hardlef.cli; {report}")
-    assert cold <= loaded(report)
+    usage, cold = loaded(f"import sys; sys.path.insert(0, {src!r}); "
+                         f"import hardlef.cli; hardlef.cli.main(['--help']); "
+                         f"{report}")
+    assert usage == cli._usage()
+    weight = {"dataclasses", "inspect", "hashlib"}
+    assert cold & weight <= loaded(f"import sys; {report}")[1]
+    assert not {"argparse", "gettext", "locale"} & cold

@@ -11,6 +11,7 @@ from hardlef import linalg
 from hardlef.cohomology import CohomologySpace
 from hardlef.errors import (DegreeError, InternalConsistencyError,
                             NotLefschetzError, PreconditionError)
+from hardlef.exterior import top_pairing
 
 import oracle
 from conftest import COEFFS
@@ -804,3 +805,30 @@ def test_pairing_psi_equals_the_wedge_formula(lcs_struct):
                  for rep in reps] for row in lef_rows]
         assert [list(r) for r in lef.pairing_psi(lcs_struct, k).matrix] == \
             gram
+
+
+@pytest.mark.parametrize("bump", [None, 0, 1],
+                         ids=["psi", "bump-diagonal", "bump-off-diagonal"])
+def test_pairing_psi_flags_match_brute_force_scans(lcs_struct, monkeypatch,
+                                                   bump):
+    # adding 1 to psi[0][0] makes a skew matrix fail only on its diagonal;
+    # adding 1 to psi[0][1] makes a symmetric or skew one neither
+    calls = []
+
+    def pairing(a, b):
+        calls.append(None)
+        value = top_pairing(a, b)
+        return value + 1 if len(calls) - 1 == bump else value
+
+    monkeypatch.setattr(lef, "top_pairing", pairing)
+    for k in range(1, lcs_struct.n + 1):
+        calls.clear()
+        try:
+            res = lef.pairing_psi(lcs_struct, k)
+        except NotLefschetzError:
+            continue
+        m, d = res.matrix, len(res.matrix)
+        pairs = [(m[i][j], m[j][i]) for i in range(d) for j in range(d)]
+        assert res.symmetric == all(a == b for a, b in pairs)
+        assert res.skew == all(a == -b for a, b in pairs)
+        assert res.parity_ok == all(b == (-1) ** k * a for a, b in pairs)
