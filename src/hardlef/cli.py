@@ -84,11 +84,11 @@ def _resolve_fields(doc: modelfile.ModelDocument,
             if contact is None:
                 contact = validate_contact(doc.model, doc.eta)
             fields.append(contact.xi)
-        elif token.startswith("E") and token[1:].isdigit():
-            i, n = int(token[1:]), doc.model.n_gen
+        elif token.startswith("E") and (i := _decimal(token[1:])) is not None:
+            n = doc.model.n_gen
             if not 1 <= i <= n:
                 raise PreconditionError(
-                    f"field {token}: index {i} outside [1, {n}]")
+                    f"field {token}: index {token[1:]} outside [1, {n}]")
             fields.append(Vector.basis(n, i))
         else:
             raise PreconditionError(
@@ -115,16 +115,28 @@ def cmd_cohomology(args) -> int:
     return 0
 
 
+def _decimal(digits: str) -> int | None:
+    """The value of a run of ASCII digits, None for any other text: int()
+    also reads " 1", "+1", "1_0" and other scripts' digits.  Past 18
+    significant digits, where int() may refuse the run and every range
+    checked here is left behind, it reads 10**18."""
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    digits = digits.lstrip("0")
+    return int(digits or "0") if len(digits) <= 18 else 10 ** 18
+
+
 def _degree_list(arg: str, n: int) -> list[int]:
     if arg == "all":
         return list(range(n + 1))
-    try:
-        k = int(arg)
-    except ValueError:
+    k = _decimal(arg.removeprefix("-"))
+    if k is None:
         raise DegreeError(f"degree must be an integer or 'all', "
-                          f"got {arg!r}") from None
+                          f"got {arg!r}")
+    if arg.startswith("-"):
+        k = -k
     if not 0 <= k <= n:
-        raise DegreeError(f"degree {k} outside [0, {n}]")
+        raise DegreeError(f"degree {arg} outside [0, {n}]")
     return [k]
 
 
@@ -152,7 +164,7 @@ def cmd_lefschetz(args) -> int:
                 struct, degrees)
         if mode in ("contact", "all"):
             try:
-                contact = _lef.quotient_contact(struct)
+                contact = _lef._quotient(struct)
                 results["contact"] = _verdicts(
                     "contact hard Lefschetz (Lee quotient)",
                     _lef.contact_lefschetz_relation, contact, degrees)

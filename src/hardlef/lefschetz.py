@@ -24,15 +24,14 @@ not certified falls back to the relation of class pairs ([x], [op x]),
 which decides whether the map is defined on every class and single valued
 and reports it when it is not.
 
-One memo per model keeps everything this layer computes: complexes,
-relations with their verdicts, reports, the flow operators, chain-slice
-certificates and induced class maps.
+Each model owns the memo of everything this layer computes from it:
+complexes, relations with their verdicts, reports, the flow operators,
+chain-slice certificates, induced class maps and the Lee quotient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import linalg
@@ -46,25 +45,15 @@ from .record import Record
 from .structures import ContactStructure, LcsStructure, quotient_contact
 
 
-@lru_cache(maxsize=128)
-def _memo(model) -> dict:
-    """What the layer has computed for one model, under keys tagged by
-    kind: ("complex", fields); (picture, structure, k) for a relation;
-    ("verdict", id(relation)); ("parity" or "equivalence", structure);
-    ("flow operators", structure); ("chain slice", source complex, target
-    complex, operator, k, j); ("class map", source space, target space,
-    operator).  Keyed by model equality: quotient_contact builds a fresh
-    but equal model on every call, and the Lee quotient of each l.c.s.
-    catalog entry equals one of the contact entries h3, h5, nil5a and
-    nil5b, so the suite does their contact work once.  A memo keyed by
-    model identity loses that reuse and made a suite pass slower."""
-    return {}
-
-
 def _cached(model, key, build):
-    """The memo entry of key for the model, built on first request; a
-    build that raises stores nothing, so its error reaches every caller."""
-    memo = _memo(model)
+    """The entry of key in the model's memo (an equal model has its own),
+    built on first request; a build that raises stores nothing, so its
+    error reaches every caller.  Keys are tagged by kind: ("complex", fields); (picture, structure, k)
+    for a relation; ("verdict", id(relation)); ("parity", "equivalence"
+    or "quotient", structure); ("flow operators", structure); ("chain
+    slice", source complex, target complex, operator, k, j); ("class
+    map", source space, target space, operator)."""
+    memo = model._memo
     if key not in memo:
         memo[key] = build()
     return memo[key]
@@ -758,11 +747,17 @@ def lefschetz_equivalence_report(struct: LcsStructure) -> LefschetzEquivalenceRe
                    lambda: _equivalence(struct))
 
 
+def _quotient(struct: LcsStructure) -> ContactStructure:
+    """quotient_contact of the structure, built once: its model then keeps
+    the contact relations for every later caller."""
+    return _cached(struct.model, ("quotient", struct),
+                   lambda: quotient_contact(struct))
+
+
 def _equivalence(struct: LcsStructure) -> LefschetzEquivalenceReport:
     n = struct.n
-    contact = None
     try:
-        contact = quotient_contact(struct)
+        contact = _quotient(struct)
     except NotProjectableError:
         contact = None
     per = []

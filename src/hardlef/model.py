@@ -48,10 +48,12 @@ class StructureModel:
             diffs.append(f)
         self.n_gen = n
         self.d1 = tuple(diffs)
-        # hashed on every memo lookup of the Lefschetz layer
+        # hashed with every structure that keys a Lefschetz memo entry
         self._hash = hash((n, self.d1))
         self.name = name
         self._d_cache: dict[int, Form] = {}
+        # what the Lefschetz layer computes from this model (lefschetz._cached)
+        self._memo: dict = {}
         self._nilpotent: bool | None = None
         self._unimodular: bool | None = None
         # per k, the terms c e_a ^ e_b (a < b, 0-based) of d(e_k): the

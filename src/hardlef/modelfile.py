@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -34,9 +35,11 @@ _TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:/\d+)?)"
                     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[\^+\-*=]))")
 # A model nests to depth 2; a string (escapes included) is one match, so
-# the brackets inside it are skipped.
+# the brackets and digits inside it are skipped.  json reads a number with
+# neither fraction nor exponent through int().
 _JSON_DEPTH = 32
-_JSON_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[][{}]', re.S)
+_JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[][{}]'
+                         r'|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?', re.S)
 
 
 class ModelDocument(Record):
@@ -72,6 +75,24 @@ def _tokenize(text: str, lineno: int):
         tokens.append((kind, m.group(kind), m.start(kind) + 1))
         pos = m.end()
     return tokens
+
+
+def _too_long(lineno, column) -> ParseError:
+    return ParseError(f"number longer than {sys.get_int_max_str_digits()} "
+                      f"digits", lineno, column)
+
+
+def _number(tok, lineno: int) -> Fraction:
+    """The rational of a number token; a zero denominator or more digits
+    than int() converts (sys.get_int_max_str_digits()) is a ParseError at
+    the token."""
+    try:
+        return Fraction(tok[1])
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {tok[1]}",
+                         lineno, tok[2]) from None
+    except ValueError:
+        raise _too_long(lineno, tok[2]) from None
 
 
 class _FormParser:
@@ -134,11 +155,7 @@ class _FormParser:
             raise ParseError("dangling sign", self.lineno)
         if tok[0] == "number":
             self.take()
-            try:
-                coeff *= Fraction(tok[1])
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {tok[1]}",
-                                 self.lineno, tok[2]) from None
+            coeff *= _number(tok, self.lineno)
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "*":
                 self.take()
@@ -203,7 +220,7 @@ def parse(text: str) -> ModelDocument:
                 raise ParseError("usage: dim <integer>", lineno, col)
             if dim is not None:
                 raise ParseError("duplicate dim statement", lineno, col)
-            dim = int(tokens[1][1])
+            dim = _number(tokens[1], lineno).numerator
             if not 1 <= dim <= 16:
                 raise ParseError(f"dim must be in [1, 16], got {dim}",
                                  lineno, tokens[1][2])
@@ -306,12 +323,13 @@ def to_json_dict(doc: ModelDocument) -> dict:
 def _statements(data: dict, generators: bool = True) -> list[tuple]:
     """(JSON key, head, value) of each file statement of a model in its
     JSON form, the statement being head followed by value; the generators
-    statement only when asked for."""
+    statement only when asked for and named (parse defaults them once dim
+    is checked)."""
     dim = data["dim"]
-    names = data.get("generators") or default_names(dim)
+    names = data.get("generators")
     out = [("name", "name ", data["name"])] if data.get("name") else []
     out.append(("dim", "dim ", dim))
-    if generators:
+    if generators and names:
         out.append(("generators", "generators ", " ".join(names)))
     for gen, expr in data.get("differentials", {}).items():
         out.append((f"differentials.{gen}", f"d {gen} = ", expr))
@@ -342,21 +360,28 @@ def from_json_dict(data: dict) -> ModelDocument:
         raise ParseError(exc.args[0], column=column, key=key) from None
 
 
-def _check_json_depth(text: str) -> None:
-    """Refuse JSON nested deeper than _JSON_DEPTH at its first bracket past
-    that depth, before `json` can recurse that far; brackets in strings
-    do not count."""
+def _check_json(text: str) -> None:
+    """Refuse, at its line and column, what json fails on without a
+    position: nesting deeper than _JSON_DEPTH (the first bracket past it),
+    where json would recurse that far, and an integer longer than int()
+    converts.  Brackets and digits in strings do not count."""
     depth = 0
-    for m in _JSON_BRACKET.finditer(text):
+    limit = sys.get_int_max_str_digits()
+    for m in _JSON_TOKEN.finditer(text):
         if m[0] in "[{":
             depth += 1
             if depth > _JSON_DEPTH:
-                pos = m.start()
                 raise ParseError(f"JSON nested deeper than {_JSON_DEPTH}",
-                                 text.count("\n", 0, pos) + 1,
-                                 pos - text.rfind("\n", 0, pos))
+                                 *_position(text, m.start()))
         elif m[0] in "]}":
             depth -= 1
+        elif m[1] and limit and len(m[1]) > limit and not (m[2] or m[3]):
+            raise _too_long(*_position(text, m.start()))
+
+
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """Line and column of the offset pos."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def load_text(text: str, assume_json: bool | None = None) -> ModelDocument:
@@ -364,7 +389,7 @@ def load_text(text: str, assume_json: bool | None = None) -> ModelDocument:
     if assume_json is None:
         assume_json = text.lstrip().startswith("{")
     if assume_json:
-        _check_json_depth(text)
+        _check_json(text)
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

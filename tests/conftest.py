@@ -145,5 +145,7 @@ LCS_CORPUS = _lcs_corpus()
 
 @pytest.fixture(params=sorted(LCS_CORPUS))
 def lcs_struct(request):
-    """Each l.c.s. structure of the corpus in turn."""
-    return validate_lcs(*LCS_CORPUS[request.param])
+    """Each l.c.s. structure of the corpus in turn, on a fresh model, so
+    that no test reads what another left in the model's memo."""
+    model, omega, eta = LCS_CORPUS[request.param]
+    return validate_lcs(StructureModel(model.d1, model.name), omega, eta)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -56,6 +57,11 @@ def test_generator_count_is_a_parse_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+# one digit more than int() converts
+LONG = b"1" * (sys.get_int_max_str_digits() + 1)
+TOO_LONG = f"number longer than {sys.get_int_max_str_digits()} digits"
+
+
 @pytest.mark.parametrize("name, data, message", [
     ("bad.model", b"dim 2\n\xff\n",
      "line 2, column 1: invalid UTF-8 byte 0xff"),
@@ -65,7 +71,18 @@ def test_generator_count_is_a_parse_error(tmp_path, capsys):
      "line 2, column 14: invalid UTF-8 byte 0xfe"),
     ("deep.json", b'{"dim": ' + b"[" * 100000 + b"]" * 100000 + b"}",
      "line 1, column 40: JSON nested deeper than 32"),
-], ids=["not-utf8", "truncated-utf8-crlf", "not-utf8-json", "deep-json"])
+    ("long.model", b"dim " + LONG, f"line 1, column 5: {TOO_LONG}"),
+    ("long.model", b"dim 3\nd e3 = " + LONG + b" e1^e2\n",
+     f"line 2, column 8: {TOO_LONG}"),
+    ("long.model", b"dim 3\nd e3 = e1^e2 - 1/" + LONG + b" e1^e2\n",
+     f"line 2, column 16: {TOO_LONG}"),
+    ("long.json", b'{"dim":\n  ' + LONG + b"}",
+     f"line 2, column 3: {TOO_LONG}"),
+    ("long.json", b'{"dim": 3, "eta": "-' + LONG + b'*e3"}',
+     f"eta, column 2: {TOO_LONG}"),
+], ids=["not-utf8", "truncated-utf8-crlf", "not-utf8-json", "deep-json",
+        "long-dim", "long-coefficient", "long-denominator", "long-json-dim",
+        "long-json-string"])
 def test_unreadable_files_are_parse_errors(tmp_path, capsys, name, data,
                                            message):
     path = tmp_path / name
@@ -131,6 +148,10 @@ def _usage_error(command, message):
                                                     "'kt4'")),
     (["lefschetz", "@", "--k", "-1"], 1, "",
      "error: degree -1 outside [0, 1]\n"),
+    (["lefschetz", "@", "--k", "-" + "1" * 5000], 1, "",
+     f"error: degree -{'1' * 5000} outside [0, 1]\n"),
+    (["lefschetz", "@", "--k", "01"], 0,
+     ["lefschetz", "@", "--k", "1"], ""),
     (["lefschetz", "--mode=basic", "--k=1", "@"], 0,
      ["lefschetz", "@", "--mode", "basic", "--k", "1"], ""),
     (["lefschetz", "@", "--mode", "deRham", "--mode", "basic"], 0,
@@ -143,7 +164,8 @@ def _usage_error(command, message):
 ], ids=["help", "h", "help-after-options", "no-command", "unknown-command",
         "unknown-option", "no-abbreviation", "single-dash", "missing-value",
         "mode-choice", "format-choice", "missing-file", "missing-entry",
-        "extra-positional", "suite-positional", "negative-k", "opt=value",
+        "extra-positional", "suite-positional", "negative-k",
+        "k-5000-digits", "k-leading-zero", "opt=value",
         "last-value-wins", "defaults", "entry-accumulates",
         "format-default"])
 def test_command_line_table(kt4_file, capsys, argv, code, out, err):
@@ -172,7 +194,9 @@ def test_degree_error_exit(kt4_file, capsys):
     assert cli.main(["lefschetz", kt4_file, "--k", "99"]) == 1
 
 
-@pytest.mark.parametrize("k", ["x", "1.5"])
+# int() reads all but the first two as 1 or 10
+@pytest.mark.parametrize("k", ["x", "1.5", "1_0", " 1", "1\n", "+1",
+                               "\uff11", "-\uff11", "--1", "-"])
 def test_non_integer_degree_exits_cleanly(kt4_file, capsys, k):
     assert cli.main(["lefschetz", kt4_file, "--k", k]) == 1
     err = capsys.readouterr().err
@@ -190,7 +214,16 @@ PLAIN = "dim 3\nd e3 = e1^e2\n"
     (PLAIN, "xi", "field xi needs a model file that declares eta"),
     (H5, "E99", "field E99: index 99 outside [1, 5]"),
     (H5, "E0", "field E0: index 0 outside [1, 5]"),
-], ids=["U-on-contact", "V-on-contact", "xi-without-eta", "E99", "E0"])
+    (H5, "E007", "field E007: index 007 outside [1, 5]"),
+    (H5, "E" + "9" * 5000, f"field E{'9' * 5000}: index {'9' * 5000} "
+                           "outside [1, 5]"),
+    (H5, "E\uff11", "unknown field 'E\uff11'; use U, V, xi or E<i>"),
+    (H5, "E1_0", "unknown field 'E1_0'; use U, V, xi or E<i>"),
+    (H5, "E+1", "unknown field 'E+1'; use U, V, xi or E<i>"),
+    (H5, "E 1", "unknown field 'E 1'; use U, V, xi or E<i>"),
+], ids=["U-on-contact", "V-on-contact", "xi-without-eta", "E99", "E0",
+        "E007", "E-5000-digits", "E-fullwidth", "E-underscore", "E-plus",
+        "E-blank"])
 def test_cohomology_bad_fields_exit_cleanly(tmp_path, capsys, text, spec,
                                             message):
     path = tmp_path / "m.model"
@@ -210,7 +243,6 @@ def test_cohomology_checks_fields_before_computing(tmp_path, monkeypatch,
 
     path = tmp_path / "m.model"
     path.write_text(H5)
-    lefschetz._memo.cache_clear()
     monkeypatch.setattr(lefschetz, "full_complex", refuse)
     assert cli.main(["cohomology", str(path), "--basic", "E99"]) == 1
     assert capsys.readouterr().err == \
@@ -290,15 +322,17 @@ def test_suite_double_run_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_suite_json_is_deterministic(tmp_path, capsys):
-    # The second run starts from empty caches, so no memoised complex or
-    # relation can carry state from the first run into the output.
-    from hardlef import lefschetz
-    warm = tmp_path / "warm.json"
+def test_suite_json_is_deterministic(tmp_path, monkeypatch, capsys):
+    # A second run over the same catalog models reads their warm memos; its
+    # output must equal that of a run over fresh models with empty memos.
     cold = tmp_path / "cold.json"
-    assert cli.main(["suite", "--json", str(warm)]) == 0
-    lefschetz._memo.cache_clear()
+    warm = tmp_path / "warm.json"
     assert cli.main(["suite", "--json", str(cold)]) == 0
+    entries = builtin_entries()
+    monkeypatch.setattr("hardlef.cli._catalog.builtin_entries",
+                        lambda: entries)
+    for _ in range(2):
+        assert cli.main(["suite", "--json", str(warm)]) == 0
     capsys.readouterr()
     assert warm.read_bytes() == cold.read_bytes()
 

@@ -325,7 +325,6 @@ def test_lefschetz_all_builds_each_relation_once(monkeypatch, capsys):
         verdicts.append(id(rel))
         return verdict(rel)
 
-    lef._memo.cache_clear()
     monkeypatch.setattr(lef, "_relation", building)
     monkeypatch.setattr(lef, "_verdict", deciding)
     model = Path(__file__).resolve().parent.parent / "models" / "h5s1.model"
@@ -339,7 +338,6 @@ def test_lefschetz_all_builds_each_relation_once(monkeypatch, capsys):
 
 def test_a_second_call_to_a_relation_builder_computes_no_power(
         monkeypatch, h5s1_struct):
-    lef._memo.cache_clear()
     contact = lef.quotient_contact(h5s1_struct)
     calls = [(lef.de_rham_lefschetz_relation, h5s1_struct),
              (lef.basic_lefschetz_relation, h5s1_struct),
@@ -368,7 +366,6 @@ def test_lefschetz_all_builds_each_report_once(monkeypatch, capsys):
             builds.append(_name)
             return _cls(*args)
         monkeypatch.setattr(lef, name, counting)
-    lef._memo.cache_clear()
     model = Path(__file__).resolve().parent.parent / "models" / "h5s1.model"
     assert cli.main(["lefschetz", str(model), "--mode", "all"]) == 0
     capsys.readouterr()
@@ -389,7 +386,6 @@ def test_gysin_computes_each_induced_map_once(monkeypatch, h5s1_struct):
         built.append((src, dst, op))
         return class_map(src, dst, op, label)
 
-    lef._memo.cache_clear()
     monkeypatch.setattr(lef, "_induced_map", asking)
     monkeypatch.setattr(lef, "_class_map", building)
     assert lef.gysin_sequence_check(h5s1_struct).ok
@@ -406,7 +402,6 @@ def test_t_map_reuses_the_gysin_maps(monkeypatch, h5s1_struct):
         built.append(label)
         return class_map(src, dst, op, label)
 
-    lef._memo.cache_clear()
     lef.gysin_sequence_check(h5s1_struct)
     monkeypatch.setattr(lef, "_class_map", building)
     for k in range(h5s1_struct.n + 1):
@@ -423,7 +418,6 @@ def test_suite_builds_each_transversal_map_once(monkeypatch):
         built.append(args[0])
         return transversal(*args)
 
-    lef._memo.cache_clear()
     monkeypatch.setattr(lef, "TransversalLefschetz", counting)
     assert run_suite()["ok"]
     # uv_invertible asks for every degree 0..n of kt4 (n = 1), h5s1,
@@ -472,7 +466,6 @@ def test_induced_maps_agree_with_relation_path(monkeypatch, lcs_struct):
         certified.append(chain)
         return matrix
 
-    lef._memo.cache_clear()
     monkeypatch.setattr(lef, "_induced_map", both)
     lef.gysin_sequence_check(lcs_struct)
     for k in range(lcs_struct.n + 1):
@@ -621,7 +614,6 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
             class_calls["in_map"] += 1
         return class_of(space, form)
 
-    lef._memo.cache_clear()
     monkeypatch.setattr(lef, "_class_map", counting_map)
     monkeypatch.setattr(lef, "_chain_slice", counting_slice)
     monkeypatch.setattr(lef, "_relation_map",
@@ -633,8 +625,8 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
     assert class_calls["in_map"] == sum(source_dims)
     assert slices and len(slices) == len(set(slices))
     # the model's memo keeps every slice verdict
-    memo = lef._memo(struct.model)
-    assert sum(key[0] == "chain slice" for key in memo) == len(slices)
+    assert sum(key[0] == "chain slice"
+               for key in struct.model._memo) == len(slices)
 
 
 def test_run_entry_propagates_programming_errors(monkeypatch):
@@ -664,7 +656,6 @@ def test_lefschetz_all_computes_each_verdict_once(monkeypatch, capsys):
         computed.append(id(relation))
         return verdict(relation)
 
-    lef._memo.cache_clear()
     monkeypatch.setattr(lef, "is_graph_of_isomorphism", asking)
     monkeypatch.setattr(lef, "_verdict", computing)
     model = Path(__file__).resolve().parent.parent / "models" / "h7s1.model"
@@ -683,11 +674,51 @@ def test_lefschetz_all_never_hashes_a_relation(monkeypatch, capsys):
     def unhashable(relation):
         raise TypeError("a relation was hashed")
 
-    lef._memo.cache_clear()
     monkeypatch.setattr(lef.CohomologyRelation, "__hash__", unhashable)
     model = Path(__file__).resolve().parent.parent / "models" / "h7s1.model"
     assert cli.main(["lefschetz", str(model), "--mode", "all"]) == 0
     capsys.readouterr()
+
+
+def test_a_dropped_structure_frees_its_models():
+    import gc
+
+    def live():
+        gc.collect()
+        return sorted(m.name for m in gc.get_objects()
+                      if isinstance(m, StructureModel)
+                      and m.name.startswith("dropped"))
+
+    # built here, since pytest holds a fixture's value until the test ends
+    struct = validate_lcs(StructureModel.from_salamon(
+        "(0,0,0,0,12+34,0)", name="dropped"), gen(6, 6), gen(6, 5))
+    lef.lefschetz_equivalence_report(struct)
+    lef.betti_parity_check(struct)
+    assert lef.gysin_sequence_check(struct).ok
+    assert live() == ["dropped", "dropped / Lee"]
+    del struct
+    # no cache outside the model keeps it, or its Lee quotient, alive
+    assert live() == []
+
+
+def test_only_the_exterior_tables_are_module_caches():
+    """The memo of a model lives on the model; a module may cache only
+    pure functions of (n, k)."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import hardlef
+    caches = set()
+    for info in pkgutil.iter_modules(hardlef.__path__):
+        mod = importlib.import_module(f"hardlef.{info.name}")
+        values = list(vars(mod).values())
+        values += [v for cls in values if inspect.isclass(cls)
+                   for v in vars(cls).values()]
+        caches |= {(v.__module__, v.__qualname__) for v in values
+                   if hasattr(v, "cache_info")}
+    assert caches == {("hardlef.exterior", "degree_masks"),
+                      ("hardlef.exterior", "_column_index")}
 
 
 def _scaled(matrix, c, rows=None):
@@ -774,7 +805,6 @@ def test_gysin_ranks_each_flow_chain_map_once(monkeypatch):
         calls.append(ncols)
         return rank(mat, ncols)
 
-    lef._memo.cache_clear()
     monkeypatch.setattr(linalg, "rank", counting)
     report = lef.gysin_sequence_check(struct)
     assert report.ok

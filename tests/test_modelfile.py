@@ -1,6 +1,9 @@
+import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardlef import Form
 from hardlef.errors import ParseError, ValidationError
@@ -148,6 +151,22 @@ def test_json_errors_name_the_key(data, message):
     assert err.value.line is None
 
 
+def test_json_dim_is_checked_before_names_are_made(monkeypatch):
+    # names for a dim of 10**12 would not fit in memory
+    default_names = modelfile.default_names
+
+    def bounded(n):
+        assert n <= 16, "default names made for an unchecked dim"
+        return default_names(n)
+
+    monkeypatch.setattr(modelfile, "default_names", bounded)
+    for data in ({"dim": 10 ** 12}, {"dim": 10 ** 12, "generators": []}):
+        with pytest.raises(ParseError) as err:
+            modelfile.load_text(json.dumps(data))
+        assert str(err.value) == f"dim: dim must be in [1, 16], got {10**12}"
+    assert modelfile.load_text('{"dim": 2}').generator_names == ("e1", "e2")
+
+
 def test_jacobi_failure_is_validation_not_parse():
     text = "dim 4\nd e3 = e1^e2\nd e4 = e3^e4\n"
     with pytest.raises(ValidationError):
@@ -158,3 +177,56 @@ def test_missing_d_lines_default_to_closed():
     doc = modelfile.parse("dim 3\n")
     assert all(f.is_zero() for f in doc.model.d1)
     assert doc.kind == "model"
+
+
+# ----- fuzzing: every input parses or is refused with a ParseError ---------
+
+# one digit more than int() converts; JSON cannot carry it as a value, so
+# the string LONG_MARK stands for it until the text is written
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+LONG_MARK = "<long>"
+NUMBERS = st.sampled_from(["0", "1", "3", "16", "17", "1/0", "2/3", "1/3/4",
+                          "\uff11"]) | st.sampled_from([LONG, "1/" + LONG])
+ATOMS = NUMBERS | st.sampled_from(
+    ["e1", "e2", "e3", "x", "=", "^", "+", "-", "*", "#", "{", '"', "\r",
+     "\u00e9"]) | st.text(max_size=2)
+HEADS = st.sampled_from(["name", "dim", "generators", "d e1 =", "d e3 =",
+                         "d", "omega =", "eta =", ""])
+LINES = st.builds(lambda head, atoms: " ".join([head, *atoms]), HEADS,
+                  st.lists(ATOMS, max_size=6))
+TEXTS = st.lists(LINES, max_size=6).map("\n".join)
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.just(LONG_MARK) | LINES)
+KEYS = st.sampled_from(["name", "dim", "generators", "differentials",
+                        "omega", "eta", "e1", "e2"]) | st.text(max_size=3)
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(KEYS, inner, max_size=4),
+                      max_leaves=12)
+MODELS = st.fixed_dictionaries(
+    {"dim": st.sampled_from([0, 2, 3, 17, "3", LONG_MARK]) | SCALARS},
+    optional={"name": SCALARS, "generators": VALUES,
+              "differentials": st.dictionaries(KEYS, SCALARS, max_size=3),
+              "omega": SCALARS, "eta": SCALARS})
+
+
+def _parses_or_refuses(text, assume_json=None):
+    try:
+        modelfile.load_text(text, assume_json)
+    except ParseError:
+        pass
+    except ValidationError as exc:
+        # parsed, but the structure equations fail d.d = 0
+        assert "Jacobi" in str(exc)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(TEXTS | LINES.map("dim 3\n".__add__) | TEXTS.map("dim 3\n".__add__))
+def test_any_model_text_parses_or_is_a_parse_error(text):
+    _parses_or_refuses(text)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(VALUES | MODELS)
+def test_any_json_value_parses_or_is_a_parse_error(value):
+    text = json.dumps(value).replace(json.dumps(LONG_MARK), LONG)
+    _parses_or_refuses(text, assume_json=True)

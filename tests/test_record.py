@@ -92,10 +92,16 @@ def test_wrong_arguments_are_type_errors(args, kwargs):
 
 
 def test_an_equal_structure_hits_the_memo():
-    first, second = _kt4(), _kt4()
-    assert first is not second and first == second
-    assert (lef.de_rham_lefschetz_relation(first, 1)
-            is lef.de_rham_lefschetz_relation(second, 1))
+    # the memo belongs to the model: an equal structure on the same model
+    # reads it, one on an equal but distinct model has a memo of its own
+    first, other = _kt4(), _kt4()
+    again = validate_lcs(first.model, first.omega, first.eta)
+    assert again is not first and again == first == other
+    assert first.model is not other.model
+    relation = lef.de_rham_lefschetz_relation(first, 1)
+    assert lef.de_rham_lefschetz_relation(again, 1) is relation
+    twin = lef.de_rham_lefschetz_relation(other, 1)
+    assert twin is not relation and twin.span == relation.span
 
 
 
