@@ -6,6 +6,11 @@ monomials; basic_complex takes the joint kernel of i_v and L_v over a
 list of fields, built as the kernel of L_v on the exterior algebra of
 the fields' annihilator; it is automatically d-stable (verified anyway).
 
+Betti numbers come from ranks: b_k = dim C^k - rank d_k - rank d_(k-1),
+once D_(k-1) D_k = 0 is checked.  A rank is read off the differential's
+factorization when one exists and taken by a plain RREF otherwise.
+space(k) builds representatives and the class table only on demand, and
+betti_numbers reads the dimension of a space that is already built.
 Cohomology spaces carry a deterministic representative basis, obtained by
 completing the canonical image basis inside the canonical kernel basis;
 the elimination that picks them also gives the class of every cycle.
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -75,6 +81,7 @@ class Subcomplex:
                 mat.append(coords)
             self._diff.append(mat)
         self._diff_echelons: dict[int, linalg.Echelon] = {}
+        self._ranks: dict[int, int] = {}
         self._spaces: dict[int, CohomologySpace] = {}
 
     # ----- degree slices --------------------------------------------------
@@ -102,6 +109,17 @@ class Subcomplex:
             ech = linalg.Echelon(self._diff[k], self.dim(k + 1))
             self._diff_echelons[k] = ech
         return ech
+
+    def _rank(self, k: int) -> int:
+        """Rank of d from degree k: the factorization's when it exists, a
+        plain RREF (no identity block) otherwise."""
+        r = self._ranks.get(k)
+        if r is None:
+            ech = self._diff_echelons.get(k)
+            r = (len(ech.pivots) if ech is not None
+                 else linalg.rank(self._d(k), self.dim(k + 1)))
+            self._ranks[k] = r
+        return r
 
     def coords(self, form: Form, degree: int | None = None):
         """Coordinates of a form in the degree basis, or None if outside."""
@@ -131,6 +149,33 @@ class Subcomplex:
             sp = self._build_space(k)
             self._spaces[k] = sp
         return sp
+
+    def _betti(self, k: int) -> int:
+        """dim H^k: the dimension of the space if it is built, otherwise
+        dim C^k - rank d_k - rank d_(k-1), once D_(k-1) D_k = 0 is checked
+        as _build_space checks it."""
+        sp = self._spaces.get(k)
+        if sp is not None:
+            return sp.dimension
+        self._check_d_squared(k)
+        return self.dim(k) - self._rank(k) - (self._rank(k - 1) if k else 0)
+
+    def _check_d_squared(self, k: int) -> None:
+        """Raise unless D_(k-1) D_k = 0.  The product is taken on integers:
+        each row of D_(k-1) times its own denominator, D_k times one common
+        denominator."""
+        right = self._d(k)
+        den = lcm(*[x.denominator for row in right for x in row.values()])
+        right = [{j: x.numerator * (den // x.denominator)
+                  for j, x in row.items()} for row in right]
+        for row in self._d(k - 1):
+            acc: dict[int, int] = {}
+            for i, x in linalg._integer_row(row).items():
+                for j, y in right[i].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            if any(acc.values()):
+                raise InternalConsistencyError(
+                    f"image is not contained in the kernel in degree {k}")
 
     def _build_space(self, k: int) -> "CohomologySpace":
         m_k = self.dim(k)
@@ -297,9 +342,9 @@ def cohomology(cplx: Subcomplex, k: int) -> CohomologySpace:
 
 
 def betti_numbers(cplx: Subcomplex) -> tuple[int, ...]:
-    """Cohomology dimensions of all degrees 0..n_gen."""
-    return tuple(cplx.space(k).dimension
-                 for k in range(cplx.model.n_gen + 1))
+    """Cohomology dimensions of all degrees 0..n_gen, from the ranks of the
+    differentials; no space is built."""
+    return tuple(cplx._betti(k) for k in range(cplx.model.n_gen + 1))
 
 
 # ----- splitting isomorphisms ---------------------------------------------

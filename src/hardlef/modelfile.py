@@ -31,7 +31,9 @@ from .exterior import Form, default_names, form_text
 from .model import StructureModel
 from .record import Record
 
-_TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:/\d+)?)"
+# [0-9], not \d: \d also matches other scripts' digits, which the command
+# line refuses too
+_TOKEN = re.compile(r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)"
                     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[\^+\-*=]))")
 # A model nests to depth 2; a string (escapes included) is one match, so

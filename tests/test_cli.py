@@ -80,9 +80,13 @@ TOO_LONG = f"number longer than {sys.get_int_max_str_digits()} digits"
      f"line 2, column 3: {TOO_LONG}"),
     ("long.json", b'{"dim": 3, "eta": "-' + LONG + b'*e3"}',
      f"eta, column 2: {TOO_LONG}"),
+    ("wide.model", "dim \uff13\n".encode(),
+     "line 1, column 5: unexpected character '\uff13'"),
+    ("wide.model", "dim 3\nd e3 = \uff12 e1^e2\n".encode(),
+     "line 2, column 8: unexpected character '\uff12'"),
 ], ids=["not-utf8", "truncated-utf8-crlf", "not-utf8-json", "deep-json",
         "long-dim", "long-coefficient", "long-denominator", "long-json-dim",
-        "long-json-string"])
+        "long-json-string", "fullwidth-dim", "fullwidth-coefficient"])
 def test_unreadable_files_are_parse_errors(tmp_path, capsys, name, data,
                                            message):
     path = tmp_path / name
