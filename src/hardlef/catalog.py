@@ -19,9 +19,7 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from .errors import (HardLefError, NonUniqueLeeFieldError, NonUniqueReebError,
-                     NotClosedError, NotVolumeError, RankDefectError,
-                     ValidationError)
+from .errors import HardLefError, ValidationError
 from .exterior import Form
 from .model import StructureModel
 from . import lefschetz as _lef
@@ -220,15 +218,6 @@ def builtin_entries() -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
-_ERROR_NAMES = (
-    (NotClosedError, "NotClosed"),
-    (RankDefectError, "RankDefect"),
-    (NotVolumeError, "NotVolume"),
-    (NonUniqueLeeFieldError, "NonUniqueLeeField"),
-    (NonUniqueReebError, "NonUniqueReeb"),
-)
-
-
 def _each(check, struct, degrees) -> list | None:
     """[check(struct, k) for k in degrees], or None when one raises a
     HardLefError."""
@@ -253,12 +242,8 @@ def run_entry(entry: CatalogEntry) -> dict:
         else:
             actual["validates"] = "model"
     except ValidationError as exc:
-        name = type(exc).__name__
-        for cls, short in _ERROR_NAMES:
-            if isinstance(exc, cls):
-                name = short
-                break
-        actual["validates"] = name
+        # NotClosedError is recorded as "NotClosed"
+        actual["validates"] = type(exc).__name__.removesuffix("Error")
         return actual
 
     model = entry.model

@@ -27,13 +27,14 @@ and its residual is empty exactly when the form lies in the slice.  Each
 differential is factored once, lazily: its kernel is the cycles of degree
 k and its rows the image in degree k+1.  A Subcomplex keeps only these;
 what other layers derive from it (relations, chain-map certificates,
-class maps) they keep themselves.
+class maps) they keep themselves.  A SplittingMap keeps its own
+invertibility, and a splitting report reads it off its maps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import lcm
 from typing import Sequence
 
@@ -355,7 +356,8 @@ class SplittingMap(Record):
 
     Rows list the images of the H^k(outer) representatives followed by the
     H^(k-1)(outer) representatives; columns index H^k(inner).  rows are
-    sparse; matrix is the same rows as dense tuples.
+    sparse; matrix is the same rows as dense tuples.  The map keeps its own
+    invertibility: one rank, taken on first read.
     """
 
     degree: int
@@ -367,31 +369,34 @@ class SplittingMap(Record):
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         return linalg.dense_rows(self.rows, self.inner_dim)
 
+    @property
+    def square(self) -> bool:
+        return len(self.rows) == self.inner_dim
 
-class SplittingDegree(Record):
-    degree: int
-    inner_dim: int
-    outer_dim: int
-    outer_prev_dim: int
-    square: bool
-    invertible: bool
+    @cached_property
+    def invertible(self) -> bool:
+        return self.square and linalg.rank(
+            self.rows, self.inner_dim) == self.inner_dim
 
 
 class SplittingReport(Record):
-    """Per-degree verdicts, with the splitting maps they were read from."""
+    """The splitting maps of every degree; ok when each is invertible."""
 
-    degrees: tuple[SplittingDegree, ...]
-    ok: bool
     maps: tuple[SplittingMap, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(m.invertible for m in self.maps)
 
     def to_dict(self):
         return {
             "ok": self.ok,
             "degrees": [
-                {"k": e.degree, "inner_dim": e.inner_dim,
-                 "outer_dim": e.outer_dim, "outer_prev_dim": e.outer_prev_dim,
-                 "square": e.square, "invertible": e.invertible}
-                for e in self.degrees],
+                {"k": m.degree, "inner_dim": m.inner_dim,
+                 "outer_dim": m.outer_dims[0],
+                 "outer_prev_dim": m.outer_dims[1],
+                 "square": m.square, "invertible": m.invertible}
+                for m in self.maps],
         }
 
 
@@ -436,15 +441,7 @@ def splitting_map(model: StructureModel, w_form: Form, inner: Subcomplex,
 
 def splitting_check(model: StructureModel, w_form: Form, inner: Subcomplex,
                     outer: Subcomplex) -> SplittingReport:
-    """Verify the splitting map is square and invertible in every degree."""
-    entries = []
-    maps = tuple(splitting_map(model, w_form, inner, outer, k)
-                 for k in range(model.n_gen + 1))
-    for k, sm in enumerate(maps):
-        square = len(sm.rows) == sm.inner_dim
-        invertible = square and linalg.rank(
-            sm.rows, sm.inner_dim) == sm.inner_dim
-        entries.append(SplittingDegree(k, sm.inner_dim, sm.outer_dims[0],
-                                       sm.outer_dims[1], square, invertible))
-    return SplittingReport(tuple(entries), all(e.invertible for e in entries),
-                           maps)
+    """The splitting map of every degree; the report is ok when each is
+    square and invertible."""
+    return SplittingReport(tuple(splitting_map(model, w_form, inner, outer, k)
+                                 for k in range(model.n_gen + 1)))

@@ -25,13 +25,15 @@ which decides whether the map is defined on every class and single valued
 and reports it when it is not.
 
 Each model owns the memo of everything this layer computes from it:
-complexes, relations with their verdicts, reports, the flow operators,
-chain-slice certificates, induced class maps and the Lee quotient.
+complexes, relations, reports, the flow operators, chain-slice
+certificates, induced class maps and the Lee quotient.  A relation keeps
+its own graph and verdict, which live and die with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from . import linalg
@@ -48,11 +50,12 @@ from .structures import ContactStructure, LcsStructure, quotient_contact
 def _cached(model, key, build):
     """The entry of key in the model's memo (an equal model has its own),
     built on first request; a build that raises stores nothing, so its
-    error reaches every caller.  Keys are tagged by kind: ("complex", fields); (picture, structure, k)
-    for a relation; ("verdict", id(relation)); ("parity", "equivalence"
-    or "quotient", structure); ("flow operators", structure); ("chain
-    slice", source complex, target complex, operator, k, j); ("class
-    map", source space, target space, operator)."""
+    error reaches every caller.  Keys are tagged by kind: ("complex",
+    fields); (picture, structure, k) for a relation, which keeps its own
+    graph and verdict; ("parity", "equivalence" or "quotient", structure);
+    ("flow operators", structure); ("chain slice", source complex, target
+    complex, operator, k, j); ("class map", source space, target space,
+    operator)."""
     memo = model._memo
     if key not in memo:
         memo[key] = build()
@@ -79,7 +82,8 @@ def _check_k(k: int, n: int) -> None:
 
 class CohomologyRelation(Record):
     """A linear subspace of H^a x H^b, stored by its canonical RREF basis:
-    sparse rows, the H^b columns offset by dim H^a; span is dense."""
+    sparse rows, the H^b columns offset by dim H^a; span is dense.  Its
+    graph and verdict are computed once, on first read."""
 
     source: CohomologySpace
     target: CohomologySpace
@@ -98,6 +102,28 @@ class CohomologyRelation(Record):
     def span(self) -> tuple[tuple[Fraction, ...], ...]:
         return linalg.dense_rows(
             self.rows, self.source.dimension + self.target.dimension)
+
+    @cached_property
+    def graph(self):
+        """(total, functional, matrix): whether the relation is defined on
+        every source class and single valued, and when both hold the sparse
+        matrix of the map it is the graph of.  In the canonical RREF, the
+        rows with a pivot among the source columns have independent source
+        parts and the others have none; when they are dim H^a and all of
+        the rows, the rows are [I | M]."""
+        da = self.source.dimension
+        rows = self.rows
+        x_rank = sum(1 for row in rows if min(row) < da)
+        total = x_rank == da
+        functional = x_rank == len(rows)
+        if not (total and functional):
+            return total, functional, None
+        return total, functional, [
+            {j - da: c for j, c in row.items() if j >= da} for row in rows]
+
+    @cached_property
+    def verdict(self) -> "LefschetzVerdict":
+        return _verdict(self)
 
 
 class LefschetzVerdict(Record):
@@ -130,35 +156,14 @@ class LefschetzVerdict(Record):
                 "graph_of_isomorphism": self.is_graph_of_isomorphism}
 
 
-def _graph(relation: CohomologyRelation):
-    """(total, functional, matrix): whether the relation is defined on every
-    source class and single valued, and when both hold the sparse matrix of
-    the map it is the graph of.  In the canonical RREF, the rows with a
-    pivot among the source columns have independent source parts and the
-    others have none; when they are dim H^a and all of the rows, the rows
-    are [I | M]."""
-    da = relation.source.dimension
-    rows = relation.rows
-    x_rank = sum(1 for row in rows if min(row) < da)
-    total = x_rank == da
-    functional = x_rank == len(rows)
-    if not (total and functional):
-        return total, functional, None
-    return total, functional, [{j - da: c for j, c in row.items() if j >= da}
-                               for row in rows]
-
-
 def is_graph_of_isomorphism(relation: CohomologyRelation) -> LefschetzVerdict:
     """Decide totality, functionality and invertibility by exact ranks,
-    once per relation.  The memo keeps the verdict with its relation under
-    the relation's id, which stays its own while the entry holds it; a
-    relation holds dict rows and cannot be hashed."""
-    return _cached(relation.source.complex.model, ("verdict", id(relation)),
-                   lambda: (relation, _verdict(relation)))[1]
+    once per relation (its verdict)."""
+    return relation.verdict
 
 
 def _verdict(relation: CohomologyRelation) -> LefschetzVerdict:
-    total, functional, m = _graph(relation)
+    total, functional, m = relation.graph
     width = relation.target.dimension
     injective = surjective = False
     if m is not None:
@@ -389,8 +394,8 @@ def _relation_map(src_space: CohomologySpace, dst_space: CohomologySpace,
         at, off = dst_space.complex._pivots[b]
         conditions.append(lambda f: Form._make(
             n, b, linalg.reduce(op(f).terms, at, off)[1]))
-    total, functional, matrix = _graph(
-        _relation(src_space, dst_space, conditions, op, label))
+    total, functional, matrix = _relation(
+        src_space, dst_space, conditions, op, label).graph
     if not total:
         raise InternalConsistencyError(
             f"{label} is not defined on every class in the invariant model")
@@ -448,7 +453,6 @@ class FlowChainReport(Record):
     well_defined: bool
     failures: tuple[str, ...]
     compositions_vanish: bool
-    exact_at: tuple[bool, ...]
     exact: bool
 
     def to_dict(self):
@@ -517,7 +521,7 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
     well_defined = not failures
     if not well_defined:
         return FlowChainReport(label, tuple(node_labels), dims, False,
-                               tuple(failures), False, (), False)
+                               tuple(failures), False, False)
     comps_ok = True
     for i in range(len(maps) - 1):
         if any(linalg.matmul(maps[i], maps[i + 1])):
@@ -526,15 +530,12 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
                             f"does not vanish")
     # map i runs from node i to node i+1; each is ranked once
     ranks = [linalg.rank(m, dims[i + 1]) for i, m in enumerate(maps)]
-    exact_at = [ranks[i - 1] == dims[i] - ranks[i]
-                for i in range(1, len(spaces) - 1)]
-    exact = all(exact_at)
-    if not exact:
-        bad = [node_labels[i + 1] for i, ok in enumerate(exact_at) if not ok]
+    bad = [node_labels[i] for i in range(1, len(spaces) - 1)
+           if ranks[i - 1] != dims[i] - ranks[i]]
+    if bad:
         failures.append(f"exactness fails at {', '.join(bad)}")
     return FlowChainReport(label, tuple(node_labels), dims, True,
-                           tuple(failures), comps_ok, tuple(exact_at),
-                           exact and comps_ok)
+                           tuple(failures), comps_ok, not bad and comps_ok)
 
 
 def _splitting_matrix(report, outer: Subcomplex, k: int) -> linalg.Matrix:

@@ -22,8 +22,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DegreeError, ModelMismatchError, ValidationError
-from .exterior import (Form, Rational, Vector, _accumulate, _signed_sum,
-                       _sum, contract, indices_of, merge_sign)
+from .exterior import (Form, Rational, Vector, _accumulate, _coerce,
+                       _signed_sum, _sum, contract, indices_of, merge_sign)
 
 
 class StructureModel:
@@ -76,8 +76,9 @@ class StructureModel:
 
         Accepts "(0,0,12,0)" or a sequence of entry strings; a digit pair
         "ij" denotes e_i ^ e_j and entries are signed sums with optional
-        rational coefficients, e.g. "12+34" or "12-1/2*34".  Digit pairs
-        limit this notation to at most nine generators.
+        rational coefficients, e.g. "12+34" or "12-1/2*34".  Pairs and
+        coefficients (p or p/q) are written in ASCII digits, as in model
+        files.  Digit pairs limit this notation to at most nine generators.
         """
         if isinstance(structure, str):
             body = structure.strip()
@@ -99,7 +100,8 @@ class StructureModel:
                       name: str = "") -> "StructureModel":
         """Build from bracket constants [X_i, X_j] = sum_k c^k_ij X_k.
 
-        Converted through de_k(X_i, X_j) = -e_k([X_i, X_j]).
+        Converted through de_k(X_i, X_j) = -e_k([X_i, X_j]).  Every index
+        lies in [1, n_gen], and a float constant is a TypeError, as in Form.
         """
         terms: list[dict[int, Fraction]] = [dict() for _ in range(n_gen)]
         for (i, j), comps in brackets.items():
@@ -108,8 +110,11 @@ class StructureModel:
                                  f"1 <= i < j <= {n_gen}")
             mask = (1 << (i - 1)) | (1 << (j - 1))
             for k, c in comps.items():
+                if not 1 <= k <= n_gen:
+                    raise ValueError(f"component index {k} of bracket "
+                                     f"({i}, {j}) outside [1, {n_gen}]")
                 prev = terms[k - 1].get(mask, Fraction(0))
-                terms[k - 1][mask] = prev - Fraction(c)
+                terms[k - 1][mask] = prev - _coerce(c)
         diffs = [Form(n_gen, 2, t) for t in terms]
         return cls(diffs, name=name)
 
@@ -252,6 +257,11 @@ class StructureModel:
         return f"<StructureModel {label}>"
 
 
+def _ascii_digits(*parts: str) -> bool:
+    """Whether each part is a nonempty run of the ASCII digits 0-9."""
+    return all(p.isascii() and p.isdigit() for p in parts)
+
+
 def _parse_structure_entry(entry: str, n: int) -> Form:
     entry = entry.strip()
     if entry in ("0", ""):
@@ -267,14 +277,18 @@ def _parse_structure_entry(entry: str, n: int) -> Form:
             piece = piece[1:].strip()
         if "*" in piece:
             coeff_s, mono = piece.split("*", 1)
+            coeff_s = coeff_s.strip()
+            if not _ascii_digits(*coeff_s.split("/", 1)):
+                raise ValueError(f"bad coefficient in {piece!r}: write p "
+                                 f"or p/q in ASCII digits")
             try:
-                coeff = Fraction(coeff_s.strip())
+                coeff = Fraction(coeff_s)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {piece!r}") from None
         else:
             coeff, mono = Fraction(1), piece
         mono = mono.strip()
-        if len(mono) != 2 or not mono.isdigit():
+        if len(mono) != 2 or not _ascii_digits(mono):
             raise ValueError(f"bad structure term {piece!r}")
         i, j = int(mono[0]), int(mono[1])
         if not (1 <= i <= n and 1 <= j <= n) or i == j:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hardlef import (Form, StructureModel, modelfile, validate_contact,
                      validate_lcs)
+from hardlef import errors
 from hardlef import lefschetz as lef
 from hardlef import linalg
 from hardlef.cohomology import CohomologySpace
@@ -131,7 +132,7 @@ def test_graph_matches_the_oracle(data):
         [(linalg.sparse(x), linalg.sparse(y)) for x, y in pairs])
     stacked = [x + y for x, y in pairs]
     assert [list(r) for r in rel.span] == oracle.rref(stacked, da + db)[0]
-    total, functional, matrix = lef._graph(rel)
+    total, functional, matrix = rel.graph
     x_rank = oracle.rank([x for x, _ in pairs])
     assert total == (x_rank == da)
     assert functional == (oracle.rank(stacked) == x_rank)
@@ -442,7 +443,7 @@ def test_graph_factors_the_first_projection_once(monkeypatch, kt4_struct):
         monkeypatch.setattr(linalg, name,
                             counting(name, getattr(linalg, name)))
     for rel in relations:
-        total, functional, matrix = lef._graph(rel)
+        total, functional, matrix = rel.graph
         assert total and functional and matrix is not None
     assert calls == []
 
@@ -641,6 +642,25 @@ def test_run_entry_propagates_programming_errors(monkeypatch):
         run_entry(entry)
 
 
+@pytest.mark.parametrize("error, name", [
+    (errors.NotClosedError("x"), "NotClosed"),
+    (errors.RankDefectError(2, 4), "RankDefect"),
+    (errors.NotVolumeError("x"), "NotVolume"),
+    (errors.NonUniqueLeeFieldError("x"), "NonUniqueLeeField"),
+    (errors.NonUniqueReebError("x"), "NonUniqueReeb"),
+    (errors.NotProjectableError("x"), "NotProjectable"),
+    (errors.ValidationError("x"), "Validation")])
+def test_run_entry_names_a_validation_error(monkeypatch, error, name):
+    from hardlef import catalog
+    entry = next(e for e in catalog.builtin_entries() if e.kind == "lcs")
+
+    def refusing(*args):
+        raise error
+
+    monkeypatch.setattr(catalog, "validate_lcs", refusing)
+    assert catalog.run_entry(entry) == {"validates": name}
+
+
 def test_lefschetz_all_computes_each_verdict_once(monkeypatch, capsys):
     from pathlib import Path
 
@@ -699,6 +719,41 @@ def test_a_dropped_structure_frees_its_models():
     del struct
     # no cache outside the model keeps it, or its Lee quotient, alive
     assert live() == []
+
+
+def _hand_built_relations(struct, count):
+    """count relations H^1_B(U) -> H^4_B(U) built from class pairs, each
+    new: the graph of a diagonal map scaled by i + 1 on the first class."""
+    u_cplx = lef._basic(struct.model, (struct.U,))
+    src, dst = u_cplx.space(1), u_cplx.space(4)
+    assert src.dimension == dst.dimension == 4
+    for i in range(count):
+        yield lef.CohomologyRelation.from_pairs(src, dst, [
+            ({j: Fraction(1)}, {j: Fraction(i + 1 if j == 0 else 1)})
+            for j in range(4)])
+
+
+def test_judging_relations_leaves_the_model_memo_unchanged(h5s1_struct):
+    relations = list(_hand_built_relations(h5s1_struct, 1000))
+    memo = h5s1_struct.model._memo
+    size = len(memo)
+    for rel in relations:
+        assert lef.is_graph_of_isomorphism(rel).is_graph_of_isomorphism
+    assert len(memo) == size
+
+
+def test_a_dropped_relation_can_be_collected(h5s1_struct):
+    import gc
+    import weakref
+
+    rel = next(_hand_built_relations(h5s1_struct, 1))
+    verdict = lef.is_graph_of_isomorphism(rel)
+    assert verdict.is_graph_of_isomorphism
+    assert lef.is_graph_of_isomorphism(rel) is verdict
+    ref = weakref.ref(rel)
+    del rel
+    gc.collect()
+    assert ref() is None
 
 
 def test_only_the_exterior_tables_are_module_caches():
@@ -811,8 +866,8 @@ def test_gysin_ranks_each_flow_chain_map_once(monkeypatch):
     chain_maps = len(report.top.dims) - 1 + len(report.bottom.dims) - 1
     assert chain_maps == 66
     # one rank per chain map, plus one per degree of each splitting check
-    splitting = len(report.splitting_v.degrees) + \
-        len(report.splitting_full.degrees)
+    splitting = len(report.splitting_v.maps) + \
+        len(report.splitting_full.maps)
     assert len(calls) == chain_maps + splitting == 84
 
 

@@ -68,11 +68,28 @@ def test_salamon_rejects_bad_terms():
         StructureModel.from_salamon("(0,0,11)")
     with pytest.raises(ValueError, match="zero denominator"):
         StructureModel.from_salamon("(0,1/0*12)")
+    # coefficients and pairs in ASCII digits only, as in model files
+    for entry in ("0.5*12", "1e1*12", "1_0*12", "\u0661\u0662",
+                  "\uff11\uff12"):
+        with pytest.raises(ValueError):
+            StructureModel.from_salamon(f"(0,0,{entry})")
 
 
 def test_from_brackets_matches_structure_equations(kt4):
     m = StructureModel.from_brackets(4, {(1, 2): {3: -1}})
     assert m == kt4
+    half = StructureModel.from_brackets(3, {(1, 2): {3: Fraction(1, 2)}})
+    assert half.d1[2] == Form.monomial(3, (1, 2), Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("comps, error, match", [
+    ({0: 1}, ValueError, "component index 0 "),
+    ({-1: 1}, ValueError, "component index -1 "),
+    ({4: 1}, ValueError, "component index 4 "),
+    ({3: 0.1}, TypeError, "float")])
+def test_from_brackets_refuses_bad_components(comps, error, match):
+    with pytest.raises(error, match=match):
+        StructureModel.from_brackets(3, {(1, 2): comps})
 
 
 def test_bracket_readoff(kt4):
