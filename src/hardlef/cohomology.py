@@ -17,9 +17,9 @@ the elimination that picks them also gives the class of every cycle.
 
 Sparse inside, dense at the API.  The differential rows, kernels, images,
 representatives, the classes _class_of returns and the rows of a
-SplittingMap are sparse vectors {column: Fraction}, the one matrix kind
+CohomologyMap are sparse vectors {column: Fraction}, the one matrix kind
 of linalg.  Dense tuples or lists are built only when a public method or
-attribute is read: coords, class_of, diff_matrix and SplittingMap.matrix.
+attribute is read: coords, class_of, diff_matrix and CohomologyMap.matrix.
 Every degree basis is an RREF over the monomials of its degree (the
 identity for full_complex, a row space for basic_complex), hence its own
 factorization: linalg.reduce reads a form's coordinates at the pivots,
@@ -27,8 +27,9 @@ and its residual is empty exactly when the form lies in the slice.  Each
 differential is factored once, lazily: its kernel is the cycles of degree
 k and its rows the image in degree k+1.  A Subcomplex keeps only these;
 what other layers derive from it (relations, chain-map certificates,
-class maps) they keep themselves.  A SplittingMap keeps its own
-invertibility, and a splitting report reads it off its maps.
+class maps) they keep themselves.  A CohomologyMap (a splitting map, or
+a transversal Lefschetz map) keeps its own rank, and a splitting report
+reads invertibility off its maps.
 """
 
 from __future__ import annotations
@@ -351,32 +352,39 @@ def betti_numbers(cplx: Subcomplex) -> tuple[int, ...]:
 # ----- splitting isomorphisms ---------------------------------------------
 
 
-class SplittingMap(Record):
-    """Matrix of ([b], [b']) -> [b + w ^ b'] in the representative bases.
-
-    Rows list the images of the H^k(outer) representatives followed by the
-    H^(k-1)(outer) representatives; columns index H^k(inner).  rows are
-    sparse; matrix is the same rows as dense tuples.  The map keeps its own
-    invertibility: one rank, taken on first read.
-    """
+class CohomologyMap(Record):
+    """A linear map into a cohomology space: row i is the class of the
+    image of the i-th source basis vector, sparse; matrix is the same rows
+    as dense tuples.  The map keeps its own rank, taken on first read;
+    invertible asks for it only when the map is square."""
 
     degree: int
     rows: tuple[dict[int, Fraction], ...]
-    outer_dims: tuple[int, int]
-    inner_dim: int
+    target_dim: int
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        return linalg.dense_rows(self.rows, self.inner_dim)
+        return linalg.dense_rows(self.rows, self.target_dim)
 
     @property
     def square(self) -> bool:
-        return len(self.rows) == self.inner_dim
+        return len(self.rows) == self.target_dim
 
     @cached_property
+    def rank(self) -> int:
+        return linalg.rank(self.rows, self.target_dim)
+
+    @property
     def invertible(self) -> bool:
-        return self.square and linalg.rank(
-            self.rows, self.inner_dim) == self.inner_dim
+        return self.square and self.rank == self.target_dim
+
+
+class SplittingMap(CohomologyMap):
+    """([b], [b']) -> [b + w ^ b'] in the representative bases: the rows
+    are the images of the H^k(outer) representatives followed by the
+    H^(k-1)(outer) representatives, the columns index H^k(inner)."""
+
+    outer_dims: tuple[int, int]
 
 
 class SplittingReport(Record):
@@ -392,7 +400,7 @@ class SplittingReport(Record):
         return {
             "ok": self.ok,
             "degrees": [
-                {"k": m.degree, "inner_dim": m.inner_dim,
+                {"k": m.degree, "inner_dim": m.target_dim,
                  "outer_dim": m.outer_dims[0],
                  "outer_prev_dim": m.outer_dims[1],
                  "square": m.square, "invertible": m.invertible}
@@ -435,8 +443,8 @@ def splitting_map(model: StructureModel, w_form: Form, inner: Subcomplex,
     rows = tuple([dst._class_of(rep) for rep in src1.representatives]
                  + [dst._class_of(w_form.wedge(rep))
                     for rep in src0.representatives])
-    return SplittingMap(k, rows,
-                        (src1.dimension, src0.dimension), dst.dimension)
+    return SplittingMap(k, rows, dst.dimension,
+                        (src1.dimension, src0.dimension))
 
 
 def splitting_check(model: StructureModel, w_form: Form, inner: Subcomplex,

@@ -187,6 +187,9 @@ class Form:
         permutation sign.
         """
         idx = list(indices)
+        for i in idx:
+            if not 1 <= i <= n_gen:
+                raise ValueError(f"generator index {i} outside [1, {n_gen}]")
         if len(set(idx)) != len(idx):
             return cls(n_gen, len(idx))
         sign = 1

@@ -27,7 +27,8 @@ and reports it when it is not.
 Each model owns the memo of everything this layer computes from it:
 complexes, relations, reports, the flow operators, chain-slice
 certificates, induced class maps and the Lee quotient.  A relation keeps
-its own graph and verdict, which live and die with it.
+its own graph and verdict, and a transversal Lefschetz map (a
+cohomology.CohomologyMap) its own rank; they live and die with it.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from . import linalg
-from .cohomology import (CohomologySpace, Subcomplex, _combine,
-                         _joint_kernel, basic_complex, betti_numbers,
-                         full_complex, splitting_check)
+from .cohomology import (CohomologyMap, CohomologySpace, Subcomplex,
+                         _combine, _joint_kernel, basic_complex,
+                         betti_numbers, full_complex, splitting_check)
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
                      NotProjectableError, PreconditionError)
 from .exterior import Form, contract, top_pairing, wedge_power
@@ -52,10 +53,11 @@ def _cached(model, key, build):
     built on first request; a build that raises stores nothing, so its
     error reaches every caller.  Keys are tagged by kind: ("complex",
     fields); (picture, structure, k) for a relation, which keeps its own
-    graph and verdict; ("parity", "equivalence" or "quotient", structure);
-    ("flow operators", structure); ("chain slice", source complex, target
-    complex, operator, k, j); ("class map", source space, target space,
-    operator)."""
+    graph and verdict; ("transversal", structure, k) for a transversal
+    Lefschetz map, which keeps its own rank; ("parity", "equivalence" or
+    "quotient", structure); ("flow operators", structure); ("chain slice",
+    source complex, target complex, operator, k, j); ("class map", source
+    space, target space, operator)."""
     memo = model._memo
     if key not in memo:
         memo[key] = build()
@@ -282,24 +284,10 @@ def lefschetz_map_basic(struct: LcsStructure, k: int):
 # ----- transversal machinery -----------------------------------------------
 
 
-class TransversalLefschetz(Record):
-    """Cup with (d eta)^(n-k) on the (U,V)-basic cohomology; rows are
-    sparse, matrix the same rows as dense tuples."""
-
-    degree: int
-    rows: tuple[dict[int, Fraction], ...]
-    source_dim: int
-    target_dim: int
-    invertible: bool
-
-    @property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        return linalg.dense_rows(self.rows, self.target_dim)
-
-
-def uv_basic_lefschetz(struct: LcsStructure, k: int) -> TransversalLefschetz:
-    """The transversal Lefschetz map H^k_B(U,V) -> H^(2n-k)_B(U,V), built
-    once per structure and degree."""
+def uv_basic_lefschetz(struct: LcsStructure, k: int) -> CohomologyMap:
+    """The transversal Lefschetz map H^k_B(U,V) -> H^(2n-k)_B(U,V), cup
+    with (d eta)^(n-k), built once per structure and degree; its rank is
+    taken when its invertibility is first read."""
     n = struct.n
     _check_k(k, n)
     model = struct.model
@@ -309,12 +297,9 @@ def uv_basic_lefschetz(struct: LcsStructure, k: int) -> TransversalLefschetz:
         src = uv.space(k)
         dst = uv.space(2 * n - k)
         power = wedge_power(model.d(struct.eta), n - k)
-        rows = tuple(dst._class_of(power.wedge(rep))
-                     for rep in src.representatives)
-        invertible = (src.dimension == dst.dimension
-                      and linalg.rank(rows, dst.dimension) == src.dimension)
-        return TransversalLefschetz(k, rows, src.dimension, dst.dimension,
-                                    invertible)
+        return CohomologyMap(k, tuple(dst._class_of(power.wedge(rep))
+                                      for rep in src.representatives),
+                             dst.dimension)
 
     return _cached(model, ("transversal", struct, k), build)
 
@@ -476,9 +461,8 @@ class GysinReport(Record):
 
     @property
     def ok(self) -> bool:
-        return (self.top.well_defined and self.top.compositions_vanish
-                and self.top.exact and self.bottom.well_defined
-                and self.bottom.compositions_vanish and self.bottom.exact
+        # a chain is exact only when well defined with vanishing compositions
+        return (self.top.exact and self.bottom.exact
                 and self.splitting_v.ok and self.splitting_full.ok
                 and bool(self.squares_commute))
 

@@ -12,12 +12,13 @@ is matmul(M_f, M_g).  Reduced row echelon form is the canonical
 presentation of a row space, which makes subspace comparison an equality
 of lists.
 
-`_eliminate` is the one elimination, on integer rows: each row is scaled
-to coprime integers, and a step replaces a row q by (a/g) q - (b/g) p,
-with a and b the entries of the pivot row p and of q in the pivot column
-and g = gcd(a, b), then divides q by its content.  A column index
-(column -> ids of the rows holding it, for the pivot columns) finds the
-rows to clear without a scan; a step updates it on the keys of p only.
+`rref` is the one elimination: rank, row_space and Echelon all call it.
+It works on integer rows: each row is scaled to coprime integers, and a
+step replaces a row q by (a/g) q - (b/g) p, with a and b the entries of
+the pivot row p and of q in the pivot column and g = gcd(a, b), then
+divides q by its content.  A column index (column -> ids of the rows
+holding it, for the pivot columns) finds the rows to clear without a
+scan; a step updates it on the keys of p only.
 The RREF is unique, so any row may give a pivot (Dumas, Saunders and
 Villard, J. Symb. Comp. 32, 2001); the smallest entry, then the fewest
 nonzeros, then the first row keeps the integers small.  Pivot rows are
@@ -110,15 +111,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 # ----- elimination -----------------------------------------------------------
 
 
-def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    Row operations apply to full rows, so callers may pass augmented rows
-    and restrict pivoting (and canonical form) to the first `ncols` columns.
-    """
-    return _eliminate(mat, ncols)
-
-
 def _integer_row(row: dict) -> dict[int, int]:
     """The row scaled to coprime integers, zero entries dropped."""
     den = lcm(*[x.denominator for x in row.values()])
@@ -135,9 +127,13 @@ def _divide_content(row: dict[int, int]) -> None:
             row[j] = x // g
 
 
-def _eliminate(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
-    """rref's work.  holders[c] has the ids of the rows holding c as keys:
-    a dict of ints, which the garbage collector does not track; a set is."""
+def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Row operations apply to full rows, so callers may pass augmented rows
+    and restrict pivoting (and canonical form) to the first `ncols` columns.
+    holders[c] has the ids of the rows holding c as keys: a dict of ints,
+    which the garbage collector does not track; a set is."""
     rows = [_integer_row(row) for row in mat]
     holders: dict[int, dict[int, None]] = defaultdict(dict)
     for i, row in enumerate(rows):
@@ -257,8 +253,8 @@ class Echelon:
 
     def __init__(self, mat: Matrix, ncols: int):
         m = len(mat)
-        red, pivots = _eliminate([{**row, ncols + i: 1}
-                                  for i, row in enumerate(mat)], ncols + m)
+        red, pivots = rref([{**row, ncols + i: 1}
+                            for i, row in enumerate(mat)], ncols + m)
         r = sum(1 for p in pivots if p < ncols)
         self.pivots = pivots[:r]
         self.sparse_rows = [{j: x for j, x in row.items() if j < ncols}

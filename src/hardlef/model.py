@@ -18,6 +18,7 @@ from those terms directly, touching only nonzero components.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -54,8 +55,6 @@ class StructureModel:
         self._d_cache: dict[int, Form] = {}
         # what the Lefschetz layer computes from this model (lefschetz._cached)
         self._memo: dict = {}
-        self._nilpotent: bool | None = None
-        self._unimodular: bool | None = None
         # per k, the terms c e_a ^ e_b (a < b, 0-based) of d(e_k): the
         # structure constants the bracket and the flags read
         self._constants = tuple(
@@ -185,55 +184,49 @@ class StructureModel:
 
     # ----- flags ----------------------------------------------------------
 
-    @property
+    @cached_property
     def is_nilpotent(self) -> bool:
         """Whether the lower central series reaches zero.  Its next term
         is spanned by the brackets [e_f, x] of the generators with the
         rows x of the current one; by the bracket formula the term c e_a ^
         e_b of d(e_k) gives [e_a, x]_k its -c x_b and [e_b, x]_k its
         c x_a."""
-        if self._nilpotent is None:
-            n = self.n_gen
-            current: list[dict[int, Fraction]] = [{i: Fraction(1)}
-                                                   for i in range(n)]
-            while True:
-                produced = []
-                for x in current:
-                    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-                    for k, terms in enumerate(self._constants):
-                        for a, b, c in terms:
-                            xb = x.get(b)
-                            if xb is not None:
-                                _accumulate(rows[a], k, -(c * xb))
-                            xa = x.get(a)
-                            if xa is not None:
-                                _accumulate(rows[b], k, c * xa)
-                    produced += rows
-                nxt = linalg.row_space(produced, n)
-                if not nxt:
-                    self._nilpotent = True
-                    break
-                if len(nxt) == len(current):
-                    self._nilpotent = False
-                    break
-                current = nxt
-        return self._nilpotent
+        n = self.n_gen
+        current: list[dict[int, Fraction]] = [{i: Fraction(1)}
+                                               for i in range(n)]
+        while True:
+            produced = []
+            for x in current:
+                rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+                for k, terms in enumerate(self._constants):
+                    for a, b, c in terms:
+                        xb = x.get(b)
+                        if xb is not None:
+                            _accumulate(rows[a], k, -(c * xb))
+                        xa = x.get(a)
+                        if xa is not None:
+                            _accumulate(rows[b], k, c * xa)
+                produced += rows
+            nxt = linalg.row_space(produced, n)
+            if not nxt:
+                return True
+            if len(nxt) == len(current):
+                return False
+            current = nxt
 
-    @property
+    @cached_property
     def is_unimodular(self) -> bool:
         """Whether every adjoint operator is traceless.  The trace of
         ad(e_i) is sum_k e_k([e_i, e_k]); the term c e_a ^ e_b of d(e_k)
         adds -c to it when i = a and b = k, and c when i = b and a = k."""
-        if self._unimodular is None:
-            traces: dict[int, Fraction] = {}
-            for k, terms in enumerate(self._constants):
-                for a, b, c in terms:
-                    if b == k:
-                        _accumulate(traces, a, -c)
-                    elif a == k:
-                        _accumulate(traces, b, c)
-            self._unimodular = not traces
-        return self._unimodular
+        traces: dict[int, Fraction] = {}
+        for k, terms in enumerate(self._constants):
+            for a, b, c in terms:
+                if b == k:
+                    _accumulate(traces, a, -c)
+                elif a == k:
+                    _accumulate(traces, b, c)
+        return not traces
 
     def structure_string(self) -> str:
         """Compact pair notation, e.g. (0,0,12,0); empty above 9 generators."""

@@ -175,7 +175,7 @@ def test_splitting_map_degree_one(kt4):
     outer = basic_complex(kt4, [Vector.basis(4, 4)])
     sm = splitting_map(kt4, Form.generator(4, 4), inner, outer, 1)
     mat = [list(r) for r in sm.matrix]
-    assert len(mat) == 3 and sm.inner_dim == 3
+    assert len(mat) == 3 and sm.target_dim == 3
     assert [linalg.sparse(r) for r in mat] == list(sm.rows)
     assert linalg.rank(sm.rows, 3) == 3
 
@@ -222,13 +222,13 @@ def test_class_of_and_coords_factor_nothing_after_build(monkeypatch):
     cplxs = [full_complex(m), basic_complex(m, [Vector.basis(6, 6)])]
     spaces = [c.space(k) for c in cplxs for k in range(7)]
     calls = []
-    eliminate = linalg._eliminate
+    eliminate = linalg.rref
 
     def counting(rows, ncols):
         calls.append((len(rows), ncols))
         return eliminate(rows, ncols)
 
-    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(linalg, "rref", counting)
     for sp in spaces:
         for i, rep in enumerate(sp.representatives):
             assert sp.class_of(rep) == tuple(int(i == j)
@@ -244,13 +244,13 @@ def test_each_differential_is_factored_once(monkeypatch):
     m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
     cplx = full_complex(m)
     calls = []
-    eliminate = linalg._eliminate
+    eliminate = linalg.rref
 
     def recording(rows, ncols):
         calls.append([dict(row) for row in rows])
         return eliminate(rows, ncols)
 
-    monkeypatch.setattr(linalg, "_eliminate", recording)
+    monkeypatch.setattr(linalg, "rref", recording)
     assert betti_numbers(cplx) == (1, 5, 9, 10, 9, 5, 1)
     factored = {}
     for k in range(7):
@@ -266,7 +266,7 @@ def test_each_differential_is_factored_once(monkeypatch):
 
 def test_each_space_takes_one_elimination(monkeypatch):
     m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
-    eliminate = linalg._eliminate
+    eliminate = linalg.rref
     for cplx, degrees in [(full_complex(m), 7),
                           (basic_complex(m, [Vector.basis(6, 6)]), 6)]:
         for k in range(7):
@@ -277,7 +277,7 @@ def test_each_space_takes_one_elimination(monkeypatch):
             calls.append(ncols)
             return eliminate(rows, ncols)
 
-        monkeypatch.setattr(linalg, "_eliminate", counting)
+        monkeypatch.setattr(linalg, "rref", counting)
         for k in range(7):
             cplx.space(k)
         monkeypatch.undo()
@@ -318,13 +318,13 @@ def test_class_of_matches_the_oracle(data):
 def _count_eliminations(monkeypatch):
     """The shapes of the eliminations run while monkeypatch is active."""
     calls = []
-    eliminate = linalg._eliminate
+    eliminate = linalg.rref
 
     def counting(rows, ncols):
         calls.append((len(rows), ncols))
         return eliminate(rows, ncols)
 
-    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(linalg, "rref", counting)
     return calls
 
 

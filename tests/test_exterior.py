@@ -241,3 +241,14 @@ def test_random_form_helper_canonical(rng):
         assert all(f.terms.values())
         v = random_vector(rng, 5)
         assert contract(v, contract(v, f)).is_zero()
+
+
+@pytest.mark.parametrize("indices", [(0,), (-1,), (5,), (1, 0), (2, 5, 2)],
+                         ids=str)
+def test_monomial_rejects_indices_outside_the_frame(indices):
+    bad = next(i for i in indices if not 1 <= i <= 4)
+    message = rf"generator index {bad} outside \[1, 4\]"
+    with pytest.raises(ValueError, match=message):
+        Form.monomial(4, indices)
+    with pytest.raises(ValueError, match=message):
+        Form.generator(4, bad)

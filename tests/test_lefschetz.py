@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ from hardlef.errors import (DegreeError, InternalConsistencyError,
 from hardlef.exterior import top_pairing
 
 import oracle
-from conftest import COEFFS
+from conftest import COEFFS, random_fraction, rebase
 
 
 def gen(n, i):
@@ -196,6 +197,24 @@ def test_uv_basic_lefschetz_failure():
     s = validate_lcs(m, gen(6, 6), gen(6, 5))
     flags = [lef.uv_basic_lefschetz(s, k).invertible for k in range(3)]
     assert flags == [True, False, True]
+
+
+def test_transversal_map_ranks_on_first_read_only(monkeypatch):
+    m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
+    s = validate_lcs(m, gen(6, 6), gen(6, 5))
+    calls = []
+    rank = linalg.rank
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return rank(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    maps = [lef.uv_basic_lefschetz(s, k) for k in range(s.n + 1)]
+    assert calls == []
+    for lmap in maps:
+        assert lmap.invertible and lmap.invertible
+    assert len(calls) == len(maps)
 
 
 def test_t_map_inverse_property(kt4_struct, h5s1_struct):
@@ -413,13 +432,13 @@ def test_t_map_reuses_the_gysin_maps(monkeypatch, h5s1_struct):
 def test_suite_builds_each_transversal_map_once(monkeypatch):
     from hardlef.catalog import run_suite
     built = []
-    transversal = lef.TransversalLefschetz
+    transversal = lef.CohomologyMap
 
     def counting(*args):
         built.append(args[0])
         return transversal(*args)
 
-    monkeypatch.setattr(lef, "TransversalLefschetz", counting)
+    monkeypatch.setattr(lef, "CohomologyMap", counting)
     assert run_suite()["ok"]
     # uv_invertible asks for every degree 0..n of kt4 (n = 1), h5s1,
     # nil5a_s1 and nil5b_s1 (n = 2); t_map asks kt4 and h5s1 again
@@ -439,7 +458,7 @@ def test_graph_factors_the_first_projection_once(monkeypatch, kt4_struct):
             return fn(*args)
         return wrapper
 
-    for name in ("_eliminate", "matmul"):
+    for name in ("rref", "matmul"):
         monkeypatch.setattr(linalg, name,
                             counting(name, getattr(linalg, name)))
     for rel in relations:
@@ -917,3 +936,64 @@ def test_pairing_psi_flags_match_brute_force_scans(lcs_struct, monkeypatch,
         assert res.symmetric == all(a == b for a, b in pairs)
         assert res.skew == all(a == -b for a, b in pairs)
         assert res.parity_ok == all(b == (-1) ** k * a for a, b in pairs)
+
+
+def test_exact_chains_are_well_defined_with_vanishing_compositions(
+        lcs_struct):
+    """GysinReport.ok reads exactness alone: a chain is exact only when it
+    is well defined and its compositions vanish."""
+    report = lef.gysin_sequence_check(lcs_struct)
+    for chain in (report.top, report.bottom):
+        if chain.exact:
+            assert chain.well_defined and chain.compositions_vanish
+    assert report.ok == all(
+        (chain.well_defined, chain.compositions_vanish, chain.exact,
+         report.splitting_v.ok, report.splitting_full.ok,
+         bool(report.squares_commute))
+        for chain in (report.top, report.bottom))
+
+
+def _contact_variants():
+    """The contact structure of each contact catalog base and of two
+    seeded rebasings f = P e, P rational unipotent: lower triangular, so
+    that eta = e_n = sum_k P^-1[n][k] f_k is no longer a generator, and
+    upper triangular, so that every d(f_i) is dense.  eta is the same
+    1-form written in the new coframe."""
+    from hardlef.catalog import builtin_entries
+    out = []
+    for entry in builtin_entries():
+        if entry.name not in ("h3", "h5", "nil5a", "nil5b"):
+            continue
+        out.append(pytest.param(validate_contact(entry.model, entry.eta),
+                                id=entry.name))
+        n = entry.model.n_gen
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            p = [[1 if i == j else random_fraction(rng, 3)
+                  if (j < i if seed == 1 else j > i) else 0
+                  for j in range(n)] for i in range(n)]
+            q = linalg.inverse(p)
+            eta = Form(n, 1, {})
+            for mask, c in entry.eta.terms.items():
+                j = mask.bit_length() - 1
+                eta = eta + c * Form(n, 1, {1 << k: q[j][k]
+                                            for k in range(n)})
+            model = rebase(entry.model, p, f"{entry.name}_rebased{seed}")
+            out.append(pytest.param(validate_contact(model, eta),
+                                    id=model.name))
+    return out
+
+
+@pytest.mark.parametrize("contact", _contact_variants())
+def test_contact_verdicts_match_the_product_with_a_circle(contact):
+    """The contact verdicts of N equal the de Rham, Lee-basic and quotient
+    contact verdicts of N x S1 in every degree, in each coframe."""
+    from hardlef.structures import product_with_circle
+    verdicts = [lef.is_graph_of_isomorphism(
+        lef.contact_lefschetz_relation(contact, k)).is_graph_of_isomorphism
+        for k in range(contact.n + 1)]
+    report = lef.lefschetz_equivalence_report(product_with_circle(contact))
+    assert report.contact_available and report.agree
+    assert [(v.degree, v.de_rham, v.basic, v.contact)
+            for v in report.per_degree] == [
+        (k, x, x, x) for k, x in enumerate(verdicts)]

@@ -133,6 +133,20 @@ def test_echelon_residual():
     assert linalg.reduce({2: F(1)}, *index)[1] == {2: F(1)}
 
 
+def test_echelon_is_one_rref(monkeypatch):
+    calls = []
+    rref = linalg.rref
+
+    def counting(rows, ncols):
+        calls.append((len(rows), ncols))
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    ech = linalg.Echelon(S(M([[1, 2, 3], [2, 4, 6], [0, 1, 1]])), 3)
+    assert calls == [(3, 6)]
+    assert ech.pivots == [0, 1] and len(ech.sparse_kernel) == 1
+
+
 def test_random_inverse_roundtrip():
     rng = random.Random(7)
     for _ in range(25):
