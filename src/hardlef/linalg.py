@@ -16,19 +16,26 @@ of lists.
 It works on integer rows: each row is scaled to coprime integers, and a
 step replaces a row q by (a/g) q - (b/g) p, with a and b the entries of
 the pivot row p and of q in the pivot column and g = gcd(a, b), then
-divides q by its content.  A column index (column -> ids of the rows
-holding it, for the pivot columns) finds the rows to clear without a
-scan; a step updates it on the keys of p only.
+divides q by its content.  It runs in the sparse order (Duff, Erisman and
+Reid, Direct Methods for Sparse Matrices, 1986): a forward pass clears
+each pivot column from the rows not yet used as pivots, then one
+back-substitution, from the last pivot up, clears it from the pivot rows
+above.  A column index (column -> ids of the rows holding it) finds the
+rows to clear without a scan; a step updates it on the keys of p only.
 The RREF is unique, so any row may give a pivot (Dumas, Saunders and
-Villard, J. Symb. Comp. 32, 2001); the smallest entry, then the fewest
-nonzeros, then the first row keeps the integers small.  Pivot rows are
-divided by their pivots at the end: every function here takes and gives
-`Fraction`s.  `Echelon` is the one factorization built on it: the RREF
-of [M | I], with the identity as one entry per row, which gives the
-combinations behind each row, the left kernel and the inverse.  Rows
-already in RREF need no factorization: `pivot_index` checks them and
-`reduce` reads a vector's coordinates at their pivots, with the residual
-that decides membership.
+Villard, J. Symb. Comp. 32, 2001); the fewest nonzeros (Markowitz,
+Management Science 3, 1957), then the smallest |entry|, then the first
+row keep fill-in and integers small.  Work follows the nonzeros: an empty
+row is neither converted nor indexed, a one-entry row becomes {j: 1},
+an all-integer row keeps its numerators unscaled, the passes visit only
+the columns some row holds, and a column that its pivot row alone holds
+takes no step.  Pivot rows are divided by their pivots at the end: every
+function here takes and gives `Fraction`s.  `Echelon` is the one
+factorization built on it: the RREF of [M | I], with the identity as one
+entry per row, which gives the combinations behind each row, the left
+kernel and the inverse.  Rows already in RREF need no factorization:
+`pivot_index` checks them and `reduce` reads a vector's coordinates at
+their pivots, with the residual that decides membership.
 
 Elsewhere the arithmetic follows the rule stated in exterior: add_scaled
 does not multiply by 1 and negates for -1, and stores a new entry as it is.
@@ -36,7 +43,6 @@ does not multiply by 1 and negates for -1, and stores a new entry as it is.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -112,10 +118,18 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _integer_row(row: dict) -> dict[int, int]:
-    """The row scaled to coprime integers, zero entries dropped."""
+    """A multiple of the row in coprime integers, zero entries dropped: a
+    one-entry row is {j: 1}, the same line whatever its sign, and an
+    all-integer row (lcm 1) keeps its numerators unscaled."""
+    if len(row) == 1:
+        (j, x), = row.items()
+        return {j: 1} if x else {}
     den = lcm(*[x.denominator for x in row.values()])
-    out = {j: x.numerator * (den // x.denominator)
-           for j, x in row.items() if x}
+    if den == 1:
+        out = {j: n for j, x in row.items() if (n := x.numerator)}
+    else:
+        out = {j: n * (den // x.denominator)
+               for j, x in row.items() if (n := x.numerator)}
     _divide_content(out)
     return out
 
@@ -134,25 +148,31 @@ def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
     and restrict pivoting (and canonical form) to the first `ncols` columns.
     holders[c] has the ids of the rows holding c as keys: a dict of ints,
     which the garbage collector does not track; a set is."""
-    rows = [_integer_row(row) for row in mat]
-    holders: dict[int, dict[int, None]] = defaultdict(dict)
+    rows = [row for row in map(_integer_row, filter(None, mat)) if row]
+    holders: dict[int, dict[int, None]] = {}
     for i, row in enumerate(rows):
         for j in row:
             if j < ncols:
-                holders[j][i] = None
+                holders.setdefault(j, {})[i] = None
     free = set(range(len(rows)))
     order: list[tuple[int, int]] = []
-    for c in range(ncols):
-        found = [i for i in holders.get(c, ()) if i in free]
+    for c in sorted(holders):
+        found = [i for i in holders[c] if i in free]
         if not found:
             continue
         p = found[0] if len(found) == 1 else \
-            min(found, key=lambda i: (abs(rows[i][c]), len(rows[i]), i))
+            min(found, key=lambda i: (len(rows[i]), abs(rows[i][c]), i))
         free.discard(p)
         if rows[p][c] < 0:
             rows[p] = {j: -x for j, x in rows[p].items()}
-        _pivot_step(rows, holders, p, c, ncols)
+        if len(found) > 1:
+            _pivot_step(rows, holders, p, c, ncols,
+                        [i for i in found if i != p])
         order.append((p, c))
+    for p, c in reversed(order):
+        if len(holders[c]) > 1:
+            _pivot_step(rows, holders, p, c, ncols,
+                        [i for i in holders[c] if i != p])
     out = [{j: _SMALL.get(x) or Fraction(x) for j, x in rows[p].items()}
            if rows[p][c] == 1 else
            {j: Fraction(x, rows[p][c]) for j, x in rows[p].items()}
@@ -161,11 +181,9 @@ def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
 
 
 def _pivot_step(rows: list[dict[int, int]], holders: dict[int, dict],
-                p: int, c: int, ncols: int) -> None:
-    """Clear column c from every row but rows[p], updating holders on
-    the keys of rows[p] only."""
-    others = [i for i in holders[c] if i != p]
-    holders[c] = {p: None}
+                p: int, c: int, ncols: int, others: list[int]) -> None:
+    """Clear column c from the rows in others with rows[p], updating
+    holders on the keys of rows[p] only."""
     prow = rows[p]
     a = prow[c]
     for i in others:
@@ -188,7 +206,7 @@ def _pivot_step(rows: list[dict[int, int]], holders: dict[int, dict],
                 else:
                     del row[j]
                     if j < ncols:
-                        holders[j].pop(i, None)  # c: reset above
+                        del holders[j][i]
         _divide_content(row)
 
 

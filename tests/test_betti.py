@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardlef import (StructureModel, Vector, basic_complex, betti_numbers,
-                     full_complex, linalg, validate_contact)
+from hardlef import (Form, StructureModel, Vector, basic_complex,
+                     betti_numbers, full_complex, linalg, validate_contact)
 from hardlef import cohomology as coh
 from hardlef.catalog import builtin_entries
 from hardlef.errors import InternalConsistencyError
@@ -170,3 +170,26 @@ def test_kunneth_for_the_product_with_a_circle(name):
     assert betti_numbers(full_complex(lcs.model)) == tuple(
         (b[k] if k < len(b) else 0) + (b[k - 1] if k else 0)
         for k in range(len(b) + 1))
+
+
+def test_betti_numbers_of_the_dense_rebased_h9_times_a_circle():
+    # h9 by its differentials (pair notation stops at nine generators, and
+    # the product has ten); p is unipotent with a superdiagonal of +-1/2,
+    # as the rebased bench models are, so d is dense in the new coframe
+    n = 9
+    heisenberg = StructureModel(
+        [Form.zero(n, 2)] * (n - 1)
+        + [Form(n, 2, {3 << 2 * i: 1 for i in range(4)})])
+    p = [[Fraction(int(i == j)) + (j == i + 1) * Fraction((-1) ** i, 2)
+          for j in range(n)] for i in range(n)]
+    model = rebase(heisenberg, p)
+    # e9 in the coframe f = p e
+    q = linalg.inverse(p)
+    eta = Form(n, 1, {1 << k: q[n - 1][k] for k in range(n)})
+    lcs = product_with_circle(validate_contact(model, eta))
+    assert any(x.denominator > 1 for row in full_complex(lcs.model)._d(2)
+               for x in row.values())
+    assert betti_numbers(full_complex(lcs.model)) == \
+        (1, 9, 35, 75, 90, 84, 90, 75, 35, 9, 1)
+    assert betti_numbers(basic_complex(lcs.model, [lcs.U])) == \
+        (1, 8, 27, 48, 42, 42, 48, 27, 8, 1, 0)

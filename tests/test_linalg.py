@@ -356,23 +356,105 @@ def test_column_index_matches_the_rows_after_every_step(data):
     step = linalg._pivot_step
     steps = []
 
-    def checked(rows, holders, p, c, index_width):
-        step(rows, holders, p, c, index_width)
+    def checked(rows, holders, p, c, index_width, others):
+        # a forward step clears rows that hold nothing left of c, a back
+        # step pivot rows whose pivots lie left of c; no step is idle
+        assert others and p not in others
+        back = {min(rows[i]) < c for i in others}
+        assert len(back) == 1
+        step(rows, holders, p, c, index_width, others)
         held: dict = {}
         for i, row in enumerate(rows):
             for j in row:
                 if j < index_width:
                     held.setdefault(j, set()).add(i)
         assert {j: set(ids) for j, ids in holders.items() if ids} == held
-        steps.append(c)
+        steps.append((back.pop(), c))
+
+    def check_order(pivots):
+        forward = [c for back, c in steps if not back]
+        backward = [c for back, c in steps if back]
+        assert steps == [(False, c) for c in forward] + \
+            [(True, c) for c in backward]
+        assert forward == sorted(set(forward))
+        assert backward == sorted(set(backward), reverse=True)
+        assert set(forward + backward) <= set(pivots)
+        steps.clear()
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_pivot_step", checked)
-        _, pivots = linalg.rref(S(mat), ncols)
-        assert steps == pivots
-        linalg.Echelon(S(mat), width)
-    # [mat | I] has a pivot in every row
-    assert len(steps) == len(pivots) + len(mat)
+        check_order(linalg.rref(S(mat), ncols)[1])
+        ech = linalg.Echelon(S(mat), width)
+        # [mat | I] has a pivot in every row: those of the kernel rows lie
+        # in the identity block
+        check_order(ech.pivots + [width + min(row)
+                                  for row in ech.sparse_kernel])
+
+
+_shortcut_entries = st.sampled_from([1, -1, 3, -2, F(1), F(-4),
+                                     Fraction(2, 3), Fraction(-5, 6),
+                                     Fraction(7, 4)])
+
+
+@st.composite
+def _shortcut_matrices(draw):
+    """Sparse rows of the shapes rref treats apart, entries as drawn:
+    empty rows, one-entry rows (negative, int, Fraction or an explicit
+    zero), all-integer rows, rows with mixed denominators, duplicated and
+    negated rows and a column held by one row; with ncols <= width."""
+    width = draw(st.integers(1, 6))
+    columns = st.integers(0, width - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["empty", "one", "integer", "mixed",
+                                     "copy"]))
+        if kind == "empty":
+            rows.append({})
+        elif kind == "one":
+            rows.append({draw(columns): draw(st.one_of(
+                _shortcut_entries, st.sampled_from([0, F(0)])))})
+        elif kind == "integer":
+            rows.append(draw(st.dictionaries(columns, st.one_of(
+                st.integers(-6, 6), st.integers(-6, 6).map(F)))))
+        elif kind == "mixed":
+            rows.append(draw(st.dictionaries(columns, _shortcut_entries)))
+        elif rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            rows.append(dict(row) if draw(st.booleans()) else
+                        {j: -x for j, x in row.items()})
+    if rows and draw(st.booleans()):
+        # column c is held by row r alone
+        c, r = draw(columns), draw(st.integers(0, len(rows) - 1))
+        for row in rows:
+            row.pop(c, None)
+        rows[r][c] = draw(_shortcut_entries)
+    return rows, width, draw(st.integers(0, width))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=_shortcut_matrices())
+def test_rref_shortcuts_match_oracle(data):
+    smat, width, ncols = data
+    snapshot = _typed(smat)
+    mat = [[F(row.get(j, 0)) for j in range(width)] for row in smat]
+    rows, pivots = linalg.rref(smat, width)
+    assert ([linalg.dense(r, width) for r in rows], pivots) == \
+        oracle.rref(mat, width)
+    part, part_pivots = linalg.rref(smat, ncols)
+    o_part, o_pivots = oracle.rref(mat, ncols)
+    assert part_pivots == o_pivots
+    assert [linalg.dense(r, width)[:ncols] for r in part] == \
+        [r[:ncols] for r in o_part]
+    ech = linalg.Echelon(smat, width)
+    assert (ech.sparse_rows, ech.pivots) == (rows, pivots)
+    assert ech.sparse_kernel == S(oracle.kernel_rows(mat, width))
+    assert _nonzero_fractions(rows + part + ech.sparse_combos
+                              + ech.sparse_kernel)
+    # an all-zero block of the same rows: every row is in the kernel
+    zeros = [{j: 0 * x for j, x in row.items()} for row in smat]
+    assert linalg.rref(zeros, width) == ([], [])
+    assert linalg.Echelon(zeros, width).sparse_kernel == eye(len(smat))
+    assert _typed(smat) == snapshot
 
 
 def test_inputs_are_not_mutated_or_aliased():
