@@ -11,7 +11,11 @@ Every expected value records how it was obtained: "definition" for direct
 consequences of the defining data, "hand computation" for worked rank
 computations, "dense oracle" for values frozen from the independent dense
 routine in the test suite.  Each entry stores a fingerprint of its
-expectation map so accidental edits are caught by the suite.
+expectation map so accidental edits are caught by the suite: the SHA-256
+of its sorted JSON.  The digest comes from CPython's own module, _sha256
+up to 3.11 or _sha2 from 3.12, because hashlib loads OpenSSL; hashlib
+serves only where neither exists.  The model of a table row is built only
+when its entry is asked for.
 """
 
 from __future__ import annotations
@@ -48,9 +52,13 @@ class CatalogEntry(Record):
 
 
 def entry_fingerprint(expected: Mapping[str, dict]) -> str:
-    import hashlib  # here, so that only the suite loads OpenSSL
-    payload = json.dumps(expected, sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    """16 hex digits of the SHA-256 of the expectations (module docstring)."""
+    payload = json.dumps(expected, sort_keys=True, default=str).encode()
+    for name in ("_sha256", "_sha2", "hashlib"):
+        try:
+            return __import__(name).sha256(payload).hexdigest()[:16]
+        except ImportError:
+            pass
 
 
 def _e(value, source):
@@ -67,155 +75,119 @@ def _entry(name, structure, omega_idx, eta_idx, expected,
                         expected, fingerprint)
 
 
-def builtin_entries() -> tuple[CatalogEntry, ...]:
-    """The shipped regression corpus."""
-    entries = []
+# (name, structure, omega index, eta index, expected, fingerprint) of
+# every entry, in suite order
+_TABLE = (
+    ("h3", "(0,0,12)", None, 3, {
+        "validates": _e("contact", "definition"),
+        "reeb_field": _e("E3", "hand computation"),
+        "betti": _e([1, 2, 2, 1], "hand computation"),
+        "lefschetz_contact": _e([True, True], "hand computation"),
+    }, "f2677cfc3f7163b8"),
+    ("h5", "(0,0,0,0,12+34)", None, 5, {
+        "validates": _e("contact", "definition"),
+        "reeb_field": _e("E5", "hand computation"),
+        "betti": _e([1, 4, 5, 5, 4, 1], "hand computation"),
+        "lefschetz_contact": _e([True, True, True], "dense oracle"),
+    }, "30ea7bc194a6a3ce"),
+    ("nil5a", "(0,0,0,12,13+24)", None, 5, {
+        "validates": _e("contact", "definition"),
+        "reeb_field": _e("E5", "hand computation"),
+        "betti": _e([1, 3, 4, 4, 3, 1], "hand computation"),
+        "lefschetz_contact": _e([True, False, False], "dense oracle"),
+    }, "a9e5978929d14ade"),
+    ("nil5b", "(0,0,12,13,14+23)", None, 5, {
+        "validates": _e("contact", "definition"),
+        "reeb_field": _e("E5", "hand computation"),
+        "betti": _e([1, 2, 3, 3, 2, 1], "hand computation"),
+        "lefschetz_contact": _e([True, False, False], "dense oracle"),
+    }, "be944983c30b2c1e"),
+    ("kt4", "(0,0,12,0)", 4, 3, {
+        "validates": _e("lcs", "definition"),
+        "lee_field": _e("E4", "hand computation"),
+        "anti_lee_field": _e("E3", "hand computation"),
+        "betti": _e([1, 3, 4, 3, 1], "hand computation"),
+        "basic_betti": _e([1, 2, 2, 1, 0], "hand computation"),
+        "lefschetz_de_rham": _e([True, True], "hand computation"),
+        "lefschetz_basic": _e([True, True], "hand computation"),
+        "lefschetz_contact": _e([True, True], "hand computation"),
+        "equivalence_agree": _e(True, "hand computation"),
+        "parity_ok": _e(True, "hand computation"),
+        "b_equals_c_sum": _e(True, "hand computation"),
+        "uv_invertible": _e([True, True], "hand computation"),
+        "gysin_ok": _e(True, "dense oracle"),
+        "t_inverse_ok": _e(True, "hand computation"),
+        "psi_ok": _e(True, "hand computation"),
+        "vaisman": _e("no obstruction found", "hand computation"),
+    }, "ecccb9f6e11d46bf"),
+    ("h5s1", "(0,0,0,0,12+34,0)", 6, 5, {
+        "validates": _e("lcs", "definition"),
+        "lee_field": _e("E6", "hand computation"),
+        "anti_lee_field": _e("E5", "hand computation"),
+        "betti": _e([1, 5, 9, 10, 9, 5, 1], "hand computation"),
+        "basic_betti": _e([1, 4, 5, 5, 4, 1, 0], "hand computation"),
+        "lefschetz_de_rham": _e([True, True, True], "dense oracle"),
+        "lefschetz_basic": _e([True, True, True], "dense oracle"),
+        "lefschetz_contact": _e([True, True, True], "dense oracle"),
+        "equivalence_agree": _e(True, "dense oracle"),
+        "parity_ok": _e(True, "hand computation"),
+        "b_equals_c_sum": _e(True, "hand computation"),
+        "uv_invertible": _e([True, True, True], "hand computation"),
+        "gysin_ok": _e(True, "dense oracle"),
+        "t_inverse_ok": _e(True, "dense oracle"),
+        "psi_ok": _e(True, "dense oracle"),
+        "vaisman": _e("no obstruction found", "dense oracle"),
+    }, "ee80af154339998d"),
+    ("nil5a_s1", "(0,0,0,12,13+24,0)", 6, 5, {
+        "validates": _e("lcs", "definition"),
+        "lee_field": _e("E6", "hand computation"),
+        "anti_lee_field": _e("E5", "hand computation"),
+        "betti": _e([1, 4, 7, 8, 7, 4, 1], "hand computation"),
+        "basic_betti": _e([1, 3, 4, 4, 3, 1, 0], "hand computation"),
+        "lefschetz_de_rham": _e([True, False, False], "dense oracle"),
+        "lefschetz_basic": _e([True, False, False], "dense oracle"),
+        "lefschetz_contact": _e([True, False, False], "dense oracle"),
+        "equivalence_agree": _e(True, "dense oracle"),
+        "parity_ok": _e(False, "hand computation"),
+        "b_equals_c_sum": _e(True, "hand computation"),
+        "uv_invertible": _e([True, False, True], "hand computation"),
+        "gysin_ok": _e(True, "dense oracle"),
+        "vaisman": _e("obstruction found", "dense oracle"),
+    }, "f02022fd3d055086"),
+    ("nil5b_s1", "(0,0,12,13,14+23,0)", 6, 5, {
+        "validates": _e("lcs", "definition"),
+        "lee_field": _e("E6", "hand computation"),
+        "anti_lee_field": _e("E5", "hand computation"),
+        "betti": _e([1, 3, 5, 6, 5, 3, 1], "hand computation"),
+        "basic_betti": _e([1, 2, 3, 3, 2, 1, 0], "hand computation"),
+        "lefschetz_de_rham": _e([True, False, False], "dense oracle"),
+        "lefschetz_basic": _e([True, False, False], "dense oracle"),
+        "lefschetz_contact": _e([True, False, False], "dense oracle"),
+        "equivalence_agree": _e(True, "dense oracle"),
+        "parity_ok": _e(True, "hand computation"),
+        "b_equals_c_sum": _e(True, "hand computation"),
+        "uv_invertible": _e([True, False, True], "hand computation"),
+        "gysin_ok": _e(True, "dense oracle"),
+        "vaisman": _e("obstruction found", "dense oracle"),
+    }, "684cbb5fb386d3bf"),
+    ("abelian4", "(0,0,0,0)", 4, 3,
+     {"validates": _e("RankDefect", "definition")}, "726c3a0fc8107f6b"),
+    ("kt4_lee_not_closed", "(0,0,12,0)", 3, 4,
+     {"validates": _e("NotClosed", "definition")}, "41fb500b3f8d9f60"),
+    ("h3_not_contact", "(0,0,12)", None, 1,
+     {"validates": _e("NotVolume", "definition")}, "a64c41e2c6664412"),
+    ("rank_defect_6d", "(0,0,12,0,0,0)", 4, 3,
+     {"validates": _e("RankDefect", "hand computation")}, "a55a40cd567ebdce"),
+)
 
-    entries.append(_entry(
-        "h3", "(0,0,12)", None, 3,
-        {
-            "validates": _e("contact", "definition"),
-            "reeb_field": _e("E3", "hand computation"),
-            "betti": _e([1, 2, 2, 1], "hand computation"),
-            "lefschetz_contact": _e([True, True], "hand computation"),
-        },
-        fingerprint="f2677cfc3f7163b8"))
+ENTRY_NAMES = tuple(spec[0] for spec in _TABLE)
 
-    entries.append(_entry(
-        "h5", "(0,0,0,0,12+34)", None, 5,
-        {
-            "validates": _e("contact", "definition"),
-            "reeb_field": _e("E5", "hand computation"),
-            "betti": _e([1, 4, 5, 5, 4, 1], "hand computation"),
-            "lefschetz_contact": _e([True, True, True], "dense oracle"),
-        },
-        fingerprint="30ea7bc194a6a3ce"))
 
-    entries.append(_entry(
-        "nil5a", "(0,0,0,12,13+24)", None, 5,
-        {
-            "validates": _e("contact", "definition"),
-            "reeb_field": _e("E5", "hand computation"),
-            "betti": _e([1, 3, 4, 4, 3, 1], "hand computation"),
-            "lefschetz_contact": _e([True, False, False], "dense oracle"),
-        },
-        fingerprint="a9e5978929d14ade"))
-
-    entries.append(_entry(
-        "nil5b", "(0,0,12,13,14+23)", None, 5,
-        {
-            "validates": _e("contact", "definition"),
-            "reeb_field": _e("E5", "hand computation"),
-            "betti": _e([1, 2, 3, 3, 2, 1], "hand computation"),
-            "lefschetz_contact": _e([True, False, False], "dense oracle"),
-        },
-        fingerprint="be944983c30b2c1e"))
-
-    entries.append(_entry(
-        "kt4", "(0,0,12,0)", 4, 3,
-        {
-            "validates": _e("lcs", "definition"),
-            "lee_field": _e("E4", "hand computation"),
-            "anti_lee_field": _e("E3", "hand computation"),
-            "betti": _e([1, 3, 4, 3, 1], "hand computation"),
-            "basic_betti": _e([1, 2, 2, 1, 0], "hand computation"),
-            "lefschetz_de_rham": _e([True, True], "hand computation"),
-            "lefschetz_basic": _e([True, True], "hand computation"),
-            "lefschetz_contact": _e([True, True], "hand computation"),
-            "equivalence_agree": _e(True, "hand computation"),
-            "parity_ok": _e(True, "hand computation"),
-            "b_equals_c_sum": _e(True, "hand computation"),
-            "uv_invertible": _e([True, True], "hand computation"),
-            "gysin_ok": _e(True, "dense oracle"),
-            "t_inverse_ok": _e(True, "hand computation"),
-            "psi_ok": _e(True, "hand computation"),
-            "vaisman": _e("no obstruction found", "hand computation"),
-        },
-        fingerprint="ecccb9f6e11d46bf"))
-
-    entries.append(_entry(
-        "h5s1", "(0,0,0,0,12+34,0)", 6, 5,
-        {
-            "validates": _e("lcs", "definition"),
-            "lee_field": _e("E6", "hand computation"),
-            "anti_lee_field": _e("E5", "hand computation"),
-            "betti": _e([1, 5, 9, 10, 9, 5, 1], "hand computation"),
-            "basic_betti": _e([1, 4, 5, 5, 4, 1, 0], "hand computation"),
-            "lefschetz_de_rham": _e([True, True, True], "dense oracle"),
-            "lefschetz_basic": _e([True, True, True], "dense oracle"),
-            "lefschetz_contact": _e([True, True, True], "dense oracle"),
-            "equivalence_agree": _e(True, "dense oracle"),
-            "parity_ok": _e(True, "hand computation"),
-            "b_equals_c_sum": _e(True, "hand computation"),
-            "uv_invertible": _e([True, True, True], "hand computation"),
-            "gysin_ok": _e(True, "dense oracle"),
-            "t_inverse_ok": _e(True, "dense oracle"),
-            "psi_ok": _e(True, "dense oracle"),
-            "vaisman": _e("no obstruction found", "dense oracle"),
-        },
-        fingerprint="ee80af154339998d"))
-
-    entries.append(_entry(
-        "nil5a_s1", "(0,0,0,12,13+24,0)", 6, 5,
-        {
-            "validates": _e("lcs", "definition"),
-            "lee_field": _e("E6", "hand computation"),
-            "anti_lee_field": _e("E5", "hand computation"),
-            "betti": _e([1, 4, 7, 8, 7, 4, 1], "hand computation"),
-            "basic_betti": _e([1, 3, 4, 4, 3, 1, 0], "hand computation"),
-            "lefschetz_de_rham": _e([True, False, False], "dense oracle"),
-            "lefschetz_basic": _e([True, False, False], "dense oracle"),
-            "lefschetz_contact": _e([True, False, False], "dense oracle"),
-            "equivalence_agree": _e(True, "dense oracle"),
-            "parity_ok": _e(False, "hand computation"),
-            "b_equals_c_sum": _e(True, "hand computation"),
-            "uv_invertible": _e([True, False, True], "hand computation"),
-            "gysin_ok": _e(True, "dense oracle"),
-            "vaisman": _e("obstruction found", "dense oracle"),
-        },
-        fingerprint="f02022fd3d055086"))
-
-    entries.append(_entry(
-        "nil5b_s1", "(0,0,12,13,14+23,0)", 6, 5,
-        {
-            "validates": _e("lcs", "definition"),
-            "lee_field": _e("E6", "hand computation"),
-            "anti_lee_field": _e("E5", "hand computation"),
-            "betti": _e([1, 3, 5, 6, 5, 3, 1], "hand computation"),
-            "basic_betti": _e([1, 2, 3, 3, 2, 1, 0], "hand computation"),
-            "lefschetz_de_rham": _e([True, False, False], "dense oracle"),
-            "lefschetz_basic": _e([True, False, False], "dense oracle"),
-            "lefschetz_contact": _e([True, False, False], "dense oracle"),
-            "equivalence_agree": _e(True, "dense oracle"),
-            "parity_ok": _e(True, "hand computation"),
-            "b_equals_c_sum": _e(True, "hand computation"),
-            "uv_invertible": _e([True, False, True], "hand computation"),
-            "gysin_ok": _e(True, "dense oracle"),
-            "vaisman": _e("obstruction found", "dense oracle"),
-        },
-        fingerprint="684cbb5fb386d3bf"))
-
-    entries.append(_entry(
-        "abelian4", "(0,0,0,0)", 4, 3,
-        {"validates": _e("RankDefect", "definition")},
-        fingerprint="726c3a0fc8107f6b"))
-
-    entries.append(_entry(
-        "kt4_lee_not_closed", "(0,0,12,0)", 3, 4,
-        {"validates": _e("NotClosed", "definition")},
-        fingerprint="41fb500b3f8d9f60"))
-
-    entries.append(_entry(
-        "h3_not_contact", "(0,0,12)", None, 1,
-        {"validates": _e("NotVolume", "definition")},
-        fingerprint="a64c41e2c6664412"))
-
-    entries.append(_entry(
-        "rank_defect_6d", "(0,0,12,0,0,0)", 4, 3,
-        {"validates": _e("RankDefect", "hand computation")},
-        fingerprint="a55a40cd567ebdce"))
-
-    return tuple(entries)
+def builtin_entries(names=None) -> tuple[CatalogEntry, ...]:
+    """The shipped regression corpus in table order, or its entries of the
+    given names only."""
+    return tuple(_entry(*spec) for spec in _TABLE
+                 if names is None or spec[0] in names)
 
 
 def _each(check, struct, degrees) -> list | None:

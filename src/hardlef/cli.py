@@ -10,6 +10,7 @@ document as canonical JSON, byte-identical across runs on identical input.
 from __future__ import annotations
 
 import sys
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 from . import catalog as _catalog
@@ -27,7 +28,7 @@ def _emit(doc: dict, json_path: str | None) -> None:
     sys.stdout.write(report.to_text(doc))
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json(doc))
+            report.to_json(doc, fh)
 
 
 def cmd_validate(args) -> int:
@@ -208,15 +209,12 @@ def cmd_lefschetz(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    entries = _catalog.builtin_entries()
-    if args.entry:
-        wanted = set(args.entry)
-        entries = tuple(e for e in entries if e.name in wanted)
-        missing = wanted - {e.name for e in entries}
-        if missing:
-            raise PreconditionError(f"unknown catalog entries: "
-                                    f"{sorted(missing)}")
-    suite = _catalog.run_suite(entries)
+    missing = set(args.entry or ()).difference(_catalog.ENTRY_NAMES)
+    if missing:
+        raise PreconditionError(f"unknown catalog entries: "
+                                f"{sorted(missing)}")
+    suite = _catalog.run_suite(_catalog.builtin_entries(set(args.entry))
+                               if args.entry else _catalog.builtin_entries())
     doc = report.document("suite", suite,
                           caveats=[report.CAVEAT_INVARIANT_MODEL])
     for item in suite["entries"]:
@@ -231,27 +229,23 @@ def cmd_suite(args) -> int:
                                   if suite["ok"] else "MISMATCHES FOUND\n"))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json(doc))
+            report.to_json(doc, fh)
     return 0 if suite["ok"] else 3
 
 
 def cmd_export(args) -> int:
-    entries = {e.name: e for e in _catalog.builtin_entries()}
-    entry = entries.get(args.entry)
-    if entry is None:
+    if args.entry not in _catalog.ENTRY_NAMES:
         raise PreconditionError(f"unknown catalog entry {args.entry!r}; "
-                                f"available: {sorted(entries)}")
+                                f"available: {sorted(_catalog.ENTRY_NAMES)}")
+    entry, = _catalog.builtin_entries({args.entry})
     doc = modelfile.ModelDocument(entry.model, entry.omega, entry.eta,
                                   default_names(entry.model.n_gen))
-    if args.format == "json":
-        text = report.to_json(modelfile.to_json_dict(doc))
-    else:
-        text = modelfile.serialize(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else nullcontext(sys.stdout)) as fh:
+        if args.format == "json":
+            report.to_json(modelfile.to_json_dict(doc), fh)
+        else:
+            fh.write(modelfile.serialize(doc))
     return 0
 
 

@@ -75,8 +75,8 @@ class Subcomplex:
         for k in range(n + 1):
             mat = []
             for f in self.bases[k]:
-                coords = self._coords(model.d(f), k + 1)
-                if coords is None:
+                coords, residual = self._reduce(model.d(f), k + 1)
+                if residual:
                     raise InternalConsistencyError(
                         f"span is not closed under d in degree {k}; "
                         f"the fields do not cut out a subcomplex")
@@ -126,19 +126,20 @@ class Subcomplex:
     def coords(self, form: Form, degree: int | None = None):
         """Coordinates of a form in the degree basis, or None if outside."""
         k = form.degree if degree is None else degree
-        sol = self._coords(form, k)
-        return None if sol is None else linalg.dense(sol, self.dim(k))
+        sol, residual = self._reduce(form, k)
+        return None if residual else linalg.dense(sol, self.dim(k))
 
-    def _coords(self, form: Form, k: int) -> dict[int, Fraction] | None:
-        """Sparse coordinates of a form in the degree-k basis, or None."""
+    def _reduce(self, form: Form, k: int) -> tuple[dict, dict]:
+        """(sparse coordinates, residual) of a form against the degree-k
+        basis (linalg.reduce); a nonzero form of another degree is all
+        residual, and the form lies in the slice when none is left."""
         if form.n_gen != self.model.n_gen:
             raise ModelMismatchError("form does not live over this model")
         if not form.terms:
-            return {}
+            return {}, {}
         if form.degree != k or not 0 <= k <= self.model.n_gen:
-            return None
-        coords, residual = linalg.reduce(form.terms, *self._pivots[k])
-        return None if residual else coords
+            return {}, form.terms
+        return linalg.reduce(form.terms, *self._pivots[k])
 
     def dims(self) -> tuple[int, ...]:
         return tuple(self.dim(k) for k in range(self.model.n_gen + 1))
@@ -228,6 +229,7 @@ class CohomologySpace:
         self.complex = cplx
         self.degree = degree
         self.dimension = len(rep_coords)
+        self._rep_coords = rep_coords
         self._classes = classes
         basis = cplx.basis(degree)
         self.representatives = tuple(
@@ -239,11 +241,16 @@ class CohomologySpace:
 
     def _class_of(self, form: Form) -> dict[int, Fraction]:
         """Sparse class of a closed element of the degree slice."""
-        coords = self.complex._coords(form, self.degree)
-        if coords is None:
+        coords, residual = self.complex._reduce(form, self.degree)
+        if residual:
             raise InternalConsistencyError(
                 f"form of degree {form.degree} is not an element of the "
                 f"degree-{self.degree} slice of the subcomplex")
+        return self._class_of_coords(coords)
+
+    def _class_of_coords(self, coords: dict[int, Fraction]
+                         ) -> dict[int, Fraction]:
+        """_class_of, given the coordinates in the slice basis."""
         diff = self.complex._d(self.degree)
         img: dict[int, Fraction] = {}
         for i, c in coords.items():

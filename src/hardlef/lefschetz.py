@@ -15,26 +15,30 @@ Everything is decided by exact rank computations; powers of L that exceed
 the top degree are the zero map.
 
 The flow sequences compare cohomologies through maps induced by operators
-on forms: cup with d(eta), inclusion and i_V, made once per structure.
-When such an operator is certified a chain map on the source slices of
-degrees a-1 and a (it lands in the target slices and d op = +-op d on
-their basis forms), [x] -> [op x] is well defined and its matrix is the
-classes of op applied to the source representatives.  An operator that is
-not certified falls back to the relation of class pairs ([x], [op x]),
-which decides whether the map is defined on every class and single valued
-and reports it when it is not.
+on forms, linear in each degree: cup with d(eta), inclusion and i_V, made
+once per structure.  When such an operator is certified a chain map on
+the source slices of degrees a-1 and a (it lands in the target slices and
+d op = +-op d on their basis forms), [x] -> [op x] is well defined and
+its matrix is the classes of op applied to the source representatives.
+Building a map applies op once to each basis form of the slices it
+reads: the certificates are read in slice coordinates from the rows of
+the differentials, and the classes from the same coordinates.  An
+operator that is not certified falls back to the relation of class pairs
+([x], [op x]), which decides whether the map is defined on every class
+and single valued and reports it when it is not.
 
 Each model owns the memo of everything this layer computes from it:
-complexes, relations, reports, the flow operators, chain-slice
-certificates, induced class maps and the Lee quotient.  A relation keeps
-its own graph and verdict, and a transversal Lefschetz map (a
-cohomology.CohomologyMap) its own rank; they live and die with it.
+complexes, relations, reports, the powers of d(eta), the flow operators,
+chain-slice certificates, induced class maps and the Lee quotient.  A
+relation keeps its own graph and verdict, and a transversal Lefschetz
+map (a cohomology.CohomologyMap) its own rank; they live and die with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from . import linalg
@@ -43,7 +47,7 @@ from .cohomology import (CohomologyMap, CohomologySpace, Subcomplex,
                          betti_numbers, full_complex, splitting_check)
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
                      NotProjectableError, PreconditionError)
-from .exterior import Form, contract, top_pairing, wedge_power
+from .exterior import Form, contract, top_pairing
 from .record import Record
 from .structures import ContactStructure, LcsStructure, quotient_contact
 
@@ -54,10 +58,11 @@ def _cached(model, key, build):
     error reaches every caller.  Keys are tagged by kind: ("complex",
     fields); (picture, structure, k) for a relation, which keeps its own
     graph and verdict; ("transversal", structure, k) for a transversal
-    Lefschetz map, which keeps its own rank; ("parity", "equivalence" or
-    "quotient", structure); ("flow operators", structure); ("chain slice",
+    Lefschetz map, which keeps its own rank; ("parity", "equivalence",
+    "quotient", "powers" or "flow operators", structure); ("chain slice",
     source complex, target complex, operator, k, j); ("class map", source
-    space, target space, operator)."""
+    space, target space, operator); ("images", source complex, target
+    complex, operator) only while _class_map builds a map over them."""
     memo = model._memo
     if key not in memo:
         memo[key] = build()
@@ -72,6 +77,14 @@ def _basic(model, fields) -> Subcomplex:
     return _cached(model, ("complex", fields),
                    lambda: (basic_complex(model, fields) if fields
                             else full_complex(model)))
+
+
+def _deta_powers(struct) -> tuple[Form, ...]:
+    """(d eta)^0, ..., (d eta)^(n+2), each the wedge of the one before with
+    d eta, once per structure."""
+    return _cached(struct.model, ("powers", struct), lambda: tuple(accumulate(
+        [struct.model.d(struct.eta)] * (struct.n + 2), Form.wedge,
+        initial=Form.constant(struct.model.n_gen, 1))))
 
 
 def _check_k(k: int, n: int) -> None:
@@ -205,10 +218,9 @@ def de_rham_lefschetz_relation(struct: LcsStructure,
     model = struct.model
 
     def build():
-        deta = model.d(struct.eta)
-        l_high = wedge_power(deta, n - k + 2)
-        l_mid = wedge_power(deta, n - k + 1)
-        l_low = wedge_power(deta, n - k)
+        powers = _deta_powers(struct)
+        deta = powers[1]
+        l_low, l_mid, l_high = powers[n - k:n - k + 3]
         ops = (model.d,
                lambda f: model.lie_derivative(struct.U, f),
                lambda f: contract(struct.V, f),
@@ -250,9 +262,7 @@ def _odd_relation(picture: str, struct, field, fields,
     model = struct.model
 
     def build():
-        deta = model.d(struct.eta)
-        l_mid = wedge_power(deta, n - k + 1)
-        l_low = wedge_power(deta, n - k)
+        l_low, l_mid = _deta_powers(struct)[n - k:n - k + 2]
         ops = (model.d,
                lambda f: contract(field, f),
                lambda f: l_mid.wedge(f))
@@ -296,7 +306,7 @@ def uv_basic_lefschetz(struct: LcsStructure, k: int) -> CohomologyMap:
         uv = _basic(model, (struct.U, struct.V))
         src = uv.space(k)
         dst = uv.space(2 * n - k)
-        power = wedge_power(model.d(struct.eta), n - k)
+        power = _deta_powers(struct)[n - k]
         return CohomologyMap(k, tuple(dst._class_of(power.wedge(rep))
                                       for rep in src.representatives),
                              dst.dimension)
@@ -308,25 +318,42 @@ def _flow_ops(struct: LcsStructure) -> tuple:
     """(cup with d eta, inclusion, i_V), made once per structure, so that
     the flow sequences and T_k share their class maps."""
     def build():
-        deta = struct.model.d(struct.eta)
+        deta = _deta_powers(struct)[1]
         return (lambda f: deta.wedge(f), lambda f: f,
                 lambda f: contract(struct.V, f))
     return _cached(struct.model, ("flow operators", struct), build)
 
 
+def _images(src: Subcomplex, dst: Subcomplex, op: Callable[[Form], Form],
+            k: int, j: int) -> tuple[list, list]:
+    """(coordinates, residuals) of op f in the degree-j slice of dst, over
+    the basis forms f of the degree-k slice of src; kept while _class_map
+    builds a map over (src, dst, op)."""
+    store = src.model._memo.get(("images", src, dst, op), {})
+    if (k, j) not in store:
+        pairs = [dst._reduce(op(f), j) for f in src.basis(k)]
+        store[k, j] = [c for c, _ in pairs], [r for _, r in pairs]
+    return store[k, j]
+
+
 def _chain_slice(src: Subcomplex, dst: Subcomplex,
                  op: Callable[[Form], Form], k: int, j: int) -> bool:
     """Whether op sends the degree-k slice of src into the degree-j slice
-    of dst with d(op f) = s op(d f) on every basis form f, for one sign s."""
-    d = src.model.d
-    pairs = []
-    for f in src.basis(k):
-        g = op(f)
-        if dst._coords(g, j) is None:
-            return False
-        pairs.append((d(g), op(d(f))))
-    return (all(x == y for x, y in pairs)
-            or all(x == -y for x, y in pairs))
+    of dst with d(op f) = s op(d f) on every basis form f, for one sign s.
+    No d of a form is taken: d(op f) is the coordinates of op f times the
+    rows of d of dst, and op(d f), op being linear, the row of d f in src
+    times the images of the degree-(k+1) basis, whose residuals must
+    cancel."""
+    coords, residuals = _images(src, dst, op, k, j)
+    if any(residuals):
+        return False
+    upper, upper_residuals = _images(src, dst, op, k + 1, j + 1)
+    if any(linalg.matmul(src._d(k), upper_residuals)):
+        return False
+    lhs = linalg.matmul(coords, dst._d(j))
+    rhs = linalg.matmul(src._d(k), upper)
+    return lhs == rhs or lhs == [{c: -x for c, x in row.items()}
+                                 for row in rhs]
 
 
 def _is_chain_map(src_space: CohomologySpace, dst_space: CohomologySpace,
@@ -356,12 +383,21 @@ def _induced_map(src_space: CohomologySpace, dst_space: CohomologySpace,
 def _class_map(src_space: CohomologySpace, dst_space: CohomologySpace,
                op: Callable[[Form], Form], label: str) -> linalg.Matrix:
     """When op is certified a chain map (_is_chain_map), row i is the class
-    of op applied to the i-th source representative; otherwise the map is
-    read off its relation of class pairs (_relation_map)."""
-    if _is_chain_map(src_space, dst_space, op):
-        return [dst_space._class_of(op(rep))
-                for rep in src_space.representatives]
-    return _relation_map(src_space, dst_space, op, label)
+    of op applied to the i-th source representative, read from the images
+    of the source slice basis that the certificate read; otherwise the map
+    is read off its relation of class pairs (_relation_map)."""
+    src, dst = src_space.complex, dst_space.complex
+    memo = src.model._memo
+    key = ("images", src, dst, op)
+    memo[key] = {}
+    try:
+        if not _is_chain_map(src_space, dst_space, op):
+            return _relation_map(src_space, dst_space, op, label)
+        coords, _ = _images(src, dst, op, src_space.degree, dst_space.degree)
+        return [dst_space._class_of_coords(row)
+                for row in linalg.matmul(src_space._rep_coords, coords)]
+    finally:
+        del memo[key]
 
 
 def _relation_map(src_space: CohomologySpace, dst_space: CohomologySpace,

@@ -12,7 +12,8 @@ The arithmetic follows the rule stated in exterior: `Fraction` is the only
 scalar, and no `Fraction` operation is made whose result is already
 known.  d(e_I) is read off the terms of the d(e_i) with two merge signs
 per term, and the bracket and the two flags read the structure constants
-from those terms directly, touching only nonzero components.
+from those terms directly, touching only nonzero components.  L_v is a
+derivation of degree 0, read off the one-forms L_v e_i = i_v d e_i.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class StructureModel:
         self._hash = hash((n, self.d1))
         self.name = name
         self._d_cache: dict[int, Form] = {}
+        # id(v) -> (v, the terms of each L_v e_i or () if all vanish)
+        self._lie_cache: dict[int, tuple] = {}
         # what the Lefschetz layer computes from this model (lefschetz._cached)
         self._memo: dict = {}
         # per k, the terms c e_a ^ e_b (a < b, 0-based) of d(e_k): the
@@ -158,12 +161,29 @@ class StructureModel:
         return total
 
     def lie_derivative(self, v: Vector, a: Form) -> Form:
-        """Cartan formula L_v = i_v d + d i_v for a constant field v."""
+        """L_v = i_v d + d i_v for a constant field v: L_v(e_I) replaces
+        each factor e_i in turn by L_v e_i, whose term in e_j takes one sign
+        per factor between e_i and e_j; zero for a central field."""
         if v.n_gen != self.n_gen or a.n_gen != self.n_gen:
             raise ModelMismatchError("operands do not live over this model")
-        if a.degree == 0:
-            return Form.zero(self.n_gen, 0)
-        return contract(v, self.d(a)) + self.d(contract(v, a))
+        cached = self._lie_cache.get(id(v))
+        if cached is None:
+            ones = tuple(tuple(contract(v, f).terms.items()) for f in self.d1)
+            cached = self._lie_cache[id(v)] = (v, ones if any(ones) else ())
+        ones = cached[1]
+        out: dict[int, Fraction] = {}
+        for mask, c in a.terms.items() if ones else ():
+            rem = mask
+            while rem:
+                low = rem & -rem
+                rest = mask ^ low
+                for j, x in ones[low.bit_length() - 1]:
+                    if not j & rest:
+                        t = c if x == 1 else c * x
+                        odd = (rest & ((low - 1) ^ (j - 1))).bit_count() & 1
+                        _accumulate(out, rest | j, -t if odd else t)
+                rem ^= low
+        return Form._make(self.n_gen, a.degree, out)
 
     def bracket(self, v: Vector, w: Vector) -> Vector:
         """Lie bracket of constant fields via e_k([v, w]) = -de_k(v, w),

@@ -45,7 +45,11 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values(self))
+        # taken once: a memo key hashes its record on every lookup
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self._values(self))
+        return h
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -73,8 +73,10 @@ def document(command: str, results: dict, model=None, names=None,
     return doc
 
 
-def to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def to_json(doc: dict, fh) -> None:
+    """Write the canonical JSON of a document, never held whole, to fh."""
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 # ----- text rendering -------------------------------------------------------

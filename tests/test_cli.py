@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -358,6 +359,51 @@ def test_suite_mismatch_exits_3(monkeypatch, capsys):
 
 def test_suite_unknown_entry(capsys):
     assert cli.main(["suite", "--entry", "nope"]) == 1
+
+
+def test_suite_builds_only_the_named_entries(monkeypatch, capsys):
+    from hardlef import catalog
+    built = []
+    entry = catalog._entry
+
+    def counting(name, *args):
+        built.append(name)
+        return entry(name, *args)
+
+    monkeypatch.setattr(catalog, "_entry", counting)
+    assert cli.main(["suite", "--entry", "kt4", "--entry", "h3"]) == 0
+    assert built == ["h3", "kt4"]
+    assert cli.main(["suite", "--entry", "kt4", "--entry", "nope"]) == 1
+    assert cli.main(["export", "h5"]) == 0
+    assert built == ["h3", "kt4", "h5"]
+    capsys.readouterr()
+
+
+def test_fingerprints_are_sha256_digests():
+    import hashlib
+    from hardlef.catalog import entry_fingerprint
+    for entry in builtin_entries():
+        payload = json.dumps(entry.expected, sort_keys=True, default=str)
+        assert entry_fingerprint(entry.expected) == entry.fingerprint == \
+            hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def test_json_report_is_written_without_a_whole_string(monkeypatch, tmp_path,
+                                                        capsys):
+    from hardlef import report
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("the report was built as one string")
+
+    out = tmp_path / "h5s1.json"
+    model = Path(__file__).resolve().parent.parent / "models" / "h5s1.model"
+    monkeypatch.setattr(report.json, "dumps", refusing)
+    assert cli.main(["lefschetz", str(model), "--json", str(out)]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2,
+                              sort_keys=True) + "\n"
 
 
 def test_export_roundtrip(tmp_path, capsys):

@@ -13,7 +13,7 @@ from hardlef import linalg
 from hardlef.cohomology import CohomologySpace
 from hardlef.errors import (DegreeError, InternalConsistencyError,
                             NotLefschetzError, PreconditionError)
-from hardlef.exterior import top_pairing
+from hardlef.exterior import top_pairing, wedge_power
 
 import oracle
 from conftest import COEFFS, random_fraction, rebase
@@ -154,8 +154,8 @@ def test_relation_spans_are_representative_independent(kt4_struct):
     ops = (model.d,
            lambda f: model.lie_derivative(kt4_struct.U, f),
            lambda f: lef.contract(kt4_struct.V, f),
-           lambda f: lef.wedge_power(deta, 2).wedge(f),
-           lambda f: lef.wedge_power(deta, 1).wedge(kt4_struct.omega.wedge(f)))
+           lambda f: wedge_power(deta, 2).wedge(f),
+           lambda f: wedge_power(deta, 1).wedge(kt4_struct.omega.wedge(f)))
     basis = lef._joint_kernel(cplx.basis(1), ops, model.n_gen, 1)
     # a different (still admissible) spanning set of the same subspace
     shuffled = [basis[0] + basis[1], basis[1], basis[2] + 2 * basis[0]]
@@ -163,7 +163,7 @@ def test_relation_spans_are_representative_independent(kt4_struct):
     for gamma in shuffled:
         liu = deta.wedge(lef.contract(kt4_struct.U, gamma))
         target = kt4_struct.eta.wedge(
-            lef.wedge_power(deta, 0).wedge(liu - kt4_struct.omega.wedge(gamma)))
+            wedge_power(deta, 0).wedge(liu - kt4_struct.omega.wedge(gamma)))
         pairs.append((src._class_of(gamma), dst._class_of(target)))
     rebuilt = lef.CohomologyRelation.from_pairs(src, dst, pairs)
     assert rebuilt.rows == rel.rows and rebuilt.span == rel.span
@@ -363,17 +363,41 @@ def test_a_second_call_to_a_relation_builder_computes_no_power(
              (lef.basic_lefschetz_relation, h5s1_struct),
              (lef.contact_lefschetz_relation, contact)]
     first = [builder(struct, 1) for builder, struct in calls]
-    powers = []
-    wedge_power = lef.wedge_power
+    wedges = []
+    wedge = Form.wedge
 
-    def counting(a, m):
-        powers.append(m)
-        return wedge_power(a, m)
+    def counting(a, b):
+        wedges.append((a, b))
+        return wedge(a, b)
 
-    monkeypatch.setattr(lef, "wedge_power", counting)
+    monkeypatch.setattr(Form, "wedge", counting)
     for (builder, struct), relation in zip(calls, first):
         assert builder(struct, 1) is relation
-    assert powers == []
+    assert wedges == []
+
+
+def test_each_structure_builds_its_powers_of_d_eta_once(monkeypatch,
+                                                         h5s1_struct):
+    # the relations of every degree and the transversal maps share one
+    # list of powers, each the wedge of the one before with d eta
+    powers = []
+    deta_powers = lef._deta_powers
+
+    def counting(struct):
+        out = deta_powers(struct)
+        powers.append(out)
+        return out
+
+    monkeypatch.setattr(lef, "_deta_powers", counting)
+    n = h5s1_struct.n
+    for k in range(n + 1):
+        lef.de_rham_lefschetz_relation(h5s1_struct, k)
+        lef.basic_lefschetz_relation(h5s1_struct, k)
+        lef.uv_basic_lefschetz(h5s1_struct, k)
+    assert len(powers) == 3 * (n + 1)
+    assert all(p is powers[0] for p in powers)
+    deta = h5s1_struct.model.d(h5s1_struct.eta)
+    assert list(powers[0]) == [wedge_power(deta, m) for m in range(n + 3)]
 
 
 def test_lefschetz_all_builds_each_report_once(monkeypatch, capsys):
@@ -496,6 +520,74 @@ def test_induced_maps_agree_with_relation_path(monkeypatch, lcs_struct):
     assert any(certified)
 
 
+def _form_chain_slice(src, dst, op, k, j):
+    """The certificate of one slice taken on forms: op f lies in the
+    degree-j slice of dst and d(op f) = s op(d f) on every basis form f of
+    the degree-k slice of src, for one sign s."""
+    d = src.model.d
+    pairs = []
+    for f in src.basis(k):
+        g = op(f)
+        if dst._reduce(g, j)[1]:
+            return False
+        pairs.append((d(g), op(d(f))))
+    return (all(x == y for x, y in pairs)
+            or all(x == -y for x, y in pairs))
+
+
+def test_slice_certificates_agree_with_forms(monkeypatch, lcs_struct):
+    """Every slice certificate of the Gysin check and of T_k, read in slice
+    coordinates, equals the one taken on forms."""
+    verdicts = []
+    chain_slice = lef._chain_slice
+
+    def both(src, dst, op, k, j):
+        verdict = chain_slice(src, dst, op, k, j)
+        assert verdict == _form_chain_slice(src, dst, op, k, j)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(lef, "_chain_slice", both)
+    lef.gysin_sequence_check(lcs_struct)
+    for k in range(lcs_struct.n + 1):
+        try:
+            lef.t_map(lcs_struct, k)
+        except PreconditionError:
+            pass
+    assert any(verdicts)
+
+
+def test_certificates_of_non_chain_operators_agree_with_forms(h5s1_struct):
+    model = h5s1_struct.model
+    full = lef._full(model)
+    lee_basic = lef._basic(model, (h5s1_struct.U,))
+    e5, e34 = gen(6, 5), 0b1100
+
+    def wedge_e5(f):
+        return e5.wedge(f)
+
+    def scale(f):
+        return f * 2 ** f.degree
+
+    def drop_e34(f):
+        if f.degree != 2:
+            return f
+        return Form(f.n_gen, 2, {m: c for m, c in f.terms.items()
+                                 if m != e34})
+
+    def ident(f):
+        return f
+
+    verdicts = []
+    for op, shift, dst in ((wedge_e5, 1, full), (scale, 0, full),
+                           (drop_e34, 0, full), (ident, 0, lee_basic)):
+        for k in range(-1, model.n_gen + 1):
+            verdict = lef._chain_slice(full, dst, op, k, k + shift)
+            assert verdict == _form_chain_slice(full, dst, op, k, k + shift)
+            verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_non_chain_operator_takes_the_relation_path(monkeypatch,
                                                     h5s1_struct):
     model = h5s1_struct.model
@@ -610,12 +702,11 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
         Path(__file__).resolve().parent.parent / "models" / "h7s1.model")
     struct = validate_lcs(doc.model, doc.omega, doc.eta)
     relations, slices, source_dims = [], [], []
-    class_calls = {"in_map": 0}
+    calls = {"class_of": 0, "class_of_coords": 0, "d": 0}
     depth = []
 
     class_map = lef._class_map
     chain_slice = lef._chain_slice
-    class_of = CohomologySpace._class_of
 
     def counting_map(src, dst, op, label):
         source_dims.append(src.dimension)
@@ -629,24 +720,35 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
         slices.append((src, dst, op, k, j))
         return chain_slice(src, dst, op, k, j)
 
-    def counting_class_of(space, form):
-        if depth:
-            class_calls["in_map"] += 1
-        return class_of(space, form)
+    def counting(name, fn):
+        def wrapper(*args):
+            if depth:
+                calls[name] += 1
+            return fn(*args)
+        return wrapper
 
     monkeypatch.setattr(lef, "_class_map", counting_map)
     monkeypatch.setattr(lef, "_chain_slice", counting_slice)
     monkeypatch.setattr(lef, "_relation_map",
                         lambda *args: relations.append(args))
-    monkeypatch.setattr(CohomologySpace, "_class_of", counting_class_of)
+    for cls, name in ((CohomologySpace, "_class_of"),
+                      (CohomologySpace, "_class_of_coords"),
+                      (StructureModel, "d")):
+        monkeypatch.setattr(cls, name, counting(name.lstrip("_"),
+                                                getattr(cls, name)))
     assert lef.gysin_sequence_check(struct).ok
     assert relations == []
     assert len(source_dims) == 68
-    assert class_calls["in_map"] == sum(source_dims)
+    # one class solve per representative, on the coordinates of its image
+    # that the certificates read; no form is reduced again and no d of a
+    # form is taken while a map is built
+    assert calls == {"class_of": 0, "class_of_coords": sum(source_dims),
+                     "d": 0}
     assert slices and len(slices) == len(set(slices))
-    # the model's memo keeps every slice verdict
+    # the model's memo keeps every slice verdict, and no image of a slice
     assert sum(key[0] == "chain slice"
                for key in struct.model._memo) == len(slices)
+    assert not any(key[0] == "images" for key in struct.model._memo)
 
 
 def test_run_entry_propagates_programming_errors(monkeypatch):

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardlef import Form, StructureModel, Vector, contract, wedge
+from hardlef import (Form, StructureModel, Vector, contract, validate_lcs,
+                     wedge)
 from hardlef.errors import ValidationError
 
-from conftest import (random_form, random_model, random_vector,
-                      rational_models, vectors)
+from conftest import (LCS_CORPUS, forms, random_form, random_model,
+                      random_vector, rational_models, vectors)
 
 
 @pytest.fixture
@@ -129,6 +130,38 @@ def test_lie_derivative_commutes_with_d(rng):
         v = random_vector(rng, m.n_gen)
         a = random_form(rng, m.n_gen, rng.randint(0, m.n_gen - 1))
         assert m.d(m.lie_derivative(v, a)) == m.lie_derivative(v, m.d(a))
+
+
+def _cartan(m, v, a):
+    """L_v a = i_v d a + d i_v a, taken on forms."""
+    return contract(v, m.d(a)) + m.d(contract(v, a))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(data=st.data())
+def test_lie_derivative_is_the_cartan_formula(data):
+    # random fields of nilpotent, solvable and simple algebras under a
+    # change of basis: mostly not central, so the derivation has terms
+    m = data.draw(rational_models())
+    v = data.draw(vectors(m.n_gen))
+    a = data.draw(forms(m.n_gen))
+    lv = m.lie_derivative(v, a)
+    assert lv == _cartan(m, v, a) and lv.degree == a.degree
+    assert m.lie_derivative(v, a) == lv
+
+
+@settings(max_examples=100, derandomize=True)
+@given(data=st.data())
+def test_lie_derivative_along_u_and_v_is_the_cartan_formula(data):
+    # the Lee and anti-Lee fields of every corpus structure; the anti-Lee
+    # field of su(2) x S1 is not central
+    model, omega, eta = LCS_CORPUS[data.draw(st.sampled_from(
+        sorted(LCS_CORPUS)))]
+    struct = validate_lcs(StructureModel(model.d1), omega, eta)
+    v = data.draw(st.sampled_from([struct.U, struct.V]))
+    a = data.draw(forms(model.n_gen))
+    lv = struct.model.lie_derivative(v, a)
+    assert lv == _cartan(struct.model, v, a) and lv.degree == a.degree
 
 
 def test_nilpotent_and_unimodular_flags(kt4):
