@@ -17,9 +17,11 @@ the elimination that picks them also gives the class of every cycle.
 
 Sparse inside, dense at the API.  The differential rows, kernels, images,
 representatives, the classes _class_of returns and the rows of a
-CohomologyMap are sparse vectors {column: Fraction}, the one matrix kind
-of linalg.  Dense tuples or lists are built only when a public method or
-attribute is read: coords, class_of, diff_matrix and CohomologyMap.matrix.
+CohomologyMap are sparse vectors {column: scalar}, the one matrix kind
+of linalg, whose scalar rule holds: an int where a value is integral, a
+Fraction elsewhere.  Dense tuples or lists are built only when a public
+method or attribute is read: coords, class_of, diff_matrix and
+CohomologyMap.matrix.
 Every degree basis is an RREF over the monomials of its degree (the
 identity for full_complex, a row space for basic_complex), hence its own
 factorization: linalg.reduce reads a form's coordinates at the pivots,
@@ -34,7 +36,6 @@ reads invertibility off its maps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
 from typing import Sequence
@@ -42,7 +43,7 @@ from typing import Sequence
 from . import linalg
 from .errors import (DegreeError, InternalConsistencyError, ModelMismatchError,
                      NotClosedError, PreconditionError)
-from .exterior import (Form, Vector, _column_index, degree_masks,
+from .exterior import (Form, Rational, Vector, _column_index, degree_masks,
                        sparse_coords)
 from .model import StructureModel
 from .record import Record
@@ -71,7 +72,7 @@ class Subcomplex:
             index = _column_index(n, k)
             self._pivots.append((index if at == index else at, off))
         # sparse rows of d from each degree, in subcomplex coordinates
-        self._diff: list[list[dict[int, Fraction]]] = []
+        self._diff: list[list[dict[int, Rational]]] = []
         for k in range(n + 1):
             mat = []
             for f in self.bases[k]:
@@ -100,7 +101,7 @@ class Subcomplex:
         """Matrix of d from degree k to k+1, rows indexed by the basis."""
         return [linalg.dense(row, self.dim(k + 1)) for row in self._d(k)]
 
-    def _d(self, k: int) -> list[dict[int, Fraction]]:
+    def _d(self, k: int) -> list[dict[int, Rational]]:
         return self._diff[k] if 0 <= k <= self.model.n_gen else []
 
     def _diff_echelon(self, k: int) -> linalg.Echelon:
@@ -193,7 +194,7 @@ class Subcomplex:
         # representative rows vanish on the image columns (all pivots)
         r = len(image)
         cols = image + kernel
-        transposed: list[dict[int, Fraction]] = [{} for _ in range(m_k)]
+        transposed: list[dict[int, Rational]] = [{} for _ in range(m_k)]
         for i, col in enumerate(cols):
             for j, x in col.items():
                 transposed[j][i] = x
@@ -202,7 +203,7 @@ class Subcomplex:
         if len(reps) != len(kernel) - r:
             raise InternalConsistencyError(
                 f"image is not contained in the kernel in degree {k}")
-        classes: list[dict[int, Fraction]] = [{} for _ in kernel]
+        classes: list[dict[int, Rational]] = [{} for _ in kernel]
         for i, row in enumerate(rows[r:]):
             for j, x in row.items():
                 classes[j - r][i] = x
@@ -224,8 +225,8 @@ class CohomologySpace:
     """
 
     def __init__(self, cplx: Subcomplex, degree: int,
-                 rep_coords: list[dict[int, Fraction]],
-                 classes: dict[int, dict[int, Fraction]]):
+                 rep_coords: list[dict[int, Rational]],
+                 classes: dict[int, dict[int, Rational]]):
         self.complex = cplx
         self.degree = degree
         self.dimension = len(rep_coords)
@@ -236,10 +237,10 @@ class CohomologySpace:
             _combine(basis, row, cplx.model.n_gen, degree)
             for row in rep_coords)
 
-    def class_of(self, form: Form) -> tuple[Fraction, ...]:
+    def class_of(self, form: Form) -> tuple[Rational, ...]:
         return tuple(linalg.dense(self._class_of(form), self.dimension))
 
-    def _class_of(self, form: Form) -> dict[int, Fraction]:
+    def _class_of(self, form: Form) -> dict[int, Rational]:
         """Sparse class of a closed element of the degree slice."""
         coords, residual = self.complex._reduce(form, self.degree)
         if residual:
@@ -248,17 +249,17 @@ class CohomologySpace:
                 f"degree-{self.degree} slice of the subcomplex")
         return self._class_of_coords(coords)
 
-    def _class_of_coords(self, coords: dict[int, Fraction]
-                         ) -> dict[int, Fraction]:
+    def _class_of_coords(self, coords: dict[int, Rational]
+                         ) -> dict[int, Rational]:
         """_class_of, given the coordinates in the slice basis."""
         diff = self.complex._d(self.degree)
-        img: dict[int, Fraction] = {}
+        img: dict[int, Rational] = {}
         for i, c in coords.items():
             linalg.add_scaled(img, c, diff[i])
         if img:
             raise PreconditionError(
                 f"class_of needs a closed form in degree {self.degree}")
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rational] = {}
         for p, c in coords.items():
             cls = self._classes.get(p)
             if cls is not None:
@@ -270,10 +271,10 @@ class CohomologySpace:
                 f"dimension {self.dimension}>")
 
 
-def _combine(basis: Sequence[Form], coords: dict[int, Fraction], n_gen: int,
+def _combine(basis: Sequence[Form], coords: dict[int, Rational], n_gen: int,
              degree: int) -> Form:
     """sum c_i basis[i] for sparse coordinates."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, Rational] = {}
     for i, c in coords.items():
         linalg.add_scaled(out, c, basis[i].terms)
     return Form._make(n_gen, max(degree, 0), out)
@@ -289,7 +290,7 @@ def _joint_kernel(basis: Sequence[Form], operators, n_gen: int,
         return []
     rows = []
     for f in basis:
-        row: dict[int, Fraction] = {}
+        row: dict[int, Rational] = {}
         width = 0
         for op in operators:
             g = op(f)
@@ -303,8 +304,7 @@ def _joint_kernel(basis: Sequence[Form], operators, n_gen: int,
 def full_complex(model: StructureModel) -> Subcomplex:
     """The whole invariant complex, with the monomial basis per degree."""
     n = model.n_gen
-    one = Fraction(1)
-    bases = [[Form._make(n, k, {m: one}) for m in degree_masks(n, k)]
+    bases = [[Form._make(n, k, {m: 1}) for m in degree_masks(n, k)]
              for k in range(n + 1)]
     return Subcomplex(model, (), bases)
 
@@ -366,11 +366,11 @@ class CohomologyMap(Record):
     invertible asks for it only when the map is square."""
 
     degree: int
-    rows: tuple[dict[int, Fraction], ...]
+    rows: tuple[dict[int, Rational], ...]
     target_dim: int
 
     @property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+    def matrix(self) -> tuple[tuple[Rational, ...], ...]:
         return linalg.dense_rows(self.rows, self.target_dim)
 
     @property
@@ -444,6 +444,12 @@ def splitting_map(model: StructureModel, w_form: Form, inner: Subcomplex,
     _check_splitting_setup(model, w_form, inner, outer)
     if not 0 <= k <= model.n_gen:
         raise DegreeError(f"degree {k} outside [0, {model.n_gen}]")
+    return _splitting_map(w_form, inner, outer, k)
+
+
+def _splitting_map(w_form: Form, inner: Subcomplex, outer: Subcomplex,
+                   k: int) -> SplittingMap:
+    """splitting_map once its setup and degree are checked."""
     src1 = outer.space(k)
     src0 = outer.space(k - 1)
     dst = inner.space(k)
@@ -456,7 +462,8 @@ def splitting_map(model: StructureModel, w_form: Form, inner: Subcomplex,
 
 def splitting_check(model: StructureModel, w_form: Form, inner: Subcomplex,
                     outer: Subcomplex) -> SplittingReport:
-    """The splitting map of every degree; the report is ok when each is
-    square and invertible."""
-    return SplittingReport(tuple(splitting_map(model, w_form, inner, outer, k)
+    """The splitting map of every degree, the setup checked once; the
+    report is ok when each is square and invertible."""
+    _check_splitting_setup(model, w_form, inner, outer)
+    return SplittingReport(tuple(_splitting_map(w_form, inner, outer, k)
                                  for k in range(model.n_gen + 1)))

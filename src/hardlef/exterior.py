@@ -12,18 +12,21 @@ per (n, k) numbers them.  sparse_coords reads a form in that basis as the
 sparse vector {column: coefficient} that linalg works on; there are no
 dense coordinate vectors here.
 
-All coefficients are `fractions.Fraction`; there is no floating point
-anywhere.  The public Form constructor coerces and validates every term;
-the algebra (+, -, *, wedge, contract, and model.d) builds its results
-through a private constructor that takes its fresh terms dict as it is.
-Forms and vectors are immutable values.
+Coefficients follow the scalar rule of linalg: an integral coefficient
+is an `int` and any other a `fractions.Fraction`; there is no floating
+point anywhere.  The public Form constructor coerces and validates every
+term; the algebra (+, -, *, wedge, contract, and model.d) builds its
+results through a private constructor that takes its fresh terms dict as
+it is.  Forms and vectors are immutable values.
 
 The arithmetic rule of the exact kernels (here, in model and in linalg):
-`Fraction` is the only scalar a function takes or gives (linalg reduces
-rows as integers inside), and no `Fraction` operation is made whose
-result is already known.  A key seen for the first time is stored as it
-is, not added to zero; a sign is applied by negation, not by multiplying
-with -1; a factor 1 is not multiplied in.
+a function takes and gives scalars by that rule (linalg reduces rows as
+integers inside), so products and sums of integers stay ints and only a
+division makes a Fraction; a product or sum that is stored is stored as
+an int when it is integral; and no operation is made whose result is
+already known.  A key seen for the first time is stored as it is, not
+added to zero; a sign is applied by negation, not by multiplying with -1;
+a factor 1 is not multiplied in.
 """
 
 from __future__ import annotations
@@ -31,14 +34,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeError, ModelMismatchError
-from .linalg import ZERO as _ZERO
+from .linalg import Rational, as_scalar
 
 MAX_GENERATORS = 16
-
-Rational = Union[int, Fraction]
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -88,36 +89,37 @@ def _column_index(n_gen: int, degree: int) -> dict[int, int]:
     return {m: i for i, m in enumerate(degree_masks(n_gen, degree))}
 
 
-def sparse_coords(a: Form) -> dict[int, Fraction]:
+def sparse_coords(a: Form) -> dict[int, Rational]:
     """{column: coefficient} of a in the ascending-mask monomial basis of
     its degree."""
     index = _column_index(a.n_gen, a.degree)
     return {index[m]: c for m, c in a.terms.items()}
 
 
-def _accumulate(out: dict, key: int, c: Fraction) -> None:
-    """out[key] += c, storing c itself for a new key and dropping an entry
-    that cancels."""
+def _accumulate(out: dict, key: int, c: Rational) -> None:
+    """out[key] += c, storing c itself for a new key, dropping an entry
+    that cancels and storing an integral value as an int (as_scalar)."""
     y = out.get(key)
-    if y is None:
-        out[key] = c
-    else:
-        y += c
-        if y:
-            out[key] = y
-        else:
+    if y is not None:
+        c = y + c
+        if not c:
             del out[key]
+            return
+    out[key] = c if type(c) is int or c.denominator != 1 else c.numerator
 
 
-def _sum(values: list) -> Fraction:
-    """Sum of a list of Fractions, ZERO for none, adding nothing to zero."""
-    return sum(values[1:], values[0]) if values else _ZERO
+def _sum(values: list) -> Rational:
+    """Sum of a list of scalars, 0 for none, adding nothing to zero."""
+    return as_scalar(sum(values[1:], values[0])) if values else 0
 
 
-def _coerce(value: Rational) -> Fraction:
+def _coerce(value: Rational) -> Rational:
+    """A given coefficient by the scalar rule; a float is a TypeError."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise TypeError("float coefficients are not allowed; use Fraction")
-    return Fraction(value)
+    return as_scalar(Fraction(value))
 
 
 class Form:
@@ -132,7 +134,7 @@ class Form:
                              f"[1, {MAX_GENERATORS}], got {n_gen}")
         if degree < 0:
             raise DegreeError(f"form degree must be >= 0, got {degree}")
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Rational] = {}
         if terms:
             for mask, coeff in terms.items():
                 c = _coerce(coeff)
@@ -152,9 +154,9 @@ class Form:
 
     @classmethod
     def _make(cls, n_gen: int, degree: int,
-              terms: dict[int, Fraction]) -> "Form":
+              terms: dict[int, Rational]) -> "Form":
         """A form that takes ownership of terms, which must be a fresh dict
-        of nonzero Fractions on valid degree-`degree` masks: the results of
+        of nonzero scalars on valid degree-`degree` masks: the results of
         the algebra below, which need no coercion or validation."""
         form = object.__new__(cls)
         form.n_gen = n_gen
@@ -176,7 +178,7 @@ class Form:
     def generator(cls, n_gen: int, i: int) -> "Form":
         if not 1 <= i <= n_gen:
             raise ValueError(f"generator index {i} outside [1, {n_gen}]")
-        return cls(n_gen, 1, {1 << (i - 1): Fraction(1)})
+        return cls(n_gen, 1, {1 << (i - 1): 1})
 
     @classmethod
     def monomial(cls, n_gen: int, indices: Sequence[int],
@@ -241,24 +243,23 @@ class Form:
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            # a Fraction times an int or a Fraction is a Fraction
             if not scalar:
                 return Form._make(self.n_gen, self.degree, {})
-            return Form._make(self.n_gen, self.degree,
-                              {m: c * scalar for m, c in self.terms.items()})
+            return Form._make(self.n_gen, self.degree, {
+                m: as_scalar(c * scalar) for m, c in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            return self * (Fraction(1) / _coerce(scalar))
+            return self * Fraction(1, scalar)
         return NotImplemented
 
     def wedge(self, other: "Form") -> "Form":
         """Exterior product; graded-commutative and associative."""
         self._require_same_frame(other)
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rational] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 if ma & mb:
@@ -305,25 +306,25 @@ class Vector:
     def basis(cls, n_gen: int, i: int) -> "Vector":
         if not 1 <= i <= n_gen:
             raise ValueError(f"basis index {i} outside [1, {n_gen}]")
-        return cls([Fraction(int(j == i)) for j in range(1, n_gen + 1)])
+        return cls([int(j == i) for j in range(1, n_gen + 1)])
 
     @classmethod
     def zero(cls, n_gen: int) -> "Vector":
-        return cls([_ZERO] * n_gen)
+        return cls([0] * n_gen)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def pair(self, one_form: Form) -> Fraction:
+    def pair(self, one_form: Form) -> Rational:
         """Evaluate a 1-form on this vector."""
         if self.n_gen != one_form.n_gen:
             raise ModelMismatchError("vector and form frames differ")
         if one_form.degree != 1:
             raise DegreeError("pairing is defined against 1-forms")
-        total = _ZERO
+        total = 0
         for mask, coeff in one_form.terms.items():
             total += coeff * self.coeffs[mask.bit_length() - 1]
-        return total
+        return as_scalar(total)
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
@@ -346,7 +347,7 @@ def default_names(n_gen: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(1, n_gen + 1))
 
 
-def _signed_sum(terms: Iterable[tuple[Fraction, str]], sep: str = " ") -> str:
+def _signed_sum(terms: Iterable[tuple[Rational, str]], sep: str = " ") -> str:
     """The text of a sum of (coefficient, monomial) terms: a coefficient 1
     is left out, -1 is a minus sign and any other is written c*monomial; an
     empty monomial is the constant c; no terms is 0.  sep surrounds the
@@ -404,12 +405,12 @@ def contract(v: Vector, a: Form) -> Form:
         return Form.zero(a.n_gen, 0)
     # the nonzero components by bit, with None standing for a component 1
     support = 0
-    factor: dict[int, Fraction | None] = {}
+    factor: dict[int, Rational | None] = {}
     for j, vj in enumerate(v.coeffs):
         if vj:
             support |= 1 << j
             factor[1 << j] = None if vj == 1 else vj
-    out: dict[int, Fraction] = {}
+    out: dict[int, Rational] = {}
     for mask, coeff in a.terms.items():
         rem = mask & support
         while rem:
@@ -423,16 +424,16 @@ def contract(v: Vector, a: Form) -> Form:
     return Form._make(a.n_gen, a.degree - 1, out)
 
 
-def top_coefficient(a: Form) -> Fraction:
+def top_coefficient(a: Form) -> Rational:
     """Coefficient of e1 ^ ... ^ en; invariant integration up to a
     positive global constant."""
     if a.degree != a.n_gen:
         raise DegreeError(f"top_coefficient needs degree {a.n_gen}, "
                           f"got {a.degree}")
-    return a.terms.get((1 << a.n_gen) - 1, _ZERO)
+    return a.terms.get((1 << a.n_gen) - 1, 0)
 
 
-def top_pairing(a: Form, b: Form) -> Fraction:
+def top_pairing(a: Form, b: Form) -> Rational:
     """top_coefficient(a ^ b) without the wedge: for forms of complementary
     degrees, the sum over the masks m of a of
     a[m] b[full ^ m] merge_sign(m, full ^ m)."""

@@ -36,7 +36,6 @@ map (a cohomology.CohomologyMap) its own rank; they live and die with it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -47,7 +46,7 @@ from .cohomology import (CohomologyMap, CohomologySpace, Subcomplex,
                          betti_numbers, full_complex, splitting_check)
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
                      NotProjectableError, PreconditionError)
-from .exterior import Form, contract, top_pairing
+from .exterior import Form, Rational, contract, top_pairing
 from .record import Record
 from .structures import ContactStructure, LcsStructure, quotient_contact
 
@@ -102,7 +101,7 @@ class CohomologyRelation(Record):
 
     source: CohomologySpace
     target: CohomologySpace
-    rows: tuple[dict[int, Fraction], ...]
+    rows: tuple[dict[int, Rational], ...]
 
     @classmethod
     def from_pairs(cls, source: CohomologySpace, target: CohomologySpace,
@@ -114,7 +113,7 @@ class CohomologyRelation(Record):
             linalg.row_space(rows, da + target.dimension)))
 
     @property
-    def span(self) -> tuple[tuple[Fraction, ...], ...]:
+    def span(self) -> tuple[tuple[Rational, ...], ...]:
         return linalg.dense_rows(
             self.rows, self.source.dimension + self.target.dimension)
 
@@ -149,11 +148,11 @@ class LefschetzVerdict(Record):
     is_functional: bool
     is_injective: bool
     is_surjective: bool
-    rows: tuple[dict[int, Fraction], ...] | None
+    rows: tuple[dict[int, Rational], ...] | None
     target_dim: int
 
     @property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...] | None:
+    def matrix(self) -> tuple[tuple[Rational, ...], ...] | None:
         """The rows of the map as dense tuples, when it is one."""
         return (None if self.rows is None
                 else linalg.dense_rows(self.rows, self.target_dim))
@@ -426,7 +425,8 @@ def _relation_map(src_space: CohomologySpace, dst_space: CohomologySpace,
     return matrix
 
 
-def t_map(struct: LcsStructure, k: int) -> tuple[tuple[Fraction, ...], ...]:
+def t_map(struct: LcsStructure,
+          k: int) -> tuple[tuple[Rational, ...], ...]:
     """The composite [id] . (transversal Lefschetz)^-1 . [i_V] from
     H^(2n+1-k)_B(U) to H^k_B(U); the two-sided inverse of the Lee-basic
     Lefschetz map whenever that map exists."""
@@ -635,7 +635,7 @@ class PairingResult(Record):
     """The bilinear form psi on degree-k Lee-basic cohomology."""
 
     degree: int
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[Rational, ...], ...]
     nondegenerate: bool
     parity_ok: bool
     symmetric: bool

@@ -1,9 +1,14 @@
 """Exact linear algebra over the rationals.
 
-One matrix kind: a vector is a dict {column: nonzero Fraction} and a
-matrix a list of such rows.  `sparse`, `dense` and `dense_rows` convert
-at the edges of the package, `add_scaled` combines rows and `matmul` is
-the one product.  rref, rank, row_space, Echelon, left_kernel, pivot_index
+One matrix kind: a vector is a dict {column: nonzero scalar} and a
+matrix a list of such rows.  The scalar rule of the package: an exact
+value is stored as an `int` when it is integral and as a `Fraction`
+otherwise, never as an integral `Fraction` or a float (as_scalar).  Ints
+and Fractions of equal value compare, hash and print alike, so the rule
+changes no result; it keeps most arithmetic on the structure constants
+of a model in C.  `sparse`, `dense` and `dense_rows` convert at the
+edges of the package, `add_scaled` combines rows and `matmul` is the one
+product.  rref, rank, row_space, Echelon, left_kernel, pivot_index
 and reduce take sparse rows and answer sparse; only inverse takes and
 gives dense rows, for callers outside the package that index its entries.
 Linear maps act on coordinate row vectors from the right: row i of a
@@ -29,8 +34,9 @@ row keep fill-in and integers small.  Work follows the nonzeros: an empty
 row is neither converted nor indexed, a one-entry row becomes {j: 1},
 an all-integer row keeps its numerators unscaled, the passes visit only
 the columns some row holds, and a column that its pivot row alone holds
-takes no step.  Pivot rows are divided by their pivots at the end: every
-function here takes and gives `Fraction`s.  `Echelon` is the one
+takes no step.  Pivot rows are divided by their pivots at the end: an
+entry the pivot divides becomes an int, any other a Fraction, and a row
+with pivot 1 is returned as its integer row.  `Echelon` is the one
 factorization built on it: the RREF of [M | I], with the identity as one
 entry per row, which gives the combinations behind each row, the left
 kernel and the inverse.  Rows already in RREF need no factorization:
@@ -38,46 +44,49 @@ kernel and the inverse.  Rows already in RREF need no factorization:
 their pivots, with the residual that decides membership.
 
 Elsewhere the arithmetic follows the rule stated in exterior: add_scaled
-does not multiply by 1 and negates for -1, and stores a new entry as it is.
+does not multiply by 1 and negates for -1, stores a new entry as it is and
+an integral product or sum as an int.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Sequence, Union
 
 Matrix = list
+Rational = Union[int, Fraction]
 
-# Dense rows are padded with this zero; the sparse conversion skips it by
-# identity, before the slower Fraction truth test.
-ZERO = Fraction(0)
-_SMALL = {i: Fraction(i) for i in range(-16, 17)}  # shared by reduced rows
+
+def as_scalar(x: Rational) -> Rational:
+    """x as the scalar rule stores it: the int of an integral value, any
+    other Fraction as it is."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 # ----- sparse vectors --------------------------------------------------------
 
 
-def sparse(row: Sequence) -> dict[int, Fraction]:
-    """{column: nonzero Fraction} of a dense row; Fraction entries are kept
-    as they are, others are coerced."""
-    return {j: x if type(x) is Fraction else Fraction(x)
-            for j, x in enumerate(row) if x is not ZERO and x}
+def sparse(row: Sequence) -> dict[int, Rational]:
+    """{column: nonzero scalar} of a dense row, entries coerced to the
+    scalar rule."""
+    return {j: x if type(x) is int else as_scalar(Fraction(x))
+            for j, x in enumerate(row) if x}
 
 
-def dense(row: dict[int, Fraction], width: int) -> list[Fraction]:
-    out = [ZERO] * width
+def dense(row: dict[int, Rational], width: int) -> list[Rational]:
+    out = [0] * width
     for j, x in row.items():
         out[j] = x
     return out
 
 
-def dense_rows(rows, width: int) -> tuple[tuple[Fraction, ...], ...]:
+def dense_rows(rows, width: int) -> tuple[tuple[Rational, ...], ...]:
     """Sparse rows as the dense tuples a public result shows."""
     return tuple(tuple(dense(row, width)) for row in rows)
 
 
-def add_scaled(acc: dict, f: Fraction, other: dict) -> None:
+def add_scaled(acc: dict, f: Rational, other: dict) -> None:
     """acc += f * other, in place, dropping entries that become zero; the
     keys are columns or any other index."""
     if f == 1:
@@ -88,14 +97,13 @@ def add_scaled(acc: dict, f: Fraction, other: dict) -> None:
         items = ((j, f * x) for j, x in other.items())
     for j, x in items:
         y = acc.get(j)
-        if y is None:
-            acc[j] = x
-        else:
-            y += x
-            if y:
-                acc[j] = y
-            else:
+        if y is not None:
+            x = y + x
+            if not x:
                 del acc[j]
+                continue
+        # as_scalar, inline on the hottest path of the package
+        acc[j] = x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 # ----- products --------------------------------------------------------------
@@ -106,7 +114,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     entries that cancel; b may be empty when a has no entries."""
     out = []
     for row in a:
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Rational] = {}
         for k, x in row.items():
             if x:
                 add_scaled(acc, x, b[k])
@@ -173,10 +181,11 @@ def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
         if len(holders[c]) > 1:
             _pivot_step(rows, holders, p, c, ncols,
                         [i for i in holders[c] if i != p])
-    out = [{j: _SMALL.get(x) or Fraction(x) for j, x in rows[p].items()}
-           if rows[p][c] == 1 else
-           {j: Fraction(x, rows[p][c]) for j, x in rows[p].items()}
-           for p, c in order]
+    out = []
+    for p, c in order:
+        row, a = rows[p], rows[p][c]
+        out.append(row if a == 1 else {j: Fraction(x, a) if x % a else x // a
+                                       for j, x in row.items()})
     return out, [c for _, c in order]
 
 
@@ -241,11 +250,11 @@ def pivot_index(rows: Matrix) -> tuple[dict, dict]:
 
 
 def reduce(vec: dict, at: dict, off: dict) -> tuple[dict, dict]:
-    """(coordinates, residual) of a sparse vector of nonzero Fractions
+    """(coordinates, residual) of a sparse vector of nonzero scalars
     against RREF rows given by pivot_index.  The rows vanish on each
     other's pivots, so the row with pivot p has coefficient vec[p]; the
     residual vec - sum vec[p] row_p is empty exactly in the row space."""
-    coords: dict[int, Fraction] = {}
+    coords: dict[int, Rational] = {}
     residual: dict = {}
     for j, x in vec.items():
         i = at.get(j)
@@ -289,7 +298,7 @@ def left_kernel(mat: Matrix, ncols: int) -> Matrix:
     return Echelon(mat, ncols).sparse_kernel
 
 
-def inverse(mat: Sequence[Sequence]) -> list[list[Fraction]] | None:
+def inverse(mat: Sequence[Sequence]) -> list[list[Rational]] | None:
     """Inverse of a square matrix of dense rows, as dense rows, or None
     when singular."""
     ech = Echelon([sparse(row) for row in mat], len(mat))

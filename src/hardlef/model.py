@@ -8,12 +8,14 @@ complex equals the de Rham cohomology of the associated compact
 nilmanifold (Nomizu); for non-nilpotent input that identification is an
 assumption which reports flag explicitly.
 
-The arithmetic follows the rule stated in exterior: `Fraction` is the only
-scalar, and no `Fraction` operation is made whose result is already
-known.  d(e_I) is read off the terms of the d(e_i) with two merge signs
-per term, and the bracket and the two flags read the structure constants
-from those terms directly, touching only nonzero components.  L_v is a
-derivation of degree 0, read off the one-forms L_v e_i = i_v d e_i.
+The arithmetic follows the rule stated in exterior: a coefficient is an
+int when it is integral and a `Fraction` otherwise, so the integer
+structure constants of most models keep d and L_v in integer arithmetic,
+and no operation is made whose result is already known.  d(e_I) is read
+off the terms of the d(e_i) with two merge signs per term, and the
+bracket and the two flags read the structure constants from those terms
+directly, touching only nonzero components.  L_v is a derivation of
+degree 0, read off the one-forms L_v e_i = i_v d e_i.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class StructureModel:
         Converted through de_k(X_i, X_j) = -e_k([X_i, X_j]).  Every index
         lies in [1, n_gen], and a float constant is a TypeError, as in Form.
         """
-        terms: list[dict[int, Fraction]] = [dict() for _ in range(n_gen)]
+        terms: list[dict[int, Rational]] = [dict() for _ in range(n_gen)]
         for (i, j), comps in brackets.items():
             if not (1 <= i < j <= n_gen):
                 raise ValueError(f"bracket key ({i}, {j}) must satisfy "
@@ -115,7 +117,7 @@ class StructureModel:
                 if not 1 <= k <= n_gen:
                     raise ValueError(f"component index {k} of bracket "
                                      f"({i}, {j}) outside [1, {n_gen}]")
-                prev = terms[k - 1].get(mask, Fraction(0))
+                prev = terms[k - 1].get(mask, 0)
                 terms[k - 1][mask] = prev - _coerce(c)
         diffs = [Form(n_gen, 2, t) for t in terms]
         return cls(diffs, name=name)
@@ -131,7 +133,7 @@ class StructureModel:
             raise ModelMismatchError("form does not live over this model")
         if a.degree == 0:
             return Form.zero(self.n_gen, 1)
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rational] = {}
         for mask, coeff in a.terms.items():
             linalg.add_scaled(out, coeff, self._d_monomial(mask).terms)
         return Form._make(self.n_gen, a.degree + 1, out)
@@ -142,7 +144,7 @@ class StructureModel:
         cached = self._d_cache.get(mask)
         if cached is not None:
             return cached
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rational] = {}
         rem = mask
         while rem:
             low = rem & -rem
@@ -171,7 +173,7 @@ class StructureModel:
             ones = tuple(tuple(contract(v, f).terms.items()) for f in self.d1)
             cached = self._lie_cache[id(v)] = (v, ones if any(ones) else ())
         ones = cached[1]
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rational] = {}
         for mask, c in a.terms.items() if ones else ():
             rem = mask
             while rem:
@@ -212,12 +214,11 @@ class StructureModel:
         e_b of d(e_k) gives [e_a, x]_k its -c x_b and [e_b, x]_k its
         c x_a."""
         n = self.n_gen
-        current: list[dict[int, Fraction]] = [{i: Fraction(1)}
-                                               for i in range(n)]
+        current: list[dict[int, Rational]] = [{i: 1} for i in range(n)]
         while True:
             produced = []
             for x in current:
-                rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+                rows: list[dict[int, Rational]] = [{} for _ in range(n)]
                 for k, terms in enumerate(self._constants):
                     for a, b, c in terms:
                         xb = x.get(b)
@@ -239,7 +240,7 @@ class StructureModel:
         """Whether every adjoint operator is traceless.  The trace of
         ad(e_i) is sum_k e_k([e_i, e_k]); the term c e_a ^ e_b of d(e_k)
         adds -c to it when i = a and b = k, and c when i = b and a = k."""
-        traces: dict[int, Fraction] = {}
+        traces: dict[int, Rational] = {}
         for k, terms in enumerate(self._constants):
             for a, b, c in terms:
                 if b == k:
@@ -299,7 +300,7 @@ def _parse_structure_entry(entry: str, n: int) -> Form:
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {piece!r}") from None
         else:
-            coeff, mono = Fraction(1), piece
+            coeff, mono = 1, piece
         mono = mono.strip()
         if len(mono) != 2 or not _ascii_digits(mono):
             raise ValueError(f"bad structure term {piece!r}")

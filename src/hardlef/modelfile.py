@@ -151,7 +151,7 @@ class _FormParser:
         return total
 
     def parse_term(self, sign: int) -> Form:
-        coeff = Fraction(sign)
+        coeff = sign
         tok = self.peek()
         if tok is None:
             raise ParseError("dangling sign", self.lineno)

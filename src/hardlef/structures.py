@@ -17,8 +17,6 @@ move between the two pictures.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .errors import (DegreeError, InternalConsistencyError, ModelMismatchError,
                      NonUniqueLeeFieldError, NonUniqueReebError, NotClosedError,
@@ -74,14 +72,14 @@ def _solve_characterizing_field(deta: Form, conditions, err_cls) -> Vector:
     n = deta.n_gen
     eqs = _two_form_skew_rows(deta) + [
         {**{m.bit_length() - 1: x for m, x in form.terms.items()},
-         n: Fraction(value)} for form, value in conditions]
+         n: value} for form, value in conditions]
     rows, pivots = linalg.rref(eqs, n + 1)
     if sum(1 for p in pivots if p < n) < n:
         raise err_cls("characterizing linear system is singular; the field "
                       "is not unique")
     if pivots[-1] == n:
         raise err_cls("characterizing linear system has no solution")
-    return Vector([row.get(n, linalg.ZERO) for row in rows])
+    return Vector([row.get(n, 0) for row in rows])
 
 
 def validate_lcs(model: StructureModel, omega: Form, eta: Form) -> LcsStructure:

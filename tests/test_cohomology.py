@@ -202,6 +202,23 @@ def test_splitting_requires_field_extension(kt4):
         splitting_map(kt4, Form.generator(4, 4), inner, inner, 1)
 
 
+def test_splitting_check_checks_its_setup_once(monkeypatch, kt4):
+    from hardlef import cohomology as coh
+    calls = []
+    check = coh._check_splitting_setup
+    monkeypatch.setattr(coh, "_check_splitting_setup",
+                        lambda *args: calls.append(1) or check(*args))
+    inner = full_complex(kt4)
+    outer = basic_complex(kt4, [Vector.basis(4, 4)])
+    assert splitting_check(kt4, Form.generator(4, 4), inner, outer).ok
+    assert len(calls) == 1
+    # a bad setup is refused before any space is built
+    outer = basic_complex(kt4, [Vector.basis(4, 3)])
+    with pytest.raises(NotClosedError):
+        splitting_check(kt4, Form.generator(4, 3), inner, outer)
+    assert not outer._spaces
+
+
 def test_splitting_check_h5s1():
     m = StructureModel.from_salamon("(0,0,0,0,12+34,0)")
     inner = full_complex(m)

@@ -83,6 +83,42 @@ def test_float_coefficients_rejected():
         Form.monomial(4, (1,), 0.5)
 
 
+def test_division_makes_a_fraction_only_off_the_integers():
+    half = (3 * e(1)) / 2
+    assert half.terms == {1: Fraction(3, 2)}
+    assert type(half.terms[1]) is Fraction
+    whole = (2 * e(1)) / 2
+    assert whole.terms == {1: 1} and type(whole.terms[1]) is int
+    assert type((half * 2).terms[1]) is int
+    assert type(e(1).terms[1]) is int
+
+
+def _stored(value):
+    """The scalar the rule stores for value: its int when integral."""
+    return value.numerator if value.denominator == 1 else value
+
+
+@settings(max_examples=60, derandomize=True)
+@given(num=st.integers(-6, 6), den=st.integers(1, 4),
+       times=st.integers(1, 3))
+def test_constructors_store_integral_fractions_as_ints(num, den, times):
+    # Fraction(4, 2) reduces to Fraction(2), an integral Fraction
+    c = Fraction(num * times, den * times)
+    want = {m: _stored(c) for m in (0b0011,) if c}
+    for f in (Form(4, 2, {0b0011: c}), Form.monomial(4, (1, 2), c),
+              Form.monomial(4, (2, 1), -c) if c else Form.zero(4, 2)):
+        assert f.terms == want
+        assert [type(x) for x in f.terms.values()] == \
+            [type(x) for x in want.values()]
+    assert type(Form.constant(4, c).terms.get(0, 0)) is type(_stored(c))
+    v = Vector([c, Fraction(2 * times, times), 0, 1])
+    assert [type(x) for x in v.coeffs] == [type(_stored(c)), int, int, int]
+    assert type(v.pair(e(2))) is int and v.pair(e(2)) == 2
+    m = StructureModel.from_brackets(3, {(1, 2): {3: c}})
+    assert [type(x) for f in m.d1 for x in f.terms.values()] == \
+        ([type(_stored(c))] if c else [])
+
+
 def test_vector_pairing():
     v = Vector([1, 0, 2, 0])
     assert v.pair(e(3) * Fraction(1, 2)) == 1
@@ -220,7 +256,8 @@ def test_algebra_results_are_canonical(v, a, b, s):
     closed = Form.monomial(5, (1, 2, 5)) - Form.monomial(5, (3, 4, 5))
     for f in (a + b, a - b, -a, s * a, a * Fraction(s, 3), wedge(a, b),
               contract(v, a), H5.d(a), H5.lie_derivative(v, a), H5.d(closed)):
-        assert all(type(c) is Fraction and c for c in f.terms.values())
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   and c for c in f.terms.values())
         assert all(m.bit_count() == f.degree for m in f.terms)
         assert Form(f.n_gen, f.degree, f.terms).terms == f.terms
         assert f.terms is not a.terms and f.terms is not b.terms

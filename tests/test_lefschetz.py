@@ -1099,3 +1099,55 @@ def test_contact_verdicts_match_the_product_with_a_circle(contact):
     assert [(v.degree, v.de_rham, v.basic, v.contact)
             for v in report.per_degree] == [
         (k, x, x, x) for k, x in enumerate(verdicts)]
+
+
+def _kept_scalars(model):
+    """Every scalar the memo of a model keeps in a slice differential, a
+    class table, a representative or an induced class map."""
+    from hardlef.cohomology import Subcomplex
+    for key, val in model._memo.items():
+        if isinstance(val, Subcomplex):
+            rows = [row for mat in val._diff for row in mat]
+            for sp in val._spaces.values():
+                rows += list(sp._classes.values()) + sp._rep_coords
+                rows += [f.terms for f in sp.representatives]
+        elif key[0] == "class map":
+            rows = val
+        else:
+            continue
+        for row in rows:
+            yield from row.values()
+
+
+def _lefschetz_all_scalars(monkeypatch, capsys, name):
+    """The kept scalars of the model of models/NAME and of its Lee quotient
+    after `lefschetz --mode all` on it."""
+    from pathlib import Path
+
+    from hardlef import cli
+    seen = []
+    validate = cli.validate_lcs
+    monkeypatch.setattr(cli, "validate_lcs",
+                        lambda *args: seen.append(validate(*args)) or seen[0])
+    model = Path(__file__).resolve().parent.parent / "models" / name
+    assert cli.main(["lefschetz", str(model), "--mode", "all"]) == 0
+    capsys.readouterr()
+    struct, = seen
+    models = [struct.model]
+    quotient = struct.model._memo.get(("quotient", struct))
+    if quotient is not None:
+        models.append(quotient.model)
+    return [x for m in models for x in _kept_scalars(m)]
+
+
+def test_an_integral_model_keeps_only_ints(monkeypatch, capsys):
+    scalars = _lefschetz_all_scalars(monkeypatch, capsys, "h7s1.model")
+    assert scalars and all(type(x) is int for x in scalars)
+
+
+def test_a_rebased_model_keeps_no_integral_fraction(monkeypatch, capsys):
+    scalars = _lefschetz_all_scalars(monkeypatch, capsys,
+                                     "nil5a_rebased0_s1.model")
+    assert any(type(x) is Fraction for x in scalars)
+    assert all(type(x) is (int if x.denominator == 1 else Fraction)
+               for x in scalars)

@@ -278,9 +278,11 @@ def _typed(rows):
     return [[(j, type(x), x) for j, x in row.items()] for row in rows]
 
 
-def _nonzero_fractions(rows):
-    return all(type(x) is Fraction and x for row in rows
-               for x in row.values())
+def _nonzero_scalars(rows):
+    """Whether every entry is nonzero and stored by the scalar rule: an int
+    when integral, a Fraction otherwise."""
+    return all(type(x) is (int if x.denominator == 1 else Fraction) and x
+               for row in rows for x in row.values())
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -327,7 +329,7 @@ def test_sparse_kernel_matches_oracle(data):
             assert linalg.dense(coords, len(rows)) == combo
         answers += [coords, residual]
     assert not linalg.reduce(linalg.sparse(vecs[0]), *index)[1]
-    assert _nonzero_fractions(rows + part + ech.sparse_rows + ech.sparse_combos
+    assert _nonzero_scalars(rows + part + ech.sparse_rows + ech.sparse_combos
                               + ech.sparse_kernel + answers)
 
     # the pivot order is free: permuted rows give the same canonical results
@@ -344,7 +346,7 @@ def test_sparse_kernel_matches_oracle(data):
     assert linalg.row_space([{perm[k]: x for k, x in v.items()}
                              for v in pech.sparse_kernel], len(mat)) == \
         ech.sparse_kernel
-    assert _nonzero_fractions(p_part + pech.sparse_combos
+    assert _nonzero_scalars(p_part + pech.sparse_combos
                               + pech.sparse_kernel)
     assert _typed(smat + svecs) == snapshot
 
@@ -448,7 +450,7 @@ def test_rref_shortcuts_match_oracle(data):
     ech = linalg.Echelon(smat, width)
     assert (ech.sparse_rows, ech.pivots) == (rows, pivots)
     assert ech.sparse_kernel == S(oracle.kernel_rows(mat, width))
-    assert _nonzero_fractions(rows + part + ech.sparse_combos
+    assert _nonzero_scalars(rows + part + ech.sparse_combos
                               + ech.sparse_kernel)
     # an all-zero block of the same rows: every row is in the kernel
     zeros = [{j: 0 * x for j, x in row.items()} for row in smat]
