@@ -28,10 +28,10 @@ factorization: linalg.reduce reads a form's coordinates at the pivots,
 and its residual is empty exactly when the form lies in the slice.  Each
 differential is factored once, lazily: its kernel is the cycles of degree
 k and its rows the image in degree k+1.  A Subcomplex keeps only these;
-what other layers derive from it (relations, chain-map certificates,
-class maps) they keep themselves.  A CohomologyMap (a splitting map, or
-a transversal Lefschetz map) keeps its own rank, and a splitting report
-reads invertibility off its maps.
+other layers read the cycles and the rows of d from it, and keep what
+they derive (relations, chain-map certificates, class maps) themselves.
+A CohomologyMap (a splitting map, or a transversal Lefschetz map) keeps
+its own rank, and a splitting report reads invertibility off its maps.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from typing import Sequence
 from . import linalg
 from .errors import (DegreeError, InternalConsistencyError, ModelMismatchError,
                      NotClosedError, PreconditionError)
-from .exterior import (Form, Rational, Vector, _column_index, degree_masks,
-                       sparse_coords)
+from .exterior import Form, Rational, Vector, _column_index, degree_masks
 from .model import StructureModel
 from .record import Record
 
@@ -280,25 +279,16 @@ def _combine(basis: Sequence[Form], coords: dict[int, Rational], n_gen: int,
     return Form._make(n_gen, max(degree, 0), out)
 
 
-def _joint_kernel(basis: Sequence[Form], operators, n_gen: int,
-                  degree: int) -> list[Form]:
-    """Canonical basis of the forms in span(basis) that every operator
-    sends to zero.  Row i lays the images of basis[i] side by side, each
-    in the monomial basis of its degree, columns offset by the widths
-    before them."""
-    if not basis:
-        return []
-    rows = []
-    for f in basis:
-        row: dict[int, Rational] = {}
-        width = 0
-        for op in operators:
-            g = op(f)
-            row.update((width + j, x) for j, x in sparse_coords(g).items())
-            width += len(degree_masks(g.n_gen, g.degree))
-        rows.append(row)
-    kernel = linalg.left_kernel(rows, width)
-    return [_combine(basis, coords, n_gen, degree) for coords in kernel]
+def _condition_rows(basis: Sequence[Form], operators,
+                    n_gen: int) -> tuple[list[dict[int, Rational]], int]:
+    """(rows, width): row i lays the images of basis[i] under the operators
+    side by side, keyed by monomial mask, the j-th image's offset by
+    j 2^n_gen.  A combination of the basis lies in the kernel of every
+    operator exactly when it is in the left kernel of the rows."""
+    span = 1 << n_gen
+    return [{j * span + m: x for j, op in enumerate(operators)
+             for m, x in op(f).terms.items()} for f in basis], \
+        len(operators) * span
 
 
 def full_complex(model: StructureModel) -> Subcomplex:
@@ -333,11 +323,10 @@ def basic_complex(model: StructureModel,
     products = [(-1, Form.constant(n, 1))]
     bases = []
     for k in range(n + 1):
-        kept = _joint_kernel([f for _, f in products], lie, n, k)
-        masks = degree_masks(n, k)
-        rows = linalg.row_space([sparse_coords(f) for f in kept], len(masks))
-        bases.append([Form._make(n, k, {masks[j]: x for j, x in row.items()})
-                      for row in rows])
+        forms = [f for _, f in products]
+        kept = linalg.left_kernel(*_condition_rows(forms, lie, n))
+        bases.append([Form._make(n, k, row) for row in linalg.row_space(
+            linalg.matmul(kept, [f.terms for f in forms]), 1 << n)])
         products = [(j, f.wedge(theta[j])) for i, f in products
                     for j in range(i + 1, len(theta))]
     return Subcomplex(model, fields, bases)

@@ -12,7 +12,9 @@ of an isomorphism H^k -> H^(2n+2-k).  The Lee-basic and contact variants
 follow the same pattern with the simpler admissibility conditions
 (closed, i_V beta = 0, L^(n-k+1) beta = 0) and target eta ^ L^(n-k) beta.
 Everything is decided by exact rank computations; powers of L that exceed
-the top degree are the zero map.
+the top degree are the zero map.  A relation is read over the cycles of
+its source slice, in slice coordinates: the conditions and the target map
+meet the slice basis once, and no d of a form is taken.
 
 The flow sequences compare cohomologies through maps induced by operators
 on forms, linear in each degree: cup with d(eta), inclusion and i_V, made
@@ -38,11 +40,11 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import linalg
 from .cohomology import (CohomologyMap, CohomologySpace, Subcomplex,
-                         _combine, _joint_kernel, basic_complex,
+                         _combine, _condition_rows, basic_complex,
                          betti_numbers, full_complex, splitting_check)
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
                      NotProjectableError, PreconditionError)
@@ -190,23 +192,32 @@ def _verdict(relation: CohomologyRelation) -> LefschetzVerdict:
 
 
 def _relation(src: CohomologySpace, dst: CohomologySpace,
-              conditions: Sequence[Callable[[Form], Form]],
+              conditions: linalg.Matrix, width: int,
               op: Callable[[Form], Form], label: str) -> CohomologyRelation:
-    """The class pairs ([x], [op x]) over the x of the source slice that
-    every condition sends to zero, their joint kernel; op x must be closed.
-    A Lefschetz relation takes the admissible forms and its target map; an
-    induced map takes the forms op behaves on (_relation_map)."""
-    cplx = src.complex
-    d = cplx.model.d
-    pairs = []
-    for x in _joint_kernel(cplx.basis(src.degree), conditions,
-                           cplx.model.n_gen, src.degree):
-        y = op(x)
-        if not d(y).is_zero():
-            raise InternalConsistencyError(
-                f"{label} in degree {src.degree} is not closed")
-        pairs.append((src._class_of(x), dst._class_of(y)))
-    return CohomologyRelation.from_pairs(src, dst, pairs)
+    """The class pairs ([x], [op x]) over the cycles x of the source slice
+    that the condition rows send to zero, in slice coordinates.  There is
+    one row per slice basis form, with columns below width.  x runs over
+    the left kernel of (cycles . conditions) taken back through the
+    cycles, and op x is x times the coordinates of op on the slice basis
+    (_images); op x must lie in the target slice and be closed there.  A
+    Lefschetz relation takes its other admissibility conditions and its
+    target map, an induced map the conditions op behaves on (_relation_map);
+    a slice outside degrees 0..n_gen is empty and has no cycles."""
+    cplx, a, b = src.complex, src.degree, dst.degree
+    cycles = cplx._diff_echelon(a).sparse_kernel if cplx.dim(a) else []
+    xs = linalg.matmul(linalg.left_kernel(linalg.matmul(cycles, conditions),
+                                          width), cycles)
+    coords, residuals = _images(cplx, dst.complex, op, a, b)
+    if any(linalg.matmul(xs, residuals)):
+        raise InternalConsistencyError(
+            f"{label} in degree {a} leaves the degree-{b} slice")
+    try:
+        ys = [dst._class_of_coords(y) for y in linalg.matmul(xs, coords)]
+    except PreconditionError:
+        raise InternalConsistencyError(
+            f"{label} in degree {a} is not closed") from None
+    return CohomologyRelation.from_pairs(
+        src, dst, zip(map(src._class_of_coords, xs), ys))
 
 
 def de_rham_lefschetz_relation(struct: LcsStructure,
@@ -220,8 +231,7 @@ def de_rham_lefschetz_relation(struct: LcsStructure,
         powers = _deta_powers(struct)
         deta = powers[1]
         l_low, l_mid, l_high = powers[n - k:n - k + 3]
-        ops = (model.d,
-               lambda f: model.lie_derivative(struct.U, f),
+        ops = (lambda f: model.lie_derivative(struct.U, f),
                lambda f: contract(struct.V, f),
                lambda f: l_high.wedge(f),
                lambda f: l_mid.wedge(struct.omega.wedge(f)))
@@ -233,7 +243,8 @@ def de_rham_lefschetz_relation(struct: LcsStructure,
                 l_low.wedge(liu - struct.omega.wedge(gamma)))
 
         cplx = _full(model)
-        return _relation(cplx.space(k), cplx.space(2 * n + 2 - k), ops,
+        return _relation(cplx.space(k), cplx.space(2 * n + 2 - k),
+                         *_condition_rows(cplx.basis(k), ops, model.n_gen),
                          target, "relation target")
 
     return _cached(model, ("de_rham", struct, k), build)
@@ -262,11 +273,10 @@ def _odd_relation(picture: str, struct, field, fields,
 
     def build():
         l_low, l_mid = _deta_powers(struct)[n - k:n - k + 2]
-        ops = (model.d,
-               lambda f: contract(field, f),
-               lambda f: l_mid.wedge(f))
+        ops = (lambda f: contract(field, f), lambda f: l_mid.wedge(f))
         cplx = _basic(model, fields)
-        return _relation(cplx.space(k), cplx.space(2 * n + 1 - k), ops,
+        return _relation(cplx.space(k), cplx.space(2 * n + 1 - k),
+                         *_condition_rows(cplx.basis(k), ops, model.n_gen),
                          lambda beta: struct.eta.wedge(l_low.wedge(beta)),
                          f"{picture} relation target")
 
@@ -401,21 +411,22 @@ def _class_map(src_space: CohomologySpace, dst_space: CohomologySpace,
 
 def _relation_map(src_space: CohomologySpace, dst_space: CohomologySpace,
                   op: Callable[[Form], Form], label: str) -> linalg.Matrix:
-    """The map read off the class pairs ([x], [op x]) over every x op
-    behaves on: closed slice elements whose image is closed and lies in
-    the target slice.  The relation decides whether the map is defined on
+    """The map read off the class pairs ([x], [op x]) over every cycle x
+    that op behaves on: op x lies in the target slice and is closed.  Both
+    conditions are rows over the source slice basis, from the images of
+    op on it: the residuals against the target slice, keyed by monomial
+    mask, and beside them the images' coordinates times the target
+    differential.  The relation decides whether the map is defined on
     every class and single valued, and this raises if not; on a chain map
     it is the graph of the same matrix as the representatives give."""
-    model = src_space.complex.model
-    n, b = model.n_gen, dst_space.degree
-    conditions = [model.d, lambda f: model.d(op(f))]
-    if 0 <= b <= n:
-        # the part of op f off the target slice, as a b-form
-        at, off = dst_space.complex._pivots[b]
-        conditions.append(lambda f: Form._make(
-            n, b, linalg.reduce(op(f).terms, at, off)[1]))
+    src, dst = src_space.complex, dst_space.complex
+    b, span = dst_space.degree, 1 << src.model.n_gen
+    coords, residuals = _images(src, dst, op, src_space.degree, b)
+    conditions = [{**res, **{span + j: x for j, x in row.items()}} for res, row
+                  in zip(residuals, linalg.matmul(coords, dst._d(b)))]
     total, functional, matrix = _relation(
-        src_space, dst_space, conditions, op, label).graph
+        src_space, dst_space, conditions, span + dst.dim(b + 1), op,
+        label).graph
     if not total:
         raise InternalConsistencyError(
             f"{label} is not defined on every class in the invariant model")

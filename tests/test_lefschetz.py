@@ -10,7 +10,7 @@ from hardlef import (Form, StructureModel, modelfile, validate_contact,
 from hardlef import errors
 from hardlef import lefschetz as lef
 from hardlef import linalg
-from hardlef.cohomology import CohomologySpace
+from hardlef.cohomology import CohomologySpace, _combine, _condition_rows
 from hardlef.errors import (DegreeError, InternalConsistencyError,
                             NotLefschetzError, PreconditionError)
 from hardlef.exterior import top_pairing, wedge_power
@@ -156,7 +156,9 @@ def test_relation_spans_are_representative_independent(kt4_struct):
            lambda f: lef.contract(kt4_struct.V, f),
            lambda f: wedge_power(deta, 2).wedge(f),
            lambda f: wedge_power(deta, 1).wedge(kt4_struct.omega.wedge(f)))
-    basis = lef._joint_kernel(cplx.basis(1), ops, model.n_gen, 1)
+    kernel = linalg.left_kernel(
+        *_condition_rows(cplx.basis(1), ops, model.n_gen))
+    basis = [_combine(cplx.basis(1), c, model.n_gen, 1) for c in kernel]
     # a different (still admissible) spanning set of the same subspace
     shuffled = [basis[0] + basis[1], basis[1], basis[2] + 2 * basis[0]]
     pairs = []
@@ -330,16 +332,22 @@ def test_search_harness_finds_no_mismatch_on_catalog():
     assert lef.search_lefschetz_mismatches(structs) == []
 
 
-def test_lefschetz_all_builds_each_relation_once(monkeypatch, capsys):
+def _lefschetz_all_h5s1(capsys):
     from pathlib import Path
 
     from hardlef import cli
+    model = Path(__file__).resolve().parent.parent / "models" / "h5s1.model"
+    assert cli.main(["lefschetz", str(model), "--mode", "all"]) == 0
+    capsys.readouterr()
+
+
+def test_lefschetz_all_builds_each_relation_once(monkeypatch, capsys):
     builds, verdicts = [], []
     relation, verdict = lef._relation, lef._verdict
 
-    def building(src, dst, conditions, op, label):
+    def building(src, dst, conditions, width, op, label):
         builds.append((src, dst))
-        return relation(src, dst, conditions, op, label)
+        return relation(src, dst, conditions, width, op, label)
 
     def deciding(rel):
         verdicts.append(id(rel))
@@ -347,13 +355,63 @@ def test_lefschetz_all_builds_each_relation_once(monkeypatch, capsys):
 
     monkeypatch.setattr(lef, "_relation", building)
     monkeypatch.setattr(lef, "_verdict", deciding)
-    model = Path(__file__).resolve().parent.parent / "models" / "h5s1.model"
-    assert cli.main(["lefschetz", str(model), "--mode", "all"]) == 0
-    capsys.readouterr()
+    _lefschetz_all_h5s1(capsys)
     # de Rham, Lee-basic and contact pictures in degrees 0, 1 and 2
     assert len(builds) == 9
     assert len(set(builds)) == 9
     assert len(verdicts) == len(set(verdicts)) == 9
+
+
+def test_relation_builds_take_no_d_and_reduce_no_form(monkeypatch, capsys):
+    # a relation reads the cycles of its source slice and the images of
+    # the slice basis in slice coordinates: no d of a form is taken and no
+    # form is reduced to its class while one is built
+    builds, inside, calls = [], [], []
+    relation = lef._relation
+
+    def building(*args):
+        builds.append(args)
+        inside.append(True)
+        try:
+            return relation(*args)
+        finally:
+            inside.pop()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            if inside:
+                calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lef, "_relation", building)
+    for cls, name in ((StructureModel, "d"), (CohomologySpace, "_class_of")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    _lefschetz_all_h5s1(capsys)
+    assert len(builds) == 9
+    assert calls == []
+
+
+def test_relation_target_that_is_not_closed_raises(kt4_struct):
+    # e3 ^ e4 is not closed (d e3 = e12), so f -> e3 ^ f sends the cycle e4
+    # to a form that is not
+    full = lef._full(kt4_struct.model)
+    with pytest.raises(InternalConsistencyError,
+                       match="^e3 cup in degree 1 is not closed$"):
+        lef._relation(full.space(1), full.space(2),
+                      *_condition_rows(full.basis(1), (), 4),
+                      lambda f: gen(4, 3).wedge(f), "e3 cup")
+
+
+def test_relation_target_off_the_slice_raises(kt4_struct):
+    # omega ^ f is not U-basic for a U-basic f, as i_U omega = 1
+    u_cplx = lef._basic(kt4_struct.model, (kt4_struct.U,))
+    with pytest.raises(InternalConsistencyError,
+                       match="^omega cup in degree 1 leaves the degree-2 "
+                             "slice$"):
+        lef._relation(u_cplx.space(1), u_cplx.space(2),
+                      *_condition_rows(u_cplx.basis(1), (), 4),
+                      lambda f: kt4_struct.omega.wedge(f), "omega cup")
 
 
 def test_a_second_call_to_a_relation_builder_computes_no_power(
