@@ -22,16 +22,21 @@ once per structure.  When such an operator is certified a chain map on
 the source slices of degrees a-1 and a (it lands in the target slices and
 d op = +-op d on their basis forms), [x] -> [op x] is well defined and
 its matrix is the classes of op applied to the source representatives.
-Building a map applies op once to each basis form of the slices it
-reads: the certificates are read in slice coordinates from the rows of
-the differentials, and the classes from the same coordinates.  An
-operator that is not certified falls back to the relation of class pairs
-([x], [op x]), which decides whether the map is defined on every class
-and single valued and reports it when it is not.
+The certificates are read in slice coordinates from the rows of the
+differentials, and the classes from the same coordinates: the images of
+op on the slice basis (_images).  A flow chain keeps the images of its
+three operators while it runs and visits degrees upwards, so a slice
+that the certificates of two consecutive maps read is imaged once, and
+it is dropped once its own map is built: at most two slices per operator
+stay alive.  A map built on its own keeps its images while it is built.
+An operator that is not certified falls back to the relation of class
+pairs ([x], [op x]), which decides whether the map is defined on every
+class and single valued and reports it when it is not.
 
 Each model owns the memo of everything this layer computes from it:
 complexes, relations, reports, the powers of d(eta), the flow operators,
-chain-slice certificates, induced class maps and the Lee quotient.  A
+chain-slice certificates, induced class maps and the Lee quotient; the
+images of a slice basis are kept only while a map reads them.  A
 relation keeps its own graph and verdict, and a transversal Lefschetz
 map (a cohomology.CohomologyMap) its own rank; they live and die with it.
 """
@@ -63,7 +68,8 @@ def _cached(model, key, build):
     "quotient", "powers" or "flow operators", structure); ("chain slice",
     source complex, target complex, operator, k, j); ("class map", source
     space, target space, operator); ("images", source complex, target
-    complex, operator) only while _class_map builds a map over them."""
+    complex, operator) only while _flow_chain runs, for its three
+    operators, or else while _class_map builds a map over them."""
     memo = model._memo
     if key not in memo:
         memo[key] = build()
@@ -336,8 +342,9 @@ def _flow_ops(struct: LcsStructure) -> tuple:
 def _images(src: Subcomplex, dst: Subcomplex, op: Callable[[Form], Form],
             k: int, j: int) -> tuple[list, list]:
     """(coordinates, residuals) of op f in the degree-j slice of dst, over
-    the basis forms f of the degree-k slice of src; kept while _class_map
-    builds a map over (src, dst, op)."""
+    the basis forms f of the degree-k slice of src; kept in the store of
+    (src, dst, op) when one is open (_class_map, _flow_chain), computed
+    afresh otherwise."""
     store = src.model._memo.get(("images", src, dst, op), {})
     if (k, j) not in store:
         pairs = [dst._reduce(op(f), j) for f in src.basis(k)]
@@ -357,7 +364,8 @@ def _chain_slice(src: Subcomplex, dst: Subcomplex,
     if any(residuals):
         return False
     upper, upper_residuals = _images(src, dst, op, k + 1, j + 1)
-    if any(linalg.matmul(src._d(k), upper_residuals)):
+    if any(upper_residuals) and \
+            any(linalg.matmul(src._d(k), upper_residuals)):
         return False
     lhs = linalg.matmul(coords, dst._d(j))
     rhs = linalg.matmul(src._d(k), upper)
@@ -374,9 +382,12 @@ def _is_chain_map(src_space: CohomologySpace, dst_space: CohomologySpace,
     src, dst = src_space.complex, dst_space.complex
     a = src_space.degree
     shift = dst_space.degree - a
-    return all(_cached(src.model, ("chain slice", src, dst, op, k, k + shift),
-                       lambda k=k: _chain_slice(src, dst, op, k, k + shift))
-               for k in (a - 1, a))
+    # both verdicts, even when the first fails: the next map of a flow
+    # chain reads the second, and the chain drops the images of degree a
+    # once this map is built
+    return all([_cached(src.model, ("chain slice", src, dst, op, k, k + shift),
+                        lambda k=k: _chain_slice(src, dst, op, k, k + shift))
+                for k in (a - 1, a)])
 
 
 def _induced_map(src_space: CohomologySpace, dst_space: CohomologySpace,
@@ -394,19 +405,30 @@ def _class_map(src_space: CohomologySpace, dst_space: CohomologySpace,
     """When op is certified a chain map (_is_chain_map), row i is the class
     of op applied to the i-th source representative, read from the images
     of the source slice basis that the certificate read; otherwise the map
-    is read off its relation of class pairs (_relation_map)."""
+    is read off its relation of class pairs (_relation_map).  The images
+    go to the open store of (source, target, op) when a flow chain holds
+    one, which then loses every slice at or below the source degree: the
+    chain reads only higher ones later.  Otherwise they go to a store of
+    this map's own, closed when it is built or raises."""
     src, dst = src_space.complex, dst_space.complex
+    a = src_space.degree
     memo = src.model._memo
     key = ("images", src, dst, op)
-    memo[key] = {}
+    store = memo.get(key)
+    if store is None:
+        memo[key] = {}
     try:
         if not _is_chain_map(src_space, dst_space, op):
             return _relation_map(src_space, dst_space, op, label)
-        coords, _ = _images(src, dst, op, src_space.degree, dst_space.degree)
+        coords, _ = _images(src, dst, op, a, dst_space.degree)
         return [dst_space._class_of_coords(row)
                 for row in linalg.matmul(src_space._rep_coords, coords)]
     finally:
-        del memo[key]
+        if store is None:
+            del memo[key]
+        else:
+            for kj in [kj for kj in store if kj[0] <= a]:
+                del store[kj]
 
 
 def _relation_map(src_space: CohomologySpace, dst_space: CohomologySpace,
@@ -526,6 +548,10 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
                 b_name: str, a_name: str, ops,
                 top_k: int) -> FlowChainReport:
     eps_op, inc_op, iv_op = ops
+    memo = b_cplx.model._memo
+    stores = [("images", b_cplx, b_cplx, eps_op),
+              ("images", b_cplx, a_cplx, inc_op),
+              ("images", a_cplx, b_cplx, iv_op)]
     spaces = [b_cplx.space(-2)]
     node_labels = [f"{b_name}(-2)"]
     maps: list[linalg.Matrix | None] = []
@@ -541,13 +567,21 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
         spaces.append(space)
         node_labels.append(name)
 
-    for k in range(-2, top_k + 1):
-        append(b_cplx.space(k + 2), f"{b_name}({k + 2})", eps_op,
-               f"[eps_deta] {b_name}({k})->{b_name}({k + 2})")
-        append(a_cplx.space(k + 2), f"{a_name}({k + 2})", inc_op,
-               f"[id] {b_name}({k + 2})->{a_name}({k + 2})")
-        append(b_cplx.space(k + 1), f"{b_name}({k + 1})", iv_op,
-               f"[i_V] {a_name}({k + 2})->{b_name}({k + 1})")
+    # each operator's maps run upwards in degree, so a slice that one
+    # map's certificate images is still held when the next map reads it
+    for key in stores:
+        memo[key] = {}
+    try:
+        for k in range(-2, top_k + 1):
+            append(b_cplx.space(k + 2), f"{b_name}({k + 2})", eps_op,
+                   f"[eps_deta] {b_name}({k})->{b_name}({k + 2})")
+            append(a_cplx.space(k + 2), f"{a_name}({k + 2})", inc_op,
+                   f"[id] {b_name}({k + 2})->{a_name}({k + 2})")
+            append(b_cplx.space(k + 1), f"{b_name}({k + 1})", iv_op,
+                   f"[i_V] {a_name}({k + 2})->{b_name}({k + 1})")
+    finally:
+        for key in stores:
+            del memo[key]
     dims = tuple(sp.dimension for sp in spaces)
     well_defined = not failures
     if not well_defined:

@@ -7,13 +7,14 @@ otherwise, never as an integral `Fraction` or a float (as_scalar).  Ints
 and Fractions of equal value compare, hash and print alike, so the rule
 changes no result; it keeps most arithmetic on the structure constants
 of a model in C.  `sparse`, `dense` and `dense_rows` convert at the
-edges of the package, `add_scaled` combines rows and `matmul` is the one
-product.  rref, rank, row_space, Echelon, left_kernel, pivot_index
-and reduce take sparse rows and answer sparse; only inverse takes and
-gives dense rows, for callers outside the package that index its entries.
-Linear maps act on coordinate row vectors from the right: row i of a
-matrix is the image of the i-th basis vector, so the matrix of f-then-g
-is matmul(M_f, M_g).  Reduced row echelon form is the canonical
+edges of the package, `add_scaled` adds a multiple of one row to another
+and `matmul` is the one product, which sums each of its rows in one loop
+under the same rule.  rref, rank, row_space, Echelon, left_kernel,
+pivot_index and reduce take sparse rows and answer sparse; only inverse
+takes and gives dense rows, for callers outside the package that index
+its entries.  Linear maps act on coordinate row vectors from the right:
+row i of a matrix is the image of the i-th basis vector, so the matrix of
+f-then-g is matmul(M_f, M_g).  Reduced row echelon form is the canonical
 presentation of a row space, which makes subspace comparison an equality
 of lists.
 
@@ -44,8 +45,8 @@ kernel and the inverse.  Rows already in RREF need no factorization:
 their pivots, with the residual that decides membership.
 
 Elsewhere the arithmetic follows the rule stated in exterior: add_scaled
-does not multiply by 1 and negates for -1, stores a new entry as it is and
-an integral product or sum as an int.
+and matmul do not multiply by 1, drop an entry that cancels and store an
+integral product or sum as an int.
 """
 
 from __future__ import annotations
@@ -111,13 +112,33 @@ def add_scaled(acc: dict, f: Rational, other: dict) -> None:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Product of sparse matrices: row i is sum_k a[i][k] b[k], without the
-    entries that cancel; b may be empty when a has no entries."""
+    entries that cancel; b may be empty when a has no entries.  Each row
+    is summed in one loop, and a row that is 1 times one row of b is a
+    copy of it."""
     out = []
     for row in a:
+        if len(row) == 1:
+            (k, x), = row.items()
+            if x == 1:
+                out.append(dict(b[k]))
+                continue
         acc: dict[int, Rational] = {}
+        get = acc.get
         for k, x in row.items():
-            if x:
-                add_scaled(acc, x, b[k])
+            if not x:
+                continue
+            for j, y in b[k].items():
+                if x != 1:
+                    y = x * y
+                z = get(j)
+                if z is not None:
+                    y += z
+                    if not y:
+                        del acc[j]
+                        continue
+                # as_scalar, inline as in add_scaled
+                acc[j] = y if type(y) is int or y.denominator != 1 \
+                    else y.numerator
         out.append(acc)
     return out
 

@@ -759,20 +759,29 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
     doc = modelfile.load_path(
         Path(__file__).resolve().parent.parent / "models" / "h7s1.model")
     struct = validate_lcs(doc.model, doc.omega, doc.eta)
-    relations, slices, source_dims = [], [], []
+    relations, slices, source_dims, stale = [], [], [], []
     calls = {"class_of": 0, "class_of_coords": 0, "d": 0}
     depth = []
+    memo = struct.model._memo
 
     class_map = lef._class_map
     chain_slice = lef._chain_slice
 
+    def held(src, dst, op):
+        return memo.get(("images", src.complex, dst.complex, op), {})
+
     def counting_map(src, dst, op, label):
         source_dims.append(src.dimension)
+        # a chain's store holds no slice below this map when it starts,
+        # and none at or below it when it is built
+        stale.extend(k for k, _ in held(src, dst, op) if k < src.degree)
         depth.append(1)
         try:
             return class_map(src, dst, op, label)
         finally:
             depth.pop()
+            stale.extend(k for k, _ in held(src, dst, op)
+                         if k <= src.degree)
 
     def counting_slice(src, dst, op, k, j):
         slices.append((src, dst, op, k, j))
@@ -787,6 +796,7 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
 
     monkeypatch.setattr(lef, "_class_map", counting_map)
     monkeypatch.setattr(lef, "_chain_slice", counting_slice)
+    imaged = _count_images(monkeypatch, memo)
     monkeypatch.setattr(lef, "_relation_map",
                         lambda *args: relations.append(args))
     for cls, name in ((CohomologySpace, "_class_of"),
@@ -803,10 +813,76 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
     assert calls == {"class_of": 0, "class_of_coords": sum(source_dims),
                      "d": 0}
     assert slices and len(slices) == len(set(slices))
+    # each nonempty slice is imaged once per operator and pair of
+    # complexes, though two consecutive certificates of a chain read it
+    assert imaged and len(imaged) == len(set(imaged))
+    assert stale == []
     # the model's memo keeps every slice verdict, and no image of a slice
-    assert sum(key[0] == "chain slice"
-               for key in struct.model._memo) == len(slices)
-    assert not any(key[0] == "images" for key in struct.model._memo)
+    assert sum(key[0] == "chain slice" for key in memo) == len(slices)
+    assert not any(key[0] == "images" for key in memo)
+
+
+def _count_images(monkeypatch, memo) -> list:
+    """Patch lefschetz._images to record (source complex, target complex,
+    operator, degree) of each image it computes on a nonempty slice rather
+    than reads from an open store."""
+    imaged = []
+    images = lef._images
+
+    def counting(src, dst, op, k, j):
+        if (k, j) not in memo.get(("images", src, dst, op), {}) and \
+                src.dim(k):
+            imaged.append((src, dst, op, k))
+        return images(src, dst, op, k, j)
+
+    monkeypatch.setattr(lef, "_images", counting)
+    return imaged
+
+
+def test_gysin_relation_path_images_each_slice_once(monkeypatch):
+    # on su(2) x S1 some flow maps fail a certificate and are read off
+    # their relations, from the same stored images
+    from pathlib import Path
+    doc = modelfile.load_path(
+        Path(__file__).resolve().parent.parent / "models" / "su2s1.model")
+    struct = validate_lcs(doc.model, doc.omega, doc.eta)
+    relations = []
+    relation_map = lef._relation_map
+
+    def counting(*args):
+        relations.append(args)
+        return relation_map(*args)
+
+    monkeypatch.setattr(lef, "_relation_map", counting)
+    imaged = _count_images(monkeypatch, struct.model._memo)
+    lef.gysin_sequence_check(struct)
+    assert relations
+    assert imaged and len(imaged) == len(set(imaged))
+
+
+@pytest.mark.parametrize("target, fail_at", [("_squares_commute", 1),
+                                             ("_chain_slice", 10)])
+def test_gysin_error_drops_every_image_store(h5s1_struct, monkeypatch,
+                                             target, fail_at):
+    # _squares_commute raises after both chains; the tenth certificate in
+    # the middle of the top chain, while its stores hold images
+    calls = []
+    original = getattr(lef, target)
+
+    def broken(*args):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise TypeError(f"bug in {target}")
+        return original(*args)
+
+    memo = h5s1_struct.model._memo
+    monkeypatch.setattr(lef, target, broken)
+    with pytest.raises(TypeError, match=f"bug in {target}"):
+        lef.gysin_sequence_check(h5s1_struct)
+    assert not any(key[0] == "images" for key in memo)
+    monkeypatch.undo()
+    assert lef.gysin_sequence_check(h5s1_struct).ok
+    assert not any(key[0] == "images" for key in memo)
 
 
 def test_run_entry_propagates_programming_errors(monkeypatch):

@@ -111,6 +111,10 @@ def test_matmul_empty_dimensions():
     # (1, -1) against two equal rows cancels to the zero row
     assert linalg.matmul([{0: F(1), 1: F(-1)}],
                          S(M([[1, 2], [1, 2]]))) == [{}]
+    # a row that picks one row of b gets a copy of it
+    b = S(M([[1, 2]]))
+    prod = linalg.matmul([{0: 1}], b)
+    assert prod == b and prod[0] is not b[0]
     rng = random.Random(11)
     values = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
     for _ in range(60):
@@ -123,7 +127,8 @@ def test_matmul_empty_dimensions():
             a[0] = [F(1), F(-1)] + [F(0)] * (n - 2)
         prod = linalg.matmul(S(a), S(b))
         assert [linalg.dense(row, c) for row in prod] == _schoolbook(a, b, c)
-        assert all(x for row in prod for x in row.values())
+        # an int where the value is integral, and no zero entry left
+        assert _nonzero_scalars(prod)
 
 
 def test_echelon_residual():
