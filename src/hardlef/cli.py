@@ -127,15 +127,22 @@ def _decimal(digits: str) -> int | None:
     return int(digits or "0") if len(digits) <= 18 else 10 ** 18
 
 
-def _degree_list(arg: str, n: int) -> list[int]:
+def _degree(arg: str) -> int | None:
+    """The degree --k names, None for 'all'.  Its syntax is checked before
+    the model file is read; its range needs n (_degree_list)."""
     if arg == "all":
-        return list(range(n + 1))
+        return None
     k = _decimal(arg.removeprefix("-"))
     if k is None:
         raise DegreeError(f"degree must be an integer or 'all', "
                           f"got {arg!r}")
-    if arg.startswith("-"):
-        k = -k
+    return -k if arg.startswith("-") else k
+
+
+def _degree_list(arg: str, k: int | None, n: int) -> list[int]:
+    """The degrees that --k arg, read as k, asks for in [0, n]."""
+    if k is None:
+        return list(range(n + 1))
     if not 0 <= k <= n:
         raise DegreeError(f"degree {arg} outside [0, {n}]")
     return [k]
@@ -148,12 +155,13 @@ def _verdicts(check: str, relation, struct, degrees) -> dict:
 
 
 def cmd_lefschetz(args) -> int:
+    asked = _degree(args.k)
     doc = modelfile.load_path(args.file)
     results: dict = {}
     if doc.kind == "lcs":
         struct = validate_lcs(doc.model, doc.omega, doc.eta)
         n = struct.n
-        degrees = _degree_list(args.k, n)
+        degrees = _degree_list(args.k, asked, n)
         mode = args.mode
         if mode in ("deRham", "all"):
             results["de_rham"] = _verdicts(
@@ -194,7 +202,7 @@ def cmd_lefschetz(args) -> int:
                 **vaisman_candidate_report(struct).to_dict()}
     elif doc.kind == "contact":
         contact = validate_contact(doc.model, doc.eta)
-        degrees = _degree_list(args.k, contact.n)
+        degrees = _degree_list(args.k, asked, contact.n)
         results["contact"] = _verdicts(
             "contact hard Lefschetz", _lef.contact_lefschetz_relation,
             contact, degrees)

@@ -24,21 +24,20 @@ d op = +-op d on their basis forms), [x] -> [op x] is well defined and
 its matrix is the classes of op applied to the source representatives.
 The certificates are read in slice coordinates from the rows of the
 differentials, and the classes from the same coordinates: the images of
-op on the slice basis (_images).  A flow chain keeps the images of its
-three operators while it runs and visits degrees upwards, so a slice
-that the certificates of two consecutive maps read is imaged once, and
-it is dropped once its own map is built: at most two slices per operator
-stay alive.  A map built on its own keeps its images while it is built.
-An operator that is not certified falls back to the relation of class
-pairs ([x], [op x]), which decides whether the map is defined on every
-class and single valued and reports it when it is not.
+op on the slice basis (_images).  The maps of one source complex, target
+complex, operator and degree shift form a family, built in one pass
+upwards in degree (_class_maps): the images of two consecutive slices are
+its loop locals, so each slice is imaged and certified once per family
+and no image outlives the pass.  An operator that is not certified falls
+back to the relation of class pairs ([x], [op x]), which decides whether
+the map is defined on every class and single valued; a family leaves out
+a map that is not, and asking for it reports why.
 
 Each model owns the memo of everything this layer computes from it:
 complexes, relations, reports, the powers of d(eta), the flow operators,
-chain-slice certificates, induced class maps and the Lee quotient; the
-images of a slice basis are kept only while a map reads them.  A
-relation keeps its own graph and verdict, and a transversal Lefschetz
-map (a cohomology.CohomologyMap) its own rank; they live and die with it.
+the families of induced class maps and the Lee quotient.  A relation
+keeps its own graph and verdict, and a transversal Lefschetz map (a
+cohomology.CohomologyMap) its own rank; they live and die with it.
 """
 
 from __future__ import annotations
@@ -65,11 +64,9 @@ def _cached(model, key, build):
     fields); (picture, structure, k) for a relation, which keeps its own
     graph and verdict; ("transversal", structure, k) for a transversal
     Lefschetz map, which keeps its own rank; ("parity", "equivalence",
-    "quotient", "powers" or "flow operators", structure); ("chain slice",
-    source complex, target complex, operator, k, j); ("class map", source
-    space, target space, operator); ("images", source complex, target
-    complex, operator) only while _flow_chain runs, for its three
-    operators, or else while _class_map builds a map over them."""
+    "quotient", "powers" or "flow operators", structure); ("class maps",
+    source complex, target complex, operator, degree shift) for a family
+    of induced class maps."""
     memo = model._memo
     if key not in memo:
         memo[key] = build()
@@ -199,21 +196,23 @@ def _verdict(relation: CohomologyRelation) -> LefschetzVerdict:
 
 def _relation(src: CohomologySpace, dst: CohomologySpace,
               conditions: linalg.Matrix, width: int,
-              op: Callable[[Form], Form], label: str) -> CohomologyRelation:
+              images: tuple[list, list], label: str) -> CohomologyRelation:
     """The class pairs ([x], [op x]) over the cycles x of the source slice
-    that the condition rows send to zero, in slice coordinates.  There is
-    one row per slice basis form, with columns below width.  x runs over
-    the left kernel of (cycles . conditions) taken back through the
-    cycles, and op x is x times the coordinates of op on the slice basis
-    (_images); op x must lie in the target slice and be closed there.  A
-    Lefschetz relation takes its other admissibility conditions and its
-    target map, an induced map the conditions op behaves on (_relation_map);
-    a slice outside degrees 0..n_gen is empty and has no cycles."""
+    that the condition rows send to zero, in slice coordinates, given the
+    images of op on the slice basis (_images).  There is one condition row
+    per slice basis form, with columns below width.  x runs over the left
+    kernel of (cycles . conditions) taken back through the cycles, and
+    op x is x times the images' coordinates; op x must lie in the target
+    slice (x cancels the residuals) and be closed there.  A Lefschetz
+    relation takes its other admissibility conditions and the images of
+    its target map, an induced map the conditions op behaves on
+    (_relation_map); a slice outside degrees 0..n_gen is empty and has no
+    cycles."""
     cplx, a, b = src.complex, src.degree, dst.degree
     cycles = cplx._diff_echelon(a).sparse_kernel if cplx.dim(a) else []
     xs = linalg.matmul(linalg.left_kernel(linalg.matmul(cycles, conditions),
                                           width), cycles)
-    coords, residuals = _images(cplx, dst.complex, op, a, b)
+    coords, residuals = images
     if any(linalg.matmul(xs, residuals)):
         raise InternalConsistencyError(
             f"{label} in degree {a} leaves the degree-{b} slice")
@@ -248,10 +247,10 @@ def de_rham_lefschetz_relation(struct: LcsStructure,
             return struct.eta.wedge(
                 l_low.wedge(liu - struct.omega.wedge(gamma)))
 
-        cplx = _full(model)
-        return _relation(cplx.space(k), cplx.space(2 * n + 2 - k),
+        cplx, b = _full(model), 2 * n + 2 - k
+        return _relation(cplx.space(k), cplx.space(b),
                          *_condition_rows(cplx.basis(k), ops, model.n_gen),
-                         target, "relation target")
+                         _images(cplx, cplx, target, k, b), "relation target")
 
     return _cached(model, ("de_rham", struct, k), build)
 
@@ -280,10 +279,11 @@ def _odd_relation(picture: str, struct, field, fields,
     def build():
         l_low, l_mid = _deta_powers(struct)[n - k:n - k + 2]
         ops = (lambda f: contract(field, f), lambda f: l_mid.wedge(f))
-        cplx = _basic(model, fields)
-        return _relation(cplx.space(k), cplx.space(2 * n + 1 - k),
+        cplx, b = _basic(model, fields), 2 * n + 1 - k
+        return _relation(cplx.space(k), cplx.space(b),
                          *_condition_rows(cplx.basis(k), ops, model.n_gen),
-                         lambda beta: struct.eta.wedge(l_low.wedge(beta)),
+                         _images(cplx, cplx, lambda beta: struct.eta.wedge(
+                             l_low.wedge(beta)), k, b),
                          f"{picture} relation target")
 
     return _cached(model, (picture, struct, k), build)
@@ -342,112 +342,102 @@ def _flow_ops(struct: LcsStructure) -> tuple:
 def _images(src: Subcomplex, dst: Subcomplex, op: Callable[[Form], Form],
             k: int, j: int) -> tuple[list, list]:
     """(coordinates, residuals) of op f in the degree-j slice of dst, over
-    the basis forms f of the degree-k slice of src; kept in the store of
-    (src, dst, op) when one is open (_class_map, _flow_chain), computed
-    afresh otherwise."""
-    store = src.model._memo.get(("images", src, dst, op), {})
-    if (k, j) not in store:
-        pairs = [dst._reduce(op(f), j) for f in src.basis(k)]
-        store[k, j] = [c for c, _ in pairs], [r for _, r in pairs]
-    return store[k, j]
+    the basis forms f of the degree-k slice of src.  Nothing keeps them:
+    _class_maps holds two slices at a time while it builds a family."""
+    pairs = [dst._reduce(op(f), j) for f in src.basis(k)]
+    return [c for c, _ in pairs], [r for _, r in pairs]
 
 
-def _chain_slice(src: Subcomplex, dst: Subcomplex,
-                 op: Callable[[Form], Form], k: int, j: int) -> bool:
+def _chain_slice(src: Subcomplex, dst: Subcomplex, k: int, j: int,
+                 images: tuple[list, list], upper: tuple[list, list]) -> bool:
     """Whether op sends the degree-k slice of src into the degree-j slice
-    of dst with d(op f) = s op(d f) on every basis form f, for one sign s.
-    No d of a form is taken: d(op f) is the coordinates of op f times the
-    rows of d of dst, and op(d f), op being linear, the row of d f in src
-    times the images of the degree-(k+1) basis, whose residuals must
-    cancel."""
-    coords, residuals = _images(src, dst, op, k, j)
+    of dst with d(op f) = s op(d f) on every basis form f, for one sign s,
+    given the images of op on the degree-k and degree-(k+1) slice bases
+    (_images).  No d of a form is taken: d(op f) is the coordinates of op f
+    times the rows of d of dst, and op(d f), op being linear, the row of
+    d f in src times the images of the degree-(k+1) basis, whose residuals
+    must cancel."""
+    coords, residuals = images
     if any(residuals):
         return False
-    upper, upper_residuals = _images(src, dst, op, k + 1, j + 1)
+    upper_coords, upper_residuals = upper
     if any(upper_residuals) and \
             any(linalg.matmul(src._d(k), upper_residuals)):
         return False
     lhs = linalg.matmul(coords, dst._d(j))
-    rhs = linalg.matmul(src._d(k), upper)
+    rhs = linalg.matmul(src._d(k), upper_coords)
     return lhs == rhs or lhs == [{c: -x for c, x in row.items()}
                                  for row in rhs]
-
-
-def _is_chain_map(src_space: CohomologySpace, dst_space: CohomologySpace,
-                  op: Callable[[Form], Form]) -> bool:
-    """Whether op is certified a chain map on the source slices of degrees
-    a-1 and a, which makes [x] -> [op x] defined on every class (closed
-    forms go to closed forms) and single valued (exact to exact).  Each
-    slice verdict is computed once per model."""
-    src, dst = src_space.complex, dst_space.complex
-    a = src_space.degree
-    shift = dst_space.degree - a
-    # both verdicts, even when the first fails: the next map of a flow
-    # chain reads the second, and the chain drops the images of degree a
-    # once this map is built
-    return all([_cached(src.model, ("chain slice", src, dst, op, k, k + shift),
-                        lambda k=k: _chain_slice(src, dst, op, k, k + shift))
-                for k in (a - 1, a)])
 
 
 def _induced_map(src_space: CohomologySpace, dst_space: CohomologySpace,
                  op: Callable[[Form], Form], label: str) -> linalg.Matrix:
     """Sparse matrix of the class map induced by op, or an error if ill
-    defined; built once per (source, target, operator) of a model, and
-    shared, so callers never change it in place."""
-    return _cached(src_space.complex.model,
-                   ("class map", src_space, dst_space, op),
-                   lambda: _class_map(src_space, dst_space, op, label))
-
-
-def _class_map(src_space: CohomologySpace, dst_space: CohomologySpace,
-               op: Callable[[Form], Form], label: str) -> linalg.Matrix:
-    """When op is certified a chain map (_is_chain_map), row i is the class
-    of op applied to the i-th source representative, read from the images
-    of the source slice basis that the certificate read; otherwise the map
-    is read off its relation of class pairs (_relation_map).  The images
-    go to the open store of (source, target, op) when a flow chain holds
-    one, which then loses every slice at or below the source degree: the
-    chain reads only higher ones later.  Otherwise they go to a store of
-    this map's own, closed when it is built or raises."""
+    defined.  It is read from the family of (source complex, target
+    complex, op, degree shift), built once per model and shared, so
+    callers never change it in place.  A degree the family lacks is ill
+    defined and is not kept: its relation path runs again, with the
+    caller's label, and raises."""
     src, dst = src_space.complex, dst_space.complex
-    a = src_space.degree
-    memo = src.model._memo
-    key = ("images", src, dst, op)
-    store = memo.get(key)
-    if store is None:
-        memo[key] = {}
-    try:
-        if not _is_chain_map(src_space, dst_space, op):
-            return _relation_map(src_space, dst_space, op, label)
-        coords, _ = _images(src, dst, op, a, dst_space.degree)
-        return [dst_space._class_of_coords(row)
-                for row in linalg.matmul(src_space._rep_coords, coords)]
-    finally:
-        if store is None:
-            del memo[key]
-        else:
-            for kj in [kj for kj in store if kj[0] <= a]:
-                del store[kj]
+    a, b = src_space.degree, dst_space.degree
+    matrix = _cached(src.model, ("class maps", src, dst, op, b - a),
+                     lambda: _class_maps(src, dst, op, b - a)).get(a)
+    if matrix is None:
+        matrix = _relation_map(src_space, dst_space,
+                               _images(src, dst, op, a, b), label)
+    return matrix
+
+
+def _class_maps(src: Subcomplex, dst: Subcomplex, op: Callable[[Form], Form],
+                shift: int) -> dict[int, linalg.Matrix]:
+    """{a: matrix} of the class maps H^a(src) -> H^(a+shift)(dst) induced
+    by op, for every degree a in -2..n_gen+2 where the map is well defined.
+    One pass upwards in degree holds the images of slices a and a+1 and
+    certifies slice a once.  When op is certified a chain map on slices a-1
+    and a, [x] -> [op x] is defined on every class (closed forms go to
+    closed forms) and single valued (exact to exact), and row i is the
+    class of op applied to the i-th source representative, read from the
+    images.  Otherwise the map is read off its relation of class pairs
+    (_relation_map) over the same images, and left out when that finds it
+    ill defined."""
+    maps = {}
+    certified = True  # slice -3 is empty
+    upper = _images(src, dst, op, -2, shift - 2)
+    for a in range(-2, src.model.n_gen + 3):
+        images, upper = upper, _images(src, dst, op, a + 1, a + 1 + shift)
+        below, certified = certified, _chain_slice(src, dst, a, a + shift,
+                                                   images, upper)
+        src_space, dst_space = src.space(a), dst.space(a + shift)
+        if below and certified:
+            maps[a] = [dst_space._class_of_coords(row) for row in
+                       linalg.matmul(src_space._rep_coords, images[0])]
+            continue
+        try:
+            maps[a] = _relation_map(src_space, dst_space, images,
+                                    "induced map")
+        except InternalConsistencyError:
+            pass  # ill defined: _induced_map raises with its caller's label
+    return maps
 
 
 def _relation_map(src_space: CohomologySpace, dst_space: CohomologySpace,
-                  op: Callable[[Form], Form], label: str) -> linalg.Matrix:
+                  images: tuple[list, list], label: str) -> linalg.Matrix:
     """The map read off the class pairs ([x], [op x]) over every cycle x
-    that op behaves on: op x lies in the target slice and is closed.  Both
-    conditions are rows over the source slice basis, from the images of
-    op on it: the residuals against the target slice, keyed by monomial
-    mask, and beside them the images' coordinates times the target
-    differential.  The relation decides whether the map is defined on
-    every class and single valued, and this raises if not; on a chain map
-    it is the graph of the same matrix as the representatives give."""
+    that op behaves on, given the images of op on the source slice basis
+    (_images): op x lies in the target slice and is closed.  Both
+    conditions are rows over the source slice basis: the residuals against
+    the target slice, keyed by monomial mask, and beside them the images'
+    coordinates times the target differential.  The relation decides
+    whether the map is defined on every class and single valued, and this
+    raises if not; on a chain map it is the graph of the same matrix as
+    the representatives give."""
     src, dst = src_space.complex, dst_space.complex
     b, span = dst_space.degree, 1 << src.model.n_gen
-    coords, residuals = _images(src, dst, op, src_space.degree, b)
+    coords, residuals = images
     conditions = [{**res, **{span + j: x for j, x in row.items()}} for res, row
                   in zip(residuals, linalg.matmul(coords, dst._d(b)))]
     total, functional, matrix = _relation(
-        src_space, dst_space, conditions, span + dst.dim(b + 1), op,
+        src_space, dst_space, conditions, span + dst.dim(b + 1), images,
         label).graph
     if not total:
         raise InternalConsistencyError(
@@ -548,10 +538,6 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
                 b_name: str, a_name: str, ops,
                 top_k: int) -> FlowChainReport:
     eps_op, inc_op, iv_op = ops
-    memo = b_cplx.model._memo
-    stores = [("images", b_cplx, b_cplx, eps_op),
-              ("images", b_cplx, a_cplx, inc_op),
-              ("images", a_cplx, b_cplx, iv_op)]
     spaces = [b_cplx.space(-2)]
     node_labels = [f"{b_name}(-2)"]
     maps: list[linalg.Matrix | None] = []
@@ -567,21 +553,13 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
         spaces.append(space)
         node_labels.append(name)
 
-    # each operator's maps run upwards in degree, so a slice that one
-    # map's certificate images is still held when the next map reads it
-    for key in stores:
-        memo[key] = {}
-    try:
-        for k in range(-2, top_k + 1):
-            append(b_cplx.space(k + 2), f"{b_name}({k + 2})", eps_op,
-                   f"[eps_deta] {b_name}({k})->{b_name}({k + 2})")
-            append(a_cplx.space(k + 2), f"{a_name}({k + 2})", inc_op,
-                   f"[id] {b_name}({k + 2})->{a_name}({k + 2})")
-            append(b_cplx.space(k + 1), f"{b_name}({k + 1})", iv_op,
-                   f"[i_V] {a_name}({k + 2})->{b_name}({k + 1})")
-    finally:
-        for key in stores:
-            del memo[key]
+    for k in range(-2, top_k + 1):
+        append(b_cplx.space(k + 2), f"{b_name}({k + 2})", eps_op,
+               f"[eps_deta] {b_name}({k})->{b_name}({k + 2})")
+        append(a_cplx.space(k + 2), f"{a_name}({k + 2})", inc_op,
+               f"[id] {b_name}({k + 2})->{a_name}({k + 2})")
+        append(b_cplx.space(k + 1), f"{b_name}({k + 1})", iv_op,
+               f"[i_V] {a_name}({k + 2})->{b_name}({k + 1})")
     dims = tuple(sp.dimension for sp in spaces)
     well_defined = not failures
     if not well_defined:

@@ -31,10 +31,11 @@ from .exterior import Form, default_names, form_text
 from .model import StructureModel
 from .record import Record
 
+_WORD = r"[A-Za-z_][A-Za-z_0-9]*"
 # [0-9], not \d: \d also matches other scripts' digits, which the command
 # line refuses too
 _TOKEN = re.compile(r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)"
-                    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                    rf"|(?P<name>{_WORD})"
                     r"|(?P<op>[\^+\-*=]))")
 # A model nests to depth 2; a string (escapes included) is one match, so
 # the brackets and digits inside it are skipped.  json reads a number with
@@ -300,16 +301,23 @@ def parse(text: str) -> ModelDocument:
 
 
 def serialize(doc: ModelDocument) -> str:
-    """Canonical file text; parse(serialize(doc)) equals doc."""
+    """Canonical file text; parse(serialize(doc)) equals doc.  A model
+    name that `name <word>` cannot read back is a ValueError."""
     custom = doc.generator_names != default_names(doc.model.n_gen)
     return "".join(f"{head}{value}\n" for _, head, value
                    in _statements(to_json_dict(doc), custom))
 
 
 def to_json_dict(doc: ModelDocument) -> dict:
+    """The JSON mirror; from_json_dict(to_json_dict(doc)) equals doc.  A
+    model name that `name <word>` cannot read back is a ValueError."""
+    name = doc.model.name
+    if name and not re.fullmatch(_WORD, name):
+        raise ValueError(f"model name {name!r} is not a word, so a model "
+                         f"file cannot carry it")
     names = doc.generator_names
     out = {
-        "name": doc.model.name,
+        "name": name,
         "dim": doc.model.n_gen,
         "generators": list(names),
         "differentials": {names[i - 1]: form_text(doc.model.d1[i - 1], names)

@@ -150,7 +150,7 @@ def product_with_circle(contact: ContactStructure) -> LcsStructure:
     old = contact.model
     p = old.n_gen + 1
     diffs = [_reframed(f, p) for f in old.d1] + [Form.zero(p, 2)]
-    name = f"{old.name} x S1" if old.name else ""
+    name = f"{old.name}_x_S1" if old.name else ""
     model = StructureModel(diffs, name=name)
     omega = Form.generator(p, p)
     eta = _reframed(contact.eta, p)
@@ -193,7 +193,7 @@ def quotient_contact(struct: LcsStructure) -> ContactStructure:
             continue
         diffs.append(Form(p, 2, {_drop_index(m, bit): c
                                  for m, c in f.terms.items()}))
-    name = f"{model.name} / Lee" if model.name else ""
+    name = f"{model.name}_Lee" if model.name else ""
     new_model = StructureModel(diffs, name=name)
     eta_n = Form(p, 1, {_drop_index(m, bit): c
                         for m, c in struct.eta.terms.items()})

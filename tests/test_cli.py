@@ -209,6 +209,15 @@ def test_non_integer_degree_exits_cleanly(kt4_file, capsys, k):
     assert err == f"error: degree must be an integer or 'all', got {k!r}\n"
 
 
+def test_degree_syntax_is_checked_before_the_model(tmp_path, capsys):
+    # d eta = 0, so validating the structure would report a rank defect
+    path = tmp_path / "m.model"
+    path.write_text("dim 4\nomega = e4\neta = e3\n")
+    assert cli.main(["lefschetz", str(path), "--k", "x"]) == 1
+    assert capsys.readouterr().err == \
+        "error: degree must be an integer or 'all', got 'x'\n"
+
+
 H5 = "dim 5\nd e5 = e1^e2 + e3^e4\neta = e5\n"
 PLAIN = "dim 3\nd e3 = e1^e2\n"
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -400,7 +401,8 @@ def test_relation_target_that_is_not_closed_raises(kt4_struct):
                        match="^e3 cup in degree 1 is not closed$"):
         lef._relation(full.space(1), full.space(2),
                       *_condition_rows(full.basis(1), (), 4),
-                      lambda f: gen(4, 3).wedge(f), "e3 cup")
+                      lef._images(full, full, lambda f: gen(4, 3).wedge(f),
+                                  1, 2), "e3 cup")
 
 
 def test_relation_target_off_the_slice_raises(kt4_struct):
@@ -411,7 +413,9 @@ def test_relation_target_off_the_slice_raises(kt4_struct):
                              "slice$"):
         lef._relation(u_cplx.space(1), u_cplx.space(2),
                       *_condition_rows(u_cplx.basis(1), (), 4),
-                      lambda f: kt4_struct.omega.wedge(f), "omega cup")
+                      lef._images(u_cplx, u_cplx,
+                                  lambda f: kt4_struct.omega.wedge(f), 1, 2),
+                      "omega cup")
 
 
 def test_a_second_call_to_a_relation_builder_computes_no_power(
@@ -478,34 +482,40 @@ def test_lefschetz_all_builds_each_report_once(monkeypatch, capsys):
 
 def test_gysin_computes_each_induced_map_once(monkeypatch, h5s1_struct):
     asked, built = [], []
-    induced_map, class_map = lef._induced_map, lef._class_map
+    induced_map, class_maps = lef._induced_map, lef._class_maps
 
     def asking(src, dst, op, label):
         asked.append((src, dst, op))
         return induced_map(src, dst, op, label)
 
-    def building(src, dst, op, label):
-        built.append((src, dst, op))
-        return class_map(src, dst, op, label)
+    def building(src, dst, op, shift):
+        built.append((src, dst, op, shift))
+        return class_maps(src, dst, op, shift)
 
     monkeypatch.setattr(lef, "_induced_map", asking)
-    monkeypatch.setattr(lef, "_class_map", building)
+    monkeypatch.setattr(lef, "_class_maps", building)
     assert lef.gysin_sequence_check(h5s1_struct).ok
-    # the squares ask again for maps of the two rows
+    # the squares ask again for maps of the two rows; each operator of
+    # each row builds its family of maps once, and every map asked for is
+    # in its family
     assert len(asked) > len(set(asked)) == 56
-    assert len(built) == len(set(built)) == 56
+    assert len(built) == len(set(built)) == 6
+    memo = h5s1_struct.model._memo
+    assert all(src.degree in memo["class maps", src.complex, dst.complex, op,
+                                  dst.degree - src.degree]
+               for src, dst, op in asked)
 
 
 def test_t_map_reuses_the_gysin_maps(monkeypatch, h5s1_struct):
     built = []
-    class_map = lef._class_map
+    class_maps = lef._class_maps
 
-    def building(src, dst, op, label):
-        built.append(label)
-        return class_map(src, dst, op, label)
+    def building(*args):
+        built.append(args)
+        return class_maps(*args)
 
     lef.gysin_sequence_check(h5s1_struct)
-    monkeypatch.setattr(lef, "_class_map", building)
+    monkeypatch.setattr(lef, "_class_maps", building)
     for k in range(h5s1_struct.n + 1):
         lef.t_map(h5s1_struct, k)
     assert built == []
@@ -549,6 +559,21 @@ def test_graph_factors_the_first_projection_once(monkeypatch, kt4_struct):
     assert calls == []
 
 
+def _certificate(src, dst, op, k, j):
+    """The slice certificate of op on the degree-k slice of src, from the
+    images of the degree-k and degree-(k+1) slices."""
+    return lef._chain_slice(src, dst, k, j, lef._images(src, dst, op, k, j),
+                            lef._images(src, dst, op, k + 1, j + 1))
+
+
+def _certified(src_space, dst_space, op):
+    """Whether op is certified a chain map on the source slices of degrees
+    a-1 and a, as a family of class maps decides it for degree a."""
+    src, dst = src_space.complex, dst_space.complex
+    a, shift = src_space.degree, dst_space.degree - src_space.degree
+    return all(_certificate(src, dst, op, k, k + shift) for k in (a - 1, a))
+
+
 def test_induced_maps_agree_with_relation_path(monkeypatch, lcs_struct):
     """Every map of the Gysin check and of T_k, certified or not, equals the
     map read off its relation of class pairs."""
@@ -556,9 +581,11 @@ def test_induced_maps_agree_with_relation_path(monkeypatch, lcs_struct):
     induced_map = lef._induced_map
 
     def both(src, dst, op, label):
-        chain = lef._is_chain_map(src, dst, op)
+        chain = _certified(src, dst, op)
+        images = lef._images(src.complex, dst.complex, op, src.degree,
+                             dst.degree)
         try:
-            by_relation = lef._relation_map(src, dst, op, label)
+            by_relation = lef._relation_map(src, dst, images, label)
         except InternalConsistencyError:
             assert not chain
             by_relation = None
@@ -596,15 +623,23 @@ def _form_chain_slice(src, dst, op, k, j):
 def test_slice_certificates_agree_with_forms(monkeypatch, lcs_struct):
     """Every slice certificate of the Gysin check and of T_k, read in slice
     coordinates, equals the one taken on forms."""
-    verdicts = []
-    chain_slice = lef._chain_slice
+    verdicts, ops = [], []
+    chain_slice, class_maps = lef._chain_slice, lef._class_maps
 
-    def both(src, dst, op, k, j):
-        verdict = chain_slice(src, dst, op, k, j)
-        assert verdict == _form_chain_slice(src, dst, op, k, j)
+    def building(src, dst, op, shift):
+        ops.append(op)
+        try:
+            return class_maps(src, dst, op, shift)
+        finally:
+            ops.pop()
+
+    def both(src, dst, k, j, images, upper):
+        verdict = chain_slice(src, dst, k, j, images, upper)
+        assert verdict == _form_chain_slice(src, dst, ops[-1], k, j)
         verdicts.append(verdict)
         return verdict
 
+    monkeypatch.setattr(lef, "_class_maps", building)
     monkeypatch.setattr(lef, "_chain_slice", both)
     lef.gysin_sequence_check(lcs_struct)
     for k in range(lcs_struct.n + 1):
@@ -640,7 +675,7 @@ def test_certificates_of_non_chain_operators_agree_with_forms(h5s1_struct):
     for op, shift, dst in ((wedge_e5, 1, full), (scale, 0, full),
                            (drop_e34, 0, full), (ident, 0, lee_basic)):
         for k in range(-1, model.n_gen + 1):
-            verdict = lef._chain_slice(full, dst, op, k, k + shift)
+            verdict = _certificate(full, dst, op, k, k + shift)
             assert verdict == _form_chain_slice(full, dst, op, k, k + shift)
             verdicts.append(verdict)
     assert any(verdicts) and not all(verdicts)
@@ -654,11 +689,15 @@ def test_non_chain_operator_takes_the_relation_path(monkeypatch,
     relations = []
     relation_map = lef._relation_map
 
-    def counting(src, dst, op, label):
-        relations.append(src.degree)
-        return relation_map(src, dst, op, label)
+    def counting(src, dst, images, label):
+        relations.append((src.degree, label))
+        return relation_map(src, dst, images, label)
 
     monkeypatch.setattr(lef, "_relation_map", counting)
+
+    def uncertified(op, shift):
+        return [a for a in range(-2, model.n_gen + 3)
+                if not _certified(cplx.space(a), cplx.space(a + shift), op)]
 
     # d e5 = e12 + e34, so wedging with e5 is no chain map, and the class
     # map it would induce is ill defined in degrees 0 to 5; the relation
@@ -671,11 +710,16 @@ def test_non_chain_operator_takes_the_relation_path(monkeypatch,
                 4: "is not single valued on classes"}
     for a, message in messages.items():
         src, dst = cplx.space(a), cplx.space(a + 1)
-        assert not lef._is_chain_map(src, dst, wedge_e5)
+        assert not _certified(src, dst, wedge_e5)
         with pytest.raises(InternalConsistencyError,
                            match=f"^\\[e5\\] {message} in the invariant"):
             lef._induced_map(src, dst, wedge_e5, "[e5]")
-    assert relations == list(messages)
+    # the family takes the relation path once on each degree it cannot
+    # certify; each ask for an ill-defined map takes it again, with the
+    # caller's label
+    assert [a for a, label in relations if label != "[e5]"] == \
+        uncertified(wedge_e5, 1)
+    assert [a for a, label in relations if label == "[e5]"] == list(messages)
 
     # scaling by 2^degree has d op = op d / 2, refused wherever d is not
     # zero on slice a-1 or a; it still induces 2^a times the identity,
@@ -683,13 +727,16 @@ def test_non_chain_operator_takes_the_relation_path(monkeypatch,
     def scale(f):
         return f * 2 ** f.degree
 
+    relations.clear()
     degrees = range(1, model.n_gen)
     for a in degrees:
         src = cplx.space(a)
-        assert not lef._is_chain_map(src, src, scale)
+        assert not _certified(src, src, scale)
         matrix = lef._induced_map(src, src, scale, "[2^deg]")
         assert matrix == [{i: 2 ** a} for i in range(src.dimension)]
-    assert relations == list(messages) + list(degrees)
+    assert set(degrees) <= {a for a, _ in relations}
+    assert [a for a, label in relations if label != "[2^deg]"] == \
+        uncertified(scale, 0)
 
 
 def test_an_ill_defined_map_is_not_kept(monkeypatch, h5s1_struct):
@@ -700,9 +747,9 @@ def test_an_ill_defined_map_is_not_kept(monkeypatch, h5s1_struct):
     runs = []
     relation_map = lef._relation_map
 
-    def counting(src, dst, op, label):
+    def counting(src, dst, images, label):
         runs.append(label)
-        return relation_map(src, dst, op, label)
+        return relation_map(src, dst, images, label)
 
     def wedge_e5(f):
         return e5.wedge(f)
@@ -712,7 +759,35 @@ def test_an_ill_defined_map_is_not_kept(monkeypatch, h5s1_struct):
         with pytest.raises(InternalConsistencyError,
                            match="not defined on every class"):
             lef._induced_map(cplx.space(1), cplx.space(2), wedge_e5, "[e5]")
-    assert runs == ["[e5]", "[e5]"]
+    # the first ask also builds the family; the second runs the relation
+    # path of degree 1 alone
+    assert runs.count("[e5]") == 2 and runs[-2:] == ["[e5]", "[e5]"]
+    assert 1 not in h5s1_struct.model._memo["class maps", cplx, cplx,
+                                            wedge_e5, 1]
+
+
+def test_a_family_answers_its_well_defined_degrees(h5s1_struct):
+    # wedging with e5 is ill defined in degrees 0 to 5 of h5 x S1: each ask
+    # raises with its caller's label, every time, while degree 6 of the
+    # same family still gives its map, one row, as e5 ^ H^6 is in degree 7
+    cplx = lef._full(h5s1_struct.model)
+    e5 = gen(6, 5)
+
+    def wedge_e5(f):
+        return e5.wedge(f)
+
+    defined, single = "is not defined on every class", \
+        "is not single valued on classes"
+    messages = [defined] * 3 + [single] * 3
+    for label in ("[e5] first", "[e5] again"):
+        for a, message in enumerate(messages):
+            with pytest.raises(InternalConsistencyError,
+                               match=f"^{re.escape(label)} {message} in the "
+                                     f"invariant model$"):
+                lef._induced_map(cplx.space(a), cplx.space(a + 1), wedge_e5,
+                                 label)
+        assert lef._induced_map(cplx.space(6), cplx.space(7), wedge_e5,
+                                label) == [{}]
 
 
 def test_certificate_checks_the_slice_below(h5s1_struct):
@@ -728,10 +803,10 @@ def test_certificate_checks_the_slice_below(h5s1_struct):
         return Form(f.n_gen, 2, {m: c for m, c in f.terms.items()
                                  if m != e34})
 
-    assert lef._chain_slice(cplx, cplx, drop_e34, 2, 2)
-    assert not lef._chain_slice(cplx, cplx, drop_e34, 1, 1)
+    assert _certificate(cplx, cplx, drop_e34, 2, 2)
+    assert not _certificate(cplx, cplx, drop_e34, 1, 1)
     h2 = cplx.space(2)
-    assert not lef._is_chain_map(h2, h2, drop_e34)
+    assert not _certified(h2, h2, drop_e34)
     with pytest.raises(InternalConsistencyError, match="not single valued"):
         lef._induced_map(h2, h2, drop_e34, "[drop e34]")
 
@@ -747,8 +822,8 @@ def test_certificate_checks_the_target_slice(h5s1_struct):
         return f
 
     h1, h1_basic = full.space(1), lee_basic.space(1)
-    assert lef._is_chain_map(h1, h1, ident)
-    assert not lef._is_chain_map(h1, h1_basic, ident)
+    assert _certified(h1, h1, ident)
+    assert not _certified(h1, h1_basic, ident)
     with pytest.raises(InternalConsistencyError,
                        match="not defined on every class"):
         lef._induced_map(h1, h1_basic, ident, "[id]")
@@ -759,33 +834,25 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
     doc = modelfile.load_path(
         Path(__file__).resolve().parent.parent / "models" / "h7s1.model")
     struct = validate_lcs(doc.model, doc.omega, doc.eta)
-    relations, slices, source_dims, stale = [], [], [], []
+    relations, slices, families = [], [], []
     calls = {"class_of": 0, "class_of_coords": 0, "d": 0}
     depth = []
     memo = struct.model._memo
 
-    class_map = lef._class_map
+    class_maps = lef._class_maps
     chain_slice = lef._chain_slice
 
-    def held(src, dst, op):
-        return memo.get(("images", src.complex, dst.complex, op), {})
-
-    def counting_map(src, dst, op, label):
-        source_dims.append(src.dimension)
-        # a chain's store holds no slice below this map when it starts,
-        # and none at or below it when it is built
-        stale.extend(k for k, _ in held(src, dst, op) if k < src.degree)
+    def counting_family(src, dst, op, shift):
+        families.append((src, dst, op, shift))
         depth.append(1)
         try:
-            return class_map(src, dst, op, label)
+            return class_maps(src, dst, op, shift)
         finally:
             depth.pop()
-            stale.extend(k for k, _ in held(src, dst, op)
-                         if k <= src.degree)
 
-    def counting_slice(src, dst, op, k, j):
-        slices.append((src, dst, op, k, j))
-        return chain_slice(src, dst, op, k, j)
+    def counting_slice(src, dst, k, j, images, upper):
+        slices.append((src, dst, families[-1][2], k, j))
+        return chain_slice(src, dst, k, j, images, upper)
 
     def counting(name, fn):
         def wrapper(*args):
@@ -794,9 +861,9 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(lef, "_class_map", counting_map)
+    monkeypatch.setattr(lef, "_class_maps", counting_family)
     monkeypatch.setattr(lef, "_chain_slice", counting_slice)
-    imaged = _count_images(monkeypatch, memo)
+    imaged = _count_images(monkeypatch)
     monkeypatch.setattr(lef, "_relation_map",
                         lambda *args: relations.append(args))
     for cls, name in ((CohomologySpace, "_class_of"),
@@ -806,32 +873,33 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
                                                 getattr(cls, name)))
     assert lef.gysin_sequence_check(struct).ok
     assert relations == []
-    assert len(source_dims) == 68
+    # three operators per row, each map of a family from representatives
+    assert len(families) == 6
+    maps = [memo[("class maps",) + family] for family in families]
+    assert all(list(m) == list(range(-2, struct.model.n_gen + 3))
+               for m in maps)
     # one class solve per representative, on the coordinates of its image
     # that the certificates read; no form is reduced again and no d of a
     # form is taken while a map is built
-    assert calls == {"class_of": 0, "class_of_coords": sum(source_dims),
-                     "d": 0}
+    assert calls == {"class_of": 0, "d": 0, "class_of_coords": sum(
+        len(matrix) for m in maps for matrix in m.values())}
+    # each slice is certified once, and each nonempty slice imaged once per
+    # family, though two consecutive maps of a family read it
     assert slices and len(slices) == len(set(slices))
-    # each nonempty slice is imaged once per operator and pair of
-    # complexes, though two consecutive certificates of a chain read it
     assert imaged and len(imaged) == len(set(imaged))
-    assert stale == []
-    # the model's memo keeps every slice verdict, and no image of a slice
-    assert sum(key[0] == "chain slice" for key in memo) == len(slices)
-    assert not any(key[0] == "images" for key in memo)
+    # the memo keeps the families, and no image or certificate of a slice
+    assert {key[0] for key in memo} == {"complex", "powers", "flow operators",
+                                        "class maps"}
 
 
-def _count_images(monkeypatch, memo) -> list:
+def _count_images(monkeypatch) -> list:
     """Patch lefschetz._images to record (source complex, target complex,
-    operator, degree) of each image it computes on a nonempty slice rather
-    than reads from an open store."""
+    operator, degree) of each image it computes on a nonempty slice."""
     imaged = []
     images = lef._images
 
     def counting(src, dst, op, k, j):
-        if (k, j) not in memo.get(("images", src, dst, op), {}) and \
-                src.dim(k):
+        if src.dim(k):
             imaged.append((src, dst, op, k))
         return images(src, dst, op, k, j)
 
@@ -841,7 +909,7 @@ def _count_images(monkeypatch, memo) -> list:
 
 def test_gysin_relation_path_images_each_slice_once(monkeypatch):
     # on su(2) x S1 some flow maps fail a certificate and are read off
-    # their relations, from the same stored images
+    # their relations, from the images their family holds
     from pathlib import Path
     doc = modelfile.load_path(
         Path(__file__).resolve().parent.parent / "models" / "su2s1.model")
@@ -854,7 +922,7 @@ def test_gysin_relation_path_images_each_slice_once(monkeypatch):
         return relation_map(*args)
 
     monkeypatch.setattr(lef, "_relation_map", counting)
-    imaged = _count_images(monkeypatch, struct.model._memo)
+    imaged = _count_images(monkeypatch)
     lef.gysin_sequence_check(struct)
     assert relations
     assert imaged and len(imaged) == len(set(imaged))
@@ -862,12 +930,12 @@ def test_gysin_relation_path_images_each_slice_once(monkeypatch):
 
 @pytest.mark.parametrize("target, fail_at", [("_squares_commute", 1),
                                              ("_chain_slice", 10)])
-def test_gysin_error_drops_every_image_store(h5s1_struct, monkeypatch,
+def test_gysin_error_keeps_no_partial_family(h5s1_struct, monkeypatch,
                                              target, fail_at):
     # _squares_commute raises after both chains; the tenth certificate in
-    # the middle of the top chain, while its stores hold images
-    calls = []
-    original = getattr(lef, target)
+    # the middle of the first family of the top chain
+    calls, built = [], []
+    original, class_maps = getattr(lef, target), lef._class_maps
 
     def broken(*args):
         calls.append(args)
@@ -875,14 +943,21 @@ def test_gysin_error_drops_every_image_store(h5s1_struct, monkeypatch,
             raise TypeError(f"bug in {target}")
         return original(*args)
 
+    def building(*args):
+        maps = class_maps(*args)
+        built.append(args)
+        return maps
+
     memo = h5s1_struct.model._memo
     monkeypatch.setattr(lef, target, broken)
+    monkeypatch.setattr(lef, "_class_maps", building)
     with pytest.raises(TypeError, match=f"bug in {target}"):
         lef.gysin_sequence_check(h5s1_struct)
-    assert not any(key[0] == "images" for key in memo)
+    assert len(built) == (6 if target == "_squares_commute" else 0)
+    # the memo keeps each family that was built, and none that raised
+    assert [key[1:] for key in memo if key[0] == "class maps"] == built
     monkeypatch.undo()
     assert lef.gysin_sequence_check(h5s1_struct).ok
-    assert not any(key[0] == "images" for key in memo)
 
 
 def test_run_entry_propagates_programming_errors(monkeypatch):
@@ -970,7 +1045,7 @@ def test_a_dropped_structure_frees_its_models():
     lef.lefschetz_equivalence_report(struct)
     lef.betti_parity_check(struct)
     assert lef.gysin_sequence_check(struct).ok
-    assert live() == ["dropped", "dropped / Lee"]
+    assert live() == ["dropped", "dropped_Lee"]
     del struct
     # no cache outside the model keeps it, or its Lee quotient, alive
     assert live() == []
@@ -1245,8 +1320,8 @@ def _kept_scalars(model):
             for sp in val._spaces.values():
                 rows += list(sp._classes.values()) + sp._rep_coords
                 rows += [f.terms for f in sp.representatives]
-        elif key[0] == "class map":
-            rows = val
+        elif key[0] == "class maps":
+            rows = [row for matrix in val.values() for row in matrix]
         else:
             continue
         for row in rows:

@@ -67,6 +67,39 @@ def test_json_mirror_roundtrip():
     assert again.omega == doc.omega and again.eta == doc.eta
 
 
+def test_circle_product_and_its_lee_quotient_round_trip():
+    from hardlef import product_with_circle, quotient_contact
+    from hardlef import validate_contact
+    from hardlef.exterior import default_names
+    h3 = modelfile.parse("name h3\ndim 3\nd e3 = e1^e2\neta = e3\n")
+    lcs = product_with_circle(validate_contact(h3.model, h3.eta))
+    quotient = quotient_contact(lcs)
+    assert (lcs.model.name, quotient.model.name) == ("h3_x_S1",
+                                                     "h3_x_S1_Lee")
+    for doc in (modelfile.ModelDocument(lcs.model, lcs.omega, lcs.eta,
+                                        default_names(4)),
+                modelfile.ModelDocument(quotient.model, None, quotient.eta,
+                                        default_names(3))):
+        for again in (modelfile.parse(modelfile.serialize(doc)),
+                      modelfile.from_json_dict(modelfile.to_json_dict(doc))):
+            assert again == doc
+            assert again.model.name == doc.model.name
+
+
+@pytest.mark.parametrize("name", ["h3 x S1", "h5s1 / Lee", "3h", "h-3",
+                                  "h\u00e9"])
+def test_serialize_refuses_a_name_parse_cannot_read(name):
+    from hardlef import StructureModel
+    with pytest.raises(ParseError):
+        modelfile.parse(f"name {name}\ndim 1\n")
+    kt4 = modelfile.parse(KT4)
+    doc = modelfile.ModelDocument(StructureModel(kt4.model.d1, name=name),
+                                  kt4.omega, kt4.eta, kt4.generator_names)
+    for write in (modelfile.serialize, modelfile.to_json_dict):
+        with pytest.raises(ValueError, match="is not a word"):
+            write(doc)
+
+
 def test_json_detection():
     import json
     doc = modelfile.parse(KT4)
