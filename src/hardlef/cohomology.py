@@ -7,13 +7,15 @@ list of fields, built as the kernel of L_v on the exterior algebra of
 the fields' annihilator; it is automatically d-stable (verified anyway).
 
 Betti numbers come from ranks: b_k = dim C^k - rank d_k - rank d_(k-1),
-once D_(k-1) D_k = 0 is checked.  A rank is read off the differential's
-factorization when one exists and taken by a plain RREF otherwise.
+once D_(k-1) D_k = 0 is checked.  A rank is the one kept with the cycles
+of the differential when they exist and taken by a plain RREF otherwise.
 space(k) builds representatives and the class table only on demand, and
 betti_numbers reads the dimension of a space that is already built.
-Cohomology spaces carry a deterministic representative basis, obtained by
-completing the canonical image basis inside the canonical kernel basis;
-the elimination that picks them also gives the class of every cycle.
+Cohomology is read in the coordinates of the cycles: the rows of
+D_(k-1) reduced against the canonical cycle basis are the boundaries,
+and one elimination of them, r x z for r rows and z cycles, picks the
+representatives (the cycles independent of the image and of the cycles
+before them) and gives the class of every cycle.
 
 Sparse inside, dense at the API.  The differential rows, kernels, images,
 representatives, the classes _class_of returns and the rows of a
@@ -25,11 +27,14 @@ CohomologyMap.matrix.
 Every degree basis is an RREF over the monomials of its degree (the
 identity for full_complex, a row space for basic_complex), hence its own
 factorization: linalg.reduce reads a form's coordinates at the pivots,
-and its residual is empty exactly when the form lies in the slice.  Each
-differential is factored once, lazily: its kernel is the cycles of degree
-k and its rows the image in degree k+1.  A Subcomplex keeps only these;
-other layers read the cycles and the rows of d from it, and keep what
-they derive (relations, chain-map certificates, class maps) themselves.
+and its residual is empty exactly when the form lies in the slice.  The
+cycles of each degree k, the left kernel of D_k in RREF, are taken once,
+lazily, by linalg.kernel_and_rank, which gives rank d_k from the same
+elimination; their pivot index is the membership test of class_of, in
+the same way.  A Subcomplex keeps only the rows of d, the cycles, the
+ranks and the spaces; other layers read the cycles and the rows of d
+from it, and keep what they derive (relations, chain-map certificates,
+class maps) themselves.
 A CohomologyMap (a splitting map, or a transversal Lefschetz map) keeps
 its own rank, and a splitting report reads invertibility off its maps.
 """
@@ -82,7 +87,7 @@ class Subcomplex:
                         f"the fields do not cut out a subcomplex")
                 mat.append(coords)
             self._diff.append(mat)
-        self._diff_echelons: dict[int, linalg.Echelon] = {}
+        self._cycle_bases: dict[int, linalg.Matrix] = {}
         self._ranks: dict[int, int] = {}
         self._spaces: dict[int, CohomologySpace] = {}
 
@@ -103,24 +108,22 @@ class Subcomplex:
     def _d(self, k: int) -> list[dict[int, Rational]]:
         return self._diff[k] if 0 <= k <= self.model.n_gen else []
 
-    def _diff_echelon(self, k: int) -> linalg.Echelon:
-        """The one factorization of d from degree k: its RREF rows span
-        the image in degree k+1, its kernel is the cycles in degree k."""
-        ech = self._diff_echelons.get(k)
-        if ech is None:
-            ech = linalg.Echelon(self._diff[k], self.dim(k + 1))
-            self._diff_echelons[k] = ech
-        return ech
+    def _cycles(self, k: int) -> linalg.Matrix:
+        """The canonical RREF basis of the cycles in degree k, the left
+        kernel of D_k, taken once; the same elimination gives rank d_k."""
+        cycles = self._cycle_bases.get(k)
+        if cycles is None:
+            cycles, self._ranks[k] = linalg.kernel_and_rank(
+                self._d(k), self.dim(k + 1))
+            self._cycle_bases[k] = cycles
+        return cycles
 
     def _rank(self, k: int) -> int:
-        """Rank of d from degree k: the factorization's when it exists, a
-        plain RREF (no identity block) otherwise."""
+        """Rank of d from degree k: the one kept with the cycles when they
+        exist, a plain RREF otherwise."""
         r = self._ranks.get(k)
         if r is None:
-            ech = self._diff_echelons.get(k)
-            r = (len(ech.pivots) if ech is not None
-                 else linalg.rank(self._d(k), self.dim(k + 1)))
-            self._ranks[k] = r
+            r = self._ranks[k] = linalg.rank(self._d(k), self.dim(k + 1))
         return r
 
     def coords(self, form: Form, degree: int | None = None):
@@ -181,33 +184,39 @@ class Subcomplex:
                     f"image is not contained in the kernel in degree {k}")
 
     def _build_space(self, k: int) -> "CohomologySpace":
-        m_k = self.dim(k)
-        if m_k == 0:
-            return CohomologySpace(self, k, [], {})
-        kernel = self._diff_echelon(k).sparse_kernel
-        image = self._diff_echelon(k - 1).sparse_rows if k >= 1 else []
-        # a kernel row is a representative exactly when it is independent of
-        # the image and the kernel rows before it: a pivot column of the
-        # transpose of [image; kernel].  A column of an RREF is the sum of the
-        # pivot columns weighted by its entries in the pivot rows, and the
-        # representative rows vanish on the image columns (all pivots)
-        r = len(image)
-        cols = image + kernel
-        transposed: list[dict[int, Rational]] = [{} for _ in range(m_k)]
-        for i, col in enumerate(cols):
-            for j, x in col.items():
-                transposed[j][i] = x
-        rows, pivots = linalg.rref(transposed, len(cols))
-        reps = [cols[p] for p in pivots if p >= r]
-        if len(reps) != len(kernel) - r:
-            raise InternalConsistencyError(
-                f"image is not contained in the kernel in degree {k}")
-        classes: list[dict[int, Rational]] = [{} for _ in kernel]
-        for i, row in enumerate(rows[r:]):
-            for j, x in row.items():
-                classes[j - r][i] = x
-        return CohomologySpace(self, k, reps, {
-            min(row): c for row, c in zip(kernel, classes)})
+        """H^k in the coordinates of the cycles K_0, ..., K_(z-1).  Each row
+        of D_(k-1) must reduce to nothing against them (d d = 0); its
+        coordinates are a boundary, with cycle i in column z-1-i.  A pivot
+        of the RREF of the boundaries in these reversed columns is the
+        largest cycle some boundary ends at, so K_i is a representative,
+        independent of the image and of the cycles before it, exactly when
+        column z-1-i is not a pivot.  Then its class is a unit vector, and
+        otherwise the RREF row of pivot z-1-i gives it: minus each entry,
+        at the representative of the entry's column."""
+        if not self.dim(k):
+            return CohomologySpace(self, k, [], ({}, {}), [])
+        cycles = self._cycles(k)
+        index = linalg.pivot_index(cycles)
+        last = len(cycles) - 1
+        bounds = []
+        for row in self._d(k - 1):
+            coords, residual = linalg.reduce(row, *index)
+            if residual:
+                raise InternalConsistencyError(
+                    f"image is not contained in the kernel in degree {k}")
+            bounds.append({last - i: x for i, x in coords.items()})
+        rows, pivots = linalg.rref(bounds, last + 1)
+        bounded = set(pivots)
+        reps = [i for i in range(last + 1) if last - i not in bounded]
+        classes: list[dict[int, Rational]] = [{} for _ in cycles]
+        for r, i in enumerate(reps):
+            classes[i] = {r: 1}
+        slot = {last - i: r for r, i in enumerate(reps)}
+        for row, p in zip(rows, pivots):
+            classes[last - p] = {slot[f]: -x for f, x in row.items()
+                                 if f != p}
+        return CohomologySpace(self, k, [cycles[i] for i in reps], index,
+                               classes)
 
     def __repr__(self):
         label = "full" if not self.fields else f"basic({len(self.fields)})"
@@ -219,17 +228,21 @@ class CohomologySpace:
 
     representatives are closed admissible forms whose classes form a basis;
     class_of maps any closed admissible form to its exact coordinates in
-    that basis.  A cycle x is sum_j x[p_j] K_j in the RREF basis K_j of the
-    cycles, p_j the smallest key of K_j; the class of K_j is kept under p_j.
+    that basis.  A form is closed exactly when its slice coordinates lie
+    in the row space of the RREF basis K_i of the cycles, given by its
+    pivot index: then it is sum_i c_i K_i, c_i its coordinate at the pivot
+    of K_i, and its class is sum_i c_i classes[i].
     """
 
     def __init__(self, cplx: Subcomplex, degree: int,
                  rep_coords: list[dict[int, Rational]],
-                 classes: dict[int, dict[int, Rational]]):
+                 cycle_index: tuple[dict, dict],
+                 classes: list[dict[int, Rational]]):
         self.complex = cplx
         self.degree = degree
         self.dimension = len(rep_coords)
         self._rep_coords = rep_coords
+        self._cycle_index = cycle_index
         self._classes = classes
         basis = cplx.basis(degree)
         self.representatives = tuple(
@@ -250,19 +263,16 @@ class CohomologySpace:
 
     def _class_of_coords(self, coords: dict[int, Rational]
                          ) -> dict[int, Rational]:
-        """_class_of, given the coordinates in the slice basis."""
-        diff = self.complex._d(self.degree)
-        img: dict[int, Rational] = {}
-        for i, c in coords.items():
-            linalg.add_scaled(img, c, diff[i])
-        if img:
+        """_class_of, given the coordinates in the slice basis: closed
+        means no residual against the cycles, and the coordinates in the
+        cycles weigh their classes; no product by D_k is taken."""
+        cycle_coords, residual = linalg.reduce(coords, *self._cycle_index)
+        if residual:
             raise PreconditionError(
                 f"class_of needs a closed form in degree {self.degree}")
         out: dict[int, Rational] = {}
-        for p, c in coords.items():
-            cls = self._classes.get(p)
-            if cls is not None:
-                linalg.add_scaled(out, c, cls)
+        for i, c in cycle_coords.items():
+            linalg.add_scaled(out, c, self._classes[i])
         return out
 
     def __repr__(self):

@@ -14,7 +14,8 @@ follow the same pattern with the simpler admissibility conditions
 Everything is decided by exact rank computations; powers of L that exceed
 the top degree are the zero map.  A relation is read over the cycles of
 its source slice, in slice coordinates: the conditions and the target map
-meet the slice basis once, and no d of a form is taken.
+meet once each slice basis form that some cycle uses, and no other, and
+no d of a form is taken.
 
 The flow sequences compare cohomologies through maps induced by operators
 on forms, linear in each degree: cup with d(eta), inclusion and i_V, made
@@ -196,20 +197,22 @@ def _verdict(relation: CohomologyRelation) -> LefschetzVerdict:
 
 def _relation(src: CohomologySpace, dst: CohomologySpace,
               conditions: linalg.Matrix, width: int,
-              images: tuple[list, list], label: str) -> CohomologyRelation:
+              images: tuple, label: str) -> CohomologyRelation:
     """The class pairs ([x], [op x]) over the cycles x of the source slice
     that the condition rows send to zero, in slice coordinates, given the
-    images of op on the slice basis (_images).  There is one condition row
-    per slice basis form, with columns below width.  x runs over the left
+    images of op on the slice basis (_images).  The condition rows, with
+    columns below width, and the images are indexed by slice basis form,
+    and only the rows of the forms some cycle uses are read: lists over
+    the whole basis or mappings from those indices.  x runs over the left
     kernel of (cycles . conditions) taken back through the cycles, and
     op x is x times the images' coordinates; op x must lie in the target
     slice (x cancels the residuals) and be closed there.  A Lefschetz
     relation takes its other admissibility conditions and the images of
-    its target map, an induced map the conditions op behaves on
-    (_relation_map); a slice outside degrees 0..n_gen is empty and has no
-    cycles."""
+    its target map (_cycle_relation), an induced map the conditions op
+    behaves on (_relation_map); a slice outside degrees 0..n_gen is empty
+    and has no cycles."""
     cplx, a, b = src.complex, src.degree, dst.degree
-    cycles = cplx._diff_echelon(a).sparse_kernel if cplx.dim(a) else []
+    cycles = cplx._cycles(a)
     xs = linalg.matmul(linalg.left_kernel(linalg.matmul(cycles, conditions),
                                           width), cycles)
     coords, residuals = images
@@ -223,6 +226,23 @@ def _relation(src: CohomologySpace, dst: CohomologySpace,
             f"{label} in degree {a} is not closed") from None
     return CohomologyRelation.from_pairs(
         src, dst, zip(map(src._class_of_coords, xs), ys))
+
+
+def _cycle_relation(cplx: Subcomplex, k: int, b: int, ops, target,
+                    label: str) -> CohomologyRelation:
+    """The Lefschetz relation of degrees k and b of cplx: _relation with
+    one condition row per operator of ops and the images of target.  Both
+    are taken only on the degree-k basis forms that some cycle uses, and
+    kept by basis index: cycles . conditions and xs . images read no other
+    row."""
+    basis = cplx.basis(k)
+    used = sorted({i for row in cplx._cycles(k) for i in row})
+    rows, width = _condition_rows([basis[i] for i in used], ops,
+                                  cplx.model.n_gen)
+    pairs = [cplx._reduce(target(basis[i]), b) for i in used]
+    return _relation(cplx.space(k), cplx.space(b), dict(zip(used, rows)),
+                     width, ({i: c for i, (c, _) in zip(used, pairs)},
+                             {i: r for i, (_, r) in zip(used, pairs)}), label)
 
 
 def de_rham_lefschetz_relation(struct: LcsStructure,
@@ -247,10 +267,8 @@ def de_rham_lefschetz_relation(struct: LcsStructure,
             return struct.eta.wedge(
                 l_low.wedge(liu - struct.omega.wedge(gamma)))
 
-        cplx, b = _full(model), 2 * n + 2 - k
-        return _relation(cplx.space(k), cplx.space(b),
-                         *_condition_rows(cplx.basis(k), ops, model.n_gen),
-                         _images(cplx, cplx, target, k, b), "relation target")
+        return _cycle_relation(_full(model), k, 2 * n + 2 - k, ops, target,
+                               "relation target")
 
     return _cached(model, ("de_rham", struct, k), build)
 
@@ -279,12 +297,10 @@ def _odd_relation(picture: str, struct, field, fields,
     def build():
         l_low, l_mid = _deta_powers(struct)[n - k:n - k + 2]
         ops = (lambda f: contract(field, f), lambda f: l_mid.wedge(f))
-        cplx, b = _basic(model, fields), 2 * n + 1 - k
-        return _relation(cplx.space(k), cplx.space(b),
-                         *_condition_rows(cplx.basis(k), ops, model.n_gen),
-                         _images(cplx, cplx, lambda beta: struct.eta.wedge(
-                             l_low.wedge(beta)), k, b),
-                         f"{picture} relation target")
+        return _cycle_relation(
+            _basic(model, fields), k, 2 * n + 1 - k, ops,
+            lambda beta: struct.eta.wedge(l_low.wedge(beta)),
+            f"{picture} relation target")
 
     return _cached(model, (picture, struct, k), build)
 

@@ -10,15 +10,16 @@ of a model in C.  `sparse`, `dense` and `dense_rows` convert at the
 edges of the package, `add_scaled` adds a multiple of one row to another
 and `matmul` is the one product, which sums each of its rows in one loop
 under the same rule.  rref, rank, row_space, Echelon, left_kernel,
-pivot_index and reduce take sparse rows and answer sparse; only inverse
-takes and gives dense rows, for callers outside the package that index
-its entries.  Linear maps act on coordinate row vectors from the right:
-row i of a matrix is the image of the i-th basis vector, so the matrix of
-f-then-g is matmul(M_f, M_g).  Reduced row echelon form is the canonical
-presentation of a row space, which makes subspace comparison an equality
-of lists.
+kernel_and_rank, pivot_index and reduce take sparse rows and answer
+sparse; only inverse takes and gives dense rows, for callers outside the
+package that index its entries.  Linear maps act on coordinate row
+vectors from the right: row i of a matrix is the image of the i-th basis
+vector, so the matrix of f-then-g is matmul(M_f, M_g).  Reduced row
+echelon form is the canonical presentation of a row space, which makes
+subspace comparison an equality of lists.
 
-`rref` is the one elimination: rank, row_space and Echelon all call it.
+`rref` is the one elimination: rank, row_space, left_kernel and Echelon
+all call it.
 It works on integer rows: each row is scaled to coprime integers, and a
 step replaces a row q by (a/g) q - (b/g) p, with a and b the entries of
 the pivot row p and of q in the pivot column and g = gcd(a, b), then
@@ -37,12 +38,15 @@ an all-integer row keeps its numerators unscaled, the passes visit only
 the columns some row holds, and a column that its pivot row alone holds
 takes no step.  Pivot rows are divided by their pivots at the end: an
 entry the pivot divides becomes an int, any other a Fraction, and a row
-with pivot 1 is returned as its integer row.  `Echelon` is the one
-factorization built on it: the RREF of [M | I], with the identity as one
-entry per row, which gives the combinations behind each row, the left
-kernel and the inverse.  Rows already in RREF need no factorization:
-`pivot_index` checks them and `reduce` reads a vector's coordinates at
-their pivots, with the residual that decides membership.
+with pivot 1 is returned as its integer row.  A left kernel is read off
+the RREF of the transpose with its columns in reverse order, which also
+gives the rank (kernel_and_rank); no identity block is carried.
+`Echelon` is the factorization for callers that need the combinations
+behind each row: the RREF of [M | I], with the identity as one entry per
+row, which gives those combinations and the inverse.  Rows already in
+RREF need no factorization: `pivot_index` checks them and `reduce` reads
+a vector's coordinates at their pivots, with the residual that decides
+membership.
 
 Elsewhere the arithmetic follows the rule stated in exterior: add_scaled
 and matmul do not multiply by 1, drop an entry that cancels and store an
@@ -291,12 +295,13 @@ def reduce(vec: dict, at: dict, off: dict) -> tuple[dict, dict]:
 
 
 class Echelon:
-    """One factorization of a matrix: the RREF of [mat | I].
+    """The RREF of [mat | I], for the combinations behind each row.
 
     mat has sparse rows with columns below ncols.  sparse_rows and pivots
     are the canonical RREF of mat; sparse_combos[i] . mat = sparse_rows[i];
     sparse_kernel is the canonical RREF basis of the left kernel of mat
-    (the identity block of the rows whose pivot lies past ncols).
+    (the identity block of the rows whose pivot lies past ncols), as
+    left_kernel gives it without the identity block.
     """
 
     def __init__(self, mat: Matrix, ncols: int):
@@ -313,10 +318,35 @@ class Echelon:
                               for row in red[r:]]
 
 
+def kernel_and_rank(mat: Matrix, ncols: int) -> tuple[Matrix, int]:
+    """(canonical sparse basis of {x : x . mat = 0}, rank of mat), from one
+    RREF of the transpose of mat with its columns, the rows of mat, in
+    reverse order.  Row i of mat is column last - i there.  A free column
+    f gives the kernel row with 1 at last - f and -R[f] at last - p for
+    each pivot row R, of pivot p, that holds f.  Such a p is below f, so
+    the row's smallest key is last - f, at which no other row has an
+    entry: in ascending order of last - f these rows are the RREF."""
+    last = len(mat) - 1
+    transposed: list[dict[int, Rational]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(mat):
+        for j, x in row.items():
+            if x:
+                transposed[j][last - i] = x
+    rows, pivots = rref(transposed, last + 1)
+    bound = set(pivots)
+    kernel = {f: {last - f: 1} for f in range(last, -1, -1)
+              if f not in bound}
+    for row, p in zip(rows, pivots):
+        for f, x in row.items():
+            if f != p:
+                kernel[f][last - p] = -x
+    return list(kernel.values()), len(pivots)
+
+
 def left_kernel(mat: Matrix, ncols: int) -> Matrix:
     """Canonical sparse basis of {x : x . mat = 0}; x is indexed by the
-    rows of mat."""
-    return Echelon(mat, ncols).sparse_kernel
+    rows of mat (kernel_and_rank)."""
+    return kernel_and_rank(mat, ncols)[0]
 
 
 def inverse(mat: Sequence[Sequence]) -> list[list[Rational]] | None:

@@ -46,9 +46,12 @@ def test_betti_numbers_build_no_space_and_no_factorization(monkeypatch):
     cplxs = _complexes(model, [Vector.basis(6, 6)])
 
     def refuse(*args):
-        raise AssertionError("betti_numbers built a space or an Echelon")
+        raise AssertionError("betti_numbers built a space, a cycle basis "
+                             "or an Echelon")
 
     monkeypatch.setattr(coh.CohomologySpace, "__init__", refuse)
+    monkeypatch.setattr(coh.Subcomplex, "_cycles", refuse)
+    monkeypatch.setattr(linalg, "kernel_and_rank", refuse)
     monkeypatch.setattr(linalg.Echelon, "__init__", refuse)
     betti = [betti_numbers(c) for c in cplxs]
     monkeypatch.undo()
@@ -76,8 +79,9 @@ def test_betti_numbers_eliminate_nothing_once_the_spaces_are_built(
 
 def test_rank_reuses_the_factorization_of_a_differential(monkeypatch):
     cplx = full_complex(StructureModel.from_salamon(H5S1))
-    ranks = [len(cplx._diff_echelon(k).pivots) for k in range(7)]
+    ranks = [cplx.dim(k) - len(cplx._cycles(k)) for k in range(7)]
     monkeypatch.setattr(linalg, "rank", None)
+    monkeypatch.setattr(linalg, "rref", None)
     assert [cplx._rank(k) for k in range(7)] == ranks
 
 
@@ -143,6 +147,21 @@ def test_betti_numbers_and_space_share_the_d_squared_guard(structure, fields,
 def test_rank_path_matches_the_spaces_on_the_lcs_corpus(lcs_struct):
     for cplx in _complexes(lcs_struct.model, [lcs_struct.U]):
         assert _rank_path(cplx) == _space_dims(cplx)
+
+
+def test_cycles_and_ranks_on_the_lcs_corpus(lcs_struct):
+    """In every complex and degree, the cycles are an RREF basis of ker D_k
+    and the rank kept from their elimination is the rank of D_k."""
+    model, u, v = lcs_struct.model, lcs_struct.U, lcs_struct.V
+    for fields in [(), (u,), (v,), (u, v)]:
+        cplx = basic_complex(model, fields)
+        for k in range(model.n_gen + 1):
+            cycles, d = cplx._cycles(k), cplx._d(k)
+            assert not any(linalg.matmul(cycles, d))
+            linalg.pivot_index(cycles)
+            rank = cplx._rank(k)
+            assert len(cycles) + rank == cplx.dim(k)
+            assert rank == linalg.rank(d, cplx.dim(k + 1))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

@@ -459,3 +459,21 @@ def test_cli_import_loads_no_startup_weight():
     weight = {"dataclasses", "inspect", "hashlib"}
     assert cold & weight <= loaded(f"import sys; {report}")[1]
     assert not {"argparse", "gettext", "locale"} & cold
+
+
+@pytest.mark.parametrize("name", ["h7s1", "su2s1"])
+def test_lefschetz_and_basic_cohomology_build_no_echelon(monkeypatch, capsys,
+                                                        name):
+    """Cycles, spaces, class reads, relations and basic complexes take
+    their kernels from the transposed RREF: no [M | I] is factored."""
+    from hardlef import linalg
+
+    def refuse(*args):
+        raise AssertionError("an Echelon was built")
+
+    monkeypatch.setattr(linalg.Echelon, "__init__", refuse)
+    path = str(Path(__file__).resolve().parent.parent / "models"
+               / f"{name}.model")
+    assert cli.main(["lefschetz", path, "--mode", "all"]) == 0
+    assert cli.main(["cohomology", path, "--basic", "U"]) == 0
+    assert "Traceback" not in capsys.readouterr().err

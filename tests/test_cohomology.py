@@ -15,7 +15,7 @@ from hardlef.errors import (DegreeError, NotClosedError, PreconditionError)
 from hardlef.exterior import contract, degree_masks
 
 import oracle
-from conftest import COEFFS, rational_models, vectors
+from conftest import COEFFS, rational_models, rebase, vectors
 
 
 @pytest.fixture
@@ -284,13 +284,49 @@ def test_each_differential_is_factored_once(monkeypatch):
     assert factored and set(factored.values()) == {1}
 
 
+# h5 x S1 rebased by a rational triangular matrix: its complex basic for
+# E6 has rational differentials in degrees 2 and 3
+REBASED = rebase(StructureModel.from_salamon("(0,0,0,0,12+34,0)"),
+                 [[1, Fraction(1, 2), 0, 0, 0, -1],
+                  [0, 1, 0, Fraction(2, 3), 0, 0], [0, 0, 1, 0, 1, 0],
+                  [0, 0, 0, 2, 0, 0], [0, 0, 0, 0, 1, Fraction(1, 2)],
+                  [0, 0, 0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: full_complex(StructureModel.from_salamon("(0,0,0,0,12+34,0)")),
+    lambda: basic_complex(REBASED, [Vector.basis(6, 6)])],
+    ids=["h5s1-full", "rebased-basic"])
+def test_class_of_refuses_a_form_that_is_zero_at_the_cycle_pivots(make):
+    """A slice vector that is 0 at every cycle pivot and not 0 is not
+    closed: read only at the pivots it would have the zero class."""
+    cplx = make()
+    seen = 0
+    for k in range(cplx.model.n_gen + 1):
+        sp = cplx.space(k)
+        at, _ = sp._cycle_index
+        off = [j for j in range(cplx.dim(k)) if j not in at]
+        if not off:
+            continue
+        coords = {j: Fraction(j + 2, 3) for j in off}
+        form = _combine(cplx.basis(k), coords, cplx.model.n_gen, k)
+        assert not cplx.model.d(form).is_zero()
+        message = f"class_of needs a closed form in degree {k}"
+        with pytest.raises(PreconditionError, match=message):
+            sp._class_of_coords(coords)
+        with pytest.raises(PreconditionError, match=message):
+            sp.class_of(form)
+        seen += 1
+    assert seen >= 2
+
+
 def test_each_space_takes_one_elimination(monkeypatch):
     m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
     eliminate = linalg.rref
     for cplx, degrees in [(full_complex(m), 7),
                           (basic_complex(m, [Vector.basis(6, 6)]), 6)]:
         for k in range(7):
-            cplx._diff_echelon(k)
+            cplx._cycles(k)
         calls = []
 
         def counting(rows, ncols):

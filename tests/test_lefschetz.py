@@ -1312,13 +1312,15 @@ def test_contact_verdicts_match_the_product_with_a_circle(contact):
 
 def _kept_scalars(model):
     """Every scalar the memo of a model keeps in a slice differential, a
-    class table, a representative or an induced class map."""
+    cycle basis, a class table, a representative or an induced class
+    map."""
     from hardlef.cohomology import Subcomplex
     for key, val in model._memo.items():
         if isinstance(val, Subcomplex):
             rows = [row for mat in val._diff for row in mat]
+            rows += [row for mat in val._cycle_bases.values() for row in mat]
             for sp in val._spaces.values():
-                rows += list(sp._classes.values()) + sp._rep_coords
+                rows += sp._classes + sp._rep_coords
                 rows += [f.terms for f in sp.representatives]
         elif key[0] == "class maps":
             rows = [row for matrix in val.values() for row in matrix]

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hardlef import linalg
 
@@ -292,6 +292,16 @@ def _nonzero_scalars(rows):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(data=_mixed_matrices())
+# an empty matrix, zero matrices, repeated rows, entries in the last column
+@example(data=([], 3, 2, [[0, 0, 0], [1, 0, Fraction(1, 2)]], []))
+@example(data=([[0, 0, 0], [F(0), 0, 0]], 3, 1, [[0, 0, 0], [0, 2, 0]],
+               [1, 0]))
+@example(data=([[], []], 0, 0, [[], []], [1, 0]))
+@example(data=([[1, Fraction(1, 2), 0], [1, Fraction(1, 2), 0], [0, 3, 0],
+                [1, Fraction(1, 2), 0]], 3, 3, [[2, 1, 0], [0, 0, 1]],
+               [2, 0, 3, 1]))
+@example(data=([[0, 0, 5], [1, 0, 0], [0, 0, Fraction(-1, 3)], [2, 0, 7]],
+               3, 2, [[1, 0, 5], [0, 1, 0]], [3, 1, 0, 2]))
 def test_sparse_kernel_matches_oracle(data):
     mat, width, ncols, vecs, perm = data
     # the matrix and vectors as sparse dicts, entries as drawn; every
@@ -315,7 +325,10 @@ def test_sparse_kernel_matches_oracle(data):
     ech = linalg.Echelon(smat, width)
     assert (ech.sparse_rows, ech.pivots) == (rows, pivots)
     assert ech.sparse_kernel == S(oracle.kernel_rows(mat, width))
-    assert linalg.left_kernel(smat, width) == ech.sparse_kernel
+    # the left kernel and the rank from one transposed elimination
+    kernel, rank = linalg.kernel_and_rank(smat, width)
+    assert kernel == ech.sparse_kernel == linalg.left_kernel(smat, width)
+    assert rank == linalg.rank(smat, width) == len(ech.pivots)
     index = linalg.pivot_index(rows)
     dense_rows = [linalg.dense(r, width) for r in rows]
     answers = []
@@ -335,7 +348,7 @@ def test_sparse_kernel_matches_oracle(data):
         answers += [coords, residual]
     assert not linalg.reduce(linalg.sparse(vecs[0]), *index)[1]
     assert _nonzero_scalars(rows + part + ech.sparse_rows + ech.sparse_combos
-                              + ech.sparse_kernel + answers)
+                              + ech.sparse_kernel + kernel + answers)
 
     # the pivot order is free: permuted rows give the same canonical results
     permuted = [smat[i] for i in perm]
