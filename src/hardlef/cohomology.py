@@ -113,8 +113,7 @@ class Subcomplex:
         kernel of D_k, taken once; the same elimination gives rank d_k."""
         cycles = self._cycle_bases.get(k)
         if cycles is None:
-            cycles, self._ranks[k] = linalg.kernel_and_rank(
-                self._d(k), self.dim(k + 1))
+            cycles, self._ranks[k] = linalg.kernel_and_rank(self._d(k))
             self._cycle_bases[k] = cycles
         return cycles
 
@@ -123,7 +122,7 @@ class Subcomplex:
         exist, a plain RREF otherwise."""
         r = self._ranks.get(k)
         if r is None:
-            r = self._ranks[k] = linalg.rank(self._d(k), self.dim(k + 1))
+            r = self._ranks[k] = linalg.rank(self._d(k))
         return r
 
     def coords(self, form: Form, degree: int | None = None):
@@ -205,7 +204,7 @@ class Subcomplex:
                 raise InternalConsistencyError(
                     f"image is not contained in the kernel in degree {k}")
             bounds.append({last - i: x for i, x in coords.items()})
-        rows, pivots = linalg.rref(bounds, last + 1)
+        rows, pivots = linalg.rref(bounds)
         bounded = set(pivots)
         reps = [i for i in range(last + 1) if last - i not in bounded]
         classes: list[dict[int, Rational]] = [{} for _ in cycles]
@@ -290,15 +289,15 @@ def _combine(basis: Sequence[Form], coords: dict[int, Rational], n_gen: int,
 
 
 def _condition_rows(basis: Sequence[Form], operators,
-                    n_gen: int) -> tuple[list[dict[int, Rational]], int]:
-    """(rows, width): row i lays the images of basis[i] under the operators
-    side by side, keyed by monomial mask, the j-th image's offset by
-    j 2^n_gen.  A combination of the basis lies in the kernel of every
-    operator exactly when it is in the left kernel of the rows."""
+                    n_gen: int) -> list[dict[int, Rational]]:
+    """Row i lays the images of basis[i] under the operators side by side,
+    keyed by monomial mask, the j-th image's offset by j 2^n_gen, so the
+    keys of one row lie far apart.  A combination of the basis lies in
+    the kernel of every operator exactly when it is in the left kernel of
+    the rows."""
     span = 1 << n_gen
     return [{j * span + m: x for j, op in enumerate(operators)
-             for m, x in op(f).terms.items()} for f in basis], \
-        len(operators) * span
+             for m, x in op(f).terms.items()} for f in basis]
 
 
 def full_complex(model: StructureModel) -> Subcomplex:
@@ -327,16 +326,16 @@ def basic_complex(model: StructureModel,
     n = model.n_gen
     pairing = [linalg.sparse(col) for col in zip(*(v.coeffs for v in fields))]
     theta = [Form._make(n, 1, {1 << i: x for i, x in row.items()})
-             for row in linalg.left_kernel(pairing, len(fields))]
+             for row in linalg.left_kernel(pairing)]
     lie = [partial(model.lie_derivative, v) for v in fields]
     # (index of the last factor, theta_I) for ascending index tuples I
     products = [(-1, Form.constant(n, 1))]
     bases = []
     for k in range(n + 1):
         forms = [f for _, f in products]
-        kept = linalg.left_kernel(*_condition_rows(forms, lie, n))
+        kept = linalg.left_kernel(_condition_rows(forms, lie, n))
         bases.append([Form._make(n, k, row) for row in linalg.row_space(
-            linalg.matmul(kept, [f.terms for f in forms]), 1 << n)])
+            linalg.matmul(kept, [f.terms for f in forms]))])
         products = [(j, f.wedge(theta[j])) for i, f in products
                     for j in range(i + 1, len(theta))]
     return Subcomplex(model, fields, bases)
@@ -378,7 +377,7 @@ class CohomologyMap(Record):
 
     @cached_property
     def rank(self) -> int:
-        return linalg.rank(self.rows, self.target_dim)
+        return linalg.rank(self.rows)
 
     @property
     def invertible(self) -> bool:

@@ -37,7 +37,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeError, ModelMismatchError
-from .linalg import Rational, as_scalar
+from .linalg import Rational, _coerce, as_scalar
 
 MAX_GENERATORS = 16
 
@@ -111,15 +111,6 @@ def _accumulate(out: dict, key: int, c: Rational) -> None:
 def _sum(values: list) -> Rational:
     """Sum of a list of scalars, 0 for none, adding nothing to zero."""
     return as_scalar(sum(values[1:], values[0])) if values else 0
-
-
-def _coerce(value: Rational) -> Rational:
-    """A given coefficient by the scalar rule; a float is a TypeError."""
-    if type(value) is int:
-        return value
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not allowed; use Fraction")
-    return as_scalar(Fraction(value))
 
 
 class Form:

@@ -115,8 +115,7 @@ class CohomologyRelation(Record):
         """The span of sparse class pairs (x, y)."""
         da = source.dimension
         rows = [{**x, **{da + j: c for j, c in y.items()}} for x, y in pairs]
-        return cls(source, target, tuple(
-            linalg.row_space(rows, da + target.dimension)))
+        return cls(source, target, tuple(linalg.row_space(rows)))
 
     @property
     def span(self) -> tuple[tuple[Rational, ...], ...]:
@@ -187,7 +186,7 @@ def _verdict(relation: CohomologyRelation) -> LefschetzVerdict:
     width = relation.target.dimension
     injective = surjective = False
     if m is not None:
-        r = linalg.rank(m, width)
+        r = linalg.rank(m)
         injective = r == relation.source.dimension
         surjective = r == width
         m = tuple(m)
@@ -196,14 +195,14 @@ def _verdict(relation: CohomologyRelation) -> LefschetzVerdict:
 
 
 def _relation(src: CohomologySpace, dst: CohomologySpace,
-              conditions: linalg.Matrix, width: int,
-              images: tuple, label: str) -> CohomologyRelation:
+              conditions: linalg.Matrix, images: tuple,
+              label: str) -> CohomologyRelation:
     """The class pairs ([x], [op x]) over the cycles x of the source slice
     that the condition rows send to zero, in slice coordinates, given the
-    images of op on the slice basis (_images).  The condition rows, with
-    columns below width, and the images are indexed by slice basis form,
-    and only the rows of the forms some cycle uses are read: lists over
-    the whole basis or mappings from those indices.  x runs over the left
+    images of op on the slice basis (_images).  The condition rows, keyed
+    by any columns, and the images are indexed by slice basis form, and
+    only the rows of the forms some cycle uses are read: lists over the
+    whole basis or mappings from those indices.  x runs over the left
     kernel of (cycles . conditions) taken back through the cycles, and
     op x is x times the images' coordinates; op x must lie in the target
     slice (x cancels the residuals) and be closed there.  A Lefschetz
@@ -213,8 +212,8 @@ def _relation(src: CohomologySpace, dst: CohomologySpace,
     and has no cycles."""
     cplx, a, b = src.complex, src.degree, dst.degree
     cycles = cplx._cycles(a)
-    xs = linalg.matmul(linalg.left_kernel(linalg.matmul(cycles, conditions),
-                                          width), cycles)
+    xs = linalg.matmul(linalg.left_kernel(linalg.matmul(cycles, conditions)),
+                       cycles)
     coords, residuals = images
     if any(linalg.matmul(xs, residuals)):
         raise InternalConsistencyError(
@@ -237,12 +236,11 @@ def _cycle_relation(cplx: Subcomplex, k: int, b: int, ops, target,
     row."""
     basis = cplx.basis(k)
     used = sorted({i for row in cplx._cycles(k) for i in row})
-    rows, width = _condition_rows([basis[i] for i in used], ops,
-                                  cplx.model.n_gen)
+    rows = _condition_rows([basis[i] for i in used], ops, cplx.model.n_gen)
     pairs = [cplx._reduce(target(basis[i]), b) for i in used]
     return _relation(cplx.space(k), cplx.space(b), dict(zip(used, rows)),
-                     width, ({i: c for i, (c, _) in zip(used, pairs)},
-                             {i: r for i, (_, r) in zip(used, pairs)}), label)
+                     ({i: c for i, (c, _) in zip(used, pairs)},
+                      {i: r for i, (_, r) in zip(used, pairs)}), label)
 
 
 def de_rham_lefschetz_relation(struct: LcsStructure,
@@ -442,19 +440,18 @@ def _relation_map(src_space: CohomologySpace, dst_space: CohomologySpace,
     that op behaves on, given the images of op on the source slice basis
     (_images): op x lies in the target slice and is closed.  Both
     conditions are rows over the source slice basis: the residuals against
-    the target slice, keyed by monomial mask, and beside them the images'
-    coordinates times the target differential.  The relation decides
-    whether the map is defined on every class and single valued, and this
-    raises if not; on a chain map it is the graph of the same matrix as
-    the representatives give."""
+    the target slice, keyed by monomial mask, and beside them, from column
+    2^n_gen on, the images' coordinates times the target differential.
+    The relation decides whether the map is defined on every class and
+    single valued, and this raises if not; on a chain map it is the graph
+    of the same matrix as the representatives give."""
     src, dst = src_space.complex, dst_space.complex
     b, span = dst_space.degree, 1 << src.model.n_gen
     coords, residuals = images
     conditions = [{**res, **{span + j: x for j, x in row.items()}} for res, row
                   in zip(residuals, linalg.matmul(coords, dst._d(b)))]
     total, functional, matrix = _relation(
-        src_space, dst_space, conditions, span + dst.dim(b + 1), images,
-        label).graph
+        src_space, dst_space, conditions, images, label).graph
     if not total:
         raise InternalConsistencyError(
             f"{label} is not defined on every class in the invariant model")
@@ -485,8 +482,8 @@ def t_map(struct: LcsStructure,
     _, inc_op, iv_op = _flow_ops(struct)
     iv = _induced_map(src, mid, iv_op, "[i_V] on Lee-basic classes")
     inc = _induced_map(low, dst, inc_op, "[id] on (U,V)-basic classes")
-    # invertible, so the combinations that reduce it to I are its inverse
-    l_inv = linalg.Echelon(lef_uv.rows, lef_uv.target_dim).sparse_combos
+    # invertible, checked above, so the inverse is never None
+    l_inv = linalg.sparse_inverse(lef_uv.rows)
     t = linalg.matmul(linalg.matmul(iv, l_inv), inc)
     basic = is_graph_of_isomorphism(basic_lefschetz_relation(struct, k))
     if basic.is_graph_of_isomorphism:
@@ -588,7 +585,7 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
             failures.append(f"composition through {node_labels[i + 1]} "
                             f"does not vanish")
     # map i runs from node i to node i+1; each is ranked once
-    ranks = [linalg.rank(m, dims[i + 1]) for i, m in enumerate(maps)]
+    ranks = [linalg.rank(m) for m in maps]
     bad = [node_labels[i] for i in range(1, len(spaces) - 1)
            if ranks[i - 1] != dims[i] - ranks[i]]
     if bad:
@@ -719,7 +716,7 @@ def pairing_psi(struct: LcsStructure, k: int) -> PairingResult:
             else:
                 symmetric = False
                 skew = skew and a == -b
-    nondegenerate = linalg.rank([linalg.sparse(r) for r in psi], d) == d
+    nondegenerate = linalg.rank([linalg.sparse(r) for r in psi]) == d
     # parity_ok: psi is symmetric for even k and skew for odd k
     return PairingResult(k, tuple(tuple(r) for r in psi), nondegenerate,
                          skew if k % 2 else symmetric, symmetric, skew)

@@ -3,23 +3,26 @@
 One matrix kind: a vector is a dict {column: nonzero scalar} and a
 matrix a list of such rows.  The scalar rule of the package: an exact
 value is stored as an `int` when it is integral and as a `Fraction`
-otherwise, never as an integral `Fraction` or a float (as_scalar).  Ints
-and Fractions of equal value compare, hash and print alike, so the rule
-changes no result; it keeps most arithmetic on the structure constants
-of a model in C.  `sparse`, `dense` and `dense_rows` convert at the
-edges of the package, `add_scaled` adds a multiple of one row to another
-and `matmul` is the one product, which sums each of its rows in one loop
-under the same rule.  rref, rank, row_space, Echelon, left_kernel,
-kernel_and_rank, pivot_index and reduce take sparse rows and answer
+otherwise, never as an integral `Fraction` or a float (as_scalar); a
+float given from outside is a TypeError (_coerce).  Ints and Fractions
+of equal value compare, hash and print alike, so the rule changes no
+result; it keeps most arithmetic on the structure constants of a model
+in C.  `sparse`, `dense` and `dense_rows` convert at the edges of the
+package, `add_scaled` adds a multiple of one row to another and `matmul`
+is the one product, which sums each of its rows in one loop under the
+same rule.  rref, rank, row_space, left_kernel, kernel_and_rank,
+sparse_inverse, pivot_index and reduce take sparse rows and answer
 sparse; only inverse takes and gives dense rows, for callers outside the
-package that index its entries.  Linear maps act on coordinate row
-vectors from the right: row i of a matrix is the image of the i-th basis
-vector, so the matrix of f-then-g is matmul(M_f, M_g).  Reduced row
-echelon form is the canonical presentation of a row space, which makes
-subspace comparison an equality of lists.
+package that index its entries.  No elimination takes a column count:
+the columns of a matrix are the keys its rows hold, however far apart.
+Linear maps act on coordinate row vectors from the right: row i of a
+matrix is the image of the i-th basis vector, so the matrix of
+f-then-g is matmul(M_f, M_g).  Reduced row echelon form is the canonical
+presentation of a row space, which makes subspace comparison an equality
+of lists.
 
-`rref` is the one elimination: rank, row_space, left_kernel and Echelon
-all call it.
+`rref` is the one elimination: rank, row_space, kernel_and_rank,
+left_kernel, sparse_inverse and inverse all call it.
 It works on integer rows: each row is scaled to coprime integers, and a
 step replaces a row q by (a/g) q - (b/g) p, with a and b the entries of
 the pivot row p and of q in the pivot column and g = gcd(a, b), then
@@ -40,13 +43,11 @@ takes no step.  Pivot rows are divided by their pivots at the end: an
 entry the pivot divides becomes an int, any other a Fraction, and a row
 with pivot 1 is returned as its integer row.  A left kernel is read off
 the RREF of the transpose with its columns in reverse order, which also
-gives the rank (kernel_and_rank); no identity block is carried.
-`Echelon` is the factorization for callers that need the combinations
-behind each row: the RREF of [M | I], with the identity as one entry per
-row, which gives those combinations and the inverse.  Rows already in
-RREF need no factorization: `pivot_index` checks them and `reduce` reads
-a vector's coordinates at their pivots, with the residual that decides
-membership.
+gives the rank (kernel_and_rank); no identity block is carried.  The one
+identity block is the inverse's: sparse_inverse reads it off the RREF of
+[M | I], with I one entry per row.  Rows already in RREF need no
+elimination: `pivot_index` checks them and `reduce` reads a vector's
+coordinates at their pivots, with the residual that decides membership.
 
 Elsewhere the arithmetic follows the rule stated in exterior: add_scaled
 and matmul do not multiply by 1, drop an entry that cancels and store an
@@ -72,11 +73,20 @@ def as_scalar(x: Rational) -> Rational:
 # ----- sparse vectors --------------------------------------------------------
 
 
+def _coerce(value: Rational) -> Rational:
+    """A given value by the scalar rule; a float is a TypeError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float):
+        raise TypeError("float coefficients are not allowed; use Fraction")
+    return as_scalar(Fraction(value))
+
+
 def sparse(row: Sequence) -> dict[int, Rational]:
     """{column: nonzero scalar} of a dense row, entries coerced to the
-    scalar rule."""
-    return {j: x if type(x) is int else as_scalar(Fraction(x))
-            for j, x in enumerate(row) if x}
+    scalar rule (_coerce): a float, even 0.0, is a TypeError."""
+    return {j: c for j, x in enumerate(row)
+            if (c := x if type(x) is int else _coerce(x))}
 
 
 def dense(row: dict[int, Rational], width: int) -> list[Rational]:
@@ -174,19 +184,16 @@ def _divide_content(row: dict[int, int]) -> None:
             row[j] = x // g
 
 
-def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
+def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    Row operations apply to full rows, so callers may pass augmented rows
-    and restrict pivoting (and canonical form) to the first `ncols` columns.
+    Every key some row holds is a column and may give a pivot.
     holders[c] has the ids of the rows holding c as keys: a dict of ints,
     which the garbage collector does not track; a set is."""
     rows = [row for row in map(_integer_row, filter(None, mat)) if row]
     holders: dict[int, dict[int, None]] = {}
     for i, row in enumerate(rows):
         for j in row:
-            if j < ncols:
-                holders.setdefault(j, {})[i] = None
+            holders.setdefault(j, {})[i] = None
     free = set(range(len(rows)))
     order: list[tuple[int, int]] = []
     for c in sorted(holders):
@@ -199,12 +206,12 @@ def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
         if rows[p][c] < 0:
             rows[p] = {j: -x for j, x in rows[p].items()}
         if len(found) > 1:
-            _pivot_step(rows, holders, p, c, ncols,
+            _pivot_step(rows, holders, p, c,
                         [i for i in found if i != p])
         order.append((p, c))
     for p, c in reversed(order):
         if len(holders[c]) > 1:
-            _pivot_step(rows, holders, p, c, ncols,
+            _pivot_step(rows, holders, p, c,
                         [i for i in holders[c] if i != p])
     out = []
     for p, c in order:
@@ -215,7 +222,7 @@ def rref(mat: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
 
 
 def _pivot_step(rows: list[dict[int, int]], holders: dict[int, dict],
-                p: int, c: int, ncols: int, others: list[int]) -> None:
+                p: int, c: int, others: list[int]) -> None:
     """Clear column c from the rows in others with rows[p], updating
     holders on the keys of rows[p] only."""
     prow = rows[p]
@@ -231,26 +238,24 @@ def _pivot_step(rows: list[dict[int, int]], holders: dict[int, dict],
             y = row.get(j)
             if y is None:
                 row[j] = -bg * x
-                if j < ncols:
-                    holders[j][i] = None
+                holders[j][i] = None
             else:
                 y -= bg * x
                 if y:
                     row[j] = y
                 else:
                     del row[j]
-                    if j < ncols:
-                        del holders[j][i]
+                    del holders[j][i]
         _divide_content(row)
 
 
-def rank(mat: Matrix, ncols: int) -> int:
-    return len(rref(mat, ncols)[1])
+def rank(mat: Matrix) -> int:
+    return len(rref(mat)[1])
 
 
-def row_space(mat: Matrix, ncols: int) -> Matrix:
+def row_space(mat: Matrix) -> Matrix:
     """Canonical (RREF) basis of the span of the rows."""
-    return rref(mat, ncols)[0]
+    return rref(mat)[0]
 
 
 def pivot_index(rows: Matrix) -> tuple[dict, dict]:
@@ -294,45 +299,22 @@ def reduce(vec: dict, at: dict, off: dict) -> tuple[dict, dict]:
     return coords, residual
 
 
-class Echelon:
-    """The RREF of [mat | I], for the combinations behind each row.
-
-    mat has sparse rows with columns below ncols.  sparse_rows and pivots
-    are the canonical RREF of mat; sparse_combos[i] . mat = sparse_rows[i];
-    sparse_kernel is the canonical RREF basis of the left kernel of mat
-    (the identity block of the rows whose pivot lies past ncols), as
-    left_kernel gives it without the identity block.
-    """
-
-    def __init__(self, mat: Matrix, ncols: int):
-        m = len(mat)
-        red, pivots = rref([{**row, ncols + i: 1}
-                            for i, row in enumerate(mat)], ncols + m)
-        r = sum(1 for p in pivots if p < ncols)
-        self.pivots = pivots[:r]
-        self.sparse_rows = [{j: x for j, x in row.items() if j < ncols}
-                            for row in red[:r]]
-        self.sparse_combos = [{j - ncols: x for j, x in row.items()
-                               if j >= ncols} for row in red[:r]]
-        self.sparse_kernel = [{j - ncols: x for j, x in row.items()}
-                              for row in red[r:]]
-
-
-def kernel_and_rank(mat: Matrix, ncols: int) -> tuple[Matrix, int]:
+def kernel_and_rank(mat: Matrix) -> tuple[Matrix, int]:
     """(canonical sparse basis of {x : x . mat = 0}, rank of mat), from one
-    RREF of the transpose of mat with its columns, the rows of mat, in
-    reverse order.  Row i of mat is column last - i there.  A free column
-    f gives the kernel row with 1 at last - f and -R[f] at last - p for
-    each pivot row R, of pivot p, that holds f.  Such a p is below f, so
-    the row's smallest key is last - f, at which no other row has an
-    entry: in ascending order of last - f these rows are the RREF."""
+    RREF of the transpose of mat, whose rows are the columns mat holds and
+    whose columns are the rows of mat in reverse order: row i of mat is
+    column last - i there.  A free column f gives the kernel row with 1 at
+    last - f and -R[f] at last - p for each pivot row R, of pivot p, that
+    holds f.  Such a p is below f, so the row's smallest key is last - f,
+    at which no other row has an entry: in ascending order of last - f
+    these rows are the RREF."""
     last = len(mat) - 1
-    transposed: list[dict[int, Rational]] = [{} for _ in range(ncols)]
+    transposed: dict[int, dict[int, Rational]] = {}
     for i, row in enumerate(mat):
         for j, x in row.items():
             if x:
-                transposed[j][last - i] = x
-    rows, pivots = rref(transposed, last + 1)
+                transposed.setdefault(j, {})[last - i] = x
+    rows, pivots = rref(list(transposed.values()))
     bound = set(pivots)
     kernel = {f: {last - f: 1} for f in range(last, -1, -1)
               if f not in bound}
@@ -343,16 +325,26 @@ def kernel_and_rank(mat: Matrix, ncols: int) -> tuple[Matrix, int]:
     return list(kernel.values()), len(pivots)
 
 
-def left_kernel(mat: Matrix, ncols: int) -> Matrix:
+def left_kernel(mat: Matrix) -> Matrix:
     """Canonical sparse basis of {x : x . mat = 0}; x is indexed by the
     rows of mat (kernel_and_rank)."""
-    return kernel_and_rank(mat, ncols)[0]
+    return kernel_and_rank(mat)[0]
+
+
+def sparse_inverse(mat: Matrix) -> Matrix | None:
+    """Inverse of a square matrix of sparse rows, as sparse rows, or None
+    when singular.  [mat | I] has rank m, m the number of rows; mat is
+    invertible exactly when every pivot of its RREF lies in the mat block,
+    and then the RREF is [I | mat^-1]."""
+    m = len(mat)
+    rows, pivots = rref([{**row, m + i: 1} for i, row in enumerate(mat)])
+    if pivots and pivots[-1] >= m:
+        return None
+    return [{j - m: x for j, x in row.items() if j >= m} for row in rows]
 
 
 def inverse(mat: Sequence[Sequence]) -> list[list[Rational]] | None:
     """Inverse of a square matrix of dense rows, as dense rows, or None
-    when singular."""
-    ech = Echelon([sparse(row) for row in mat], len(mat))
-    if len(ech.pivots) != len(mat):
-        return None
-    return [dense(row, len(mat)) for row in ech.sparse_combos]
+    when singular (sparse_inverse)."""
+    inv = sparse_inverse([sparse(row) for row in mat])
+    return None if inv is None else [dense(row, len(mat)) for row in inv]

@@ -228,7 +228,7 @@ class StructureModel:
                         if xa is not None:
                             _accumulate(rows[b], k, c * xa)
                 produced += rows
-            nxt = linalg.row_space(produced, n)
+            nxt = linalg.row_space(produced)
             if not nxt:
                 return True
             if len(nxt) == len(current):

@@ -15,8 +15,9 @@ with ^ between generator names:
 
     d e5 = e1^e3 + 2 e2^e4 - 1/2 e1^e2
 
-Every syntactic or semantic defect is reported as a ParseError carrying
-line and column.
+The bare 0 fits any statement; any other sum keeps the degree of its
+terms even when it is zero (e1 - e1, e1^e1).  Every syntactic or
+semantic defect is reported as a ParseError carrying line and column.
 """
 
 from __future__ import annotations
@@ -118,12 +119,15 @@ class _FormParser:
         self.pos += 1
         return tok
 
-    def parse(self) -> Form:
+    def parse(self) -> Form | None:
+        """The form of the expression; None for the bare `0`, the one zero
+        without a degree.  Any other sum keeps the degree of its terms,
+        even when they cancel or a monomial repeats an index."""
         if not self.tokens:
             raise ParseError("empty form expression", self.lineno)
         if (len(self.tokens) == 1 and self.tokens[0][0] == "number"
                 and self.tokens[0][1] == "0"):
-            return Form.zero(self.n_gen, 0)
+            return None
         total = None
         sign = 1
         tok = self.peek()
@@ -268,7 +272,7 @@ def parse(text: str) -> ModelDocument:
                 raise ParseError(f"unknown generator {tokens[1][1]!r}",
                                  lineno, tokens[1][2])
             expr = _FormParser(tokens[3:], lineno, gen_index, dim).parse()
-            if expr.is_zero():
+            if expr is None:
                 expr = Form.zero(dim, 2)
             if expr.degree != 2:
                 raise ParseError(f"d {tokens[1][1]} must be a 2-form, "
@@ -283,7 +287,7 @@ def parse(text: str) -> ModelDocument:
                 raise ParseError(f"usage: {head} = <expression>",
                                  lineno, col)
             expr = _FormParser(tokens[2:], lineno, gen_index, dim).parse()
-            if expr.is_zero():
+            if expr is None:
                 expr = Form.zero(dim, 1)
             if expr.degree != 1:
                 raise ParseError(f"{head} must be a 1-form, got degree "

@@ -62,7 +62,7 @@ def two_form_rank(f: Form) -> int:
     """Rank of a 2-form as a skew bilinear form on the frame."""
     if f.degree != 2:
         raise DegreeError("rank is defined for 2-forms")
-    return linalg.rank(_two_form_skew_rows(f), f.n_gen)
+    return linalg.rank(_two_form_skew_rows(f))
 
 
 def _solve_characterizing_field(deta: Form, conditions, err_cls) -> Vector:
@@ -73,7 +73,7 @@ def _solve_characterizing_field(deta: Form, conditions, err_cls) -> Vector:
     eqs = _two_form_skew_rows(deta) + [
         {**{m.bit_length() - 1: x for m, x in form.terms.items()},
          n: value} for form, value in conditions]
-    rows, pivots = linalg.rref(eqs, n + 1)
+    rows, pivots = linalg.rref(eqs)
     if sum(1 for p in pivots if p < n) < n:
         raise err_cls("characterizing linear system is singular; the field "
                       "is not unique")

@@ -47,12 +47,12 @@ def test_betti_numbers_build_no_space_and_no_factorization(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("betti_numbers built a space, a cycle basis "
-                             "or an Echelon")
+                             "or an inverse")
 
     monkeypatch.setattr(coh.CohomologySpace, "__init__", refuse)
     monkeypatch.setattr(coh.Subcomplex, "_cycles", refuse)
     monkeypatch.setattr(linalg, "kernel_and_rank", refuse)
-    monkeypatch.setattr(linalg.Echelon, "__init__", refuse)
+    monkeypatch.setattr(linalg, "sparse_inverse", refuse)
     betti = [betti_numbers(c) for c in cplxs]
     monkeypatch.undo()
     assert betti == [(1, 5, 9, 10, 9, 5, 1), (1, 4, 5, 5, 4, 1, 0)]
@@ -68,9 +68,9 @@ def test_betti_numbers_eliminate_nothing_once_the_spaces_are_built(
     calls = []
     eliminate = linalg.rref
 
-    def counting(rows, ncols):
-        calls.append(ncols)
-        return eliminate(rows, ncols)
+    def counting(rows):
+        calls.append(len(rows))
+        return eliminate(rows)
 
     monkeypatch.setattr(linalg, "rref", counting)
     assert [betti_numbers(c) for c in cplxs] == dims
@@ -161,7 +161,7 @@ def test_cycles_and_ranks_on_the_lcs_corpus(lcs_struct):
             linalg.pivot_index(cycles)
             rank = cplx._rank(k)
             assert len(cycles) + rank == cplx.dim(k)
-            assert rank == linalg.rank(d, cplx.dim(k + 1))
+            assert rank == linalg.rank(d)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

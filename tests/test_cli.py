@@ -465,13 +465,14 @@ def test_cli_import_loads_no_startup_weight():
 def test_lefschetz_and_basic_cohomology_build_no_echelon(monkeypatch, capsys,
                                                         name):
     """Cycles, spaces, class reads, relations and basic complexes take
-    their kernels from the transposed RREF: no [M | I] is factored."""
+    their kernels from the transposed RREF: no [M | I] is factored, and
+    sparse_inverse, the one elimination that carries it, is not called."""
     from hardlef import linalg
 
     def refuse(*args):
-        raise AssertionError("an Echelon was built")
+        raise AssertionError("an [M | I] was factored")
 
-    monkeypatch.setattr(linalg.Echelon, "__init__", refuse)
+    monkeypatch.setattr(linalg, "sparse_inverse", refuse)
     path = str(Path(__file__).resolve().parent.parent / "models"
                / f"{name}.model")
     assert cli.main(["lefschetz", path, "--mode", "all"]) == 0

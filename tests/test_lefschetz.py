@@ -158,7 +158,7 @@ def test_relation_spans_are_representative_independent(kt4_struct):
            lambda f: wedge_power(deta, 2).wedge(f),
            lambda f: wedge_power(deta, 1).wedge(kt4_struct.omega.wedge(f)))
     kernel = linalg.left_kernel(
-        *_condition_rows(cplx.basis(1), ops, model.n_gen))
+        _condition_rows(cplx.basis(1), ops, model.n_gen))
     basis = [_combine(cplx.basis(1), c, model.n_gen, 1) for c in kernel]
     # a different (still admissible) spanning set of the same subspace
     shuffled = [basis[0] + basis[1], basis[1], basis[2] + 2 * basis[0]]
@@ -208,9 +208,9 @@ def test_transversal_map_ranks_on_first_read_only(monkeypatch):
     calls = []
     rank = linalg.rank
 
-    def counting(rows, ncols):
-        calls.append(ncols)
-        return rank(rows, ncols)
+    def counting(rows):
+        calls.append(len(rows))
+        return rank(rows)
 
     monkeypatch.setattr(linalg, "rank", counting)
     maps = [lef.uv_basic_lefschetz(s, k) for k in range(s.n + 1)]
@@ -346,9 +346,9 @@ def test_lefschetz_all_builds_each_relation_once(monkeypatch, capsys):
     builds, verdicts = [], []
     relation, verdict = lef._relation, lef._verdict
 
-    def building(src, dst, conditions, width, op, label):
+    def building(src, dst, conditions, op, label):
         builds.append((src, dst))
-        return relation(src, dst, conditions, width, op, label)
+        return relation(src, dst, conditions, op, label)
 
     def deciding(rel):
         verdicts.append(id(rel))
@@ -400,7 +400,7 @@ def test_relation_target_that_is_not_closed_raises(kt4_struct):
     with pytest.raises(InternalConsistencyError,
                        match="^e3 cup in degree 1 is not closed$"):
         lef._relation(full.space(1), full.space(2),
-                      *_condition_rows(full.basis(1), (), 4),
+                      _condition_rows(full.basis(1), (), 4),
                       lef._images(full, full, lambda f: gen(4, 3).wedge(f),
                                   1, 2), "e3 cup")
 
@@ -412,7 +412,7 @@ def test_relation_target_off_the_slice_raises(kt4_struct):
                        match="^omega cup in degree 1 leaves the degree-2 "
                              "slice$"):
         lef._relation(u_cplx.space(1), u_cplx.space(2),
-                      *_condition_rows(u_cplx.basis(1), (), 4),
+                      _condition_rows(u_cplx.basis(1), (), 4),
                       lef._images(u_cplx, u_cplx,
                                   lambda f: kt4_struct.omega.wedge(f), 1, 2),
                       "omega cup")
@@ -1186,9 +1186,9 @@ def test_gysin_ranks_each_flow_chain_map_once(monkeypatch):
     calls = []
     rank = linalg.rank
 
-    def counting(mat, ncols):
-        calls.append(ncols)
-        return rank(mat, ncols)
+    def counting(mat):
+        calls.append(len(mat))
+        return rank(mat)
 
     monkeypatch.setattr(linalg, "rank", counting)
     report = lef.gysin_sequence_check(struct)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,27 +27,27 @@ def eye(n):
 
 
 def test_rref_canonical():
-    rows, pivots = linalg.rref(S(M([[2, 4, 0], [1, 2, 1]])), 3)
+    rows, pivots = linalg.rref(S(M([[2, 4, 0], [1, 2, 1]])))
     assert pivots == [0, 2]
     assert rows == S(M([[1, 2, 0], [0, 0, 1]]))
 
 
 def test_rref_is_pivot_strategy_independent():
     mat = S(M([[3, 1, 0], [6, 2, 1], [0, 0, 5]]))
-    a = linalg.rref(mat, 3)[0]
-    b = linalg.rref(list(reversed(mat)), 3)[0]
+    a = linalg.rref(mat)[0]
+    b = linalg.rref(list(reversed(mat)))[0]
     assert a == b
 
 
 def test_rank_and_row_space():
     mat = S(M([[1, 2], [2, 4], [0, 1]]))
-    assert linalg.rank(mat, 2) == 2
-    assert linalg.row_space(S(M([[2, 4]])), 2) == S(M([[1, 2]]))
+    assert linalg.rank(mat) == 2
+    assert linalg.row_space(S(M([[2, 4]]))) == S(M([[1, 2]]))
 
 
 def test_nullspace():
     mat = M([[1, 2, 3]])
-    basis = linalg.left_kernel(S(M([[1], [2], [3]])), 1)
+    basis = linalg.left_kernel(S(M([[1], [2], [3]])))
     assert len(basis) == 2
     for v in basis:
         assert sum(c * mat[0][j] for j, c in v.items()) == 0
@@ -54,14 +55,14 @@ def test_nullspace():
 
 def test_left_kernel():
     # explicit zeros and int entries are read as the sparse row they mean
-    ker = linalg.left_kernel(S(M([[1, 0], [2, 0], [0, 1]])), 2)
+    ker = linalg.left_kernel(S(M([[1, 0], [2, 0], [0, 1]])))
     assert ker == [{0: F(1), 1: Fraction(-1, 2)}]
-    assert linalg.left_kernel([{0: 1, 1: 0}, {0: 2}, {1: F(1)}], 2) == ker
+    assert linalg.left_kernel([{0: 1, 1: 0}, {0: 2}, {1: F(1)}]) == ker
 
 
 def test_left_kernel_empty_and_degenerate():
-    assert linalg.left_kernel([], 3) == []
-    full = linalg.left_kernel([{}, {}], 0)
+    assert linalg.left_kernel([]) == []
+    full = linalg.left_kernel([{}, {}])
     assert full == eye(2)
 
 
@@ -97,6 +98,20 @@ def test_inverse():
     assert linalg.inverse([[1, 0], [0, 2]]) == M([[1, 0], [0, Fraction(1, 2)]])
     assert linalg.inverse(M([[1, 2], [2, 4]])) is None
     assert linalg.inverse([]) == []
+
+
+def test_floats_are_refused_at_the_edge():
+    # 0.1 is a binary fraction: read as one, it would invert to
+    # 36028797018963968/3602879701896397, not to 10
+    with pytest.raises(TypeError, match="float"):
+        linalg.inverse([[0.1]])
+    with pytest.raises(TypeError, match="float"):
+        linalg.sparse([1, 0.5])
+    with pytest.raises(TypeError, match="float"):
+        linalg.sparse([0, 0.0])
+    row = linalg.sparse([0, F(0), 2, Fraction(4, 2)])
+    assert row == {2: 2, 3: 2} and _nonzero_scalars([row])
+    assert linalg.inverse([[Fraction(1, 10)]]) == [[10]]
 
 
 def _schoolbook(a, b, ncols):
@@ -139,17 +154,20 @@ def test_echelon_residual():
 
 
 def test_echelon_is_one_rref(monkeypatch):
+    """The inverse is one elimination of [M | I]: singular or not."""
     calls = []
     rref = linalg.rref
 
-    def counting(rows, ncols):
-        calls.append((len(rows), ncols))
-        return rref(rows, ncols)
+    def counting(rows):
+        calls.append(sorted({j for row in rows for j in row}))
+        return rref(rows)
 
     monkeypatch.setattr(linalg, "rref", counting)
-    ech = linalg.Echelon(S(M([[1, 2, 3], [2, 4, 6], [0, 1, 1]])), 3)
-    assert calls == [(3, 6)]
-    assert ech.pivots == [0, 1] and len(ech.sparse_kernel) == 1
+    assert linalg.sparse_inverse(S(M([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))) \
+        is None
+    assert linalg.sparse_inverse(S(M([[1, 2], [3, 5]]))) == \
+        S(M([[-5, 2], [3, -1]]))
+    assert calls == [list(range(6)), list(range(4))]
 
 
 def test_random_inverse_roundtrip():
@@ -160,11 +178,11 @@ def test_random_inverse_roundtrip():
                 for _ in range(n)] for _ in range(n)]
         inv = linalg.inverse(mat)
         if inv is None:
-            assert linalg.rank(S(mat), n) < n
+            assert linalg.rank(S(mat)) < n
         else:
             assert linalg.matmul(S(mat), S(inv)) == eye(n)
             assert linalg.matmul(S(inv), S(mat)) == eye(n)
-            assert S(inv) == linalg.Echelon(S(mat), n).sparse_combos
+            assert S(inv) == linalg.sparse_inverse(S(mat))
 
 
 _entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4),
@@ -175,8 +193,8 @@ _entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4),
 def _matrices(draw):
     """Rational matrices with repeated, combined and zero rows mixed in;
     empty ones included."""
-    ncols = draw(st.integers(0, 5))
-    rows = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols),
+    width = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(_entries, min_size=width, max_size=width),
                          max_size=5))
     for _ in range(draw(st.integers(0, 2))):
         if not rows:
@@ -186,45 +204,44 @@ def _matrices(draw):
         c = draw(_entries)
         rows.append([a + c * b for a, b in zip(rows[i], rows[j])])
     if draw(st.booleans()):
-        rows.insert(draw(st.integers(0, len(rows))), [F(0)] * ncols)
+        rows.insert(draw(st.integers(0, len(rows))), [F(0)] * width)
     mat = [[F(x) for x in row] for row in rows]
-    return mat, ncols, draw(st.lists(_entries, min_size=len(mat),
+    return mat, width, draw(st.lists(_entries, min_size=len(mat),
                                      max_size=len(mat)))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(data=_matrices())
 def test_echelon_factorization(data):
-    mat, ncols, coeffs = data
+    mat, width, coeffs = data
     m = len(mat)
     smat = S(mat)
-    ech = linalg.Echelon(smat, ncols)
-    rows, pivots = oracle.rref(mat, ncols)
-    assert (ech.sparse_rows, ech.pivots) == (S(rows), pivots)
-    assert linalg.matmul(ech.sparse_combos, smat) == ech.sparse_rows
-    assert ech.sparse_kernel == S(oracle.kernel_rows(mat, ncols))
-    assert not any(linalg.matmul(ech.sparse_kernel, smat))
-    assert len(ech.pivots) + len(ech.sparse_kernel) == m
+    red, pivots = linalg.rref(smat)
+    rows, o_pivots = oracle.rref(mat, width)
+    assert (red, pivots) == (S(rows), o_pivots)
+    kernel, rank = linalg.kernel_and_rank(smat)
+    assert kernel == S(oracle.kernel_rows(mat, width))
+    assert not any(linalg.matmul(kernel, smat))
+    assert rank + len(kernel) == m and rank == len(pivots)
     # the RREF rows are their own factorization
-    index = linalg.pivot_index(ech.sparse_rows)
+    index = linalg.pivot_index(red)
     inside = linalg.dense(
-        linalg.matmul([linalg.sparse(coeffs)], smat)[0], ncols)
-    for target in (inside, [F(0)] * ncols, [F(1)] * ncols):
+        linalg.matmul([linalg.sparse(coeffs)], smat)[0], width)
+    for target in (inside, [F(0)] * width, [F(1)] * width):
         coords, residual = linalg.reduce(linalg.sparse(target), *index)
-        in_span = linalg.rank(smat + [linalg.sparse(target)], ncols) == \
-            len(ech.pivots)
+        in_span = linalg.rank(smat + [linalg.sparse(target)]) == rank
         assert (not residual) == in_span
         combo = oracle.solve_combo(rows, target)
         assert (combo is not None) == in_span
         if in_span:
             assert linalg.dense(coords, len(rows)) == combo
-            assert linalg.dense(linalg.matmul([coords], ech.sparse_rows)[0],
-                                ncols) == target
+            assert linalg.dense(linalg.matmul([coords], red)[0],
+                                width) == target
     assert not linalg.reduce(linalg.sparse(inside), *index)[1]
-    k = min(m, ncols)
+    k = min(m, width)
     square = [row[:k] for row in mat[:k]]
     inv = linalg.inverse(square)
-    assert (inv is None) == (linalg.rank(S(square), k) < k)
+    assert (inv is None) == (linalg.rank(S(square)) < k)
     if inv is not None:
         assert linalg.matmul(S(inv), S(square)) == eye(k)
 
@@ -244,9 +261,8 @@ _rationals = st.one_of(
 @st.composite
 def _mixed_matrices(draw):
     """Dense rational matrices with int and Fraction entries as drawn (not
-    coerced), repeated and zero rows, empty shapes included;
-    with a pivot width ncols <= width, two vectors of that width and a
-    permutation of the rows."""
+    coerced), repeated and zero rows, empty shapes included; with their
+    width, two vectors of that width and a permutation of the rows."""
     width = draw(st.integers(0, 7))
     density = draw(st.sampled_from([0.15, 0.5, 1.0]))
 
@@ -261,17 +277,16 @@ def _mixed_matrices(draw):
     if draw(st.booleans()):
         rows.insert(draw(st.integers(0, len(rows))),
                     [draw(st.sampled_from([0, F(0)])) for _ in range(width)])
-    ncols = draw(st.integers(0, width))
     coeffs = [draw(_rationals) for _ in rows]
     inside = [sum((c * row[j] for c, row in zip(coeffs, rows)), F(0))
               for j in range(width)]
     perm = draw(st.permutations(range(len(rows))))
-    return rows, width, ncols, [inside, [entry() for _ in range(width)]], perm
+    return rows, width, [inside, [entry() for _ in range(width)]], perm
 
 
-def _dense_residual(ech, vec):
+def _dense_residual(rows, pivots, vec):
     v = [F(x) for x in vec]
-    for row, p in zip(ech.sparse_rows, ech.pivots):
+    for row, p in zip(rows, pivots):
         c = v[p]
         if c:
             v = [a - c * b for a, b in zip(v, linalg.dense(row, len(v)))]
@@ -293,17 +308,17 @@ def _nonzero_scalars(rows):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(data=_mixed_matrices())
 # an empty matrix, zero matrices, repeated rows, entries in the last column
-@example(data=([], 3, 2, [[0, 0, 0], [1, 0, Fraction(1, 2)]], []))
-@example(data=([[0, 0, 0], [F(0), 0, 0]], 3, 1, [[0, 0, 0], [0, 2, 0]],
+@example(data=([], 3, [[0, 0, 0], [1, 0, Fraction(1, 2)]], []))
+@example(data=([[0, 0, 0], [F(0), 0, 0]], 3, [[0, 0, 0], [0, 2, 0]],
                [1, 0]))
-@example(data=([[], []], 0, 0, [[], []], [1, 0]))
+@example(data=([[], []], 0, [[], []], [1, 0]))
 @example(data=([[1, Fraction(1, 2), 0], [1, Fraction(1, 2), 0], [0, 3, 0],
-                [1, Fraction(1, 2), 0]], 3, 3, [[2, 1, 0], [0, 0, 1]],
+                [1, Fraction(1, 2), 0]], 3, [[2, 1, 0], [0, 0, 1]],
                [2, 0, 3, 1]))
 @example(data=([[0, 0, 5], [1, 0, 0], [0, 0, Fraction(-1, 3)], [2, 0, 7]],
-               3, 2, [[1, 0, 5], [0, 1, 0]], [3, 1, 0, 2]))
+               3, [[1, 0, 5], [0, 1, 0]], [3, 1, 0, 2]))
 def test_sparse_kernel_matches_oracle(data):
-    mat, width, ncols, vecs, perm = data
+    mat, width, vecs, perm = data
     # the matrix and vectors as sparse dicts, entries as drawn; every
     # other one keeps its explicit zeros
     smat = [{j: x for j, x in enumerate(row) if x or i % 2}
@@ -312,23 +327,15 @@ def test_sparse_kernel_matches_oracle(data):
              for i, v in enumerate(vecs)]
     snapshot = _typed(smat + svecs)
 
-    rows, pivots = linalg.rref(smat, width)
+    rows, pivots = linalg.rref(smat)
     assert ([linalg.dense(r, width) for r in rows], pivots) == \
         oracle.rref(mat, width)
     assert all(out is not row for out in rows for row in smat)
-    part, part_pivots = linalg.rref(smat, ncols)
-    o_part, o_pivots = oracle.rref(mat, ncols)
-    assert part_pivots == o_pivots
-    assert [linalg.dense(r, width)[:ncols] for r in part] == \
-        [r[:ncols] for r in o_part]
-
-    ech = linalg.Echelon(smat, width)
-    assert (ech.sparse_rows, ech.pivots) == (rows, pivots)
-    assert ech.sparse_kernel == S(oracle.kernel_rows(mat, width))
     # the left kernel and the rank from one transposed elimination
-    kernel, rank = linalg.kernel_and_rank(smat, width)
-    assert kernel == ech.sparse_kernel == linalg.left_kernel(smat, width)
-    assert rank == linalg.rank(smat, width) == len(ech.pivots)
+    kernel, rank = linalg.kernel_and_rank(smat)
+    assert kernel == S(oracle.kernel_rows(mat, width))
+    assert kernel == linalg.left_kernel(smat)
+    assert rank == linalg.rank(smat) == len(pivots)
     index = linalg.pivot_index(rows)
     dense_rows = [linalg.dense(r, width) for r in rows]
     answers = []
@@ -337,7 +344,7 @@ def test_sparse_kernel_matches_oracle(data):
         before = dict(fvec)
         coords, residual = linalg.reduce(fvec, *index)
         assert fvec == before
-        res = _dense_residual(ech, vec)
+        res = _dense_residual(rows, pivots, vec)
         assert residual == linalg.sparse(res)
         assert coords == {i: fvec[p] for i, p in enumerate(pivots)
                           if p in fvec}
@@ -347,47 +354,66 @@ def test_sparse_kernel_matches_oracle(data):
             assert linalg.dense(coords, len(rows)) == combo
         answers += [coords, residual]
     assert not linalg.reduce(linalg.sparse(vecs[0]), *index)[1]
-    assert _nonzero_scalars(rows + part + ech.sparse_rows + ech.sparse_combos
-                              + ech.sparse_kernel + kernel + answers)
+    assert _nonzero_scalars(rows + kernel + answers)
 
     # the pivot order is free: permuted rows give the same canonical results
     permuted = [smat[i] for i in perm]
-    assert linalg.rref(permuted, width) == (rows, pivots)
-    p_part, p_pivots = linalg.rref(permuted, ncols)
-    assert p_pivots == part_pivots
-    assert [{j: x for j, x in r.items() if j < ncols} for r in p_part] == \
-        [{j: x for j, x in r.items() if j < ncols} for r in part]
-    pech = linalg.Echelon(permuted, width)
-    assert (pech.sparse_rows, pech.pivots) == (rows, pivots)
-    assert linalg.matmul(pech.sparse_combos, S([mat[i] for i in perm])) == rows
+    assert linalg.rref(permuted) == (rows, pivots)
+    p_kernel, p_rank = linalg.kernel_and_rank(permuted)
+    assert p_rank == rank
+    assert p_kernel == S(oracle.kernel_rows([mat[i] for i in perm], width))
     # a kernel vector of the permuted rows, read back in the original order
     assert linalg.row_space([{perm[k]: x for k, x in v.items()}
-                             for v in pech.sparse_kernel], len(mat)) == \
-        ech.sparse_kernel
-    assert _nonzero_scalars(p_part + pech.sparse_combos
-                              + pech.sparse_kernel)
+                             for v in p_kernel]) == kernel
+    assert _nonzero_scalars(p_kernel)
     assert _typed(smat + svecs) == snapshot
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=_mixed_matrices(),
+       gaps=st.lists(st.integers(1, 2**20), min_size=7, max_size=7))
+# the offsets j 2^16 of _condition_rows at 16 generators, and a wider one
+@example(data=([[1, 0, 2], [0, 3, 0], [2, 3, 4]], 3, [[], []], [0, 1, 2]),
+         gaps=[2**16] * 7)
+@example(data=([[0, Fraction(1, 2)], [1, 1]], 2, [[], []], [1, 0]),
+         gaps=[1, 5 * 2**16 + 3] + [1] * 5)
+def test_far_apart_columns_match_the_compacted_oracle(data, gaps):
+    """Columns keyed as _condition_rows keys them, far apart and above
+    2^16: the eliminations give the oracle's answers on the same matrix
+    with its columns compacted, the columns mapped back."""
+    mat, width = data[:2]
+    keys = list(accumulate(gaps[:width], initial=2**16))[1:]
+    spread = [{keys[j]: x for j, x in enumerate(row) if x} for row in mat]
+    rows, pivots = linalg.rref(spread)
+    o_rows, o_pivots = oracle.rref(mat, width)
+    assert pivots == [keys[p] for p in o_pivots]
+    assert rows == [{keys[j]: x for j, x in linalg.sparse(r).items()}
+                    for r in o_rows]
+    kernel, rank = linalg.kernel_and_rank(spread)
+    assert kernel == linalg.left_kernel(spread) == \
+        S(oracle.kernel_rows(mat, width))
+    assert rank == len(o_pivots)
+    assert _nonzero_scalars(rows + kernel)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(data=_mixed_matrices())
 def test_column_index_matches_the_rows_after_every_step(data):
-    mat, width, ncols = data[:3]
+    mat, width = data[:2]
     step = linalg._pivot_step
     steps = []
 
-    def checked(rows, holders, p, c, index_width, others):
+    def checked(rows, holders, p, c, others):
         # a forward step clears rows that hold nothing left of c, a back
         # step pivot rows whose pivots lie left of c; no step is idle
         assert others and p not in others
         back = {min(rows[i]) < c for i in others}
         assert len(back) == 1
-        step(rows, holders, p, c, index_width, others)
+        step(rows, holders, p, c, others)
         held: dict = {}
         for i, row in enumerate(rows):
             for j in row:
-                if j < index_width:
-                    held.setdefault(j, set()).add(i)
+                held.setdefault(j, set()).add(i)
         assert {j: set(ids) for j, ids in holders.items() if ids} == held
         steps.append((back.pop(), c))
 
@@ -403,12 +429,13 @@ def test_column_index_matches_the_rows_after_every_step(data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_pivot_step", checked)
-        check_order(linalg.rref(S(mat), ncols)[1])
-        ech = linalg.Echelon(S(mat), width)
-        # [mat | I] has a pivot in every row: those of the kernel rows lie
-        # in the identity block
-        check_order(ech.pivots + [width + min(row)
-                                  for row in ech.sparse_kernel])
+        check_order(linalg.rref(S(mat))[1])
+        # [mat | I], the elimination of sparse_inverse, has a pivot in
+        # every row
+        augmented = [{**row, width + i: 1} for i, row in enumerate(S(mat))]
+        pivots = linalg.rref(augmented)[1]
+        assert len(pivots) == len(mat)
+        check_order(pivots)
 
 
 _shortcut_entries = st.sampled_from([1, -1, 3, -2, F(1), F(-4),
@@ -421,7 +448,7 @@ def _shortcut_matrices(draw):
     """Sparse rows of the shapes rref treats apart, entries as drawn:
     empty rows, one-entry rows (negative, int, Fraction or an explicit
     zero), all-integer rows, rows with mixed denominators, duplicated and
-    negated rows and a column held by one row; with ncols <= width."""
+    negated rows and a column held by one row; with the width."""
     width = draw(st.integers(1, 6))
     columns = st.integers(0, width - 1)
     rows = []
@@ -448,32 +475,25 @@ def _shortcut_matrices(draw):
         for row in rows:
             row.pop(c, None)
         rows[r][c] = draw(_shortcut_entries)
-    return rows, width, draw(st.integers(0, width))
+    return rows, width
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(data=_shortcut_matrices())
 def test_rref_shortcuts_match_oracle(data):
-    smat, width, ncols = data
+    smat, width = data
     snapshot = _typed(smat)
     mat = [[F(row.get(j, 0)) for j in range(width)] for row in smat]
-    rows, pivots = linalg.rref(smat, width)
+    rows, pivots = linalg.rref(smat)
     assert ([linalg.dense(r, width) for r in rows], pivots) == \
         oracle.rref(mat, width)
-    part, part_pivots = linalg.rref(smat, ncols)
-    o_part, o_pivots = oracle.rref(mat, ncols)
-    assert part_pivots == o_pivots
-    assert [linalg.dense(r, width)[:ncols] for r in part] == \
-        [r[:ncols] for r in o_part]
-    ech = linalg.Echelon(smat, width)
-    assert (ech.sparse_rows, ech.pivots) == (rows, pivots)
-    assert ech.sparse_kernel == S(oracle.kernel_rows(mat, width))
-    assert _nonzero_scalars(rows + part + ech.sparse_combos
-                              + ech.sparse_kernel)
+    kernel = linalg.left_kernel(smat)
+    assert kernel == S(oracle.kernel_rows(mat, width))
+    assert _nonzero_scalars(rows + kernel)
     # an all-zero block of the same rows: every row is in the kernel
     zeros = [{j: 0 * x for j, x in row.items()} for row in smat]
-    assert linalg.rref(zeros, width) == ([], [])
-    assert linalg.Echelon(zeros, width).sparse_kernel == eye(len(smat))
+    assert linalg.rref(zeros) == ([], [])
+    assert linalg.left_kernel(zeros) == eye(len(smat))
     assert _typed(smat) == snapshot
 
 
@@ -481,11 +501,12 @@ def test_inputs_are_not_mutated_or_aliased():
     mat = [{1: 2, 2: Fraction(1, 2)}, {0: F(0), 2: 3},
            {0: 0, 1: 2, 2: Fraction(1, 2)}]
     before = [dict(row) for row in mat]
-    rows, _ = linalg.rref(mat, 3)
-    ech = linalg.Echelon(mat, 3)
+    rows, _ = linalg.rref(mat)
+    kernel = linalg.left_kernel(mat)
+    assert linalg.sparse_inverse(mat) is None  # rows 0 and 2 agree
     assert [dict(row) for row in mat] == before
     assert [type(x) for x in mat[0].values()] == [int, Fraction]
-    for out in ech.sparse_rows + ech.sparse_combos + ech.sparse_kernel:
+    for out in kernel:
         assert all(out is not row for row in mat)
     for out in rows:
         assert all(out is not row for row in mat)

@@ -130,6 +130,10 @@ def test_json_detection():
     ("dim 2\nd e1 = 1/0*e2\n", 2, "zero denominator in 1/0"),
     ("dim 4\neta = e1\neta = e2\n", 3, "duplicate eta"),
     ("dim 4\nomega = e1\neta = e2\nomega = e3\n", 4, "duplicate omega"),
+    # a zero sum keeps the degree of its terms; only the bare 0 has none
+    ("dim 2\nd e1 = e2^e2^e2\n", 2, "must be a 2-form, got degree 3"),
+    ("dim 4\nd e3 = e1 - e1\n", 2, "must be a 2-form, got degree 1"),
+    ("dim 4\nomega = e1^e1\n", 2, "must be a 1-form, got degree 2"),
 ])
 def test_positioned_parse_errors(text, line, fragment):
     with pytest.raises(ParseError) as err:
