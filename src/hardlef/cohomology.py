@@ -2,54 +2,52 @@
 
 A Subcomplex owns, per degree, a basis of an admissible d-stable subspace
 together with the restricted differential.  full_complex takes all
-monomials; basic_complex takes the joint kernel of i_v and L_v over a
+monomials, and row I of D_k is d(e_I) as the model keeps it, read by
+column index; basic_complex takes the joint kernel of i_v and L_v over a
 list of fields, built as the kernel of L_v on the exterior algebra of
-the fields' annihilator; it is automatically d-stable (verified anyway).
+the fields' annihilator, and its D is checked d-stable.  Operators reach
+the slices as exterior.Operator values, mapping terms to terms.
 
 Betti numbers come from ranks: b_k = dim C^k - rank d_k - rank d_(k-1),
-once D_(k-1) D_k = 0 is checked.  A rank is the one kept with the cycles
-of the differential when they exist and taken by a plain RREF otherwise.
-space(k) builds representatives and the class table only on demand, and
-betti_numbers reads the dimension of a space that is already built.
+once D_(k-1) D_k = 0 is checked; a rank is the one kept with the cycles
+when they exist and a plain RREF otherwise.  space(k) builds the class
+table on demand, and betti_numbers reads the dimension of a built space.
 Cohomology is read in the coordinates of the cycles: the rows of
 D_(k-1) reduced against the canonical cycle basis are the boundaries,
 and one elimination of them, r x z for r rows and z cycles, picks the
 representatives (the cycles independent of the image and of the cycles
-before them) and gives the class of every cycle.
+before them) and gives the class of every cycle.  The representative
+forms are built when first read (psi, the transversal maps and the
+splittings read them; the relations and the flow maps do not).
 
-Sparse inside, dense at the API.  The differential rows, kernels, images,
-representatives, the classes _class_of returns and the rows of a
-CohomologyMap are sparse vectors {column: scalar}, the one matrix kind
-of linalg, whose scalar rule holds: an int where a value is integral, a
-Fraction elsewhere.  Dense tuples or lists are built only when a public
-method or attribute is read: coords, class_of, diff_matrix and
-CohomologyMap.matrix.
-Every degree basis is an RREF over the monomials of its degree (the
-identity for full_complex, a row space for basic_complex), hence its own
+Sparse inside, dense at the API: differential rows, kernels, images,
+classes and the rows of a CohomologyMap are sparse vectors {column:
+scalar} under the scalar rule of linalg; dense tuples are built only for
+coords, class_of, diff_matrix and CohomologyMap.matrix.  Every degree
+basis is an RREF over the monomials of its degree, hence its own
 factorization: linalg.reduce reads a form's coordinates at the pivots,
 and its residual is empty exactly when the form lies in the slice.  The
-cycles of each degree k, the left kernel of D_k in RREF, are taken once,
-lazily, by linalg.kernel_and_rank, which gives rank d_k from the same
-elimination; their pivot index is the membership test of class_of, in
-the same way.  A Subcomplex keeps only the rows of d, the cycles, the
-ranks and the spaces; other layers read the cycles and the rows of d
-from it, and keep what they derive (relations, chain-map certificates,
-class maps) themselves.
-A CohomologyMap (a splitting map, or a transversal Lefschetz map) keeps
+cycles of degree k, the left kernel of D_k in RREF, are taken once by
+linalg.kernel_and_rank, which gives rank d_k too; their pivot index is
+the membership test of class_of.  A Subcomplex keeps only the rows of d,
+the cycles, the ranks and the spaces; other layers keep what they derive
+(relations, chain-map certificates, class maps) themselves.  A
+CohomologyMap (a splitting map, or a transversal Lefschetz map) keeps
 its own rank, and a splitting report reads invertibility off its maps.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
 from . import linalg
 from .errors import (DegreeError, InternalConsistencyError, ModelMismatchError,
                      NotClosedError, PreconditionError)
-from .exterior import Form, Rational, Vector, _column_index, degree_masks
-from .model import StructureModel
+from .exterior import (Form, Operator, Rational, Vector, _column_index,
+                       degree_masks)
+from .model import Differential, LieDerivative, StructureModel
 from .record import Record
 
 
@@ -59,34 +57,39 @@ class Subcomplex:
     order, as linalg.pivot_index checks; ValueError otherwise."""
 
     def __init__(self, model: StructureModel, fields: Sequence[Vector],
-                 bases: Sequence[Sequence[Form]]):
+                 bases: Sequence[Sequence[Form]], diff=None):
         n = model.n_gen
         self.model = model
         self.fields = tuple(fields)
         self.bases = tuple(tuple(b) for b in bases)
         if len(self.bases) != n + 1:
             raise ValueError("need one basis per degree 0..n_gen")
-        # per degree, linalg.pivot_index on masks; monomials share one index
+        # per degree, linalg.pivot_index on masks; monomials share one
+        # index, which the monomial bases of full_complex (diff given) are
         self._pivots: list[tuple[dict, dict]] = []
         for k, basis in enumerate(self.bases):
+            index = _column_index(n, k)
+            if diff is not None:
+                self._pivots.append((index, {}))
+                continue
             try:
                 at, off = linalg.pivot_index([f.terms for f in basis])
             except ValueError as exc:
                 raise ValueError(f"degree {k} basis not in RREF: {exc}")
-            index = _column_index(n, k)
             self._pivots.append((index if at == index else at, off))
-        # sparse rows of d from each degree, in subcomplex coordinates
-        self._diff: list[list[dict[int, Rational]]] = []
-        for k in range(n + 1):
-            mat = []
-            for f in self.bases[k]:
-                coords, residual = self._reduce(model.d(f), k + 1)
-                if residual:
+        # sparse rows of d from each degree, in subcomplex coordinates,
+        # unless given; each must leave no residual
+        if diff is None:
+            d, diff = Differential(model), []
+            for k in range(n + 1):
+                diff.append([self._reduce_terms(d(f.terms), k + 1)
+                             for f in self.bases[k]])
+                if any(residual for _, residual in diff[k]):
                     raise InternalConsistencyError(
                         f"span is not closed under d in degree {k}; "
                         f"the fields do not cut out a subcomplex")
-                mat.append(coords)
-            self._diff.append(mat)
+                diff[k] = [coords for coords, _ in diff[k]]
+        self._diff: list[list[dict[int, Rational]]] = diff
         self._cycle_bases: dict[int, linalg.Matrix] = {}
         self._ranks: dict[int, int] = {}
         self._spaces: dict[int, CohomologySpace] = {}
@@ -137,11 +140,14 @@ class Subcomplex:
         residual, and the form lies in the slice when none is left."""
         if form.n_gen != self.model.n_gen:
             raise ModelMismatchError("form does not live over this model")
-        if not form.terms:
-            return {}, {}
         if form.degree != k or not 0 <= k <= self.model.n_gen:
             return {}, form.terms
-        return linalg.reduce(form.terms, *self._pivots[k])
+        return self._reduce_terms(form.terms, k)
+
+    def _reduce_terms(self, terms: dict, k: int) -> tuple[dict, dict]:
+        """_reduce of the terms of a degree-k form, an operator's image: a
+        nonempty one has masks of degree k, so k is a degree of the frame."""
+        return linalg.reduce(terms, *self._pivots[k]) if terms else ({}, {})
 
     def dims(self) -> tuple[int, ...]:
         return tuple(self.dim(k) for k in range(self.model.n_gen + 1))
@@ -243,10 +249,13 @@ class CohomologySpace:
         self._rep_coords = rep_coords
         self._cycle_index = cycle_index
         self._classes = classes
-        basis = cplx.basis(degree)
-        self.representatives = tuple(
-            _combine(basis, row, cplx.model.n_gen, degree)
-            for row in rep_coords)
+
+    @cached_property
+    def representatives(self) -> tuple[Form, ...]:
+        """The representative forms, built on first read."""
+        cplx = self.complex
+        return tuple(_combine(cplx.basis(self.degree), row, cplx.model.n_gen,
+                              self.degree) for row in self._rep_coords)
 
     def class_of(self, form: Form) -> tuple[Rational, ...]:
         return tuple(linalg.dense(self._class_of(form), self.dimension))
@@ -288,24 +297,30 @@ def _combine(basis: Sequence[Form], coords: dict[int, Rational], n_gen: int,
     return Form._make(n_gen, max(degree, 0), out)
 
 
-def _condition_rows(basis: Sequence[Form], operators,
+def _condition_rows(basis: Sequence[Form], operators: Sequence[Operator],
                     n_gen: int) -> list[dict[int, Rational]]:
-    """Row i lays the images of basis[i] under the operators side by side,
-    keyed by monomial mask, the j-th image's offset by j 2^n_gen, so the
-    keys of one row lie far apart.  A combination of the basis lies in
+    """Row i lays the images of basis[i] under the operator values side by
+    side, keyed by monomial mask, the j-th image's offset by j 2^n_gen, so
+    the keys of one row lie far apart.  A combination of the basis lies in
     the kernel of every operator exactly when it is in the left kernel of
     the rows."""
     span = 1 << n_gen
     return [{j * span + m: x for j, op in enumerate(operators)
-             for m, x in op(f).terms.items()} for f in basis]
+             for m, x in op(f.terms).items()} for f in basis]
 
 
 def full_complex(model: StructureModel) -> Subcomplex:
-    """The whole invariant complex, with the monomial basis per degree."""
+    """The whole invariant complex, with the monomial basis per degree,
+    its own pivot index.  Row I of D_k is d(e_I) (model._d_monomial) read
+    by column index: every monomial is in the complex, so no residual is
+    left to check."""
     n = model.n_gen
-    bases = [[Form._make(n, k, {m: 1}) for m in degree_masks(n, k)]
-             for k in range(n + 1)]
-    return Subcomplex(model, (), bases)
+    masks = [degree_masks(n, k) for k in range(n + 1)]
+    upper = [_column_index(n, k + 1) for k in range(n + 1)]
+    diff = [[{upper[k][m]: x for m, x in model._d_monomial(mask).items()}
+             for mask in ms] for k, ms in enumerate(masks)]
+    return Subcomplex(model, (), [[Form._make(n, k, {m: 1}) for m in ms]
+                                  for k, ms in enumerate(masks)], diff)
 
 
 def basic_complex(model: StructureModel,
@@ -327,7 +342,7 @@ def basic_complex(model: StructureModel,
     pairing = [linalg.sparse(col) for col in zip(*(v.coeffs for v in fields))]
     theta = [Form._make(n, 1, {1 << i: x for i, x in row.items()})
              for row in linalg.left_kernel(pairing)]
-    lie = [partial(model.lie_derivative, v) for v in fields]
+    lie = [LieDerivative(model, v) for v in fields]
     # (index of the last factor, theta_I) for ascending index tuples I
     products = [(-1, Form.constant(n, 1))]
     bases = []

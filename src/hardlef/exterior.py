@@ -19,6 +19,12 @@ term; the algebra (+, -, *, wedge, contract, and model.d) builds its
 results through a private constructor that takes its fresh terms dict as
 it is.  Forms and vectors are immutable values.
 
+Operators on forms are values too (Operator): Wedge, Contraction and
+Inclusion here, d and L_v in model.  Each does its setup once, maps the
+terms of a form to those of its image by mask arithmetic, making no
+Form, and compares by what defines it; Form.wedge, contract, model.d and
+model.lie_derivative wrap the same kernels, one per product.
+
 The arithmetic rule of the exact kernels (here, in model and in linalg):
 a function takes and gives scalars by that rule (linalg reduces rows as
 integers inside), so products and sums of integers stay ints and only a
@@ -63,15 +69,18 @@ def indices_of(mask: int) -> tuple[int, ...]:
 def merge_sign(a: int, b: int) -> int:
     """Sign of sorting the concatenation of two ascending monomials.
 
-    The masks must be disjoint; counts, for each index of b, the indices
-    of a lying above it.
-    """
-    swaps = 0
-    while b:
-        low = b & -b
-        swaps += (a >> low.bit_length()).bit_count()
-        b ^= low
-    return -1 if swaps & 1 else 1
+    The masks must be disjoint; it is the parity of b & _above(a)."""
+    return -1 if (b & _above(a)).bit_count() & 1 else 1
+
+
+def _above(a: int) -> int:
+    """The positions with an odd number of bits of a above them: the
+    suffix parities of a (four shifts cover 16 bits), moved down by one."""
+    a ^= a >> 1
+    a ^= a >> 2
+    a ^= a >> 4
+    a ^= a >> 8
+    return a >> 1
 
 
 @lru_cache(maxsize=None)
@@ -250,15 +259,8 @@ class Form:
     def wedge(self, other: "Form") -> "Form":
         """Exterior product; graded-commutative and associative."""
         self._require_same_frame(other)
-        out: dict[int, Rational] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                if ma & mb:
-                    continue
-                c = ca * cb
-                _accumulate(out, ma | mb,
-                            c if merge_sign(ma, mb) > 0 else -c)
-        return Form._make(self.n_gen, self.degree + other.degree, out)
+        return Form._make(self.n_gen, self.degree + other.degree, _wedge(
+            [(m, c, _above(m)) for m, c in self.terms.items()], other.terms))
 
     # ----- value semantics ----------------------------------------------
 
@@ -392,27 +394,83 @@ def contract(v: Vector, a: Form) -> Form:
     """
     if v.n_gen != a.n_gen:
         raise ModelMismatchError("vector and form frames differ")
-    if a.degree == 0:
-        return Form.zero(a.n_gen, 0)
-    # the nonzero components by bit, with None standing for a component 1
-    support = 0
-    factor: dict[int, Rational | None] = {}
-    for j, vj in enumerate(v.coeffs):
-        if vj:
-            support |= 1 << j
-            factor[1 << j] = None if vj == 1 else vj
+    return Form._make(a.n_gen, max(a.degree - 1, 0), Contraction(v)(a.terms))
+
+
+# ----- operators ------------------------------------------------------------
+
+
+class Operator:
+    """A linear operator on forms as a value, called on the terms of a form
+    for the terms of its image; equal and hashed alike when its keys are,
+    so equal operators built apart share memo entries.  No caller changes
+    the dict it gets, which Inclusion returns as it is."""
+
+    def __init__(self, *key):
+        self.key = key
+        self._hash = hash((type(self).__name__,) + key)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.key == self.key
+
+    def __hash__(self):
+        return self._hash
+
+
+class Inclusion(Operator):
+    """The identity of a subcomplex into a larger one."""
+
+    def __call__(self, terms: dict) -> dict:
+        return terms
+
+
+def _wedge(left: list, right: Mapping[int, Rational]) -> dict:
+    """The one wedge kernel: the terms of a ^ b, given (mask, coefficient,
+    _above(mask)) for each term of a, so that the merge sign of ma and mb
+    is the parity of mb & _above(ma), and the terms of b."""
     out: dict[int, Rational] = {}
-    for mask, coeff in a.terms.items():
-        rem = mask & support
-        while rem:
-            low = rem & -rem
-            vj = factor[low]
-            c = coeff if vj is None else coeff * vj
-            # the sign is that of the number of generators of mask below low
-            odd = (mask & (low - 1)).bit_count() & 1
-            _accumulate(out, mask ^ low, -c if odd else c)
-            rem ^= low
-    return Form._make(a.n_gen, a.degree - 1, out)
+    for ma, ca, pa in left:
+        for mb, cb in right.items():
+            if ma & mb:
+                continue
+            c = ca * cb
+            _accumulate(out, ma | mb, -c if (mb & pa).bit_count() & 1 else c)
+    return out
+
+
+class Wedge(Operator):
+    """f -> form ^ inner(f), inner the identity when None, the terms of
+    form taken once for _wedge."""
+
+    def __init__(self, form: Form, inner: Operator | None = None):
+        super().__init__(form, inner)
+        self._left = [(m, c, _above(m)) for m, c in form.terms.items()]
+        self._inner = inner
+
+    def __call__(self, terms: dict) -> dict:
+        return _wedge(self._left,
+                      terms if self._inner is None else self._inner(terms))
+
+
+class Contraction(Operator):
+    """i_v, the nonzero components of v taken once."""
+
+    def __init__(self, v: Vector):
+        super().__init__(v)
+        # the nonzero components by bit, with None standing for a component 1
+        self._factor = [(1 << j, None if vj == 1 else vj)
+                        for j, vj in enumerate(v.coeffs) if vj]
+
+    def __call__(self, terms: dict) -> dict:
+        out: dict[int, Rational] = {}
+        for mask, coeff in terms.items():
+            for low, vj in self._factor:
+                if mask & low:
+                    c = coeff if vj is None else coeff * vj
+                    # the sign of the number of generators of mask below low
+                    odd = (mask & (low - 1)).bit_count() & 1
+                    _accumulate(out, mask ^ low, -c if odd else c)
+        return out
 
 
 def top_coefficient(a: Form) -> Rational:

@@ -15,11 +15,15 @@ Everything is decided by exact rank computations; powers of L that exceed
 the top degree are the zero map.  A relation is read over the cycles of
 its source slice, in slice coordinates: the conditions and the target map
 meet once each slice basis form that some cycle uses, and no other, and
-no d of a form is taken.
+no d of a form is taken.  They are operator values (exterior.Operator)
+whose fixed factors are multiplied out once per degree: the target is
+P ^ i_U gamma - Q ^ gamma for P = eta ^ L^(n-k) ^ d eta and Q = eta ^
+L^(n-k) ^ omega.
 
 The flow sequences compare cohomologies through maps induced by operators
-on forms, linear in each degree: cup with d(eta), inclusion and i_V, made
-once per structure.  When such an operator is certified a chain map on
+on forms, linear in each degree: cup with d(eta), inclusion and i_V.
+They are values, built where they are used: equal ones key the same
+family of class maps.  When such an operator is certified a chain map on
 the source slices of degrees a-1 and a (it lands in the target slices and
 d op = +-op d on their basis forms), [x] -> [op x] is well defined and
 its matrix is the classes of op applied to the source representatives.
@@ -35,17 +39,16 @@ the map is defined on every class and single valued; a family leaves out
 a map that is not, and asking for it reports why.
 
 Each model owns the memo of everything this layer computes from it:
-complexes, relations, reports, the powers of d(eta), the flow operators,
-the families of induced class maps and the Lee quotient.  A relation
-keeps its own graph and verdict, and a transversal Lefschetz map (a
-cohomology.CohomologyMap) its own rank; they live and die with it.
+complexes, relations, reports, the powers of d(eta), the families of
+induced class maps and the Lee quotient.  A relation keeps its own graph
+and verdict, and a transversal Lefschetz map (a cohomology.CohomologyMap)
+its own rank; they live and die with it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable
 
 from . import linalg
 from .cohomology import (CohomologyMap, CohomologySpace, Subcomplex,
@@ -53,24 +56,26 @@ from .cohomology import (CohomologyMap, CohomologySpace, Subcomplex,
                          betti_numbers, full_complex, splitting_check)
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
                      NotProjectableError, PreconditionError)
-from .exterior import Form, Rational, contract, top_pairing
+from .exterior import (Contraction, Form, Inclusion, Operator, Rational,
+                       Wedge, top_pairing)
+from .model import LieDerivative
 from .record import Record
 from .structures import ContactStructure, LcsStructure, quotient_contact
 
 
-def _cached(model, key, build):
+def _cached(model, key, build, *args):
     """The entry of key in the model's memo (an equal model has its own),
-    built on first request; a build that raises stores nothing, so its
-    error reaches every caller.  Keys are tagged by kind: ("complex",
+    build(*args) on first request; a build that raises stores nothing, so
+    its error reaches every caller.  Keys are tagged by kind: ("complex",
     fields); (picture, structure, k) for a relation, which keeps its own
     graph and verdict; ("transversal", structure, k) for a transversal
     Lefschetz map, which keeps its own rank; ("parity", "equivalence",
-    "quotient", "powers" or "flow operators", structure); ("class maps",
-    source complex, target complex, operator, degree shift) for a family
-    of induced class maps."""
+    "quotient" or "powers", structure); ("class maps", source complex,
+    target complex, operator value, degree shift) for a family of induced
+    class maps, which an equal operator built elsewhere shares."""
     memo = model._memo
     if key not in memo:
-        memo[key] = build()
+        memo[key] = build(*args)
     return memo[key]
 
 
@@ -227,80 +232,77 @@ def _relation(src: CohomologySpace, dst: CohomologySpace,
         src, dst, zip(map(src._class_of_coords, xs), ys))
 
 
-def _cycle_relation(cplx: Subcomplex, k: int, b: int, ops, target,
+def _cycle_relation(cplx: Subcomplex, k: int, b: int,
+                    conditions: tuple[Operator, ...],
+                    targets: tuple[Operator, ...],
                     label: str) -> CohomologyRelation:
     """The Lefschetz relation of degrees k and b of cplx: _relation with
-    one condition row per operator of ops and the images of target.  Both
-    are taken only on the degree-k basis forms that some cycle uses, and
-    kept by basis index: cycles . conditions and xs . images read no other
-    row."""
+    one condition row per operator of conditions and the images of the
+    target map, the sum of the operators of targets.  Both are taken only
+    on the degree-k basis forms that some cycle uses, and kept by basis
+    index: cycles . conditions and xs . images read no other row."""
     basis = cplx.basis(k)
     used = sorted({i for row in cplx._cycles(k) for i in row})
-    rows = _condition_rows([basis[i] for i in used], ops, cplx.model.n_gen)
-    pairs = [cplx._reduce(target(basis[i]), b) for i in used]
+    rows = _condition_rows([basis[i] for i in used], conditions,
+                           cplx.model.n_gen)
+    coords, residuals = {}, {}
+    for i in used:
+        image = targets[0](basis[i].terms)
+        for op in targets[1:]:
+            image = dict(image)
+            linalg.add_scaled(image, 1, op(basis[i].terms))
+        coords[i], residuals[i] = cplx._reduce_terms(image, b)
     return _relation(cplx.space(k), cplx.space(b), dict(zip(used, rows)),
-                     ({i: c for i, (c, _) in zip(used, pairs)},
-                      {i: r for i, (_, r) in zip(used, pairs)}), label)
+                     (coords, residuals), label)
 
 
 def de_rham_lefschetz_relation(struct: LcsStructure,
                                k: int) -> CohomologyRelation:
     """The degree-k relation between H^k and H^(2n+2-k)."""
-    n = struct.n
-    _check_k(k, n)
-    model = struct.model
-
-    def build():
-        powers = _deta_powers(struct)
-        deta = powers[1]
-        l_low, l_mid, l_high = powers[n - k:n - k + 3]
-        ops = (lambda f: model.lie_derivative(struct.U, f),
-               lambda f: contract(struct.V, f),
-               lambda f: l_high.wedge(f),
-               lambda f: l_mid.wedge(struct.omega.wedge(f)))
-
-        def target(gamma):
-            # i_U of a 0-form is zero, and zero forms add in any degree
-            liu = deta.wedge(contract(struct.U, gamma))
-            return struct.eta.wedge(
-                l_low.wedge(liu - struct.omega.wedge(gamma)))
-
-        return _cycle_relation(_full(model), k, 2 * n + 2 - k, ops, target,
-                               "relation target")
-
-    return _cached(model, ("de_rham", struct, k), build)
+    return _lefschetz_relation("de_rham", struct, k)
 
 
 def basic_lefschetz_relation(struct: LcsStructure,
                              k: int) -> CohomologyRelation:
     """The degree-k relation inside the Lee-basic complex."""
-    return _odd_relation("basic", struct, struct.V, (struct.U,), k)
+    return _lefschetz_relation("basic", struct, k)
 
 
 def contact_lefschetz_relation(contact: ContactStructure,
                                k: int) -> CohomologyRelation:
     """The degree-k relation between H^k(N) and H^(2n+1-k)(N)."""
-    return _odd_relation("contact", contact, contact.xi, (), k)
+    return _lefschetz_relation("contact", contact, k)
 
 
-def _odd_relation(picture: str, struct, field, fields,
-                  k: int) -> CohomologyRelation:
-    """The degree-k relation between degrees k and 2n+1-k of the complex
-    basic for fields: the Lee-basic picture (field V, fields (U,)) or the
-    contact one (field xi, the full complex of the contact model)."""
-    n = struct.n
-    _check_k(k, n)
-    model = struct.model
+def _lefschetz_relation(picture: str, struct, k: int) -> CohomologyRelation:
+    _check_k(k, struct.n)
+    return _cached(struct.model, (picture, struct, k), _build_relation,
+                   picture, struct, k)
 
-    def build():
-        l_low, l_mid = _deta_powers(struct)[n - k:n - k + 2]
-        ops = (lambda f: contract(field, f), lambda f: l_mid.wedge(f))
-        return _cycle_relation(
-            _basic(model, fields), k, 2 * n + 1 - k, ops,
-            lambda beta: struct.eta.wedge(l_low.wedge(beta)),
-            f"{picture} relation target")
 
-    return _cached(model, (picture, struct, k), build)
+def _build_relation(picture: str, struct, k: int) -> CohomologyRelation:
+    """The degree-k relation of a picture, its fixed factors multiplied out
+    once: de Rham as the module says; Lee-basic (field V, U-basic complex)
+    and contact (field xi, full contact complex) with the conditions
+    i_field and L^(n-k+1) and the target eta ^ L^(n-k)."""
+    n, model = struct.n, struct.model
+    powers = _deta_powers(struct)
+    lead = struct.eta.wedge(powers[n - k])
+    if picture == "de_rham":
+        omega = struct.omega
+        conditions = (LieDerivative(model, struct.U), Contraction(struct.V),
+                      Wedge(powers[n - k + 2]),
+                      Wedge(powers[n - k + 1].wedge(omega)))
+        targets = (Wedge(lead.wedge(powers[1]), Contraction(struct.U)),
+                   Wedge(-lead.wedge(omega)))
+        return _cycle_relation(_full(model), k, 2 * n + 2 - k, conditions,
+                               targets, "relation target")
+    field, fields = ((struct.V, (struct.U,)) if picture == "basic"
+                     else (struct.xi, ()))
+    return _cycle_relation(
+        _basic(model, fields), k, 2 * n + 1 - k,
+        (Contraction(field), Wedge(powers[n - k + 1])), (Wedge(lead),),
+        f"{picture} relation target")
 
 
 def _isomorphism(relation: CohomologyRelation, k: int) -> LefschetzVerdict:
@@ -343,22 +345,12 @@ def uv_basic_lefschetz(struct: LcsStructure, k: int) -> CohomologyMap:
     return _cached(model, ("transversal", struct, k), build)
 
 
-def _flow_ops(struct: LcsStructure) -> tuple:
-    """(cup with d eta, inclusion, i_V), made once per structure, so that
-    the flow sequences and T_k share their class maps."""
-    def build():
-        deta = _deta_powers(struct)[1]
-        return (lambda f: deta.wedge(f), lambda f: f,
-                lambda f: contract(struct.V, f))
-    return _cached(struct.model, ("flow operators", struct), build)
-
-
-def _images(src: Subcomplex, dst: Subcomplex, op: Callable[[Form], Form],
-            k: int, j: int) -> tuple[list, list]:
+def _images(src: Subcomplex, dst: Subcomplex, op: Operator, k: int,
+            j: int) -> tuple[list, list]:
     """(coordinates, residuals) of op f in the degree-j slice of dst, over
     the basis forms f of the degree-k slice of src.  Nothing keeps them:
     _class_maps holds two slices at a time while it builds a family."""
-    pairs = [dst._reduce(op(f), j) for f in src.basis(k)]
+    pairs = [dst._reduce_terms(op(f.terms), j) for f in src.basis(k)]
     return [c for c, _ in pairs], [r for _, r in pairs]
 
 
@@ -385,7 +377,7 @@ def _chain_slice(src: Subcomplex, dst: Subcomplex, k: int, j: int,
 
 
 def _induced_map(src_space: CohomologySpace, dst_space: CohomologySpace,
-                 op: Callable[[Form], Form], label: str) -> linalg.Matrix:
+                 op: Operator, label: str) -> linalg.Matrix:
     """Sparse matrix of the class map induced by op, or an error if ill
     defined.  It is read from the family of (source complex, target
     complex, op, degree shift), built once per model and shared, so
@@ -395,14 +387,14 @@ def _induced_map(src_space: CohomologySpace, dst_space: CohomologySpace,
     src, dst = src_space.complex, dst_space.complex
     a, b = src_space.degree, dst_space.degree
     matrix = _cached(src.model, ("class maps", src, dst, op, b - a),
-                     lambda: _class_maps(src, dst, op, b - a)).get(a)
+                     _class_maps, src, dst, op, b - a).get(a)
     if matrix is None:
         matrix = _relation_map(src_space, dst_space,
                                _images(src, dst, op, a, b), label)
     return matrix
 
 
-def _class_maps(src: Subcomplex, dst: Subcomplex, op: Callable[[Form], Form],
+def _class_maps(src: Subcomplex, dst: Subcomplex, op: Operator,
                 shift: int) -> dict[int, linalg.Matrix]:
     """{a: matrix} of the class maps H^a(src) -> H^(a+shift)(dst) induced
     by op, for every degree a in -2..n_gen+2 where the map is well defined.
@@ -479,9 +471,9 @@ def t_map(struct: LcsStructure,
     mid = uv.space(2 * n - k)
     low = uv.space(k)
     dst = u_cplx.space(k)
-    _, inc_op, iv_op = _flow_ops(struct)
-    iv = _induced_map(src, mid, iv_op, "[i_V] on Lee-basic classes")
-    inc = _induced_map(low, dst, inc_op, "[id] on (U,V)-basic classes")
+    iv = _induced_map(src, mid, Contraction(struct.V),
+                      "[i_V] on Lee-basic classes")
+    inc = _induced_map(low, dst, Inclusion(), "[id] on (U,V)-basic classes")
     # invertible, checked above, so the inverse is never None
     l_inv = linalg.sparse_inverse(lef_uv.rows)
     t = linalg.matmul(linalg.matmul(iv, l_inv), inc)
@@ -650,7 +642,8 @@ def gysin_sequence_check(struct: LcsStructure) -> GysinReport:
     u_cplx = _basic(model, (struct.U,))
     uv = _basic(model, (struct.U, struct.V))
     full_c = _full(model)
-    ops = _flow_ops(struct)
+    ops = (Wedge(_deta_powers(struct)[1]), Inclusion(),
+           Contraction(struct.V))
     top = _flow_chain("anti-Lee flow sequence", v_cplx, full_c,
                       "H_B(V)", "H", ops, model.n_gen)
     bottom = _flow_chain("transversal flow sequence", uv, u_cplx,
@@ -741,8 +734,7 @@ class BettiParityReport(Record):
 
 def betti_parity_check(struct: LcsStructure) -> BettiParityReport:
     """Evenness of b_k - b_(k-1) for odd k <= n, and b_k = c_k + c_(k-1)."""
-    return _cached(struct.model, ("parity", struct),
-                   lambda: _betti_parity(struct))
+    return _cached(struct.model, ("parity", struct), _betti_parity, struct)
 
 
 def _betti_parity(struct: LcsStructure) -> BettiParityReport:
@@ -800,15 +792,15 @@ class LefschetzEquivalenceReport(Record):
 
 def lefschetz_equivalence_report(struct: LcsStructure) -> LefschetzEquivalenceReport:
     """Evaluate all three verdict vectors and compare their aggregates."""
-    return _cached(struct.model, ("equivalence", struct),
-                   lambda: _equivalence(struct))
+    return _cached(struct.model, ("equivalence", struct), _equivalence,
+                   struct)
 
 
 def _quotient(struct: LcsStructure) -> ContactStructure:
     """quotient_contact of the structure, built once: its model then keeps
     the contact relations for every later caller."""
-    return _cached(struct.model, ("quotient", struct),
-                   lambda: quotient_contact(struct))
+    return _cached(struct.model, ("quotient", struct), quotient_contact,
+                   struct)
 
 
 def _equivalence(struct: LcsStructure) -> LefschetzEquivalenceReport:

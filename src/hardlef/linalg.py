@@ -333,10 +333,13 @@ def left_kernel(mat: Matrix) -> Matrix:
 
 def sparse_inverse(mat: Matrix) -> Matrix | None:
     """Inverse of a square matrix of sparse rows, as sparse rows, or None
-    when singular.  [mat | I] has rank m, m the number of rows; mat is
-    invertible exactly when every pivot of its RREF lies in the mat block,
-    and then the RREF is [I | mat^-1]."""
+    when singular; ValueError when a row holds a key at or above the
+    number of rows m.  [mat | I] has rank m; mat is invertible exactly when
+    every pivot of its RREF lies in the mat block, and then the RREF is
+    [I | mat^-1]."""
     m = len(mat)
+    if any(j >= m for row in mat for j in row):
+        raise ValueError(f"a row of a {m}-row matrix has a column >= {m}")
     rows, pivots = rref([{**row, m + i: 1} for i, row in enumerate(mat)])
     if pivots and pivots[-1] >= m:
         return None
@@ -345,6 +348,8 @@ def sparse_inverse(mat: Matrix) -> Matrix | None:
 
 def inverse(mat: Sequence[Sequence]) -> list[list[Rational]] | None:
     """Inverse of a square matrix of dense rows, as dense rows, or None
-    when singular (sparse_inverse)."""
+    when singular (sparse_inverse); ValueError when it is not square."""
+    if any(len(row) != len(mat) for row in mat):
+        raise ValueError("inverse needs a square matrix")
     inv = sparse_inverse([sparse(row) for row in mat])
     return None if inv is None else [dense(row, len(mat)) for row in inv]

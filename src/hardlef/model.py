@@ -15,7 +15,9 @@ and no operation is made whose result is already known.  d(e_I) is read
 off the terms of the d(e_i) with two merge signs per term, and the
 bracket and the two flags read the structure constants from those terms
 directly, touching only nonzero components.  L_v is a derivation of
-degree 0, read off the one-forms L_v e_i = i_v d e_i.
+degree 0, read off the one-forms L_v e_i = i_v d e_i; d and L_v are
+operator values (Differential, LieDerivative), and d(e_I) is kept per
+monomial, once.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DegreeError, ModelMismatchError, ValidationError
-from .exterior import (Form, Rational, Vector, _accumulate, _coerce,
-                       _signed_sum, _sum, contract, indices_of, merge_sign)
+from .exterior import (Contraction, Form, Operator, Rational, Vector,
+                       _accumulate, _coerce, _signed_sum, _sum, indices_of,
+                       merge_sign)
 
 
 class StructureModel:
@@ -55,9 +58,8 @@ class StructureModel:
         # hashed with every structure that keys a Lefschetz memo entry
         self._hash = hash((n, self.d1))
         self.name = name
-        self._d_cache: dict[int, Form] = {}
-        # id(v) -> (v, the terms of each L_v e_i or () if all vanish)
-        self._lie_cache: dict[int, tuple] = {}
+        # mask -> the terms of d(e_mask)
+        self._d_cache: dict[int, dict] = {}
         # what the Lefschetz layer computes from this model (lefschetz._cached)
         self._memo: dict = {}
         # per k, the terms c e_a ^ e_b (a < b, 0-based) of d(e_k): the
@@ -131,16 +133,13 @@ class StructureModel:
         """
         if a.n_gen != self.n_gen:
             raise ModelMismatchError("form does not live over this model")
-        if a.degree == 0:
-            return Form.zero(self.n_gen, 1)
-        out: dict[int, Rational] = {}
-        for mask, coeff in a.terms.items():
-            linalg.add_scaled(out, coeff, self._d_monomial(mask).terms)
-        return Form._make(self.n_gen, a.degree + 1, out)
+        return Form._make(self.n_gen, a.degree + 1,
+                          Differential(self)(a.terms))
 
-    def _d_monomial(self, mask: int) -> Form:
-        """d(e_I) = sum over i in I of (-1)^pos e_(I<i) ^ d(e_i) ^ e_(I>i),
-        pos the number of generators of I below i, read term by term."""
+    def _d_monomial(self, mask: int) -> dict[int, Rational]:
+        """The terms of d(e_I) = sum over i in I of (-1)^pos e_(I<i) ^ d(e_i)
+        ^ e_(I>i), pos the number of generators of I below i, read term by
+        term, once per monomial."""
         cached = self._d_cache.get(mask)
         if cached is not None:
             return cached
@@ -158,34 +157,15 @@ class StructureModel:
                 _accumulate(out, prefix | m | suffix,
                             -c if (sign < 0) != odd else c)
             rem ^= low
-        total = Form._make(self.n_gen, mask.bit_count() + 1, out)
-        self._d_cache[mask] = total
-        return total
+        self._d_cache[mask] = out
+        return out
 
     def lie_derivative(self, v: Vector, a: Form) -> Form:
-        """L_v = i_v d + d i_v for a constant field v: L_v(e_I) replaces
-        each factor e_i in turn by L_v e_i, whose term in e_j takes one sign
-        per factor between e_i and e_j; zero for a central field."""
+        """L_v a for a constant field v (LieDerivative)."""
         if v.n_gen != self.n_gen or a.n_gen != self.n_gen:
             raise ModelMismatchError("operands do not live over this model")
-        cached = self._lie_cache.get(id(v))
-        if cached is None:
-            ones = tuple(tuple(contract(v, f).terms.items()) for f in self.d1)
-            cached = self._lie_cache[id(v)] = (v, ones if any(ones) else ())
-        ones = cached[1]
-        out: dict[int, Rational] = {}
-        for mask, c in a.terms.items() if ones else ():
-            rem = mask
-            while rem:
-                low = rem & -rem
-                rest = mask ^ low
-                for j, x in ones[low.bit_length() - 1]:
-                    if not j & rest:
-                        t = c if x == 1 else c * x
-                        odd = (rest & ((low - 1) ^ (j - 1))).bit_count() & 1
-                        _accumulate(out, rest | j, -t if odd else t)
-                rem ^= low
-        return Form._make(self.n_gen, a.degree, out)
+        return Form._make(self.n_gen, a.degree,
+                          LieDerivative(self, v)(a.terms))
 
     def bracket(self, v: Vector, w: Vector) -> Vector:
         """Lie bracket of constant fields via e_k([v, w]) = -de_k(v, w),
@@ -269,6 +249,47 @@ class StructureModel:
     def __repr__(self):
         label = self.name or self.structure_string() or f"dim {self.n_gen}"
         return f"<StructureModel {label}>"
+
+
+class Differential(Operator):
+    """d of a model, summed over the cached d(e_I) of the monomials."""
+
+    def __call__(self, terms: dict) -> dict:
+        out: dict[int, Rational] = {}
+        d_monomial = self.key[0]._d_monomial
+        for mask, coeff in terms.items():
+            linalg.add_scaled(out, coeff, d_monomial(mask))
+        return out
+
+
+class LieDerivative(Operator):
+    """L_v = i_v d + d i_v for a constant field v on a model, a derivation
+    of degree 0, read off the one-forms L_v e_i = i_v d e_i, taken once:
+    L_v(e_I) replaces each factor e_i in turn by L_v e_i, whose term in e_j
+    takes one sign per factor between e_i and e_j; zero for a central
+    field."""
+
+    def __init__(self, model: StructureModel, v: Vector):
+        super().__init__(model, v)
+        i_v = Contraction(v)
+        ones = tuple(tuple(i_v(f.terms).items()) for f in model.d1)
+        self._ones = ones if any(ones) else ()
+
+    def __call__(self, terms: dict) -> dict:
+        ones = self._ones
+        out: dict[int, Rational] = {}
+        for mask, c in terms.items() if ones else ():
+            rem = mask
+            while rem:
+                low = rem & -rem
+                rest = mask ^ low
+                for j, x in ones[low.bit_length() - 1]:
+                    if not j & rest:
+                        t = c if x == 1 else c * x
+                        odd = (rest & ((low - 1) ^ (j - 1))).bit_count() & 1
+                        _accumulate(out, rest | j, -t if odd else t)
+                rem ^= low
+        return out
 
 
 def _ascii_digits(*parts: str) -> bool:

@@ -141,6 +141,20 @@ def test_betti_numbers_and_space_share_the_d_squared_guard(structure, fields,
         below.space(j)  # the degrees under k still build
 
 
+def test_a_span_not_closed_under_d_is_refused():
+    # d e5 = e12 + e34 leaves the span of e1, e2, e5 in degree 1; the
+    # full complex, whose D is read off d(e_I) directly, keeps no such guard
+    model = StructureModel.from_salamon(H5S1)
+    e = [Form.generator(6, i) for i in range(1, 7)]
+    bases = [[Form.constant(6, 1)], [e[0], e[1], e[4]],
+             [e[0].wedge(e[1])], [], [], [], []]
+    assert _message(lambda: coh.Subcomplex(model, (), bases)) == (
+        "span is not closed under d in degree 1; the fields do not cut out "
+        "a subcomplex")
+    bases[2].append(e[2].wedge(e[3]))
+    assert coh.Subcomplex(model, (), bases).dims() == (1, 3, 2, 0, 0, 0, 0)
+
+
 # ----- the net ---------------------------------------------------------------
 
 

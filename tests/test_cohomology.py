@@ -1,5 +1,4 @@
 from fractions import Fraction
-from functools import partial
 from math import comb
 
 import pytest
@@ -12,7 +11,8 @@ from hardlef import linalg
 from hardlef.cohomology import (Subcomplex, _combine, _condition_rows,
                                 cohomology)
 from hardlef.errors import (DegreeError, NotClosedError, PreconditionError)
-from hardlef.exterior import contract, degree_masks
+from hardlef.exterior import Contraction, degree_masks
+from hardlef.model import LieDerivative
 
 import oracle
 from conftest import COEFFS, rational_models, rebase, vectors
@@ -61,7 +61,7 @@ def _reference_basic_bases(model, fields):
     n = model.n_gen
     ops = []
     for v in fields:
-        ops += [partial(contract, v), partial(model.lie_derivative, v)]
+        ops += [Contraction(v), LieDerivative(model, v)]
     bases = []
     for k in range(n + 1):
         monomials = [Form(n, k, {m: Fraction(1)}) for m in degree_masks(n, k)]

@@ -14,7 +14,9 @@ from hardlef import linalg
 from hardlef.cohomology import CohomologySpace, _combine, _condition_rows
 from hardlef.errors import (DegreeError, InternalConsistencyError,
                             NotLefschetzError, PreconditionError)
-from hardlef.exterior import top_pairing, wedge_power
+from hardlef.exterior import (Contraction, Inclusion, Operator, Wedge,
+                              contract, top_pairing, wedge_power)
+from hardlef.model import Differential, LieDerivative
 
 import oracle
 from conftest import COEFFS, random_fraction, rebase
@@ -152,11 +154,9 @@ def test_relation_spans_are_representative_independent(kt4_struct):
     deta = model.d(kt4_struct.eta)
     src = cplx.space(1)
     dst = cplx.space(3)
-    ops = (model.d,
-           lambda f: model.lie_derivative(kt4_struct.U, f),
-           lambda f: lef.contract(kt4_struct.V, f),
-           lambda f: wedge_power(deta, 2).wedge(f),
-           lambda f: wedge_power(deta, 1).wedge(kt4_struct.omega.wedge(f)))
+    ops = (Differential(model), LieDerivative(model, kt4_struct.U),
+           Contraction(kt4_struct.V), Wedge(wedge_power(deta, 2)),
+           Wedge(wedge_power(deta, 1), Wedge(kt4_struct.omega)))
     kernel = linalg.left_kernel(
         _condition_rows(cplx.basis(1), ops, model.n_gen))
     basis = [_combine(cplx.basis(1), c, model.n_gen, 1) for c in kernel]
@@ -164,7 +164,7 @@ def test_relation_spans_are_representative_independent(kt4_struct):
     shuffled = [basis[0] + basis[1], basis[1], basis[2] + 2 * basis[0]]
     pairs = []
     for gamma in shuffled:
-        liu = deta.wedge(lef.contract(kt4_struct.U, gamma))
+        liu = deta.wedge(contract(kt4_struct.U, gamma))
         target = kt4_struct.eta.wedge(
             wedge_power(deta, 0).wedge(liu - kt4_struct.omega.wedge(gamma)))
         pairs.append((src._class_of(gamma), dst._class_of(target)))
@@ -401,8 +401,8 @@ def test_relation_target_that_is_not_closed_raises(kt4_struct):
                        match="^e3 cup in degree 1 is not closed$"):
         lef._relation(full.space(1), full.space(2),
                       _condition_rows(full.basis(1), (), 4),
-                      lef._images(full, full, lambda f: gen(4, 3).wedge(f),
-                                  1, 2), "e3 cup")
+                      lef._images(full, full, Wedge(gen(4, 3)), 1, 2),
+                      "e3 cup")
 
 
 def test_relation_target_off_the_slice_raises(kt4_struct):
@@ -413,8 +413,8 @@ def test_relation_target_off_the_slice_raises(kt4_struct):
                              "slice$"):
         lef._relation(u_cplx.space(1), u_cplx.space(2),
                       _condition_rows(u_cplx.basis(1), (), 4),
-                      lef._images(u_cplx, u_cplx,
-                                  lambda f: kt4_struct.omega.wedge(f), 1, 2),
+                      lef._images(u_cplx, u_cplx, Wedge(kt4_struct.omega),
+                                  1, 2),
                       "omega cup")
 
 
@@ -605,6 +605,11 @@ def test_induced_maps_agree_with_relation_path(monkeypatch, lcs_struct):
     assert any(certified)
 
 
+def _on_form(op, f, degree):
+    """The form op f, of the given degree (a zero 0-form below degree 0)."""
+    return Form(f.n_gen, max(degree, 0), op(f.terms))
+
+
 def _form_chain_slice(src, dst, op, k, j):
     """The certificate of one slice taken on forms: op f lies in the
     degree-j slice of dst and d(op f) = s op(d f) on every basis form f of
@@ -612,10 +617,10 @@ def _form_chain_slice(src, dst, op, k, j):
     d = src.model.d
     pairs = []
     for f in src.basis(k):
-        g = op(f)
+        g = _on_form(op, f, j)
         if dst._reduce(g, j)[1]:
             return False
-        pairs.append((d(g), op(d(f))))
+        pairs.append((d(g), _on_form(op, d(f), j + 1)))
     return (all(x == y for x, y in pairs)
             or all(x == -y for x, y in pairs))
 
@@ -650,27 +655,32 @@ def test_slice_certificates_agree_with_forms(monkeypatch, lcs_struct):
     assert any(verdicts)
 
 
+class _Scale(Operator):
+    """f -> 2^deg f, which induces 2^a times the identity on H^a."""
+
+    __slots__ = ()
+
+    def __call__(self, terms):
+        return {m: c * 2 ** m.bit_count() for m, c in terms.items()}
+
+
+class _Drop(Operator):
+    """Drops one monomial from every form."""
+
+    __slots__ = ()
+
+    def __call__(self, terms):
+        return {m: c for m, c in terms.items() if m != self.key[0]}
+
+
 def test_certificates_of_non_chain_operators_agree_with_forms(h5s1_struct):
     model = h5s1_struct.model
     full = lef._full(model)
     lee_basic = lef._basic(model, (h5s1_struct.U,))
     e5, e34 = gen(6, 5), 0b1100
 
-    def wedge_e5(f):
-        return e5.wedge(f)
-
-    def scale(f):
-        return f * 2 ** f.degree
-
-    def drop_e34(f):
-        if f.degree != 2:
-            return f
-        return Form(f.n_gen, 2, {m: c for m, c in f.terms.items()
-                                 if m != e34})
-
-    def ident(f):
-        return f
-
+    wedge_e5, scale, drop_e34, ident = (Wedge(e5), _Scale(), _Drop(e34),
+                                        Inclusion())
     verdicts = []
     for op, shift, dst in ((wedge_e5, 1, full), (scale, 0, full),
                            (drop_e34, 0, full), (ident, 0, lee_basic)):
@@ -702,9 +712,7 @@ def test_non_chain_operator_takes_the_relation_path(monkeypatch,
     # d e5 = e12 + e34, so wedging with e5 is no chain map, and the class
     # map it would induce is ill defined in degrees 0 to 5; the relation
     # path says why
-    def wedge_e5(f):
-        return e5.wedge(f)
-
+    wedge_e5 = Wedge(e5)
     messages = {0: "is not defined on every class",
                 1: "is not defined on every class",
                 4: "is not single valued on classes"}
@@ -724,9 +732,7 @@ def test_non_chain_operator_takes_the_relation_path(monkeypatch,
     # scaling by 2^degree has d op = op d / 2, refused wherever d is not
     # zero on slice a-1 or a; it still induces 2^a times the identity,
     # which the relation path returns
-    def scale(f):
-        return f * 2 ** f.degree
-
+    scale = _Scale()
     relations.clear()
     degrees = range(1, model.n_gen)
     for a in degrees:
@@ -751,9 +757,7 @@ def test_an_ill_defined_map_is_not_kept(monkeypatch, h5s1_struct):
         runs.append(label)
         return relation_map(src, dst, images, label)
 
-    def wedge_e5(f):
-        return e5.wedge(f)
-
+    wedge_e5 = Wedge(e5)
     monkeypatch.setattr(lef, "_relation_map", counting)
     for _ in range(2):
         with pytest.raises(InternalConsistencyError,
@@ -771,11 +775,7 @@ def test_a_family_answers_its_well_defined_degrees(h5s1_struct):
     # raises with its caller's label, every time, while degree 6 of the
     # same family still gives its map, one row, as e5 ^ H^6 is in degree 7
     cplx = lef._full(h5s1_struct.model)
-    e5 = gen(6, 5)
-
-    def wedge_e5(f):
-        return e5.wedge(f)
-
+    wedge_e5 = Wedge(gen(6, 5))
     defined, single = "is not defined on every class", \
         "is not single valued on classes"
     messages = [defined] * 3 + [single] * 3
@@ -795,14 +795,7 @@ def test_certificate_checks_the_slice_below(h5s1_struct):
     # exact e12 + e34 = d e5 to the closed, not exact e12: the slice below
     # refuses it, and the relation path finds the map ill defined
     cplx = lef._full(h5s1_struct.model)
-    e34 = 0b1100
-
-    def drop_e34(f):
-        if f.degree != 2:
-            return f
-        return Form(f.n_gen, 2, {m: c for m, c in f.terms.items()
-                                 if m != e34})
-
+    drop_e34 = _Drop(0b1100)
     assert _certificate(cplx, cplx, drop_e34, 2, 2)
     assert not _certificate(cplx, cplx, drop_e34, 1, 1)
     h2 = cplx.space(2)
@@ -817,10 +810,7 @@ def test_certificate_checks_the_target_slice(h5s1_struct):
     model = h5s1_struct.model
     full = lef._full(model)
     lee_basic = lef._basic(model, (h5s1_struct.U,))
-
-    def ident(f):
-        return f
-
+    ident = Inclusion()
     h1, h1_basic = full.space(1), lee_basic.space(1)
     assert _certified(h1, h1, ident)
     assert not _certified(h1, h1_basic, ident)
@@ -888,8 +878,7 @@ def test_gysin_h7s1_builds_every_map_from_representatives(monkeypatch):
     assert slices and len(slices) == len(set(slices))
     assert imaged and len(imaged) == len(set(imaged))
     # the memo keeps the families, and no image or certificate of a slice
-    assert {key[0] for key in memo} == {"complex", "powers", "flow operators",
-                                        "class maps"}
+    assert {key[0] for key in memo} == {"complex", "powers", "class maps"}
 
 
 def _count_images(monkeypatch) -> list:
@@ -1116,7 +1105,8 @@ def _scaled(matrix, c, rows=None):
 
 def _gysin_parts(struct):
     model = struct.model
-    return (lef._flow_ops(struct), lef._basic(model, (struct.V,)),
+    ops = (Wedge(model.d(struct.eta)), Inclusion(), Contraction(struct.V))
+    return (ops, lef._basic(model, (struct.V,)),
             lef._full(model), lef._basic(model, (struct.U, struct.V)),
             lef._basic(model, (struct.U,)))
 

@@ -100,6 +100,18 @@ def test_inverse():
     assert linalg.inverse([]) == []
 
 
+@pytest.mark.parametrize("call, mat", [
+    (linalg.inverse, [[1, 2]]),              # 1 x 2: once read as [[1]]
+    (linalg.inverse, [[1], [2]]),            # 2 x 1
+    (linalg.inverse, [[1, 0], [0]]),         # a short row
+    (linalg.sparse_inverse, [{0: 1, 1: 2}]),  # a key at the row count
+    (linalg.sparse_inverse, [{0: 1}, {3: 1}]),  # a key above it
+], ids=["1x2", "2x1", "ragged", "sparse-key-at-m", "sparse-key-above-m"])
+def test_inverse_refuses_a_matrix_that_is_not_square(call, mat):
+    with pytest.raises(ValueError):
+        call(mat)
+
+
 def test_floats_are_refused_at_the_edge():
     # 0.1 is a binary fraction: read as one, it would invert to
     # 36028797018963968/3602879701896397, not to 10
