@@ -17,8 +17,8 @@ D_(k-1) reduced against the canonical cycle basis are the boundaries,
 and one elimination of them, r x z for r rows and z cycles, picks the
 representatives (the cycles independent of the image and of the cycles
 before them) and gives the class of every cycle.  The representative
-forms are built when first read (psi, the transversal maps and the
-splittings read them; the relations and the flow maps do not).
+forms are built when first read, and no engine computation reads them:
+every image is taken of their terms (_rep_terms, _image_classes).
 
 Sparse inside, dense at the API: differential rows, kernels, images,
 classes and the rows of a CohomologyMap are sparse vectors {column:
@@ -45,8 +45,8 @@ from typing import Sequence
 from . import linalg
 from .errors import (DegreeError, InternalConsistencyError, ModelMismatchError,
                      NotClosedError, PreconditionError)
-from .exterior import (Form, Operator, Rational, Vector, _column_index,
-                       degree_masks)
+from .exterior import (Form, Inclusion, Operator, Rational, Vector, Wedge,
+                       _column_index, degree_masks)
 from .model import Differential, LieDerivative, StructureModel
 from .record import Record
 
@@ -297,6 +297,24 @@ def _combine(basis: Sequence[Form], coords: dict[int, Rational], n_gen: int,
     return Form._make(n_gen, max(degree, 0), out)
 
 
+def _rep_terms(space: CohomologySpace) -> linalg.Matrix:
+    """The terms {mask: coefficient} of the representatives; no Form."""
+    basis = space.complex.basis(space.degree)
+    return linalg.matmul(space._rep_coords, [f.terms for f in basis])
+
+
+def _image_classes(src: CohomologySpace, dst: CohomologySpace,
+                   op: Operator) -> list[dict[int, Rational]]:
+    """The sparse classes in dst of op applied to the representatives of
+    src, read from the images' coordinates in the slice of dst."""
+    images = [dst.complex._reduce_terms(op(terms), dst.degree)
+              for terms in _rep_terms(src)]
+    if any(residual for _, residual in images):
+        raise InternalConsistencyError(
+            f"an image leaves the degree-{dst.degree} slice")
+    return [dst._class_of_coords(coords) for coords, _ in images]
+
+
 def _condition_rows(basis: Sequence[Form], operators: Sequence[Operator],
                     n_gen: int) -> list[dict[int, Rational]]:
     """Row i lays the images of basis[i] under the operator values side by
@@ -463,12 +481,9 @@ def splitting_map(model: StructureModel, w_form: Form, inner: Subcomplex,
 def _splitting_map(w_form: Form, inner: Subcomplex, outer: Subcomplex,
                    k: int) -> SplittingMap:
     """splitting_map once its setup and degree are checked."""
-    src1 = outer.space(k)
-    src0 = outer.space(k - 1)
-    dst = inner.space(k)
-    rows = tuple([dst._class_of(rep) for rep in src1.representatives]
-                 + [dst._class_of(w_form.wedge(rep))
-                    for rep in src0.representatives])
+    src1, src0, dst = outer.space(k), outer.space(k - 1), inner.space(k)
+    rows = tuple(_image_classes(src1, dst, Inclusion())
+                 + _image_classes(src0, dst, Wedge(w_form)))
     return SplittingMap(k, rows, dst.dimension,
                         (src1.dimension, src0.dimension))
 

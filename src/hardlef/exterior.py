@@ -117,11 +117,6 @@ def _accumulate(out: dict, key: int, c: Rational) -> None:
     out[key] = c if type(c) is int or c.denominator != 1 else c.numerator
 
 
-def _sum(values: list) -> Rational:
-    """Sum of a list of scalars, 0 for none, adding nothing to zero."""
-    return as_scalar(sum(values[1:], values[0])) if values else 0
-
-
 class Form:
     """A homogeneous exterior form with exact rational coefficients."""
 
@@ -481,20 +476,3 @@ def top_coefficient(a: Form) -> Rational:
                           f"got {a.degree}")
     return a.terms.get((1 << a.n_gen) - 1, 0)
 
-
-def top_pairing(a: Form, b: Form) -> Rational:
-    """top_coefficient(a ^ b) without the wedge: for forms of complementary
-    degrees, the sum over the masks m of a of
-    a[m] b[full ^ m] merge_sign(m, full ^ m)."""
-    a._require_same_frame(b)
-    if a.degree + b.degree != a.n_gen:
-        raise DegreeError(f"top_pairing needs degrees summing to {a.n_gen}, "
-                          f"got {a.degree} and {b.degree}")
-    full = (1 << a.n_gen) - 1
-    terms = []
-    for m, x in a.terms.items():
-        y = b.terms.get(full ^ m)
-        if y is not None:
-            t = x * y
-            terms.append(t if merge_sign(m, full ^ m) > 0 else -t)
-    return _sum(terms)

@@ -52,12 +52,13 @@ from itertools import accumulate
 
 from . import linalg
 from .cohomology import (CohomologyMap, CohomologySpace, Subcomplex,
-                         _combine, _condition_rows, basic_complex,
-                         betti_numbers, full_complex, splitting_check)
+                         _condition_rows, _image_classes, _rep_terms,
+                         basic_complex, betti_numbers, full_complex,
+                         splitting_check)
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
                      NotProjectableError, PreconditionError)
 from .exterior import (Contraction, Form, Inclusion, Operator, Rational,
-                       Wedge, top_pairing)
+                       Wedge, merge_sign)
 from .model import LieDerivative
 from .record import Record
 from .structures import ContactStructure, LcsStructure, quotient_contact
@@ -335,12 +336,10 @@ def uv_basic_lefschetz(struct: LcsStructure, k: int) -> CohomologyMap:
 
     def build():
         uv = _basic(model, (struct.U, struct.V))
-        src = uv.space(k)
         dst = uv.space(2 * n - k)
-        power = _deta_powers(struct)[n - k]
-        return CohomologyMap(k, tuple(dst._class_of(power.wedge(rep))
-                                      for rep in src.representatives),
-                             dst.dimension)
+        return CohomologyMap(k, tuple(_image_classes(
+            uv.space(k), dst, Wedge(_deta_powers(struct)[n - k]))),
+            dst.dimension)
 
     return _cached(model, ("transversal", struct, k), build)
 
@@ -661,14 +660,18 @@ def gysin_sequence_check(struct: LcsStructure) -> GysinReport:
 
 
 class PairingResult(Record):
-    """The bilinear form psi on degree-k Lee-basic cohomology."""
+    """psi on degree-k Lee-basic cohomology as sparse rows; matrix is dense."""
 
     degree: int
-    matrix: tuple[tuple[Rational, ...], ...]
+    rows: tuple[dict[int, Rational], ...]
     nondegenerate: bool
     parity_ok: bool
     symmetric: bool
     skew: bool
+
+    @property
+    def matrix(self) -> tuple[tuple[Rational, ...], ...]:
+        return linalg.dense_rows(self.rows, len(self.rows))
 
     def to_dict(self):
         return {"k": self.degree,
@@ -684,34 +687,31 @@ def pairing_psi(struct: LcsStructure, k: int) -> PairingResult:
 
     psi pairs a class with the Lefschetz image of the other through the
     top coefficient of omega ^ lef(a) ^ b; defined whenever the Lee-basic
-    Lefschetz map exists in degree k.
+    Lefschetz map exists in degree k.  A mask m of omega ^ lef(a) meets
+    the terms of b at full ^ m, which index them, signed by merge_sign.
     """
     n = struct.n
     if not 1 <= k <= n:
         raise DegreeError(f"psi is defined for 1 <= k <= {n}, got {k}")
     lef = _isomorphism(basic_lefschetz_relation(struct, k), k).rows
-    model = struct.model
-    u_cplx = _basic(model, (struct.U,))
-    src = u_cplx.space(k)
-    dst = u_cplx.space(2 * n + 1 - k)
-    lef_forms = [_combine(dst.representatives, row, model.n_gen,
-                          2 * n + 1 - k) for row in lef]
-    psi = [[top_pairing(w, rep) for rep in src.representatives]
-           for w in (struct.omega.wedge(f) for f in lef_forms)]
-    d = src.dimension
-    # one scan over i <= j: the diagonal counts, as skew needs psi[i][i] = 0
-    symmetric = skew = True
-    for i, row in enumerate(psi):
-        for j in range(i, d):
-            a, b = row[j], psi[j][i]
-            if a == b:
-                skew = skew and not a
-            else:
-                symmetric = False
-                skew = skew and a == -b
-    nondegenerate = linalg.rank([linalg.sparse(r) for r in psi]) == d
+    u_cplx = _basic(struct.model, (struct.U,))
+    full = (1 << struct.model.n_gen) - 1
+    index: dict[int, dict[int, Rational]] = {}
+    for j, terms in enumerate(_rep_terms(u_cplx.space(k))):
+        for m, b in terms.items():
+            index.setdefault(full ^ m, {})[j] = \
+                b if merge_sign(full ^ m, m) > 0 else -b
+    images = map(Wedge(struct.omega), linalg.matmul(
+        lef, _rep_terms(u_cplx.space(2 * n + 1 - k))))
+    psi = linalg.matmul([{m: x for m, x in w.items() if m in index}
+                         for w in images], index)
+    # an entry x at (i, j) needs x (symmetric) or -x (skew) at (j, i)
+    entries = [(i, j, x) for i, row in enumerate(psi) for j, x in row.items()]
+    symmetric = all(psi[j].get(i) == x for i, j, x in entries)
+    skew = all(psi[j].get(i) == -x for i, j, x in entries)
+    nondegenerate = linalg.rank(psi) == len(psi)
     # parity_ok: psi is symmetric for even k and skew for odd k
-    return PairingResult(k, tuple(tuple(r) for r in psi), nondegenerate,
+    return PairingResult(k, tuple(psi), nondegenerate,
                          skew if k % 2 else symmetric, symmetric, skew)
 
 

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import DegreeError, ModelMismatchError, ValidationError
 from .exterior import (Contraction, Form, Operator, Rational, Vector,
-                       _accumulate, _coerce, _signed_sum, _sum, indices_of,
+                       _accumulate, _coerce, _signed_sum, indices_of,
                        merge_sign)
 
 
@@ -181,7 +181,7 @@ class StructureModel:
                     if x and y:
                         t = c * x * y
                         parts.append(-t if neg else t)
-            comps.append(_sum(parts))
+            comps.append(sum(parts[1:], parts[0]) if parts else 0)
         return Vector(comps)
 
     # ----- flags ----------------------------------------------------------

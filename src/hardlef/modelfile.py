@@ -340,17 +340,24 @@ def _statements(data: dict, generators: bool = True) -> list[tuple]:
     statement only when asked for and named (parse defaults them once dim
     is checked)."""
     dim = data["dim"]
-    names = data.get("generators")
+    names = data.get("generators", [])
+    if not isinstance(names, list) or not all(
+            isinstance(name, str) for name in names):
+        raise ParseError(f"expected a list of names, got {json.dumps(names)}",
+                         key="generators")
     out = [("name", "name ", data["name"])] if data.get("name") else []
     out.append(("dim", "dim ", dim))
     if generators and names:
         out.append(("generators", "generators ", " ".join(names)))
-    for gen, expr in data.get("differentials", {}).items():
-        out.append((f"differentials.{gen}", f"d {gen} = ", expr))
-    for key in ("omega", "eta"):
-        if key in data:
-            out.append((key, f"{key} = ", data[key]))
-    return out
+    forms = [(f"differentials.{gen}", f"d {gen} = ", expr)
+             for gen, expr in data.get("differentials", {}).items()]
+    forms += [(key, f"{key} = ", data[key]) for key in ("omega", "eta")
+              if key in data]
+    for key, _, value in forms:
+        if not isinstance(value, str):
+            raise ParseError(f"expected a form as a string, got "
+                             f"{json.dumps(value)}", key=key)
+    return out + forms
 
 
 def from_json_dict(data: dict) -> ModelDocument:

@@ -15,7 +15,7 @@ from hardlef.cohomology import CohomologySpace, _combine, _condition_rows
 from hardlef.errors import (DegreeError, InternalConsistencyError,
                             NotLefschetzError, PreconditionError)
 from hardlef.exterior import (Contraction, Inclusion, Operator, Wedge,
-                              contract, top_pairing, wedge_power)
+                              contract, wedge_power)
 from hardlef.model import Differential, LieDerivative
 
 import oracle
@@ -1212,31 +1212,77 @@ def test_pairing_psi_equals_the_wedge_formula(lcs_struct):
             gram
 
 
+def test_transversal_and_splitting_maps_equal_the_form_formula(lcs_struct):
+    """The maps read in slice coordinates against the classes, through the
+    public class_of, of the representative forms wedged as Forms: the
+    transversal map is [rep] -> [(d eta)^(n-k) ^ rep], a splitting map
+    ([b], [b']) -> [b + omega ^ b']."""
+    model, n, omega = lcs_struct.model, lcs_struct.n, lcs_struct.omega
+    U, V = lcs_struct.U, lcs_struct.V
+    uv = lef._basic(model, (U, V))
+    for k in range(n + 1):
+        power = wedge_power(model.d(lcs_struct.eta), n - k)
+        dst = uv.space(2 * n - k)
+        assert list(lef.uv_basic_lefschetz(lcs_struct, k).rows) == [
+            linalg.sparse(dst.class_of(power.wedge(rep)))
+            for rep in uv.space(k).representatives]
+    report = lef.gysin_sequence_check(lcs_struct)
+    for splitting, inner, outer in (
+            (report.splitting_v, lef._basic(model, (V,)), uv),
+            (report.splitting_full, lef._full(model),
+             lef._basic(model, (U,)))):
+        assert len(splitting.maps) == model.n_gen + 1
+        for m in splitting.maps:
+            dst = inner.space(m.degree)
+            assert list(m.rows) == [
+                linalg.sparse(dst.class_of(rep))
+                for rep in outer.space(m.degree).representatives] + [
+                linalg.sparse(dst.class_of(omega.wedge(rep)))
+                for rep in outer.space(m.degree - 1).representatives]
+
+
 @pytest.mark.parametrize("bump", [None, 0, 1],
                          ids=["psi", "bump-diagonal", "bump-off-diagonal"])
 def test_pairing_psi_flags_match_brute_force_scans(lcs_struct, monkeypatch,
                                                    bump):
     # adding 1 to psi[0][0] makes a skew matrix fail only on its diagonal;
-    # adding 1 to psi[0][1] makes a symmetric or skew one neither
-    calls = []
-
-    def pairing(a, b):
-        calls.append(None)
-        value = top_pairing(a, b)
-        return value + 1 if len(calls) - 1 == bump else value
-
-    monkeypatch.setattr(lef, "top_pairing", pairing)
+    # adding 1 to psi[0][1] makes a symmetric or skew one neither.  The
+    # bump is made in the Gram product, before any flag is read: once the
+    # memo holds the relations and spaces psi reads, it is the one matmul
+    # whose right factor is a mapping, the mask index
     for k in range(1, lcs_struct.n + 1):
-        calls.clear()
+        try:
+            lef.pairing_psi(lcs_struct, k)
+        except NotLefschetzError:
+            pass
+    matmul = linalg.matmul
+    grams = []
+
+    def gram(a, b):
+        out = matmul(a, b)
+        if isinstance(b, dict):
+            grams.append(len(out))
+            if bump is not None and bump < len(out):
+                value = out[0].pop(bump, 0) + 1
+                if value:
+                    out[0][bump] = value
+        return out
+
+    monkeypatch.setattr(linalg, "matmul", gram)
+    for k in range(1, lcs_struct.n + 1):
+        grams.clear()
         try:
             res = lef.pairing_psi(lcs_struct, k)
         except NotLefschetzError:
             continue
         m, d = res.matrix, len(res.matrix)
+        assert grams == [d]
         pairs = [(m[i][j], m[j][i]) for i in range(d) for j in range(d)]
         assert res.symmetric == all(a == b for a, b in pairs)
         assert res.skew == all(a == -b for a, b in pairs)
         assert res.parity_ok == all(b == (-1) ** k * a for a, b in pairs)
+        assert res.nondegenerate == (linalg.rank(
+            [linalg.sparse(row) for row in m]) == d)
 
 
 def test_exact_chains_are_well_defined_with_vanishing_compositions(

@@ -176,8 +176,13 @@ def test_json_zero_denominator_is_a_parse_error():
      "differentials.e1: line break in a JSON string"),
     ({"dim": 2, "differentials": []},
      "malformed JSON model: 'list' object has no attribute 'items'"),
+    ({"dim": 2, "generators": "ab"},
+     'generators: expected a list of names, got "ab"'),
+    ({"dim": 2, "omega": None},
+     "omega: expected a form as a string, got null"),
 ], ids=["unknown_generator", "unknown_key", "syntax", "empty", "dim",
-        "line_break", "differentials_list"])
+        "line_break", "differentials_list", "generators_string",
+        "form_null"])
 def test_json_errors_name_the_key(data, message):
     """Positions in a JSON model are the key and the column in its string,
     not a place in the statement text built from it."""

@@ -174,17 +174,47 @@ def _lefschetz_all(monkeypatch, capsys, name):
 
 def test_lefschetz_all_builds_no_full_complex_representative(monkeypatch,
                                                              capsys):
+    # psi, the transversal maps and the splittings read the representatives
+    # in slice coordinates: no space of any complex, the quotient's
+    # included, builds its representative forms
     struct = _lefschetz_all(monkeypatch, capsys, "h7s1.model")
     quotient = struct.model._memo[("quotient", struct)]
-    for model in (struct.model, quotient.model):
-        full = model._memo[("complex", ())]
-        assert full._spaces
-        assert not any("representatives" in vars(sp)
-                       for sp in full._spaces.values())
-    # the Lee-basic spaces psi and the splittings read keep theirs
-    u_cplx = struct.model._memo[("complex", (struct.U,))]
-    assert any("representatives" in vars(sp)
-               for sp in u_cplx._spaces.values())
+    complexes = [cplx for model in (struct.model, quotient.model)
+                 for key, cplx in model._memo.items() if key[0] == "complex"]
+    assert len(complexes) == 5
+    assert all(cplx._spaces for cplx in complexes)
+    assert not any("representatives" in vars(sp) for cplx in complexes
+                   for sp in cplx._spaces.values())
+
+
+def test_suite_and_lefschetz_all_reduce_no_form(monkeypatch, capsys):
+    """suite and `lefschetz --mode all` on every model file read every class
+    in slice coordinates: no representative form is built, no form is
+    reduced through CohomologySpace._class_of, and exterior keeps no
+    top_pairing beside the Gram product."""
+    from hardlef import exterior
+    from hardlef.cohomology import CohomologySpace
+    calls = {"_class_of": 0, "representatives": 0, "_class_of_coords": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_class_of", "_class_of_coords"):
+        monkeypatch.setattr(CohomologySpace, name,
+                            counting(name, getattr(CohomologySpace, name)))
+    monkeypatch.setattr(CohomologySpace, "representatives", property(
+        counting("representatives",
+                 CohomologySpace.representatives.func)))
+    assert cli.main(["suite"]) == 0
+    for path in sorted(MODELS.glob("*.model")):
+        assert cli.main(["lefschetz", str(path), "--mode", "all"]) == 0
+    capsys.readouterr()
+    assert calls["_class_of"] == calls["representatives"] == 0
+    assert calls["_class_of_coords"] > 0
+    assert not hasattr(exterior, "top_pairing")
 
 
 def test_representatives_are_the_combinations_of_their_coordinates(
