@@ -25,7 +25,7 @@ from .structures import (validate_contact, validate_lcs,
 
 
 def _emit(doc: dict, json_path: str | None) -> None:
-    sys.stdout.write(report.to_text(doc))
+    report.to_text(doc, sys.stdout)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             report.to_json(doc, fh)

@@ -8,9 +8,9 @@ that e1 ^ ... ^ en is the positive volume element.
 
 This module owns the monomial basis of each degree: degree_masks(n, k)
 lists its masks in ascending order, and one cached mask -> column index
-per (n, k) numbers them.  sparse_coords reads a form in that basis as the
-sparse vector {column: coefficient} that linalg works on; there are no
-dense coordinate vectors here.
+per (n, k) numbers them, the columns of the sparse rows {column:
+coefficient} that linalg works on; there are no dense coordinate vectors
+here.
 
 Coefficients follow the scalar rule of linalg: an integral coefficient
 is an `int` and any other a `fractions.Fraction`; there is no floating
@@ -96,13 +96,6 @@ def degree_masks(n_gen: int, degree: int) -> tuple[int, ...]:
 def _column_index(n_gen: int, degree: int) -> dict[int, int]:
     """mask -> position in degree_masks(n_gen, degree)."""
     return {m: i for i, m in enumerate(degree_masks(n_gen, degree))}
-
-
-def sparse_coords(a: Form) -> dict[int, Rational]:
-    """{column: coefficient} of a in the ascending-mask monomial basis of
-    its degree."""
-    index = _column_index(a.n_gen, a.degree)
-    return {index[m]: c for m, c in a.terms.items()}
 
 
 def _accumulate(out: dict, key: int, c: Rational) -> None:

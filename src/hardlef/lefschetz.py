@@ -674,8 +674,12 @@ class PairingResult(Record):
         return linalg.dense_rows(self.rows, len(self.rows))
 
     def to_dict(self):
+        matrix = [["0"] * len(self.rows) for _ in self.rows]
+        for row, entries in zip(matrix, self.rows):
+            for j, x in entries.items():
+                row[j] = str(x)
         return {"k": self.degree,
-                "matrix": [[str(x) for x in row] for row in self.matrix],
+                "matrix": matrix,
                 "nondegenerate": self.nondegenerate,
                 "parity_ok": self.parity_ok,
                 "symmetric": self.symmetric,

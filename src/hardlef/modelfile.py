@@ -340,11 +340,18 @@ def _statements(data: dict, generators: bool = True) -> list[tuple]:
     statement only when asked for and named (parse defaults them once dim
     is checked)."""
     dim = data["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ParseError(f"expected an integer, got {json.dumps(dim)}",
+                         key="dim")
     names = data.get("generators", [])
     if not isinstance(names, list) or not all(
             isinstance(name, str) for name in names):
         raise ParseError(f"expected a list of names, got {json.dumps(names)}",
                          key="generators")
+    for name in names:
+        if not re.fullmatch(_WORD, name):
+            raise ParseError(f"generator name {json.dumps(name)} is not a "
+                             f"word", key="generators")
     out = [("name", "name ", data["name"])] if data.get("name") else []
     out.append(("dim", "dim ", dim))
     if generators and names:

@@ -4,7 +4,8 @@ Each CLI command builds one structured document (a plain dict tree that
 serializes to canonical JSON) and the text rendering is generated from the
 same tree, so the two views cannot drift apart.  Rationals render as the
 canonical string p/q (or p for integers); ordering is fixed everywhere, so
-identical inputs produce byte-identical JSON.
+identical inputs produce byte-identical JSON.  Both writers, to_text and
+to_json, take a file handle and write as they go, never holding a report.
 """
 
 from __future__ import annotations
@@ -82,25 +83,23 @@ def to_json(doc: dict, fh) -> None:
 # ----- text rendering -------------------------------------------------------
 
 
-def _render_lines(value, indent=0) -> list[str]:
+def _render_lines(value, indent=0):
     pad = "  " * indent
-    lines = []
     if isinstance(value, dict):
         for key, val in value.items():
             if isinstance(val, (dict, list)) and val:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_lines(val, indent + 1))
+                yield f"{pad}{key}:"
+                yield from _render_lines(val, indent + 1)
             else:
-                lines.append(f"{pad}{key}: {_scalar(val)}")
+                yield f"{pad}{key}: {_scalar(val)}"
     elif isinstance(value, list):
         if all(not isinstance(v, (dict, list)) for v in value):
-            lines.append(f"{pad}{', '.join(_scalar(v) for v in value)}")
+            yield f"{pad}{', '.join(_scalar(v) for v in value)}"
         else:
             for v in value:
-                lines.extend(_render_lines(v, indent))
+                yield from _render_lines(v, indent)
     else:
-        lines.append(f"{pad}{_scalar(value)}")
-    return lines
+        yield f"{pad}{_scalar(value)}"
 
 
 def _scalar(v) -> str:
@@ -108,24 +107,20 @@ def _scalar(v) -> str:
         return "n/a"
     if isinstance(v, bool):
         return "yes" if v else "no"
-    if isinstance(v, list):
-        return "[]"
-    if isinstance(v, dict):
-        return "{}"
     return str(v)
 
 
-def to_text(doc: dict) -> str:
-    lines = [f"hardlef {doc.get('command', '')}".rstrip()]
+def to_text(doc: dict, fh) -> None:
+    """Write the text view of a document to fh line by line."""
+    fh.write(f"hardlef {doc.get('command', '')}".rstrip() + "\n")
     if "model" in doc:
         m = doc["model"]
         label = m["name"] or m["structure"] or f"dim {m['dim']}"
-        lines.append(f"model: {label}  (dim {m['dim']}, "
-                     f"nilpotent: {_scalar(m['nilpotent'])}, "
-                     f"unimodular: {_scalar(m['unimodular'])})")
-    lines.append("")
-    lines.extend(_render_lines(doc.get("results", {})))
+        fh.write(f"model: {label}  (dim {m['dim']}, "
+                 f"nilpotent: {_scalar(m['nilpotent'])}, "
+                 f"unimodular: {_scalar(m['unimodular'])})\n")
+    fh.write("\n")
+    fh.writelines(f"{line}\n" for line in _render_lines(doc["results"]))
     for caveat in doc.get("caveats", ()):
-        lines.append("")
-        lines.append(f"note: {caveat}")
-    return "\n".join(lines) + "\n"
+        fh.write("\n")
+        fh.write(f"note: {caveat}\n")

@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 from pathlib import Path
@@ -413,6 +414,23 @@ def test_json_report_is_written_without_a_whole_string(monkeypatch, tmp_path,
     text = out.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=2,
                               sort_keys=True) + "\n"
+
+
+def test_text_report_is_written_line_by_line(monkeypatch):
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, s):
+            writes.append(s)
+            return len(s)
+
+    model = Path(__file__).resolve().parent.parent / "models" / "h5s1.model"
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert cli.main(["lefschetz", str(model), "--mode", "all"]) == 0
+    monkeypatch.undo()
+    lines = "".join(writes).splitlines()
+    assert len(lines) > 100
+    assert max(map(len, writes)) <= max(map(len, lines)) + 1
 
 
 def test_export_roundtrip(tmp_path, capsys):

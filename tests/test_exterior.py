@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hardlef import (Form, StructureModel, Vector, contract, top_coefficient,
                      wedge, wedge_power)
 from hardlef.errors import DegreeError, ModelMismatchError
-from hardlef.exterior import (default_names, degree_masks, form_text,
-                              sparse_coords)
+from hardlef.exterior import default_names, form_text
 
 from conftest import random_form, random_vector
 
@@ -261,14 +260,6 @@ def test_algebra_results_are_canonical(v, a, b, s):
         assert all(m.bit_count() == f.degree for m in f.terms)
         assert Form(f.n_gen, f.degree, f.terms).terms == f.terms
         assert f.terms is not a.terms and f.terms is not b.terms
-
-
-@settings(max_examples=60, derandomize=True)
-@given(a=_forms(5, 2), b=_forms(5, 3))
-def test_sparse_coords_index_the_ascending_monomial_basis(a, b):
-    for f in (a, b, Form.zero(5, 6)):
-        masks = degree_masks(5, f.degree)
-        assert {masks[j]: c for j, c in sparse_coords(f).items()} == f.terms
 
 
 def test_random_form_helper_canonical(rng):

@@ -1,5 +1,7 @@
-"""Canonical JSON of the CLI against frozen digests; any change to a
-verdict, a representative or the report layout shows up here.
+"""Canonical JSON and text reports of the CLI against frozen digests; any
+change to a verdict, a representative or the report layout shows up here.
+TEXT_GOLDEN holds the digest of stdout for each report command in GOLDEN,
+so the text view is pinned as well as the JSON one.
 
 h7s1 (h7 x S1, dimension 8) and nil5a_rebased0_s1 (dense rational
 coefficients) are the bench workload models written by
@@ -109,6 +111,46 @@ GOLDEN = {
         "3dc98dea0d1e8a3f9c4620865dafec0b214cb0ddafe39ec44fe045b9f1857564",
 }
 
+# stdout of every report command above, run without --json
+TEXT_GOLDEN = {
+    ("cohomology", "h5s1.model", "--basic", "U"):
+        "bdfa327102d94a2ece3f565737bbc67bc8ccdfcfbf6a070ec0bf5853988b182f",
+    ("cohomology", "h7s1.model", "--basic", "U"):
+        "cd0083933ae8ccb3b724a6c1b067b668cf2be787ffb413ac3d59a236d2bc1b4e",
+    ("cohomology", "kt4.model", "--basic", "U"):
+        "3263ce724e7968501fbbb868e54171d3f969f92e6c7d7e9f4518a64498b0509d",
+    ("cohomology", "nil5a_rebased0_s1.model", "--basic", "U"):
+        "c85c15baf7c7eb8703b2b5412f3e2bb3ca704218f4738ca2bc444a31e2ff4039",
+    ("cohomology", "su2s1.model", "--basic", "U"):
+        "e0ff5436495cb188b2b55b6a0939209efd760b6f0cc079d90361a66c87f2c901",
+    ("lefschetz", "h5.model", "--mode", "all"):
+        "e5f773a6daf9186f6c22465bb7b881d557b7bd5968bb5812e34248709f082bd3",
+    ("lefschetz", "h5s1.model", "--mode", "all"):
+        "7a59a991dd0b96d49205e62813b5b84b7bf3ada37bb6a138279e535876ae846b",
+    ("lefschetz", "h7s1.model", "--mode", "all"):
+        "459bce8bd91847ae0da242691efd8bdc444f40c2f08a6e9fc5f270469fdc67aa",
+    ("lefschetz", "kt4.model", "--mode", "all"):
+        "a47e3c1e7f5594b206783faa81d044815c64a5edbdce64264d80a5fbd2428ea7",
+    ("lefschetz", "nil5a_rebased0_s1.model", "--mode", "all"):
+        "db9e6a0b23195252dc31a770b5de0b49c16ed45aa133153adaabc34c1cba9ba5",
+    ("lefschetz", "su2s1.model", "--mode", "all"):
+        "d5c7def9f42cc88bf07b4babf86983670a263457229794058837cca0c8e1fe29",
+    ("suite",):
+        "27dc99c61adb036ec46a62dda6c703322acff838575f999811b409cc73fb8b9e",
+    ("validate", "h5.model"):
+        "a863e0655d7e82fe585d58e75d6c6c783a59cc45a97e7093c4c42210a8a95397",
+    ("validate", "h5s1.model"):
+        "835a502d1905537e22464cc984ea6b4aad182e71d9d748518ed3331a27d6a913",
+    ("validate", "h7s1.model"):
+        "0a162f03760d43daef414a75b089ee7626f9cbfc1ed3f5fb312bda0303ccef85",
+    ("validate", "kt4.model"):
+        "00f5e951e59bcfb195ad1ee0b49532dbe527879d42ab5289babf81f03485f098",
+    ("validate", "nil5a_rebased0_s1.model"):
+        "64c178f1f74855a7c50f8dcaf43c450c41c25cda1969a92691b5aee2a6c62e98",
+    ("validate", "su2s1.model"):
+        "e8170430274e394d2342b909acaeae6de2c5e936b7b9750e0754e50a17a3a782",
+}
+
 
 def test_golden_covers_every_model_file():
     lcs = {p.name for p in MODELS.glob("*.model")
@@ -120,6 +162,7 @@ def test_golden_covers_every_model_file():
     assert {a for a in GOLDEN if a[0] == "export"} == \
         {("export", e.name) + fmt for e in builtin_entries()
          for fmt in ((), ("--format", "json"))}
+    assert set(TEXT_GOLDEN) == {a for a in GOLDEN if a[0] != "export"}
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
@@ -130,3 +173,11 @@ def test_canonical_json_digest(argv, tmp_path, capsys):
     assert cli.main(args + [flag, str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(TEXT_GOLDEN), ids=" ".join)
+def test_text_report_digest(argv, capsys):
+    args = [str(MODELS / a) if a.endswith(".model") else a for a in argv]
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_GOLDEN[argv]

@@ -1212,6 +1212,20 @@ def test_pairing_psi_equals_the_wedge_formula(lcs_struct):
             gram
 
 
+def test_pairing_psi_renders_from_its_sparse_rows(lcs_struct):
+    """The report matrix is the dense one as strings, its zeros one shared
+    string: to_dict writes only the nonzeros of the rows."""
+    for k in range(1, lcs_struct.n + 1):
+        try:
+            res = lef.pairing_psi(lcs_struct, k)
+        except NotLefschetzError:
+            continue
+        matrix = res.to_dict()["matrix"]
+        assert matrix == [[str(x) for x in row] for row in res.matrix]
+        nonzeros = sum(map(len, res.rows))
+        assert len({id(x) for row in matrix for x in row}) <= nonzeros + 1
+
+
 def test_transversal_and_splitting_maps_equal_the_form_formula(lcs_struct):
     """The maps read in slice coordinates against the classes, through the
     public class_of, of the representative forms wedged as Forms: the

@@ -180,9 +180,16 @@ def test_json_zero_denominator_is_a_parse_error():
      'generators: expected a list of names, got "ab"'),
     ({"dim": 2, "omega": None},
      "omega: expected a form as a string, got null"),
+    ({"dim": 2, "generators": ["a b", "c"]},
+     'generators: generator name "a b" is not a word'),
+    ({"dim": 2, "generators": ["a", ""]},
+     'generators: generator name "" is not a word'),
+    ({"dim": "2"}, 'dim: expected an integer, got "2"'),
+    ({"dim": True}, "dim: expected an integer, got true"),
 ], ids=["unknown_generator", "unknown_key", "syntax", "empty", "dim",
         "line_break", "differentials_list", "generators_string",
-        "form_null"])
+        "form_null", "generator_with_space", "generator_empty", "dim_string",
+        "dim_bool"])
 def test_json_errors_name_the_key(data, message):
     """Positions in a JSON model are the key and the column in its string,
     not a place in the statement text built from it."""
