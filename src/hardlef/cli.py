@@ -201,6 +201,8 @@ def cmd_lefschetz(args) -> int:
                 "check": "Vaisman compatibility obstructions",
                 **vaisman_candidate_report(struct).to_dict()}
     elif doc.kind == "contact":
+        if args.mode in ("deRham", "basic"):
+            raise PreconditionError(f"--mode {args.mode} needs an l.c.s. file")
         contact = validate_contact(doc.model, doc.eta)
         degrees = _degree_list(args.k, asked, contact.n)
         results["contact"] = _verdicts(

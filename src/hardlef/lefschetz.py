@@ -41,8 +41,9 @@ a map that is not, and asking for it reports why.
 Each model owns the memo of everything this layer computes from it:
 complexes, relations, reports, the powers of d(eta), the families of
 induced class maps and the Lee quotient.  A relation keeps its own graph
-and verdict, and a transversal Lefschetz map (a cohomology.CohomologyMap)
-its own rank; they live and die with it.
+and verdict.  The map a graph is of, a transversal Lefschetz map and psi
+are each a cohomology.CohomologyMap, which takes its one rank when its
+injectivity, surjectivity or invertibility is first read.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ class CohomologyRelation(Record):
 
     @cached_property
     def graph(self):
-        """(total, functional, matrix): whether the relation is defined on
-        every source class and single valued, and when both hold the sparse
-        matrix of the map it is the graph of.  In the canonical RREF, the
+        """(total, functional, map): whether the relation is defined on
+        every source class and single valued, and when both hold the map
+        it is the graph of (a CohomologyMap).  In the canonical RREF, the
         rows with a pivot among the source columns have independent source
         parts and the others have none; when they are dim H^a and all of
         the rows, the rows are [I | M]."""
@@ -143,35 +144,36 @@ class CohomologyRelation(Record):
         functional = x_rank == len(rows)
         if not (total and functional):
             return total, functional, None
-        return total, functional, [
-            {j - da: c for j, c in row.items() if j >= da} for row in rows]
+        return total, functional, CohomologyMap(self.source.degree, tuple(
+            {j - da: c for j, c in row.items() if j >= da} for row in rows),
+            self.target.dimension)
 
     @cached_property
     def verdict(self) -> "LefschetzVerdict":
-        return _verdict(self)
+        return LefschetzVerdict(self.source.degree, *self.graph)
 
 
 class LefschetzVerdict(Record):
-    """Graph-of-isomorphism diagnosis of a cohomology relation."""
+    """Graph-of-isomorphism diagnosis of a relation: total, single valued
+    and, when both, the map it is the graph of, which has one row per
+    source class and is ranked once, on first read."""
 
     degree: int
     is_total: bool
     is_functional: bool
-    is_injective: bool
-    is_surjective: bool
-    rows: tuple[dict[int, Rational], ...] | None
-    target_dim: int
+    map: CohomologyMap | None
 
     @property
-    def matrix(self) -> tuple[tuple[Rational, ...], ...] | None:
-        """The rows of the map as dense tuples, when it is one."""
-        return (None if self.rows is None
-                else linalg.dense_rows(self.rows, self.target_dim))
+    def is_injective(self) -> bool:
+        return self.map is not None and self.map.rank == len(self.map.rows)
+
+    @property
+    def is_surjective(self) -> bool:
+        return self.map is not None and self.map.rank == self.map.target_dim
 
     @property
     def is_graph_of_isomorphism(self) -> bool:
-        return (self.is_total and self.is_functional
-                and self.is_injective and self.is_surjective)
+        return self.map is not None and self.map.invertible
 
     def to_dict(self):
         return {"k": self.degree, "total": self.is_total,
@@ -185,19 +187,6 @@ def is_graph_of_isomorphism(relation: CohomologyRelation) -> LefschetzVerdict:
     """Decide totality, functionality and invertibility by exact ranks,
     once per relation (its verdict)."""
     return relation.verdict
-
-
-def _verdict(relation: CohomologyRelation) -> LefschetzVerdict:
-    total, functional, m = relation.graph
-    width = relation.target.dimension
-    injective = surjective = False
-    if m is not None:
-        r = linalg.rank(m)
-        injective = r == relation.source.dimension
-        surjective = r == width
-        m = tuple(m)
-    return LefschetzVerdict(relation.source.degree, total, functional,
-                            injective, surjective, m, width)
 
 
 def _relation(src: CohomologySpace, dst: CohomologySpace,
@@ -315,12 +304,12 @@ def _isomorphism(relation: CohomologyRelation, k: int) -> LefschetzVerdict:
 
 def lefschetz_map_de_rham(struct: LcsStructure, k: int):
     """Matrix of the degree-k Lefschetz isomorphism H^k -> H^(2n+2-k)."""
-    return _isomorphism(de_rham_lefschetz_relation(struct, k), k).matrix
+    return _isomorphism(de_rham_lefschetz_relation(struct, k), k).map.matrix
 
 
 def lefschetz_map_basic(struct: LcsStructure, k: int):
     """Matrix of the degree-k Lee-basic Lefschetz isomorphism."""
-    return _isomorphism(basic_lefschetz_relation(struct, k), k).matrix
+    return _isomorphism(basic_lefschetz_relation(struct, k), k).map.matrix
 
 
 # ----- transversal machinery -----------------------------------------------
@@ -441,7 +430,7 @@ def _relation_map(src_space: CohomologySpace, dst_space: CohomologySpace,
     coords, residuals = images
     conditions = [{**res, **{span + j: x for j, x in row.items()}} for res, row
                   in zip(residuals, linalg.matmul(coords, dst._d(b)))]
-    total, functional, matrix = _relation(
+    total, functional, graph = _relation(
         src_space, dst_space, conditions, images, label).graph
     if not total:
         raise InternalConsistencyError(
@@ -449,7 +438,7 @@ def _relation_map(src_space: CohomologySpace, dst_space: CohomologySpace,
     if not functional:
         raise InternalConsistencyError(
             f"{label} is not single valued on classes in the invariant model")
-    return matrix
+    return list(graph.rows)
 
 
 def t_map(struct: LcsStructure,
@@ -478,8 +467,8 @@ def t_map(struct: LcsStructure,
     t = linalg.matmul(linalg.matmul(iv, l_inv), inc)
     basic = is_graph_of_isomorphism(basic_lefschetz_relation(struct, k))
     if basic.is_graph_of_isomorphism:
-        if linalg.matmul(basic.rows, t) != _identity(dst.dimension) or \
-                linalg.matmul(t, basic.rows) != _identity(src.dimension):
+        if linalg.matmul(basic.map.rows, t) != _identity(dst.dimension) or \
+                linalg.matmul(t, basic.map.rows) != _identity(src.dimension):
             raise InternalConsistencyError(
                 f"T_{k} is not inverse to the basic Lefschetz map")
     return linalg.dense_rows(t, dst.dimension)
@@ -659,19 +648,21 @@ def gysin_sequence_check(struct: LcsStructure) -> GysinReport:
 # ----- pairing, parity, equivalence -----------------------------------------
 
 
-class PairingResult(Record):
-    """psi on degree-k Lee-basic cohomology as sparse rows; matrix is dense."""
+class PairingResult(CohomologyMap):
+    """psi on degree-k Lee-basic cohomology: its Gram matrix as the sparse
+    rows of a square map, nondegenerate when that map is invertible."""
 
-    degree: int
-    rows: tuple[dict[int, Rational], ...]
-    nondegenerate: bool
-    parity_ok: bool
     symmetric: bool
     skew: bool
 
     @property
-    def matrix(self) -> tuple[tuple[Rational, ...], ...]:
-        return linalg.dense_rows(self.rows, len(self.rows))
+    def nondegenerate(self) -> bool:
+        return self.invertible
+
+    @property
+    def parity_ok(self) -> bool:
+        """psi is symmetric for even k and skew for odd k."""
+        return self.skew if self.degree % 2 else self.symmetric
 
     def to_dict(self):
         matrix = [["0"] * len(self.rows) for _ in self.rows]
@@ -697,7 +688,7 @@ def pairing_psi(struct: LcsStructure, k: int) -> PairingResult:
     n = struct.n
     if not 1 <= k <= n:
         raise DegreeError(f"psi is defined for 1 <= k <= {n}, got {k}")
-    lef = _isomorphism(basic_lefschetz_relation(struct, k), k).rows
+    lef = _isomorphism(basic_lefschetz_relation(struct, k), k).map.rows
     u_cplx = _basic(struct.model, (struct.U,))
     full = (1 << struct.model.n_gen) - 1
     index: dict[int, dict[int, Rational]] = {}
@@ -713,10 +704,7 @@ def pairing_psi(struct: LcsStructure, k: int) -> PairingResult:
     entries = [(i, j, x) for i, row in enumerate(psi) for j, x in row.items()]
     symmetric = all(psi[j].get(i) == x for i, j, x in entries)
     skew = all(psi[j].get(i) == -x for i, j, x in entries)
-    nondegenerate = linalg.rank(psi) == len(psi)
-    # parity_ok: psi is symmetric for even k and skew for odd k
-    return PairingResult(k, tuple(psi), nondegenerate,
-                         skew if k % 2 else symmetric, symmetric, skew)
+    return PairingResult(k, tuple(psi), len(psi), symmetric, skew)
 
 
 class BettiParityReport(Record):

@@ -42,6 +42,7 @@ _TOKEN = re.compile(r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)"
 # the brackets and digits inside it are skipped.  json reads a number with
 # neither fraction nor exponent through int().
 _JSON_DEPTH = 32
+_JSON_KEYS = ("name", "dim", "generators", "differentials", "omega", "eta")
 _JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[][{}]'
                          r'|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?', re.S)
 
@@ -343,21 +344,28 @@ def _statements(data: dict, generators: bool = True) -> list[tuple]:
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise ParseError(f"expected an integer, got {json.dumps(dim)}",
                          key="dim")
+    for key in data:
+        if key not in _JSON_KEYS:
+            raise ParseError("unknown key; a model has "
+                             + ", ".join(_JSON_KEYS), key=key)
     names = data.get("generators", [])
     if not isinstance(names, list) or not all(
             isinstance(name, str) for name in names):
         raise ParseError(f"expected a list of names, got {json.dumps(names)}",
                          key="generators")
-    for name in names:
-        if not re.fullmatch(_WORD, name):
-            raise ParseError(f"generator name {json.dumps(name)} is not a "
-                             f"word", key="generators")
+    differentials = data.get("differentials", {}).items()
+    for key, words in (("generators", names),
+                       ("differentials", [gen for gen, _ in differentials])):
+        for word in words:
+            if not re.fullmatch(_WORD, word):
+                raise ParseError(f"generator name {json.dumps(word)} is not "
+                                 f"a word", key=key)
     out = [("name", "name ", data["name"])] if data.get("name") else []
     out.append(("dim", "dim ", dim))
     if generators and names:
         out.append(("generators", "generators ", " ".join(names)))
     forms = [(f"differentials.{gen}", f"d {gen} = ", expr)
-             for gen, expr in data.get("differentials", {}).items()]
+             for gen, expr in differentials]
     forms += [(key, f"{key} = ", data[key]) for key in ("omega", "eta")
               if key in data]
     for key, _, value in forms:
@@ -378,6 +386,8 @@ def from_json_dict(data: dict) -> ModelDocument:
     for (key, _, _), line in zip(statements, lines):
         if line.splitlines() != [line]:
             raise ParseError("line break in a JSON string", key=key)
+        if "#" in line:
+            raise ParseError("'#' in a JSON string", key=key)
     try:
         return parse("\n".join(lines))
     except ParseError as exc:

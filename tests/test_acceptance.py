@@ -95,19 +95,19 @@ def test_c3_kt4_lefschetz_matrix_snapshots():
     v0 = lef.is_graph_of_isomorphism(lef.de_rham_lefschetz_relation(s, 0))
     v1 = lef.is_graph_of_isomorphism(lef.de_rham_lefschetz_relation(s, 1))
     assert v0.is_graph_of_isomorphism and v1.is_graph_of_isomorphism
-    assert v0.matrix == ((-1,),)
+    assert v0.map.matrix == ((-1,),)
     # [e1] -> -[e134], [e2] -> -[e234], [e4] -> +[e123]
-    assert v1.matrix == ((0, -1, 0), (0, 0, -1), (1, 0, 0))
+    assert v1.map.matrix == ((0, -1, 0), (0, 0, -1), (1, 0, 0))
     b0 = lef.is_graph_of_isomorphism(lef.basic_lefschetz_relation(s, 0))
     b1 = lef.is_graph_of_isomorphism(lef.basic_lefschetz_relation(s, 1))
     assert b0.is_graph_of_isomorphism and b1.is_graph_of_isomorphism
-    assert b0.matrix == ((1,),)
-    assert b1.matrix == ((-1, 0), (0, -1))
+    assert b0.map.matrix == ((1,),)
+    assert b1.map.matrix == ((-1, 0), (0, -1))
     basic = lef._basic(m, (s.U,))
     assert [str(f) for f in basic.space(2).representatives] == \
         ["e1^e3", "e2^e3"]
     # Lef_1 on [e1] is proportional to [e13]
-    assert b1.matrix[0] == (-1, 0)
+    assert b1.map.matrix[0] == (-1, 0)
     _report(3, "kt4 de Rham and basic Lefschetz matrices match the frozen "
                "snapshots in degrees 0 and 1")
 

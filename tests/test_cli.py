@@ -115,6 +115,30 @@ def test_lefschetz_names_the_missing_eta(tmp_path, capsys):
         "no eta; nothing to check\n")
 
 
+@pytest.mark.parametrize("mode", ["deRham", "basic"])
+def test_lefschetz_refuses_an_lcs_mode_on_a_contact_file(tmp_path, capsys,
+                                                         mode):
+    """deRham and basic need omega; a contact file is refused for them, not
+    answered with its contact picture, which contact and all print."""
+    path = tmp_path / "h3.model"
+    path.write_text("dim 3\nd e3 = e1^e2\neta = e3\n")
+    assert cli.main(["lefschetz", str(path), "--mode", mode]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --mode {mode} needs an l.c.s. file\n")
+    for shown in ("contact", "all"):
+        assert cli.main(["lefschetz", str(path), "--mode", shown]) == 0
+        assert "contact hard Lefschetz" in capsys.readouterr().out
+
+
+def test_cohomology_of_one_generator(tmp_path, capsys):
+    """d e1 = 0 of a dim-1 model is the zero 2-form over one generator, the
+    one element of a zero space; the model has the circle's cohomology."""
+    path = tmp_path / "s1.model"
+    path.write_text("dim 1\n")
+    assert cli.main(["cohomology", str(path)]) == 0
+    assert "\nbetti:\n  1, 1\n" in capsys.readouterr().out
+
+
 def test_usage_error_exit(capsys):
     assert cli.main(["lefschetz", "--bogus"]) == 1
 

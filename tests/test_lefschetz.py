@@ -11,7 +11,8 @@ from hardlef import (Form, StructureModel, modelfile, validate_contact,
 from hardlef import errors
 from hardlef import lefschetz as lef
 from hardlef import linalg
-from hardlef.cohomology import CohomologySpace, _combine, _condition_rows
+from hardlef.cohomology import (CohomologyMap, CohomologySpace, _combine,
+                                _condition_rows)
 from hardlef.errors import (DegreeError, InternalConsistencyError,
                             NotLefschetzError, PreconditionError)
 from hardlef.exterior import (Contraction, Inclusion, Operator, Wedge,
@@ -19,7 +20,7 @@ from hardlef.exterior import (Contraction, Inclusion, Operator, Wedge,
 from hardlef.model import Differential, LieDerivative
 
 import oracle
-from conftest import COEFFS, random_fraction, rebase
+from conftest import COEFFS, LCS_CORPUS, random_fraction, rebase
 
 
 def gen(n, i):
@@ -49,7 +50,7 @@ def test_de_rham_relation_kt4_degree_one(kt4_struct):
         lef.de_rham_lefschetz_relation(kt4_struct, 1))
     assert verdict.is_graph_of_isomorphism
     # images of [e1], [e2], [e4] against reps [e123], [e134], [e234]
-    assert verdict.matrix == (
+    assert verdict.map.matrix == (
         (0, -1, 0),
         (0, 0, -1),
         (1, 0, 0))
@@ -58,16 +59,16 @@ def test_de_rham_relation_kt4_degree_one(kt4_struct):
 def test_de_rham_relation_kt4_degree_zero(kt4_struct):
     verdict = lef.is_graph_of_isomorphism(
         lef.de_rham_lefschetz_relation(kt4_struct, 0))
-    assert verdict.matrix == ((-1,),)
+    assert verdict.map.matrix == ((-1,),)
 
 
 def test_basic_relation_kt4(kt4_struct):
     verdict = lef.is_graph_of_isomorphism(
         lef.basic_lefschetz_relation(kt4_struct, 1))
-    assert verdict.matrix == ((-1, 0), (0, -1))
+    assert verdict.map.matrix == ((-1, 0), (0, -1))
     verdict0 = lef.is_graph_of_isomorphism(
         lef.basic_lefschetz_relation(kt4_struct, 0))
-    assert verdict0.matrix == ((1,),)
+    assert verdict0.map.matrix == ((1,),)
 
 
 def test_contact_relation_h3():
@@ -76,7 +77,7 @@ def test_contact_relation_h3():
     v0 = lef.is_graph_of_isomorphism(lef.contact_lefschetz_relation(c, 0))
     v1 = lef.is_graph_of_isomorphism(lef.contact_lefschetz_relation(c, 1))
     assert v0.is_graph_of_isomorphism and v1.is_graph_of_isomorphism
-    assert v1.matrix == ((-1, 0), (0, -1))
+    assert v1.map.matrix == ((-1, 0), (0, -1))
 
 
 def test_degree_out_of_range(kt4_struct):
@@ -94,7 +95,7 @@ def test_graph_decision_total_functional(kt4_struct):
     rel = lef.CohomologyRelation.from_pairs(h1, h1, identity_pairs)
     v = lef.is_graph_of_isomorphism(rel)
     assert v.is_graph_of_isomorphism
-    assert v.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert v.map.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     with_kernel_pair = identity_pairs + [({}, {0: one, 1: one})]
     rel = lef.CohomologyRelation.from_pairs(h1, h1, with_kernel_pair)
@@ -132,16 +133,18 @@ def _class_pairs(draw):
 def test_graph_matches_the_oracle(data):
     da, db, pairs = data
     rel = lef.CohomologyRelation.from_pairs(
-        SimpleNamespace(dimension=da), SimpleNamespace(dimension=db),
+        SimpleNamespace(dimension=da, degree=0),
+        SimpleNamespace(dimension=db, degree=1),
         [(linalg.sparse(x), linalg.sparse(y)) for x, y in pairs])
     stacked = [x + y for x, y in pairs]
     assert [list(r) for r in rel.span] == oracle.rref(stacked, da + db)[0]
-    total, functional, matrix = rel.graph
+    total, functional, graph = rel.graph
     x_rank = oracle.rank([x for x, _ in pairs])
     assert total == (x_rank == da)
     assert functional == (oracle.rank(stacked) == x_rank)
-    assert (matrix is not None) == (total and functional)
-    if matrix is not None:
+    assert (graph is not None) == (total and functional)
+    if graph is not None:
+        matrix = graph.rows
         for x, y in pairs:
             assert [sum((c * matrix[i].get(j, 0) for i, c in enumerate(x)),
                         Fraction(0)) for j in range(db)] == y
@@ -344,23 +347,23 @@ def _lefschetz_all_h5s1(capsys):
 
 def test_lefschetz_all_builds_each_relation_once(monkeypatch, capsys):
     builds, verdicts = [], []
-    relation, verdict = lef._relation, lef._verdict
+    relation, verdict = lef._relation, lef.LefschetzVerdict
 
     def building(src, dst, conditions, op, label):
         builds.append((src, dst))
         return relation(src, dst, conditions, op, label)
 
-    def deciding(rel):
-        verdicts.append(id(rel))
-        return verdict(rel)
+    def deciding(degree, *args):
+        verdicts.append(degree)
+        return verdict(degree, *args)
 
     monkeypatch.setattr(lef, "_relation", building)
-    monkeypatch.setattr(lef, "_verdict", deciding)
+    monkeypatch.setattr(lef, "LefschetzVerdict", deciding)
     _lefschetz_all_h5s1(capsys)
     # de Rham, Lee-basic and contact pictures in degrees 0, 1 and 2
     assert len(builds) == 9
     assert len(set(builds)) == 9
-    assert len(verdicts) == len(set(verdicts)) == 9
+    assert sorted(verdicts) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 
 def test_relation_builds_take_no_d_and_reduce_no_form(monkeypatch, capsys):
@@ -524,13 +527,14 @@ def test_t_map_reuses_the_gysin_maps(monkeypatch, h5s1_struct):
 def test_suite_builds_each_transversal_map_once(monkeypatch):
     from hardlef.catalog import run_suite
     built = []
-    transversal = lef.CohomologyMap
+    image_classes = lef._image_classes
 
-    def counting(*args):
-        built.append(args[0])
-        return transversal(*args)
+    def counting(src, *args):
+        built.append(src.degree)
+        return image_classes(src, *args)
 
-    monkeypatch.setattr(lef, "CohomologyMap", counting)
+    # each transversal map is built from the classes of one family of images
+    monkeypatch.setattr(lef, "_image_classes", counting)
     assert run_suite()["ok"]
     # uv_invertible asks for every degree 0..n of kt4 (n = 1), h5s1,
     # nil5a_s1 and nil5b_s1 (n = 2); t_map asks kt4 and h5s1 again
@@ -985,24 +989,24 @@ def test_lefschetz_all_computes_each_verdict_once(monkeypatch, capsys):
 
     from hardlef import cli
     asked, computed = [], []
-    is_graph, verdict = lef.is_graph_of_isomorphism, lef._verdict
+    is_graph, verdict = lef.is_graph_of_isomorphism, lef.LefschetzVerdict
 
     def asking(relation):
         asked.append(id(relation))
         return is_graph(relation)
 
-    def computing(relation):
-        computed.append(id(relation))
-        return verdict(relation)
+    def computing(*args):
+        computed.append(args)
+        return verdict(*args)
 
     monkeypatch.setattr(lef, "is_graph_of_isomorphism", asking)
-    monkeypatch.setattr(lef, "_verdict", computing)
+    monkeypatch.setattr(lef, "LefschetzVerdict", computing)
     model = Path(__file__).resolve().parent.parent / "models" / "h7s1.model"
     assert cli.main(["lefschetz", str(model), "--mode", "all"]) == 0
     capsys.readouterr()
     # the command, the equivalence report and T_k ask again for a verdict
     assert len(asked) > len(set(asked))
-    assert len(computed) == len(set(computed)) == len(set(asked))
+    assert len(computed) == len(set(asked))
 
 
 def test_lefschetz_all_never_hashes_a_relation(monkeypatch, capsys):
@@ -1158,9 +1162,10 @@ def test_t_map_refuses_a_wrong_basic_map(monkeypatch, kt4_struct):
 
     def doubled(relation):
         v = verdict(relation)
+        m = v.map
         return lef.LefschetzVerdict(
-            v.degree, v.is_total, v.is_functional, v.is_injective,
-            v.is_surjective, tuple(_scaled(v.rows, 2)), v.target_dim)
+            v.degree, v.is_total, v.is_functional, lef.CohomologyMap(
+                m.degree, tuple(_scaled(m.rows, 2)), m.target_dim))
 
     monkeypatch.setattr(lef, "is_graph_of_isomorphism", doubled)
     with pytest.raises(InternalConsistencyError,
@@ -1297,6 +1302,66 @@ def test_pairing_psi_flags_match_brute_force_scans(lcs_struct, monkeypatch,
         assert res.parity_ok == all(b == (-1) ** k * a for a, b in pairs)
         assert res.nondegenerate == (linalg.rank(
             [linalg.sparse(row) for row in m]) == d)
+
+
+def _counting_ranks(monkeypatch) -> list:
+    """The row counts of every linalg.rank call from now on."""
+    ranks, rank = [], linalg.rank
+
+    def counting(mat):
+        ranks.append(len(mat))
+        return rank(mat)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    return ranks
+
+
+@pytest.mark.parametrize("first", ["is_injective", "is_surjective",
+                                   "is_graph_of_isomorphism"])
+def test_a_verdict_ranks_its_graph_once_on_first_read(lcs_struct,
+                                                       monkeypatch, first):
+    """A verdict holds the map of its relation's graph and takes no rank
+    when it is built; the first read of injectivity, surjectivity or
+    invertibility takes that map's one rank, and no later read another."""
+    relations = [build(lcs_struct, k) for build in (
+        lef.de_rham_lefschetz_relation, lef.basic_lefschetz_relation)
+        for k in range(lcs_struct.n + 1)]
+    ranks = _counting_ranks(monkeypatch)
+    for rel in relations:
+        verdict = rel.verdict
+        assert ranks == []
+        assert verdict.map is rel.graph[2]
+        getattr(verdict, first)
+        assert len(ranks) == (verdict.map is not None)
+        ranks.clear()
+        verdict.to_dict()
+        assert ranks == []
+
+
+def test_pairing_psi_is_a_map_ranked_once(monkeypatch):
+    """psi takes no rank when it is built; nondegenerate and the report
+    read its one rank as a CohomologyMap.  Every structure of the corpus
+    is read, on a fresh model; some have no psi at all."""
+    structs = [validate_lcs(StructureModel(model.d1, model.name), omega, eta)
+               for model, omega, eta in LCS_CORPUS.values()]
+    for struct in structs:
+        for k in range(1, struct.n + 1):
+            lef.basic_lefschetz_relation(struct, k).verdict.to_dict()
+    ranks = _counting_ranks(monkeypatch)
+    read = 0
+    for struct in structs:
+        for k in range(1, struct.n + 1):
+            try:
+                res = lef.pairing_psi(struct, k)
+            except NotLefschetzError:
+                continue
+            assert isinstance(res, CohomologyMap)
+            assert ranks == []
+            assert res.nondegenerate == res.to_dict()["nondegenerate"]
+            assert ranks == [len(res.rows)]
+            ranks.clear()
+            read += 1
+    assert read
 
 
 def test_exact_chains_are_well_defined_with_vanishing_compositions(

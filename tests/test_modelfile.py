@@ -186,10 +186,17 @@ def test_json_zero_denominator_is_a_parse_error():
      'generators: generator name "" is not a word'),
     ({"dim": "2"}, 'dim: expected an integer, got "2"'),
     ({"dim": True}, "dim: expected an integer, got true"),
+    ({"dim": 3, "eta": "e3 # e1"}, "eta: '#' in a JSON string"),
+    ({"name": "kt#4", "dim": 2}, "name: '#' in a JSON string"),
+    ({"dim": 3, "differentials": {"e3 = e1^e2 #": "0"}},
+     'differentials: generator name "e3 = e1^e2 #" is not a word'),
+    ({"dim": 3, "Omega": "e3"}, "Omega: unknown key; a model has name, dim, "
+     "generators, differentials, omega, eta"),
 ], ids=["unknown_generator", "unknown_key", "syntax", "empty", "dim",
         "line_break", "differentials_list", "generators_string",
         "form_null", "generator_with_space", "generator_empty", "dim_string",
-        "dim_bool"])
+        "dim_bool", "comment_in_form", "comment_in_name",
+        "differentials_key_not_a_word", "unknown_top_level_key"])
 def test_json_errors_name_the_key(data, message):
     """Positions in a JSON model are the key and the column in its string,
     not a place in the statement text built from it."""

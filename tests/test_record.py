@@ -7,6 +7,7 @@ import pytest
 
 from hardlef import Form, StructureModel, validate_lcs
 from hardlef import lefschetz as lef
+from hardlef.cohomology import CohomologyMap
 from hardlef.lefschetz import DegreeVerdicts, LefschetzVerdict
 from hardlef.record import Record
 
@@ -17,7 +18,8 @@ def _kt4():
 
 
 def _verdict(rows):
-    return LefschetzVerdict(1, True, True, True, True, rows, 1)
+    return LefschetzVerdict(
+        1, True, True, None if rows is None else CohomologyMap(1, rows, 1))
 
 
 def test_construction_by_position_and_keyword():
@@ -41,7 +43,7 @@ def test_hash_is_the_hash_of_the_field_tuple():
     assert hash(a) == hash((2, True, False, None))
     s = _kt4()
     assert hash(s) == hash((s.model, s.omega, s.eta, s.n, s.U, s.V, s.Omega))
-    assert hash(_verdict(None)) == hash((1, True, True, True, True, None, 1))
+    assert hash(_verdict(None)) == hash((1, True, True, None))
 
 
 def test_dict_rows_are_unhashable():
@@ -70,8 +72,8 @@ def test_repr_names_every_field():
         "DegreeVerdicts(degree=2, de_rham=True, basic=False, contact=None)")
     assert repr(_verdict(({0: Fraction(2)},))) == (
         "LefschetzVerdict(degree=1, is_total=True, is_functional=True, "
-        "is_injective=True, is_surjective=True, "
-        "rows=({0: Fraction(2, 1)},), target_dim=1)")
+        "map=CohomologyMap(degree=1, rows=({0: Fraction(2, 1)},), "
+        "target_dim=1))")
     assert repr(_kt4()) == (
         "LcsStructure(model=<StructureModel kt4>, omega=<Form e4>, "
         "eta=<Form e3>, n=1, U=<Vector E4>, V=<Vector E3>, "
