@@ -1,12 +1,16 @@
 """Subcomplexes of the invariant complex and their exact cohomology.
 
-A Subcomplex owns, per degree, a basis of an admissible d-stable subspace
-together with the restricted differential.  full_complex takes all
-monomials, and row I of D_k is d(e_I) as the model keeps it, read by
-column index; basic_complex takes the joint kernel of i_v and L_v over a
-list of fields, built as the kernel of L_v on the exterior algebra of
-the fields' annihilator, and its D is checked d-stable.  Operators reach
-the slices as exterior.Operator values, mapping terms to terms.
+A Subcomplex owns, per degree, the basis rows {mask: coefficient} of an
+admissible d-stable subspace, an RREF over the monomials of that degree,
+and the restricted differential.  Between monomial slices, degrees whose
+rows are the monomials {m: 1}, row I of D_k is d(e_I) as the model keeps
+it, read by column index; any other degree's D is reduced against the
+slice above and must leave no residual.  full_complex hands over every
+monomial, basic_complex the joint kernel of i_v and L_v over a list of
+fields, built as the kernel of L_v on the exterior algebra of the
+fields' annihilator.  Operators (exterior.Operator) map terms to terms;
+a slice holds no Form, and basis and representatives build theirs for
+the API alone: no engine computation reads them.
 
 Betti numbers come from ranks: b_k = dim C^k - rank d_k - rank d_(k-1),
 once D_(k-1) D_k = 0 is checked; a rank is the one kept with the cycles
@@ -16,24 +20,19 @@ Cohomology is read in the coordinates of the cycles: the rows of
 D_(k-1) reduced against the canonical cycle basis are the boundaries,
 and one elimination of them, r x z for r rows and z cycles, picks the
 representatives (the cycles independent of the image and of the cycles
-before them) and gives the class of every cycle.  The representative
-forms are built when first read, and no engine computation reads them:
-every image is taken of their terms (_rep_terms, _image_classes).
+before them) and gives the class of every cycle.  A space takes the
+terms of its representatives once, and every image is taken of them.
 
-Sparse inside, dense at the API: differential rows, kernels, images,
-classes and the rows of a CohomologyMap are sparse vectors {column:
-scalar} under the scalar rule of linalg; dense tuples are built only for
-coords, class_of, diff_matrix and CohomologyMap.matrix.  Every degree
-basis is an RREF over the monomials of its degree, hence its own
-factorization: linalg.reduce reads a form's coordinates at the pivots,
-and its residual is empty exactly when the form lies in the slice.  The
-cycles of degree k, the left kernel of D_k in RREF, are taken once by
-linalg.kernel_and_rank, which gives rank d_k too; their pivot index is
-the membership test of class_of.  A Subcomplex keeps only the rows of d,
-the cycles, the ranks and the spaces; other layers keep what they derive
-(relations, chain-map certificates, class maps) themselves.  A
-CohomologyMap (a splitting map, or a transversal Lefschetz map) keeps
-its own rank, and a splitting report reads invertibility off its maps.
+Sparse inside, dense at the API: basis rows, differential rows, kernels,
+images, classes and the rows of a CohomologyMap are sparse vectors
+{column: scalar} under the scalar rule of linalg; dense tuples are built
+only for coords, class_of, diff_matrix and CohomologyMap.matrix.  The
+basis rows of a degree are their own factorization: linalg.reduce reads
+coordinates at the pivots, and the residual is empty exactly when the
+terms lie in the slice.  The cycles of degree k, the left kernel of D_k
+in RREF, are taken once by linalg.kernel_and_rank, which gives rank d_k
+too; their pivot index is the membership test of class_of.  Other layers
+keep what they derive (relations, certificates, class maps) themselves.
 """
 
 from __future__ import annotations
@@ -52,57 +51,69 @@ from .record import Record
 
 
 class Subcomplex:
-    """A graded d-stable subspace of the invariant forms of a model.  Each
-    degree's basis must be in RREF over the monomials in ascending mask
-    order, as linalg.pivot_index checks; ValueError otherwise."""
+    """A graded d-stable subspace of the invariant forms of a model, given
+    per degree by basis rows {mask: nonzero int or Fraction}, each key a
+    mask of that degree in the frame and the rows an RREF in ascending mask
+    order (linalg.pivot_index); ValueError otherwise."""
 
     def __init__(self, model: StructureModel, fields: Sequence[Vector],
-                 bases: Sequence[Sequence[Form]], diff=None):
+                 bases: Sequence[linalg.Matrix]):
         n = model.n_gen
         self.model = model
         self.fields = tuple(fields)
-        self.bases = tuple(tuple(b) for b in bases)
-        if len(self.bases) != n + 1:
+        self._rows = tuple(tuple(rows) for rows in bases)
+        if len(self._rows) != n + 1:
             raise ValueError("need one basis per degree 0..n_gen")
-        # per degree, linalg.pivot_index on masks; monomials share one
-        # index, which the monomial bases of full_complex (diff given) are
-        self._pivots: list[tuple[dict, dict]] = []
-        for k, basis in enumerate(self.bases):
-            index = _column_index(n, k)
-            if diff is not None:
-                self._pivots.append((index, {}))
+        # degree n_gen + 1 has no rows, an empty monomial slice
+        self._pivots = {k: self._index(k) for k in range(n + 2)}
+        # sparse rows of d from each degree, in subcomplex coordinates
+        d, self._diff = Differential(model), []
+        for k, rows in enumerate(self._rows):
+            (at, _), (upper, _) = self._pivots[k], self._pivots[k + 1]
+            if at is _column_index(n, k) and upper is _column_index(n, k + 1):
+                self._diff.append([
+                    {upper[m]: x for m, x in model._d_monomial(mask).items()}
+                    for mask in at])
                 continue
-            try:
-                at, off = linalg.pivot_index([f.terms for f in basis])
-            except ValueError as exc:
-                raise ValueError(f"degree {k} basis not in RREF: {exc}")
-            self._pivots.append((index if at == index else at, off))
-        # sparse rows of d from each degree, in subcomplex coordinates,
-        # unless given; each must leave no residual
-        if diff is None:
-            d, diff = Differential(model), []
-            for k in range(n + 1):
-                diff.append([self._reduce_terms(d(f.terms), k + 1)
-                             for f in self.bases[k]])
-                if any(residual for _, residual in diff[k]):
-                    raise InternalConsistencyError(
-                        f"span is not closed under d in degree {k}; "
-                        f"the fields do not cut out a subcomplex")
-                diff[k] = [coords for coords, _ in diff[k]]
-        self._diff: list[list[dict[int, Rational]]] = diff
+            reduced = [self._reduce_terms(d(row), k + 1) for row in rows]
+            if any(residual for _, residual in reduced):
+                raise InternalConsistencyError(
+                    f"span is not closed under d in degree {k}; "
+                    f"the fields do not cut out a subcomplex")
+            self._diff.append([coords for coords, _ in reduced])
         self._cycle_bases: dict[int, linalg.Matrix] = {}
         self._ranks: dict[int, int] = {}
         self._spaces: dict[int, CohomologySpace] = {}
 
+    def _index(self, k: int) -> tuple[dict, dict]:
+        """The pivot index of the degree-k rows (linalg.pivot_index); that
+        of a monomial slice, rows {m: 1} in mask order, is _column_index."""
+        rows, index = self._basis_rows(k), _column_index(self.model.n_gen, k)
+        if len(rows) == len(index) and all(
+                row == {m: 1} and type(row[m]) is int
+                for row, m in zip(rows, index)):
+            return index, {}
+        if not all(m in index and x and isinstance(x, Rational)
+                   for row in rows for m, x in row.items()):
+            raise ValueError(f"degree {k} basis has a term other than a "
+                             f"degree-{k} mask to a nonzero rational")
+        try:
+            return linalg.pivot_index(rows)
+        except ValueError as exc:
+            raise ValueError(f"degree {k} basis not in RREF: {exc}")
+
     # ----- degree slices --------------------------------------------------
 
     def basis(self, k: int) -> tuple[Form, ...]:
-        if 0 <= k <= self.model.n_gen:
-            return self.bases[k]
-        return ()
+        """The degree-k basis as forms, built on each call."""
+        return tuple(Form(self.model.n_gen, k, row)
+                     for row in self._basis_rows(k))
+
+    def _basis_rows(self, k: int) -> tuple[dict[int, Rational], ...]:
+        return self._rows[k] if 0 <= k <= self.model.n_gen else ()
 
     def dim(self, k: int) -> int:
-        return len(self.basis(k))
+        return len(self._basis_rows(k))
 
     def diff_matrix(self, k: int) -> linalg.Matrix:
         """Matrix of d from degree k to k+1, rows indexed by the basis."""
@@ -130,24 +141,18 @@ class Subcomplex:
 
     def coords(self, form: Form, degree: int | None = None):
         """Coordinates of a form in the degree basis, or None if outside."""
-        k = form.degree if degree is None else degree
-        sol, residual = self._reduce(form, k)
-        return None if residual else linalg.dense(sol, self.dim(k))
-
-    def _reduce(self, form: Form, k: int) -> tuple[dict, dict]:
-        """(sparse coordinates, residual) of a form against the degree-k
-        basis (linalg.reduce); a nonzero form of another degree is all
-        residual, and the form lies in the slice when none is left."""
         if form.n_gen != self.model.n_gen:
             raise ModelMismatchError("form does not live over this model")
-        if form.degree != k or not 0 <= k <= self.model.n_gen:
-            return {}, form.terms
-        return self._reduce_terms(form.terms, k)
+        k = form.degree if degree is None else degree
+        sol, residual = self._reduce_terms(form.terms, k)
+        return None if residual else linalg.dense(sol, self.dim(k))
 
     def _reduce_terms(self, terms: dict, k: int) -> tuple[dict, dict]:
-        """_reduce of the terms of a degree-k form, an operator's image: a
-        nonempty one has masks of degree k, so k is a degree of the frame."""
-        return linalg.reduce(terms, *self._pivots[k]) if terms else ({}, {})
+        """(sparse coordinates, residual) of terms against the degree-k
+        rows (linalg.reduce); every pivot is a degree-k mask, so terms of
+        another degree, or any outside degrees 0..n_gen, are all residual."""
+        index = self._pivots.get(k)
+        return linalg.reduce(terms, *index) if terms and index else ({}, terms)
 
     def dims(self) -> tuple[int, ...]:
         return tuple(self.dim(k) for k in range(self.model.n_gen + 1))
@@ -251,29 +256,32 @@ class CohomologySpace:
         self._classes = classes
 
     @cached_property
+    def _rep_terms(self) -> linalg.Matrix:
+        """The terms {mask: coefficient} of the representatives, once."""
+        return linalg.matmul(self._rep_coords,
+                             self.complex._basis_rows(self.degree))
+
+    @cached_property
     def representatives(self) -> tuple[Form, ...]:
         """The representative forms, built on first read."""
-        cplx = self.complex
-        return tuple(_combine(cplx.basis(self.degree), row, cplx.model.n_gen,
-                              self.degree) for row in self._rep_coords)
+        n = self.complex.model.n_gen
+        return tuple(Form(n, self.degree, terms) for terms in self._rep_terms)
 
     def class_of(self, form: Form) -> tuple[Rational, ...]:
-        return tuple(linalg.dense(self._class_of(form), self.dimension))
-
-    def _class_of(self, form: Form) -> dict[int, Rational]:
-        """Sparse class of a closed element of the degree slice."""
-        coords, residual = self.complex._reduce(form, self.degree)
-        if residual:
+        """Class of a closed element of the degree slice."""
+        coords = self.complex.coords(form, self.degree)
+        if coords is None:
             raise InternalConsistencyError(
                 f"form of degree {form.degree} is not an element of the "
                 f"degree-{self.degree} slice of the subcomplex")
-        return self._class_of_coords(coords)
+        return tuple(linalg.dense(
+            self._class_of_coords(linalg.sparse(coords)), self.dimension))
 
     def _class_of_coords(self, coords: dict[int, Rational]
                          ) -> dict[int, Rational]:
-        """_class_of, given the coordinates in the slice basis: closed
-        means no residual against the cycles, and the coordinates in the
-        cycles weigh their classes; no product by D_k is taken."""
+        """The sparse class of a closed element of the slice given by its
+        coordinates: closed means no residual against the cycles, whose
+        coordinates weigh their classes; no product by D_k is taken."""
         cycle_coords, residual = linalg.reduce(coords, *self._cycle_index)
         if residual:
             raise PreconditionError(
@@ -288,57 +296,36 @@ class CohomologySpace:
                 f"dimension {self.dimension}>")
 
 
-def _combine(basis: Sequence[Form], coords: dict[int, Rational], n_gen: int,
-             degree: int) -> Form:
-    """sum c_i basis[i] for sparse coordinates."""
-    out: dict[int, Rational] = {}
-    for i, c in coords.items():
-        linalg.add_scaled(out, c, basis[i].terms)
-    return Form._make(n_gen, max(degree, 0), out)
-
-
-def _rep_terms(space: CohomologySpace) -> linalg.Matrix:
-    """The terms {mask: coefficient} of the representatives; no Form."""
-    basis = space.complex.basis(space.degree)
-    return linalg.matmul(space._rep_coords, [f.terms for f in basis])
-
-
 def _image_classes(src: CohomologySpace, dst: CohomologySpace,
                    op: Operator) -> list[dict[int, Rational]]:
     """The sparse classes in dst of op applied to the representatives of
     src, read from the images' coordinates in the slice of dst."""
     images = [dst.complex._reduce_terms(op(terms), dst.degree)
-              for terms in _rep_terms(src)]
+              for terms in src._rep_terms]
     if any(residual for _, residual in images):
         raise InternalConsistencyError(
             f"an image leaves the degree-{dst.degree} slice")
     return [dst._class_of_coords(coords) for coords, _ in images]
 
 
-def _condition_rows(basis: Sequence[Form], operators: Sequence[Operator],
+def _condition_rows(rows: linalg.Matrix, operators: Sequence[Operator],
                     n_gen: int) -> list[dict[int, Rational]]:
-    """Row i lays the images of basis[i] under the operator values side by
-    side, keyed by monomial mask, the j-th image's offset by j 2^n_gen, so
-    the keys of one row lie far apart.  A combination of the basis lies in
-    the kernel of every operator exactly when it is in the left kernel of
-    the rows."""
+    """Row i lays the images of rows[i], the terms of a form, under the
+    operator values side by side, keyed by monomial mask, the j-th image's
+    offset by j 2^n_gen, so the keys of one row lie far apart.  A
+    combination of the rows lies in the kernel of every operator exactly
+    when it is in the left kernel of the result."""
     span = 1 << n_gen
     return [{j * span + m: x for j, op in enumerate(operators)
-             for m, x in op(f.terms).items()} for f in basis]
+             for m, x in op(row).items()} for row in rows]
 
 
 def full_complex(model: StructureModel) -> Subcomplex:
-    """The whole invariant complex, with the monomial basis per degree,
-    its own pivot index.  Row I of D_k is d(e_I) (model._d_monomial) read
-    by column index: every monomial is in the complex, so no residual is
-    left to check."""
+    """The whole invariant complex: the monomials {m: 1} of each degree, a
+    monomial slice, so D is read off d(e_I) and no Form is built."""
     n = model.n_gen
-    masks = [degree_masks(n, k) for k in range(n + 1)]
-    upper = [_column_index(n, k + 1) for k in range(n + 1)]
-    diff = [[{upper[k][m]: x for m, x in model._d_monomial(mask).items()}
-             for mask in ms] for k, ms in enumerate(masks)]
-    return Subcomplex(model, (), [[Form._make(n, k, {m: 1}) for m in ms]
-                                  for k, ms in enumerate(masks)], diff)
+    return Subcomplex(model, (), [[{m: 1} for m in degree_masks(n, k)]
+                                  for k in range(n + 1)])
 
 
 def basic_complex(model: StructureModel,
@@ -365,10 +352,9 @@ def basic_complex(model: StructureModel,
     products = [(-1, Form.constant(n, 1))]
     bases = []
     for k in range(n + 1):
-        forms = [f for _, f in products]
-        kept = linalg.left_kernel(_condition_rows(forms, lie, n))
-        bases.append([Form._make(n, k, row) for row in linalg.row_space(
-            linalg.matmul(kept, [f.terms for f in forms]))])
+        terms = [f.terms for _, f in products]
+        kept = linalg.left_kernel(_condition_rows(terms, lie, n))
+        bases.append(linalg.row_space(linalg.matmul(kept, terms)))
         products = [(j, f.wedge(theta[j])) for i, f in products
                     for j in range(i + 1, len(theta))]
     return Subcomplex(model, fields, bases)
@@ -454,8 +440,7 @@ def _check_splitting_setup(model: StructureModel, w_form: Form,
         raise DegreeError("w must be a 1-form over the model")
     if not model.d(w_form).is_zero():
         raise NotClosedError("the splitting 1-form w must be closed")
-    inner_fields = list(inner.fields)
-    outer_fields = list(outer.fields)
+    inner_fields, outer_fields = inner.fields, outer.fields
     extras = [f for f in outer_fields if f not in inner_fields]
     if (len(extras) != 1 or len(outer_fields) != len(inner_fields) + 1
             or any(f not in outer_fields for f in inner_fields)):

@@ -53,7 +53,7 @@ from itertools import accumulate
 
 from . import linalg
 from .cohomology import (CohomologyMap, CohomologySpace, Subcomplex,
-                         _condition_rows, _image_classes, _rep_terms,
+                         _condition_rows, _image_classes,
                          basic_complex, betti_numbers, full_complex,
                          splitting_check)
 from .errors import (DegreeError, InternalConsistencyError, NotLefschetzError,
@@ -229,18 +229,18 @@ def _cycle_relation(cplx: Subcomplex, k: int, b: int,
     """The Lefschetz relation of degrees k and b of cplx: _relation with
     one condition row per operator of conditions and the images of the
     target map, the sum of the operators of targets.  Both are taken only
-    on the degree-k basis forms that some cycle uses, and kept by basis
+    on the degree-k basis rows that some cycle uses, and kept by basis
     index: cycles . conditions and xs . images read no other row."""
-    basis = cplx.basis(k)
+    basis = cplx._basis_rows(k)
     used = sorted({i for row in cplx._cycles(k) for i in row})
     rows = _condition_rows([basis[i] for i in used], conditions,
                            cplx.model.n_gen)
     coords, residuals = {}, {}
     for i in used:
-        image = targets[0](basis[i].terms)
+        image = targets[0](basis[i])
         for op in targets[1:]:
             image = dict(image)
-            linalg.add_scaled(image, 1, op(basis[i].terms))
+            linalg.add_scaled(image, 1, op(basis[i]))
         coords[i], residuals[i] = cplx._reduce_terms(image, b)
     return _relation(cplx.space(k), cplx.space(b), dict(zip(used, rows)),
                      (coords, residuals), label)
@@ -336,9 +336,9 @@ def uv_basic_lefschetz(struct: LcsStructure, k: int) -> CohomologyMap:
 def _images(src: Subcomplex, dst: Subcomplex, op: Operator, k: int,
             j: int) -> tuple[list, list]:
     """(coordinates, residuals) of op f in the degree-j slice of dst, over
-    the basis forms f of the degree-k slice of src.  Nothing keeps them:
+    the basis rows f of the degree-k slice of src.  Nothing keeps them:
     _class_maps holds two slices at a time while it builds a family."""
-    pairs = [dst._reduce_terms(op(f.terms), j) for f in src.basis(k)]
+    pairs = [dst._reduce_terms(op(row), j) for row in src._basis_rows(k)]
     return [c for c, _ in pairs], [r for _, r in pairs]
 
 
@@ -528,8 +528,7 @@ class GysinReport(Record):
 
 
 def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
-                b_name: str, a_name: str, ops,
-                top_k: int) -> FlowChainReport:
+                b_name: str, a_name: str, ops) -> FlowChainReport:
     eps_op, inc_op, iv_op = ops
     spaces = [b_cplx.space(-2)]
     node_labels = [f"{b_name}(-2)"]
@@ -546,7 +545,7 @@ def _flow_chain(label: str, b_cplx: Subcomplex, a_cplx: Subcomplex,
         spaces.append(space)
         node_labels.append(name)
 
-    for k in range(-2, top_k + 1):
+    for k in range(-2, b_cplx.model.n_gen + 1):
         append(b_cplx.space(k + 2), f"{b_name}({k + 2})", eps_op,
                f"[eps_deta] {b_name}({k})->{b_name}({k + 2})")
         append(a_cplx.space(k + 2), f"{a_name}({k + 2})", inc_op,
@@ -633,9 +632,9 @@ def gysin_sequence_check(struct: LcsStructure) -> GysinReport:
     ops = (Wedge(_deta_powers(struct)[1]), Inclusion(),
            Contraction(struct.V))
     top = _flow_chain("anti-Lee flow sequence", v_cplx, full_c,
-                      "H_B(V)", "H", ops, model.n_gen)
+                      "H_B(V)", "H", ops)
     bottom = _flow_chain("transversal flow sequence", uv, u_cplx,
-                         "H_B(U,V)", "H_B(U)", ops, model.n_gen)
+                         "H_B(U,V)", "H_B(U)", ops)
     splitting_v = splitting_check(model, struct.omega, v_cplx, uv)
     splitting_full = splitting_check(model, struct.omega, full_c, u_cplx)
     squares = None
@@ -692,12 +691,12 @@ def pairing_psi(struct: LcsStructure, k: int) -> PairingResult:
     u_cplx = _basic(struct.model, (struct.U,))
     full = (1 << struct.model.n_gen) - 1
     index: dict[int, dict[int, Rational]] = {}
-    for j, terms in enumerate(_rep_terms(u_cplx.space(k))):
+    for j, terms in enumerate(u_cplx.space(k)._rep_terms):
         for m, b in terms.items():
             index.setdefault(full ^ m, {})[j] = \
                 b if merge_sign(full ^ m, m) > 0 else -b
     images = map(Wedge(struct.omega), linalg.matmul(
-        lef, _rep_terms(u_cplx.space(2 * n + 1 - k))))
+        lef, u_cplx.space(2 * n + 1 - k)._rep_terms))
     psi = linalg.matmul([{m: x for m, x in w.items() if m in index}
                          for w in images], index)
     # an entry x at (i, j) needs x (symmetric) or -x (skew) at (j, i)

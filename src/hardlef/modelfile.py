@@ -221,6 +221,8 @@ def parse(text: str) -> ModelDocument:
         if head == "name":
             if len(tokens) != 2 or tokens[1][0] != "name":
                 raise ParseError("usage: name <word>", lineno, col)
+            if name:
+                raise ParseError("duplicate name", lineno, col)
             name = tokens[1][1]
         elif head == "dim":
             if len(tokens) != 2 or tokens[1][0] != "number" \
@@ -236,6 +238,8 @@ def parse(text: str) -> ModelDocument:
             names = [t[1] for t in tokens[1:]]
             if not names or any(t[0] != "name" for t in tokens[1:]):
                 raise ParseError("usage: generators <name> ...", lineno, col)
+            if gen_names is not None:
+                raise ParseError("duplicate generators", lineno, col)
             if len(set(names)) != len(names):
                 raise ParseError("generator names must be distinct",
                                  lineno, col)
@@ -422,6 +426,17 @@ def _position(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object's dict; json.loads would keep a repeated key's last
+    value, and here the key is a ParseError."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"duplicate key {json.dumps(key)}")
+        out[key] = value
+    return out
+
+
 def load_text(text: str, assume_json: bool | None = None) -> ModelDocument:
     """Parse either syntax; JSON is detected by a leading brace."""
     if assume_json is None:
@@ -429,7 +444,7 @@ def load_text(text: str, assume_json: bool | None = None) -> ModelDocument:
     if assume_json:
         _check_json(text)
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
         return from_json_dict(data)

@@ -22,6 +22,14 @@ MODEL_POOL = {
 }
 
 
+def combine(basis, coords, n_gen, degree):
+    """sum c_i basis[i] over a basis of forms, for sparse coordinates."""
+    out: dict = {}
+    for i, c in coords.items():
+        linalg.add_scaled(out, c, basis[i].terms)
+    return Form(n_gen, max(degree, 0), out)
+
+
 def random_fraction(rng, span=6):
     num = rng.randint(-span, span)
     den = rng.randint(1, 4)

@@ -142,17 +142,26 @@ def test_betti_numbers_and_space_share_the_d_squared_guard(structure, fields,
 
 
 def test_a_span_not_closed_under_d_is_refused():
-    # d e5 = e12 + e34 leaves the span of e1, e2, e5 in degree 1; the
-    # full complex, whose D is read off d(e_I) directly, keeps no such guard
+    # d e5 = e12 + e34 leaves the span of e1, e2, e5 in degree 1; degree 0
+    # is a monomial slice, whose D is read off d(e_I), but degree 1 is not,
+    # so its D is reduced against degree 2 and checked
     model = StructureModel.from_salamon(H5S1)
-    e = [Form.generator(6, i) for i in range(1, 7)]
-    bases = [[Form.constant(6, 1)], [e[0], e[1], e[4]],
-             [e[0].wedge(e[1])], [], [], [], []]
+    bases = [[{0: 1}], [{0b1: 1}, {0b10: 1}, {0b10000: 1}], [{0b11: 1}],
+             [], [], [], []]
     assert _message(lambda: coh.Subcomplex(model, (), bases)) == (
         "span is not closed under d in degree 1; the fields do not cut out "
         "a subcomplex")
-    bases[2].append(e[2].wedge(e[3]))
+    bases[2].append({0b1100: 1})  # e3 ^ e4
     assert coh.Subcomplex(model, (), bases).dims() == (1, 3, 2, 0, 0, 0, 0)
+    # the other way round: degree 1 is a monomial slice and degree 2 is
+    # not, so D_1 is still reduced against degree 2 and checked
+    bases[1] = [{1 << i: 1} for i in range(6)]
+    bases[2] = [{0b11: 1}]
+    assert _message(lambda: coh.Subcomplex(model, (), bases)) == (
+        "span is not closed under d in degree 1; the fields do not cut out "
+        "a subcomplex")
+    bases[2] = [{0b11: 1, 0b1100: 1}]  # d e5 itself
+    assert coh.Subcomplex(model, (), bases).dims() == (1, 6, 1, 0, 0, 0, 0)
 
 
 # ----- the net ---------------------------------------------------------------

@@ -8,14 +8,13 @@ from hardlef import (Form, StructureModel, Vector, basic_complex,
                      betti_numbers, full_complex, splitting_check,
                      splitting_map)
 from hardlef import linalg
-from hardlef.cohomology import (Subcomplex, _combine, _condition_rows,
-                                cohomology)
+from hardlef.cohomology import Subcomplex, _condition_rows, cohomology
 from hardlef.errors import (DegreeError, NotClosedError, PreconditionError)
 from hardlef.exterior import Contraction, degree_masks
 from hardlef.model import LieDerivative
 
 import oracle
-from conftest import COEFFS, rational_models, rebase, vectors
+from conftest import COEFFS, combine, rational_models, rebase, vectors
 
 
 @pytest.fixture
@@ -57,16 +56,17 @@ def test_basic_complex_no_fields_is_full(kt4):
 
 def _reference_basic_bases(model, fields):
     """The definition basic_complex had before it built on the annihilator:
-    the joint kernel of i_v and L_v over all monomials, per degree."""
+    the joint kernel of i_v and L_v over all monomials, per degree, as
+    basis rows {mask: coefficient}."""
     n = model.n_gen
     ops = []
     for v in fields:
         ops += [Contraction(v), LieDerivative(model, v)]
     bases = []
     for k in range(n + 1):
-        monomials = [Form(n, k, {m: Fraction(1)}) for m in degree_masks(n, k)]
+        monomials = [{m: Fraction(1)} for m in degree_masks(n, k)]
         kernel = linalg.left_kernel(_condition_rows(monomials, ops, n))
-        bases.append(tuple(_combine(monomials, c, n, k) for c in kernel))
+        bases.append(tuple(linalg.matmul(kernel, monomials)))
     return tuple(bases)
 
 
@@ -76,7 +76,7 @@ def test_basic_complex_is_the_joint_kernel_of_i_and_l(lcs_struct, names):
     n = lcs_struct.model.n_gen
     fields = [Vector.basis(n, 1) if name == "E1" else getattr(lcs_struct, name)
               for name in names]
-    assert basic_complex(lcs_struct.model, fields).bases == \
+    assert basic_complex(lcs_struct.model, fields)._rows == \
         _reference_basic_bases(lcs_struct.model, fields)
 
 
@@ -87,14 +87,14 @@ def test_basic_complex_on_random_fields(data):
     n = model.n_gen
     fields = data.draw(st.lists(vectors(n), min_size=1, max_size=3))
     cplx = basic_complex(model, fields)
-    assert cplx.bases == _reference_basic_bases(model, fields)
+    assert cplx._rows == _reference_basic_bases(model, fields)
     # the dense oracle spans the same spaces, in its own monomial order
     d1 = oracle.model_of(model)
     vecs = [list(v.coeffs) for v in fields]
     for k in range(n + 1):
         monos = oracle.monomials(n, k)
         rows = [oracle.coords(oracle.form_of(f), monos)
-                for f in cplx.bases[k]]
+                for f in cplx.basis(k)]
         assert oracle.rref(rows, len(monos))[0] == \
             oracle.basic_space(d1, n, vecs, k)
 
@@ -307,7 +307,7 @@ def test_class_of_refuses_a_form_that_is_zero_at_the_cycle_pivots(make):
         if not off:
             continue
         coords = {j: Fraction(j + 2, 3) for j in off}
-        form = _combine(cplx.basis(k), coords, cplx.model.n_gen, k)
+        form = combine(cplx.basis(k), coords, cplx.model.n_gen, k)
         assert not cplx.model.d(form).is_zero()
         message = f"class_of needs a closed form in degree {k}"
         with pytest.raises(PreconditionError, match=message):
@@ -413,7 +413,7 @@ def test_rebuilt_basic_complex_runs_no_elimination(monkeypatch, field):
     m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
     basic = basic_complex(m, [Vector(field)])
     calls = _count_eliminations(monkeypatch)
-    again = Subcomplex(m, basic.fields, basic.bases)
+    again = Subcomplex(m, basic.fields, basic._rows)
     assert calls == []
     assert again._pivots == basic._pivots
     for k in range(7):
@@ -425,9 +425,70 @@ def test_rebuilt_basic_complex_runs_no_elimination(monkeypatch, field):
 
 
 def test_basis_not_in_rref_is_rejected(kt4):
-    bases = list(full_complex(kt4).bases)
-    e1, e2 = Form.generator(4, 1), Form.generator(4, 2)
-    bases[1] = (e1 + e2, e2)
+    bases = list(full_complex(kt4)._rows)
+    bases[1] = ({0b1: 1, 0b10: 1}, {0b10: 1})  # e1 + e2, e2
     with pytest.raises(ValueError, match="degree 1 basis not in RREF: "
                                          "a row has an entry at"):
         Subcomplex(kt4, (), bases)
+
+
+@pytest.mark.parametrize("rows", [
+    ({0b11: 1},), ({0b10000: 1},), ({-1: 1},),
+    ({0b1: 1, 0b100: 0}, {0b10: 1}), ({0b1: 1, 0b100: 0.5},),
+    ({0b1: 1, 0b100: "1/2"},),
+    ({0b1: 1.0}, {0b10: 1}, {0b100: 1}, {0b1000: 1}),
+], ids=["degree_2", "outside_frame", "negative", "zero", "float", "str",
+        "float_monomial"])
+def test_a_row_term_off_the_masks_or_not_a_nonzero_rational_is_refused(
+        kt4, rows):
+    """A Form drops a zero and refuses a float; rows are taken as they
+    are, so a zero, which would leave a residual at a form of the span,
+    and any coefficient other than an int or a Fraction are refused."""
+    bases = list(full_complex(kt4)._rows)
+    bases[1] = rows
+    with pytest.raises(ValueError, match="degree 1 basis has a term other "
+                                         "than a degree-1 mask to a nonzero "
+                                         "rational"):
+        Subcomplex(kt4, (), bases)
+
+
+def test_monomial_rows_are_found_from_the_input(monkeypatch):
+    """Rows {m: 1} in mask order are monomial slices, whatever builds them:
+    D is d(e_I) by column index, as in full_complex, which builds no Form.
+    The constructor takes no differential, so the rows of the U-basic
+    complex of kt4 give its own Betti numbers."""
+    import inspect
+    from pathlib import Path
+    from hardlef import modelfile
+    model = modelfile.load_path(Path(__file__).resolve().parent.parent
+                                / "models" / "h7s1.model").model
+    n = model.n_gen
+    made = []
+    make, init = Form._make.__func__, Form.__init__
+    monkeypatch.setattr(Form, "_make", classmethod(
+        lambda cls, *args: made.append(args) or make(cls, *args)))
+    monkeypatch.setattr(Form, "__init__", lambda self, *args: (
+        made.append(args), init(self, *args))[1])
+    full = full_complex(model)
+    assert made == []
+    again = Subcomplex(model, (), [[{m: 1} for m in degree_masks(n, k)]
+                                   for k in range(n + 1)])
+    assert all(again._d(k) == full._d(k) for k in range(n + 1))
+    for k in range(n + 1):
+        upper = degree_masks(n, k + 1)
+        assert [{upper[j]: x for j, x in row.items()} for row in again._d(k)
+                ] == [model._d_monomial(m) for m in degree_masks(n, k)]
+    assert list(inspect.signature(Subcomplex).parameters) == [
+        "model", "fields", "bases"]
+    kt4 = StructureModel.from_salamon("(0,0,12,0)", name="kt4")
+    basic = basic_complex(kt4, [Vector.basis(4, 4)])
+    again = Subcomplex(kt4, basic.fields, basic._rows)
+    assert betti_numbers(again) == (1, 2, 2, 1, 0)
+    # a degree that is not monomial beside monomial ones: its D is d of
+    # each whole row, not d(e_I) at the row's pivot (d e1 = 0, d e3 = e12)
+    bases = list(full_complex(kt4)._rows)
+    bases[1] = ({0b1: 1, 0b100: 1}, {0b10: 1}, {0b1000: 1})
+    upper, d1 = degree_masks(4, 2), Subcomplex(kt4, (), bases)._d(1)
+    assert d1[0] and d1 == [
+        {upper.index(m): x for m, x in kt4.d(Form(4, 1, row)).terms.items()}
+        for row in bases[1]]

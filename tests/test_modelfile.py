@@ -134,6 +134,10 @@ def test_json_detection():
     ("dim 2\nd e1 = e2^e2^e2\n", 2, "must be a 2-form, got degree 3"),
     ("dim 4\nd e3 = e1 - e1\n", 2, "must be a 2-form, got degree 1"),
     ("dim 4\nomega = e1^e1\n", 2, "must be a 1-form, got degree 2"),
+    # a second name or generators statement would replace the first
+    ("name a\nname b\ndim 2\n", 2, "duplicate name"),
+    ("dim 3\ngenerators x y z\ngenerators p q r\n", 3,
+     "duplicate generators"),
 ])
 def test_positioned_parse_errors(text, line, fragment):
     with pytest.raises(ParseError) as err:
@@ -205,6 +209,19 @@ def test_json_errors_name_the_key(data, message):
         modelfile.load_text(json.dumps(data))
     assert str(err.value) == message
     assert err.value.line is None
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"dim": 2, "dim": 3}', "dim"),
+    ('{"dim": 3, "differentials": {"e3": "e1^e2", "e3": "0"}, "eta": "e3"}',
+     "e3"),
+], ids=["top_level", "differentials"])
+def test_json_repeated_key_is_refused(text, key):
+    """json.loads keeps the last value of a repeated key; a model refuses
+    the key, which json.dumps cannot write twice."""
+    with pytest.raises(ParseError) as err:
+        modelfile.load_text(text)
+    assert str(err.value) == f'duplicate key "{key}"'
 
 
 def test_json_dim_is_checked_before_names_are_made(monkeypatch):

@@ -5,12 +5,13 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from hardlef import Form, StructureModel, cli, lefschetz as lef, validate_lcs
-from hardlef.cohomology import _combine, full_complex
+from hardlef.cohomology import full_complex
 from hardlef.errors import NotProjectableError
 from hardlef.exterior import Contraction, Inclusion, Wedge, degree_masks
 from hardlef.model import Differential, LieDerivative
 
 import oracle
+from conftest import combine
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -189,11 +190,11 @@ def test_lefschetz_all_builds_no_full_complex_representative(monkeypatch,
 def test_suite_and_lefschetz_all_reduce_no_form(monkeypatch, capsys):
     """suite and `lefschetz --mode all` on every model file read every class
     in slice coordinates: no representative form is built, no form is
-    reduced through CohomologySpace._class_of, and exterior keeps no
+    reduced through CohomologySpace.class_of, and exterior keeps no
     top_pairing beside the Gram product."""
     from hardlef import exterior
     from hardlef.cohomology import CohomologySpace
-    calls = {"_class_of": 0, "representatives": 0, "_class_of_coords": 0}
+    calls = {"class_of": 0, "representatives": 0, "_class_of_coords": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -201,7 +202,7 @@ def test_suite_and_lefschetz_all_reduce_no_form(monkeypatch, capsys):
             return fn(*args)
         return wrapper
 
-    for name in ("_class_of", "_class_of_coords"):
+    for name in ("class_of", "_class_of_coords"):
         monkeypatch.setattr(CohomologySpace, name,
                             counting(name, getattr(CohomologySpace, name)))
     monkeypatch.setattr(CohomologySpace, "representatives", property(
@@ -211,9 +212,32 @@ def test_suite_and_lefschetz_all_reduce_no_form(monkeypatch, capsys):
     for path in sorted(MODELS.glob("*.model")):
         assert cli.main(["lefschetz", str(path), "--mode", "all"]) == 0
     capsys.readouterr()
-    assert calls["_class_of"] == calls["representatives"] == 0
+    assert calls["class_of"] == calls["representatives"] == 0
     assert calls["_class_of_coords"] > 0
     assert not hasattr(exterior, "top_pairing")
+
+
+def test_each_space_takes_its_representative_terms_once(monkeypatch,
+                                                       capsys):
+    """suite and `lefschetz --mode all` on h7 x S1 read the representative
+    terms of a space in psi, the splitting maps and the transversal maps,
+    and multiply them out of the slice rows at most once per space."""
+    import sys
+    from hardlef import linalg
+    taken = {}  # id of the coordinates -> [coordinates, products]
+    matmul = linalg.matmul
+
+    def counting(a, b):
+        if sys._getframe(1).f_code.co_name == "_rep_terms":
+            taken.setdefault(id(a), [a, 0])[1] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(linalg, "matmul", counting)
+    assert cli.main(["suite"]) == 0
+    assert cli.main(["lefschetz", str(MODELS / "h7s1.model"), "--mode",
+                     "all"]) == 0
+    capsys.readouterr()
+    assert taken and max(count for _, count in taken.values()) == 1
 
 
 def test_representatives_are_the_combinations_of_their_coordinates(
@@ -226,7 +250,7 @@ def test_representatives_are_the_combinations_of_their_coordinates(
             sp = cplx.space(k)
             reps = sp.representatives
             assert reps is sp.representatives
-            assert reps == tuple(_combine(cplx.basis(k), row, model.n_gen, k)
+            assert reps == tuple(combine(cplx.basis(k), row, model.n_gen, k)
                                  for row in sp._rep_coords)
             # each is the class of its own unit vector
             assert [sp.class_of(rep) for rep in reps] == [
