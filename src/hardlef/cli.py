@@ -9,6 +9,8 @@ document as canonical JSON, byte-identical across runs on identical input.
 
 from __future__ import annotations
 
+import errno
+import os
 import sys
 from contextlib import nullcontext
 from types import SimpleNamespace
@@ -339,6 +341,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"{_usage(command)}hardlef: error: {message}\n")
         return 1
     try:
+        # a --json PATH that open would refuse is refused before any work
+        path = getattr(args, "json", None)
+        if path and (os.path.isdir(path)
+                     or not os.path.isdir(os.path.dirname(path) or ".")):
+            code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
         return handler(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

@@ -13,9 +13,10 @@ a slice holds no Form, and basis and representatives build theirs for
 the API alone: no engine computation reads them.
 
 Betti numbers come from ranks: b_k = dim C^k - rank d_k - rank d_(k-1),
-once D_(k-1) D_k = 0 is checked; a rank is the one kept with the cycles
-when they exist and a plain RREF otherwise.  space(k) builds the class
-table on demand, and betti_numbers reads the dimension of a built space.
+once D_(k-1) D_k = 0 is checked on integer rows; a rank is the one kept
+with the cycles when they exist and one forward pass (linalg.rank)
+otherwise.  space(k) builds the class table on demand, and betti_numbers
+reads the dimension of a built space.
 Cohomology is read in the coordinates of the cycles: the rows of
 D_(k-1) reduced against the canonical cycle basis are the boundaries,
 and one elimination of them, r x z for r rows and z cycles, picks the
@@ -133,7 +134,7 @@ class Subcomplex:
 
     def _rank(self, k: int) -> int:
         """Rank of d from degree k: the one kept with the cycles when they
-        exist, a plain RREF otherwise."""
+        exist, a forward pass (linalg.rank) otherwise."""
         r = self._ranks.get(k)
         if r is None:
             r = self._ranks[k] = linalg.rank(self._d(k))
@@ -177,16 +178,19 @@ class Subcomplex:
         return self.dim(k) - self._rank(k) - (self._rank(k - 1) if k else 0)
 
     def _check_d_squared(self, k: int) -> None:
-        """Raise unless D_(k-1) D_k = 0.  The product is taken on integers:
-        each row of D_(k-1) times its own denominator, D_k times one common
-        denominator."""
+        """Raise unless D_(k-1) D_k = 0, the product taken on integer rows:
+        D_k as it is when integral, else times one common denominator, and
+        a row of D_(k-1) that holds a Fraction times its own."""
         right = self._d(k)
         den = lcm(*[x.denominator for row in right for x in row.values()])
-        right = [{j: x.numerator * (den // x.denominator)
-                  for j, x in row.items()} for row in right]
+        if den > 1:
+            right = [{j: x.numerator * (den // x.denominator)
+                      for j, x in row.items()} for row in right]
         for row in self._d(k - 1):
+            if not all(type(x) is int for x in row.values()):
+                row = linalg._integer_row(row)
             acc: dict[int, int] = {}
-            for i, x in linalg._integer_row(row).items():
+            for i, x in row.items():
                 for j, y in right[i].items():
                     acc[j] = acc.get(j, 0) + x * y
             if any(acc.values()):
@@ -345,18 +349,18 @@ def basic_complex(model: StructureModel,
         return full_complex(model)
     n = model.n_gen
     pairing = [linalg.sparse(col) for col in zip(*(v.coeffs for v in fields))]
-    theta = [Form._make(n, 1, {1 << i: x for i, x in row.items()})
+    theta = [Wedge(Form._make(n, 1, {1 << i: x for i, x in row.items()}))
              for row in linalg.left_kernel(pairing)]
     lie = [LieDerivative(model, v) for v in fields]
-    # (index of the last factor, theta_I) for ascending index tuples I
-    products = [(-1, Form.constant(n, 1))]
+    # (index of the first factor, the terms of theta_I) for ascending
+    # index tuples I; theta_j ^ theta_I is built for j below I
+    products = [(len(theta), {0: 1})]
     bases = []
     for k in range(n + 1):
-        terms = [f.terms for _, f in products]
+        terms = [t for _, t in products]
         kept = linalg.left_kernel(_condition_rows(terms, lie, n))
         bases.append(linalg.row_space(linalg.matmul(kept, terms)))
-        products = [(j, f.wedge(theta[j])) for i, f in products
-                    for j in range(i + 1, len(theta))]
+        products = [(j, theta[j](t)) for i, t in products for j in range(i)]
     return Subcomplex(model, fields, bases)
 
 

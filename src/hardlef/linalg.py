@@ -21,8 +21,9 @@ f-then-g is matmul(M_f, M_g).  Reduced row echelon form is the canonical
 presentation of a row space, which makes subspace comparison an equality
 of lists.
 
-`rref` is the one elimination: rank, row_space, kernel_and_rank,
-left_kernel, sparse_inverse and inverse all call it.
+`rref` is the one elimination: row_space, kernel_and_rank, left_kernel,
+sparse_inverse and inverse call it, and rank counts the pivots of its
+forward pass (_forward) alone, with no back-substitution or division.
 It works on integer rows: each row is scaled to coprime integers, and a
 step replaces a row q by (a/g) q - (b/g) p, with a and b the entries of
 the pivot row p and of q in the pivot column and g = gcd(a, b), then
@@ -37,6 +38,7 @@ Villard, J. Symb. Comp. 32, 2001); the fewest nonzeros (Markowitz,
 Management Science 3, 1957), then the smallest |entry|, then the first
 row keep fill-in and integers small.  Work follows the nonzeros: an empty
 row is neither converted nor indexed, a one-entry row becomes {j: 1},
+one-entry rows alone need no elimination ({j: 1} at each distinct j),
 an all-integer row keeps its numerators unscaled, the passes visit only
 the columns some row holds, and a column that its pivot row alone holds
 takes no step.  Pivot rows are divided by their pivots at the end: an
@@ -185,11 +187,31 @@ def _divide_content(row: dict[int, int]) -> None:
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-    Every key some row holds is a column and may give a pivot.
+    """Reduced row echelon form; returns (nonzero rows, pivot columns):
+    the forward pass, the back-substitution, the division by the pivots."""
+    rows, holders, order = _forward(mat)
+    for p, c in reversed(order):
+        if len(holders[c]) > 1:
+            _pivot_step(rows, holders, p, c,
+                        [i for i in holders[c] if i != p])
+    out = []
+    for p, c in order:
+        row, a = rows[p], rows[p][c]
+        out.append(row if a == 1 else {j: Fraction(x, a) if x % a else x // a
+                                       for j, x in row.items()})
+    return out, [c for _, c in order]
+
+
+def _forward(mat: Matrix) -> tuple[list[dict[int, int]], dict, list]:
+    """(integer rows, holders, (pivot row, pivot column) in column order)
+    once each column is cleared from the rows not yet used as pivots.
     holders[c] has the ids of the rows holding c as keys: a dict of ints,
     which the garbage collector does not track; a set is."""
     rows = [row for row in map(_integer_row, filter(None, mat)) if row]
+    if all(len(row) == 1 for row in rows):
+        order = list(enumerate(sorted({c for row in rows for c in row})))
+        return ([{c: 1} for _, c in order],
+                {c: {i: None} for i, c in order}, order)
     holders: dict[int, dict[int, None]] = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -209,16 +231,7 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
             _pivot_step(rows, holders, p, c,
                         [i for i in found if i != p])
         order.append((p, c))
-    for p, c in reversed(order):
-        if len(holders[c]) > 1:
-            _pivot_step(rows, holders, p, c,
-                        [i for i in holders[c] if i != p])
-    out = []
-    for p, c in order:
-        row, a = rows[p], rows[p][c]
-        out.append(row if a == 1 else {j: Fraction(x, a) if x % a else x // a
-                                       for j, x in row.items()})
-    return out, [c for _, c in order]
+    return rows, holders, order
 
 
 def _pivot_step(rows: list[dict[int, int]], holders: dict[int, dict],
@@ -250,7 +263,7 @@ def _pivot_step(rows: list[dict[int, int]], holders: dict[int, dict],
 
 
 def rank(mat: Matrix) -> int:
-    return len(rref(mat)[1])
+    return len(_forward(mat)[2])
 
 
 def row_space(mat: Matrix) -> Matrix:

@@ -11,13 +11,13 @@ assumption which reports flag explicitly.
 The arithmetic follows the rule stated in exterior: a coefficient is an
 int when it is integral and a `Fraction` otherwise, so the integer
 structure constants of most models keep d and L_v in integer arithmetic,
-and no operation is made whose result is already known.  d(e_I) is read
-off the terms of the d(e_i) with two merge signs per term, and the
-bracket and the two flags read the structure constants from those terms
-directly, touching only nonzero components.  L_v is a derivation of
-degree 0, read off the one-forms L_v e_i = i_v d e_i; d and L_v are
-operator values (Differential, LieDerivative), and d(e_I) is kept per
-monomial, once.
+and no operation is made whose result is already known.  d(e_I) is one
+Leibniz step on the d(e_J) kept before it (_d_monomial), and the bracket
+and the two flags read the structure constants from the terms of the
+d(e_i), touching only nonzero components.  L_v is a derivation of degree
+0, read off the one-forms L_v e_i = i_v d e_i; d and L_v are operator
+values (Differential, LieDerivative), and d(e_I) is kept per monomial,
+once.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import DegreeError, ModelMismatchError, ValidationError
 from .exterior import (Contraction, Form, Operator, Rational, Vector,
-                       _accumulate, _coerce, _signed_sum, indices_of,
-                       merge_sign)
+                       _above, _accumulate, _coerce, _signed_sum, indices_of)
 
 
 class StructureModel:
@@ -60,6 +59,9 @@ class StructureModel:
         self.name = name
         # mask -> the terms of d(e_mask)
         self._d_cache: dict[int, dict] = {}
+        # per generator, (m, c, _above(m)) for the terms c e_m of d(e_i)
+        self._left = tuple([(m, c, _above(m)) for m, c in f.terms.items()]
+                           for f in self.d1)
         # what the Lefschetz layer computes from this model (lefschetz._cached)
         self._memo: dict = {}
         # per k, the terms c e_a ^ e_b (a < b, 0-based) of d(e_k): the
@@ -137,26 +139,24 @@ class StructureModel:
                           Differential(self)(a.terms))
 
     def _d_monomial(self, mask: int) -> dict[int, Rational]:
-        """The terms of d(e_I) = sum over i in I of (-1)^pos e_(I<i) ^ d(e_i)
-        ^ e_(I>i), pos the number of generators of I below i, read term by
-        term, once per monomial."""
+        """The terms of d(e_I), kept once per monomial: d(e_i) ^ e_J - e_i
+        ^ d(e_J) for e_I = e_i ^ e_J, i the lowest generator of I, a term m
+        of d(e_i) signed by the parity of J & _above(m) and a term m' of
+        d(e_J) by that of the bits of m' below i.  Degree 0 has none."""
         cached = self._d_cache.get(mask)
         if cached is not None:
             return cached
         out: dict[int, Rational] = {}
-        rem = mask
-        while rem:
-            low = rem & -rem
-            prefix = mask & (low - 1)
-            suffix = mask ^ prefix ^ low
-            odd = prefix.bit_count() & 1
-            for m, c in self.d1[low.bit_length() - 1].terms.items():
-                if m & (prefix | suffix):
-                    continue
-                sign = merge_sign(prefix, m) * merge_sign(prefix | m, suffix)
-                _accumulate(out, prefix | m | suffix,
-                            -c if (sign < 0) != odd else c)
-            rem ^= low
+        if mask:
+            low = mask & -mask
+            rest = mask ^ low
+            for m, c, above in self._left[low.bit_length() - 1]:
+                if not m & rest:
+                    out[m | rest] = -c if (rest & above).bit_count() & 1 else c
+            for m, c in self._d_monomial(rest).items():
+                if not m & low:
+                    _accumulate(out, m | low,
+                                c if (m & (low - 1)).bit_count() & 1 else -c)
         self._d_cache[mask] = out
         return out
 

@@ -1,5 +1,7 @@
+import errno
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -331,6 +333,31 @@ def test_json_reports_are_byte_identical(kt4_file, tmp_path, capsys):
     assert cli.main(["lefschetz", kt4_file, "--json", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "@"], ["cohomology", "@", "--basic", "U"],
+    ["lefschetz", "@", "--mode", "all"], ["suite", "--entry", "kt4"]],
+    ids=["validate", "cohomology", "lefschetz", "suite"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_json_path_is_refused_before_any_work(
+        kt4_file, tmp_path, monkeypatch, capsys, command, where):
+    from hardlef import catalog, modelfile
+
+    def refuse(*args):
+        raise AssertionError("the run started before --json was checked")
+
+    missing = where == "missing-directory"
+    path = str(tmp_path / "absent" / "x.json" if missing else tmp_path)
+    code = errno.ENOENT if missing else errno.EISDIR
+    monkeypatch.setattr(modelfile, "load_path", refuse)
+    monkeypatch.setattr(catalog, "run_suite", refuse)
+    argv = [kt4_file if a == "@" else a for a in command]
+    assert cli.main(argv + ["--json", path]) == 1
+    # the message open itself gives, with nothing on stdout
+    assert capsys.readouterr() == (
+        "", f"error: [Errno {code}] {os.strerror(code)}: {path!r}\n")
+    assert not (tmp_path / "absent").exists()
 
 
 def test_suite_green(capsys):

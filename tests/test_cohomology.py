@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardlef import (Form, StructureModel, Vector, basic_complex,
-                     betti_numbers, full_complex, splitting_check,
-                     splitting_map)
+                     betti_numbers, full_complex, modelfile, splitting_check,
+                     splitting_map, validate_lcs)
 from hardlef import linalg
 from hardlef.cohomology import Subcomplex, _condition_rows, cohomology
 from hardlef.errors import (DegreeError, NotClosedError, PreconditionError)
@@ -14,7 +14,8 @@ from hardlef.exterior import Contraction, degree_masks
 from hardlef.model import LieDerivative
 
 import oracle
-from conftest import COEFFS, combine, rational_models, rebase, vectors
+from conftest import (COEFFS, MODELS_DIR, combine, rational_models, rebase,
+                      vectors)
 
 
 @pytest.fixture
@@ -78,6 +79,33 @@ def test_basic_complex_is_the_joint_kernel_of_i_and_l(lcs_struct, names):
               for name in names]
     assert basic_complex(lcs_struct.model, fields)._rows == \
         _reference_basic_bases(lcs_struct.model, fields)
+
+
+@pytest.mark.parametrize("names, theta", [(("U",), 7), (("V", "U"), 6)],
+                         ids=["U", "V,U"])
+def test_basic_complex_builds_no_form_past_theta(monkeypatch, names, theta):
+    """Each theta_j is a Wedge applied to the terms of the products: the
+    only Forms basic_complex makes on h7 x S1 are the 1-forms theta_j."""
+    doc = modelfile.load_path(MODELS_DIR / "h7s1.model")
+    struct = validate_lcs(doc.model, doc.omega, doc.eta)
+    fields = [getattr(struct, name) for name in names]
+    made = []
+    make, init = Form._make, Form.__init__
+
+    def counting_make(cls, n_gen, degree, terms):
+        made.append(degree)
+        return make(n_gen, degree, terms)
+
+    def counting_init(self, n_gen, degree, *args):
+        made.append(degree)
+        init(self, n_gen, degree, *args)
+
+    monkeypatch.setattr(Form, "_make", classmethod(counting_make))
+    monkeypatch.setattr(Form, "__init__", counting_init)
+    cplx = basic_complex(struct.model, fields)
+    monkeypatch.undo()
+    assert made == [1] * theta
+    assert cplx._rows == _reference_basic_bases(struct.model, fields)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -241,14 +269,7 @@ def test_class_of_and_coords_factor_nothing_after_build(monkeypatch):
     m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
     cplxs = [full_complex(m), basic_complex(m, [Vector.basis(6, 6)])]
     spaces = [c.space(k) for c in cplxs for k in range(7)]
-    calls = []
-    eliminate = linalg.rref
-
-    def counting(rows):
-        calls.append(len(rows))
-        return eliminate(rows)
-
-    monkeypatch.setattr(linalg, "rref", counting)
+    calls = _count_eliminations(monkeypatch)
     for sp in spaces:
         for i, rep in enumerate(sp.representatives):
             assert sp.class_of(rep) == tuple(int(i == j)
@@ -264,13 +285,14 @@ def test_each_differential_is_factored_once(monkeypatch):
     m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
     cplx = full_complex(m)
     calls = []
-    eliminate = linalg.rref
+    forward = linalg._forward
 
     def recording(rows):
         calls.append([dict(row) for row in rows])
-        return eliminate(rows)
+        return forward(rows)
 
-    monkeypatch.setattr(linalg, "rref", recording)
+    # one forward pass per nonzero differential, the one its rank runs
+    monkeypatch.setattr(linalg, "_forward", recording)
     assert betti_numbers(cplx) == (1, 5, 9, 10, 9, 5, 1)
     factored = {}
     for k in range(7):
@@ -320,18 +342,11 @@ def test_class_of_refuses_a_form_that_is_zero_at_the_cycle_pivots(make):
 
 def test_each_space_takes_one_elimination(monkeypatch):
     m = StructureModel.from_salamon("(0,0,0,0,12+34,0)", name="h5s1")
-    eliminate = linalg.rref
     for cplx, degrees in [(full_complex(m), 7),
                           (basic_complex(m, [Vector.basis(6, 6)]), 6)]:
         for k in range(7):
             cplx._cycles(k)
-        calls = []
-
-        def counting(rows):
-            calls.append(len(rows))
-            return eliminate(rows)
-
-        monkeypatch.setattr(linalg, "rref", counting)
+        calls = _count_eliminations(monkeypatch)
         for k in range(7):
             cplx.space(k)
         monkeypatch.undo()
@@ -370,16 +385,16 @@ def test_class_of_matches_the_oracle(data):
 
 
 def _count_eliminations(monkeypatch):
-    """The row counts of the eliminations run while monkeypatch is
-    active."""
+    """The row counts of the eliminations run while monkeypatch is active:
+    the forward passes, which rref and rank both run."""
     calls = []
-    eliminate = linalg.rref
+    forward = linalg._forward
 
     def counting(rows):
         calls.append(len(rows))
-        return eliminate(rows)
+        return forward(rows)
 
-    monkeypatch.setattr(linalg, "rref", counting)
+    monkeypatch.setattr(linalg, "_forward", counting)
     return calls
 
 

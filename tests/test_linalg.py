@@ -497,8 +497,10 @@ def test_rref_shortcuts_match_oracle(data):
     snapshot = _typed(smat)
     mat = [[F(row.get(j, 0)) for j in range(width)] for row in smat]
     rows, pivots = linalg.rref(smat)
+    o_rows, o_pivots = oracle.rref(mat, width)
     assert ([linalg.dense(r, width) for r in rows], pivots) == \
-        oracle.rref(mat, width)
+        (o_rows, o_pivots)
+    assert linalg.rank(smat) == len(o_pivots)
     kernel = linalg.left_kernel(smat)
     assert kernel == S(oracle.kernel_rows(mat, width))
     assert _nonzero_scalars(rows + kernel)
@@ -507,6 +509,41 @@ def test_rref_shortcuts_match_oracle(data):
     assert linalg.rref(zeros) == ([], [])
     assert linalg.left_kernel(zeros) == eye(len(smat))
     assert _typed(smat) == snapshot
+
+
+def test_rank_is_the_forward_pass_alone(monkeypatch):
+    """rank counts the pivots of the forward pass: rref would divide the
+    first row by its pivot 2 and clear column 1 from the pivot row above
+    in the second matrix; rank does neither."""
+    def refuse(*args):
+        raise AssertionError("rank divided a row or took a back step")
+
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    assert linalg.rank([{0: 2, 1: 1}]) == 1
+    monkeypatch.setattr(linalg, "_pivot_step", refuse)
+    assert linalg.rank([{0: 1, 1: 1}, {1: 1}]) == 2
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.integers(1, 6).flatmap(lambda width: st.tuples(
+    st.lists(st.one_of(st.just({}), st.dictionaries(
+        st.integers(0, width - 1),
+        st.one_of(_shortcut_entries, st.sampled_from([0, F(0)])),
+        min_size=1, max_size=1)), max_size=8), st.just(width))))
+def test_one_entry_rows_need_no_elimination(data):
+    """Rows of at most one nonzero each, zeros, signs, Fractions and
+    repeated columns included: their RREF is {c: 1}, int 1, at the sorted
+    distinct columns, with no pivot step."""
+    smat, width = data
+    mat = [[F(row.get(j, 0)) for j in range(width)] for row in smat]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_pivot_step", None)
+        rows, pivots = linalg.rref(smat)
+        rank = linalg.rank(smat)
+    assert ([linalg.dense(r, width) for r in rows], pivots) == \
+        oracle.rref(mat, width)
+    assert rows == [{c: 1} for c in pivots] and rank == len(pivots)
+    assert all(type(x) is int for row in rows for x in row.values())
 
 
 def test_inputs_are_not_mutated_or_aliased():

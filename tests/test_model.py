@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardlef import (Form, StructureModel, Vector, contract, validate_lcs,
-                     wedge)
+from hardlef import (Form, StructureModel, Vector, contract, modelfile,
+                     validate_lcs, wedge)
+from hardlef.catalog import builtin_entries
 from hardlef.errors import ValidationError
+from hardlef.exterior import _accumulate, merge_sign
 
-from conftest import (LCS_CORPUS, forms, random_form, random_model,
-                      random_vector, rational_models, vectors)
+from conftest import (LCS_CORPUS, MODELS_DIR, forms, random_form,
+                      random_model, random_vector, rational_models, vectors)
 
 
 @pytest.fixture
@@ -39,6 +41,54 @@ def test_d_squared_zero_on_random_forms(rng):
         k = rng.randint(0, m.n_gen - 1)
         f = random_form(rng, m.n_gen, k)
         assert m.d(m.d(f)).is_zero()
+
+
+def _d_monomial_by_generators(model, mask):
+    """The reference d(e_I): the sum over every generator i of I of
+    (-1)^pos e_(I<i) ^ d(e_i) ^ e_(I>i), pos the number of generators of I
+    below i, two merge signs per term."""
+    out = {}
+    rem = mask
+    while rem:
+        low = rem & -rem
+        prefix = mask & (low - 1)
+        suffix = mask ^ prefix ^ low
+        odd = prefix.bit_count() & 1
+        for m, c in model.d1[low.bit_length() - 1].terms.items():
+            if m & (prefix | suffix):
+                continue
+            sign = merge_sign(prefix, m) * merge_sign(prefix | m, suffix)
+            _accumulate(out, prefix | m | suffix,
+                        -c if (sign < 0) != odd else c)
+        rem ^= low
+    return out
+
+
+def _typed_terms(terms):
+    return {m: (type(c), c) for m, c in terms.items()}
+
+
+def _check_d_monomials(model):
+    """Every mask of a fresh copy of the model, in descending order so
+    that d(e_J) is first read from d(e_I) and not the other way round."""
+    fresh = StructureModel(model.d1)
+    for mask in reversed(range(1 << model.n_gen)):
+        assert _typed_terms(fresh._d_monomial(mask)) == \
+            _typed_terms(_d_monomial_by_generators(model, mask))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(model=rational_models())
+def test_d_monomial_is_the_sum_over_every_generator(model):
+    _check_d_monomials(model)
+
+
+@pytest.mark.parametrize("name", sorted({e.name for e in builtin_entries()})
+                         + sorted(p.name for p in MODELS_DIR.glob("*.model")))
+def test_d_monomial_is_the_sum_over_every_generator_on_the_catalog(name):
+    model = (modelfile.load_path(MODELS_DIR / name).model
+             if name.endswith(".model") else builtin_entries({name})[0].model)
+    _check_d_monomials(model)
 
 
 def test_constructor_accepts_any_iterable():
